@@ -234,21 +234,6 @@ class Derivation:
             out = out + self.apply_monomial(m).scaled(c)
         return out
 
-    def squares_to_zero(self) -> bool:
-        for name in self.images:
-            if not self.apply(self.images[name]).is_zero():
-                return False
-        return True
-
-    def anticommutes_with(self, other: "Derivation") -> bool:
-        names = set(self.images) | set(other.images)
-        for name in names:
-            g = self.alg.poly_gen(name)
-            val = self.apply(other.apply(g)) + other.apply(self.apply(g))
-            if not val.is_zero():
-                return False
-        return True
-
 
 @dataclass
 class Enumeration:

@@ -30,7 +30,7 @@ from .harness import (
     check_unipotent_formal_tate,
 )
 from .instancefile import ParseError, canonical_content, parse_instance
-from .mixed import coinvariants, s1_invariants_level, tate
+from .mixed import clear_column_memo, coinvariants, s1_invariants_level, tate
 from .models import (
     loop_model,
     localization_open_set,
@@ -85,6 +85,7 @@ def _weight_zero_mixed(P, T, tr):
 
 def run_verb(verb, args, text):
     """Returns (report_text, exit_code)."""
+    clear_column_memo()
     lines = [REPORT_HEADER, f"verb: {verb}"]
     if verb == "unipotent-check":
         rep = check_unipotent_formal_tate()

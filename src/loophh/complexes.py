@@ -18,7 +18,6 @@ from .linalg import (
     image_basis,
     kernel_basis,
     quotient_rank,
-    rank_of_vectors,
 )
 from .tables import HilbertTable
 
@@ -81,7 +80,7 @@ class GradedComplex:
         d_in = self.diff_from(self.d_source(m))
         ker = kernel_basis(d_out)
         im = image_basis(d_in) if not d_in.is_zero_matrix() else []
-        dim_h = len(ker) - rank_of_vectors(im, self.dim(m))
+        dim_h = len(ker) - len(im)  # im is an echelon basis
         data = (dim_h, ker, im)
         self._hcache[m] = data
         return data

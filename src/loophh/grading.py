@@ -21,9 +21,6 @@ class Multidegree(NamedTuple):
     def shift(self, cohdeg=0, aux=0, upow=0):
         return Multidegree(self.cohdeg + cohdeg, self.weight, self.aux + aux, self.upow + upow)
 
-    def with_weight(self, weight):
-        return Multidegree(self.cohdeg, tuple(weight), self.aux, self.upow)
-
     def add(self, other: "Multidegree") -> "Multidegree":
         if len(self.weight) != len(other.weight):
             raise ValueError("weight rank mismatch")

@@ -1,8 +1,8 @@
 """Sparse exact linear algebra: rank, kernel bases, per-bin cohomology dims.
 
 Matrices act on column vectors; an (r x c) matrix maps k^c -> k^r.  Entries
-are Fraction or CycElt scalars from a single backend.  Elimination is
-fraction-free (one-step division Bareiss, exact in any integral domain) with
+are Fraction or CycElt scalars from a single backend, and both backends are
+fields.  Elimination is sparse Gauss elimination over the field with
 deterministic pivoting: lowest remaining row index first, then lowest column.
 Kernel bases are echelonized and normalized so the first nonzero coordinate
 is 1, making every output canonical and reproducible.
@@ -166,12 +166,12 @@ def _check_backend(M: SparseMatrix):
 
 
 def _forward_eliminate(M: SparseMatrix):
-    """Fraction-free forward elimination.
+    """Sparse Gauss elimination over the field.
 
     Returns (pivots, rows) where pivots is a list of (row, col) in elimination
-    order and rows is the final list of row dicts (col -> value).  One-step
-    division Bareiss: every update divides by the previous pivot, which is
-    exact division in the underlying domain.
+    order and rows is the final list of row dicts (col -> value); each pivot
+    row is scaled so its pivot is 1.  Rows with no entry in the pivot column
+    are left untouched.
     """
     _check_backend(M)
     rows = [dict() for _ in range(M.nrows)]
@@ -179,49 +179,71 @@ def _forward_eliminate(M: SparseMatrix):
         rows[i][j] = v
     active = list(range(M.nrows))
     pivots = []
-    prev = None  # previous pivot value; None means divide by 1
     while True:
-        piv = None
-        for ri in active:
-            if rows[ri]:
-                piv = (ri, min(rows[ri].keys()))
-                break
-        if piv is None:
+        pr = next((ri for ri in active if rows[ri]), None)
+        if pr is None:
             break
-        pr, pc = piv
-        pval = rows[pr][pc]
+        pc = min(rows[pr])
         pivots.append((pr, pc))
         active.remove(pr)
-        prow = rows[pr]
+        prow = _scaled_to_one(rows[pr], pc)
+        rows[pr] = prow
         for ri in active:
             row = rows[ri]
             coef = row.get(pc)
-            if coef is None:
-                if prev is not None:
-                    # scale-through keeps entries equal to true minors
-                    rows[ri] = {c: _exact_div(pval * v, prev) for c, v in row.items()}
-                else:
-                    rows[ri] = {c: pval * v for c, v in row.items()}
-                continue
-            new = {}
-            keys = set(row) | set(prow)
-            keys.discard(pc)
-            for c in keys:
-                val = pval * row.get(c, 0) - coef * prow.get(c, 0)
-                if prev is not None:
-                    val = _exact_div(val, prev)
-                if not is_zero(val):
-                    new[c] = val
-            rows[ri] = new
-        prev = pval
+            if coef is not None:
+                _axpy(row, -coef, prow)
     return pivots, rows
 
 
-def _exact_div(a, b):
+def _scaled_to_one(row, pc):
+    """`row` divided by its entry at `pc`."""
+    pval = row[pc]
+    if pval == 1:
+        return row
+    return {c: _div(v, pval) for c, v in row.items()}
+
+
+def _axpy(row, coef, other):
+    """row += coef * other in place, dropping the entries that become zero."""
+    for c, v in other.items():
+        cur = row.get(c)
+        s = coef * v if cur is None else cur + coef * v
+        if s:  # both backends are falsy exactly at zero
+            row[c] = s
+        else:
+            row.pop(c, None)
+
+
+def _div(a, b):
     # Both backends are fields, so division is always exact.
     if isinstance(a, int):
         a = Fraction(a)
     return a / b
+
+
+class EchelonReducer:
+    """Incremental echelon basis: `add` reduces a vector against the rows so far.
+
+    Rows are keyed by their pivot (lowest) index and scaled so the pivot is 1.
+    """
+
+    def __init__(self):
+        self.rows = {}  # pivot index -> row dict (pivot scaled to 1)
+
+    def add(self, vec):
+        """Reduce `vec` (consumed) and keep it if independent.
+
+        Returns its new pivot index, or None if it lies in the span so far.
+        """
+        while vec:
+            lead = min(vec)
+            row = self.rows.get(lead)
+            if row is None:
+                self.rows[lead] = _scaled_to_one(vec, lead)
+                return lead
+            _axpy(vec, -vec[lead], row)
+        return None
 
 
 def rank(M: SparseMatrix) -> int:
@@ -236,26 +258,14 @@ def rref(M: SparseMatrix):
     ordered by pivot column.  RREF is canonical, independent of pivoting.
     """
     pivots, rows = _forward_eliminate(M)
-    work = sorted(((pc, rows_idx) for rows_idx, pc in pivots), key=lambda t: t[0])
-    # collect pivot rows ordered by pivot column; eliminate upward over the field
-    ordered = []
-    for pc, ri in work:
-        row = rows[ri]
-        pval = row[pc]
-        ordered.append((pc, {c: _exact_div(v, pval) for c, v in row.items()}))
+    # pivot rows (already scaled to 1) ordered by pivot column; eliminate upward
+    ordered = sorted(((pc, rows[ri]) for ri, pc in pivots), key=lambda t: t[0])
     for idx in range(len(ordered) - 1, -1, -1):
         pc, row = ordered[idx]
-        for jdx in range(idx):
-            upc, urow = ordered[jdx]
+        for _, urow in ordered[:idx]:
             coef = urow.get(pc)
-            if coef is None:
-                continue
-            for c, v in row.items():
-                val = urow.get(c, 0) - coef * v
-                if is_zero(val):
-                    urow.pop(c, None)
-                else:
-                    urow[c] = val
+            if coef is not None:
+                _axpy(urow, -coef, row)
     return [pc for pc, _ in ordered], [row for _, row in ordered]
 
 
@@ -280,7 +290,7 @@ def kernel_basis(M: SparseMatrix):
         lead = min(vec.keys())
         lv = vec[lead]
         if lv != 1:
-            vec = {c: _exact_div(v, lv) for c, v in vec.items()}
+            vec = {c: _div(v, lv) for c, v in vec.items()}
         basis.append(vec)
     return basis
 

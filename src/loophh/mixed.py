@@ -18,15 +18,14 @@ from fractions import Fraction
 from .complexes import GradedComplex
 from .grading import Multidegree, Window
 from .linalg import (
+    EchelonReducer,
     NotAComplex,
     SparseMatrix,
     apply_matrix,
     image_basis,
     kernel_basis,
     quotient_rank,
-    rank_of_vectors,
 )
-from .scalars import is_zero
 from .tables import HilbertTable
 
 FLAVORS = ("invariants", "coinvariants", "tate", "oplus-tate", "prod-tate")
@@ -69,9 +68,6 @@ class MixedComplex:
         gc = self.base.weight_component(w)
         eps = {m: e for m, e in self.eps.items() if m.weight == w}
         return MixedComplex(gc, eps)
-
-    def is_eps_zero(self) -> bool:
-        return all(e.is_zero_matrix() for e in self.eps.values())
 
     # -- laws ---------------------------------------------------------------------
     def check_mixed_laws(self):
@@ -288,18 +284,14 @@ class USeriesComplex:
 
     # -- cohomology ------------------------------------------------------------
     def _column_h(self, key):
-        if key in self._hcache:
-            return self._hcache[key]
-        tau, w, a = key
-        D = self._column_matrix(key)
-        prev_key = (tau - 1, w, a)
-        Dprev = self._column_matrix(prev_key)
-        if not (D @ Dprev).is_zero_matrix():
-            raise NotAComplex(key, "(d + u eps)^2 != 0")
-        ker = kernel_basis(D)
-        im = image_basis(Dprev)
-        data = (ker, im)
-        self._hcache[key] = data
+        """(kernel basis, image basis, class attribution) of column `key`."""
+        data = self._hcache.get(key)
+        if data is None:
+            tau, w, a = key
+            D = self._column_matrix(key)
+            Dprev = self._column_matrix((tau - 1, w, a))
+            data = _column_cohomology(D, Dprev, key)
+            self._hcache[key] = data
         return data
 
     def cohomology(self) -> HilbertTable:
@@ -312,8 +304,7 @@ class USeriesComplex:
             cells, offset, total = self._column_basis(key)
             if total == 0:
                 continue
-            ker, im = self._column_h(key)
-            attributions = _attribute_quotient(ker, im, total)
+            _, _, attributions = self._column_h(key)
             cell_of_index = {}
             for (m, p) in cells:
                 off = offset[(m, p)]
@@ -331,9 +322,8 @@ class USeriesComplex:
         return HilbertTable(vals, edge, win.with_upow(self.p_lo, self.p_hi))
 
     def column_h_dim(self, key) -> int:
-        cells, offset, total = self._column_basis(key)
-        ker, im = self._column_h(key)
-        return len(ker) - rank_of_vectors(im, total)
+        ker, im, _ = self._column_h(key)
+        return len(ker) - len(im)  # im is an echelon basis
 
     # -- u multiplication ----------------------------------------------------------
     def u_map_bijective(self):
@@ -356,8 +346,8 @@ class USeriesComplex:
                 continue
             hs = self.column_h_dim(key)
             ht = self.column_h_dim(tkey)
-            ker, _ = self._column_h(key)
-            _, im_t = self._column_h(tkey)
+            ker, _, _ = self._column_h(key)
+            _, im_t, _ = self._column_h(tkey)
             shifted = []
             for vec in ker:
                 out = {}
@@ -379,9 +369,9 @@ def _cell_of(cells, offset, idx, base):
     raise IndexError(idx)
 
 
-def _attribute_quotient(ker, im, dim):
+def _attribute_quotient(ker, im):
     """Dims of ker/im attributed to the echelon pivot index of each class."""
-    reducer = _EchelonReducer()
+    reducer = EchelonReducer()
     for v in im:
         reducer.add(dict(v))
     out = {}
@@ -392,33 +382,40 @@ def _attribute_quotient(ker, im, dim):
     return out
 
 
-class _EchelonReducer:
-    def __init__(self):
-        self.rows = {}  # pivot index -> row dict (pivot scaled to 1)
-
-    def add(self, vec):
-        while vec:
-            lead = min(vec.keys())
-            if lead in self.rows:
-                coef = vec[lead]
-                row = self.rows[lead]
-                for c, v in row.items():
-                    s = vec.get(c, 0) - coef * v
-                    if is_zero(s):
-                        vec.pop(c, None)
-                    else:
-                        vec[c] = s
-            else:
-                pivot = vec[lead]
-                self.rows[lead] = {c: _div(v, pivot) for c, v in vec.items()}
-                return lead
-        return None
+# Column results keyed by exact content: the same column matrices recur
+# across flavors, windows, tower levels and the two sides of each comparison.
+# `cli.run_verb` clears it, so one CLI call is one memo lifetime.
+_COLUMN_MEMO: dict[tuple, tuple] = {}
 
 
-def _div(a, b):
-    if isinstance(a, int):
-        a = Fraction(a)
-    return a / b
+def clear_column_memo():
+    _COLUMN_MEMO.clear()
+
+
+def _content_key(M: SparseMatrix) -> tuple:
+    """Backend, shape and entries sorted by (i, j): equal keys, equal matrices."""
+    field = M.backend()
+    backend = ("Q",) if field is None else (type(field).__name__, field.conductor)
+    # positions are unique, so sorting never compares two scalars
+    return (backend, M.nrows, M.ncols, tuple(sorted(M.entries.items())))
+
+
+def _column_cohomology(D: SparseMatrix, Dprev: SparseMatrix, key):
+    """(ker D, im Dprev, attribution), computed once per distinct content.
+
+    The (d + u eps)^2 check runs on every miss; a failing column is never
+    stored, so it raises again on every later call.
+    """
+    memo_key = (_content_key(D), _content_key(Dprev))
+    data = _COLUMN_MEMO.get(memo_key)
+    if data is None:
+        if not (D @ Dprev).is_zero_matrix():
+            raise NotAComplex(key, "(d + u eps)^2 != 0")
+        ker = kernel_basis(D)
+        im = image_basis(Dprev)
+        data = (ker, im, _attribute_quotient(ker, im))
+        _COLUMN_MEMO[memo_key] = data
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +480,8 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
             for (i, j), v in blk.entries.items():
                 ent[(t_off[(m, p)] + i, s_off[(m, p)] + j)] = v
         Fcol = SparseMatrix(t_total, s_total, ent)
-        ker_s, _ = us_src._column_h(key)
-        _, im_t = us_tgt._column_h(key)
+        ker_s, _, _ = us_src._column_h(key)
+        _, im_t, _ = us_tgt._column_h(key)
         hs = us_src.column_h_dim(key)
         ht = us_tgt.column_h_dim(key)
         images = [apply_matrix(Fcol, v) for v in ker_s]

@@ -108,20 +108,6 @@ class TorusPoint:
             )
         return backend.zeta(int(theta * m)) * backend.from_rational(q)
 
-    def character_scalar(self, lam, backend):
-        val = None
-        for j, lj in enumerate(lam):
-            if not lj:
-                continue
-            zj = self.coordinate_scalar(j, backend)
-            p = zj if lj > 0 else 1 / zj
-            for _ in range(abs(lj) - 1):
-                p = p * (zj if lj > 0 else 1 / zj)
-            val = p if val is None else val * p
-        if val is None:
-            return coerce(1, backend)
-        return val
-
 
 def identity_point(rank: int) -> TorusPoint:
     return TorusPoint.make([(Fraction(1), Fraction(0))] * rank)

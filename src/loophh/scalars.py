@@ -244,13 +244,6 @@ class CycElt:
 
 # -- backend helpers --------------------------------------------------------
 
-def scalar_zero(sample):
-    """Zero of the backend that `sample` lives in."""
-    if isinstance(sample, CycElt):
-        return sample.field.zero()
-    return Fraction(0)
-
-
 def scalar_one(sample):
     if isinstance(sample, CycElt):
         return sample.field.one()

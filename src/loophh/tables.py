@@ -39,12 +39,6 @@ class HilbertTable:
     def support(self):
         return sorted(self.values.keys())
 
-    def total_by_cohdeg(self):
-        out = {}
-        for m, v in self.values.items():
-            out[m.cohdeg] = out.get(m.cohdeg, 0) + v
-        return out
-
     # -- transforms -----------------------------------------------------------
     def forget_weight(self) -> "HilbertTable":
         vals: dict[Multidegree, int] = {}
@@ -102,8 +96,6 @@ class HilbertTable:
         other (evidence the window was too tight).
         """
         keys = set(self.values) | set(other.values) | self.edge | other.edge
-        if self.window is not None and other.window is not None:
-            keys |= set()
         mismatches = []
         comparable = []
         masked = []
@@ -119,10 +111,6 @@ class HilbertTable:
             elif b_known and other.dim(k):
                 masked.append(k)
         return mismatches, comparable, masked
-
-    def equals_on_known(self, other: "HilbertTable") -> bool:
-        mism, comp, _ = self.compare(other)
-        return not mism and bool(comp)
 
     # -- serialization ----------------------------------------------------------
     def serialize(self) -> str:

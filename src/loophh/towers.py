@@ -579,11 +579,6 @@ def _relabel(poly: Polynomial, alg: FreeAlgebra) -> Polynomial:
 # pro-graded comparison
 # ---------------------------------------------------------------------------
 
-def homogeneous_part(C, w):
-    """The exact-weight-w subcomplex (invariants at w = 0)."""
-    return C.weight_component(w)
-
-
 def pro_graded_compare(t1: HilbertTable, t2: HilbertTable, weights) -> dict:
     """Per-weight table equality report over the given weight vectors."""
     report = {}

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophh.linalg import (
+    EchelonReducer,
     NotAComplex,
     SparseMatrix,
+    apply_matrix,
     cohomology_dims,
     image_basis,
     kernel_basis,
     quotient_rank,
     rank,
+    rref,
 )
 from loophh.scalars import CyclotomicField
 
@@ -138,3 +141,52 @@ def test_cyclotomic_kernel():
     assert v[1] == -i.inverse()  # -1/i = i... wait: x + i y = 0 => y = -x/i
     # check it is actually in the kernel
     assert (F.one() * v[0] + i * v[1]).is_zero()
+
+
+_small_fractions = st.builds(
+    Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.one_of(st.just(Fraction(0)), _small_fractions),
+                     min_size=ncols, max_size=ncols),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_rank_rref_kernel_agree_with_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    S = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows])
+    M = SparseMatrix.from_rows(rows)
+    ncols = len(rows[0])
+
+    assert rank(M) == S.rank()
+
+    R, spivots = S.rref()
+    pivot_cols, prows = rref(M)
+    assert tuple(pivot_cols) == spivots
+    for k, row in enumerate(prows):
+        assert [row.get(c, 0) for c in range(ncols)] == [Fraction(int(x.p), int(x.q)) for x in R.row(k)]
+
+    basis = kernel_basis(M)
+    assert len(basis) == len(S.nullspace())
+    for vec in basis:
+        assert apply_matrix(M, vec) == {}
+        assert vec[min(vec)] == 1
+    if basis:
+        K = SparseMatrix(ncols, len(basis), {(i, j): v for j, vec in enumerate(basis) for i, v in vec.items()})
+        assert rank(K) == len(basis)
+
+
+def test_echelon_reducer_pivots_and_dependence():
+    red = EchelonReducer()
+    assert red.add({1: Fraction(2), 2: Fraction(4)}) == 1
+    assert red.rows[1] == {1: Fraction(1), 2: Fraction(2)}
+    assert red.add({1: Fraction(-1), 2: Fraction(-2)}) is None
+    assert red.add({1: Fraction(1), 2: Fraction(3)}) == 2
+    assert red.add({}) is None

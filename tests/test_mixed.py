@@ -1,10 +1,14 @@
 from fractions import Fraction
 
+from pathlib import Path
+
 import pytest
 
+from loophh import mixed
+from loophh.cli import build_parser, run_verb
 from loophh.complexes import GradedComplex
 from loophh.grading import Multidegree, Window, md
-from loophh.linalg import SparseMatrix
+from loophh.linalg import NotAComplex, SparseMatrix
 from loophh.mixed import (
     MixedComplex,
     bga_completed_preset,
@@ -18,6 +22,7 @@ from loophh.mixed import (
     s1_invariants_level,
     tate,
 )
+from loophh.scalars import CyclotomicField
 
 WIN = Window((-6, 6), ((-6, 6),), (0, 6))
 
@@ -173,3 +178,48 @@ def test_direct_sum_adds_tables():
     ts = s.cohomology()
     for m in set(ta.values) | set(tb.values):
         assert ts.dim(m) == ta.dim(m) + tb.dim(m)
+
+
+def test_column_memo_key_separates_backend_and_shape():
+    F = CyclotomicField(3)
+    rational = SparseMatrix(2, 2, {(0, 0): Fraction(2), (1, 1): Fraction(-1)})
+    cyclotomic = SparseMatrix(2, 2, {(0, 0): F.from_rational(2), (1, 1): F.from_rational(-1)})
+    assert mixed._content_key(rational) != mixed._content_key(cyclotomic)
+
+    wide = SparseMatrix(1, 3, {(0, 0): Fraction(1)})
+    tall = SparseMatrix(3, 1, {(0, 0): Fraction(1)})
+    assert mixed._content_key(wide) != mixed._content_key(tall)
+
+    again = SparseMatrix(2, 2, {(1, 1): Fraction(-1), (0, 0): Fraction(2)})
+    assert mixed._content_key(rational) == mixed._content_key(again)
+
+
+def test_column_memo_shares_results_between_equal_columns():
+    mixed.clear_column_memo()
+    V = bga_polynomial_preset(4)
+    first = tate(V, 2)
+    first.cohomology()
+    stored = len(mixed._COLUMN_MEMO)
+    assert stored
+    second = tate(bga_polynomial_preset(4), 2)
+    assert second.cohomology().values == first.cohomology().values
+    assert len(mixed._COLUMN_MEMO) == stored
+    key = sorted(first.columns())[0]
+    assert second._column_h(key) is first._column_h(key)
+
+
+def test_not_a_complex_raises_on_every_call():
+    # d + u eps with d eps + eps d != 0: no column result may be remembered
+    m0, m1 = md(0, (0,), 0), md(1, (0,), 0)
+    gc = GradedComplex({m0: ["a"], m1: ["b"]}, {m0: SparseMatrix.from_rows([[1]])}, WIN)
+    V = MixedComplex(gc, {m1: SparseMatrix.from_rows([[1]])})
+    for _ in range(2):
+        with pytest.raises(NotAComplex):
+            tate(V, 1).cohomology()
+
+    path = Path(__file__).resolve().parents[1] / "instances" / "05_plane_opposite_z3.loop"
+    text = path.read_text()
+    args = build_parser().parse_args(["hp", str(path)])
+    for _ in range(2):
+        with pytest.raises(NotAComplex):
+            run_verb("hp", args, text)
