@@ -16,6 +16,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from . import ENGINE_VERSION
 from .harness import (
@@ -94,10 +95,8 @@ def run_verb(verb, args, text):
         return "\n".join(lines) + "\n", code
 
     P, T, z, tr = parse_instance(text)
-    for flag in _WINDOW_FLAGS:
-        v = getattr(args, flag)
-        if v is not None:
-            setattr(tr, flag, v)
+    overrides = {f: getattr(args, f) for f in _WINDOW_FLAGS}
+    tr = replace(tr, **{f: v for f, v in overrides.items() if v is not None})
     lines.append("instance:")
     lines += ["  " + ln for ln in canonical_content(text).splitlines()]
     lines.append(f"truncation: {tr}")

@@ -11,6 +11,7 @@ windows leave nothing to compare.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .complexes import ChainMap
 from .grading import Multidegree
@@ -25,7 +26,6 @@ from .mixed import (
 )
 from .models import (
     AlgebraPresentation,
-    SemifreeModel,
     TorusData,
     TorusPoint,
     cartan_model,
@@ -38,6 +38,7 @@ from .models import (
 from .scalars import CyclotomicField
 from .tables import HilbertTable
 from .towers import (
+    Tower,
     cartan_augmentation_tower,
     point_completion_tower,
     pro_graded_compare,
@@ -46,7 +47,7 @@ from .towers import (
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Truncation:
     aux_max: int = 4
     tower_levels: int = 4
@@ -57,7 +58,7 @@ class Truncation:
     laurent_cap: int = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalizationInstance:
     P: AlgebraPresentation
     T: TorusData
@@ -73,6 +74,10 @@ class LocalizationInstance:
     def backend(self):
         m = self.z.conductor()
         return None if m == 1 else CyclotomicField(m)
+
+    @cached_property
+    def session(self) -> "LocalizationSession":
+        return LocalizationSession(self)
 
 
 @dataclass
@@ -111,15 +116,13 @@ def _merge(verdicts):
     return PASS
 
 
-def _restriction_map(src: MixedComplex, tgt: MixedComplex) -> ChainMap:
+def _restriction_map(src: MixedComplex, tgt: MixedComplex, src_names, tgt_names) -> ChainMap:
     """The quotient map along added relations between instantiated models.
 
-    Labels are exponent tuples; generators present only on the source side
-    are sent to zero (they vanish in the quotient), shared generators map to
-    their namesakes.
+    Labels are exponent tuples over the named generators; generators present
+    only on the source side are sent to zero (they vanish in the quotient),
+    shared generators map to their namesakes.
     """
-    src_names = src.gen_names
-    tgt_names = tgt.gen_names
     tgt_pos = {n: i for i, n in enumerate(tgt_names)}
     src_to_tgt = [tgt_pos.get(n) for n in src_names]
 
@@ -149,55 +152,67 @@ def _restriction_map(src: MixedComplex, tgt: MixedComplex) -> ChainMap:
     return ChainMap(src.base, tgt.base, blocks)
 
 
-def _attach_names(mc: MixedComplex, model: SemifreeModel):
-    mc.gen_names = [g.name for g in model.alg.gens]
-    return mc
+class LocalizationSession:
+    """What the localization checks of one instance share, each built once:
+    the completed weight-0 loop towers of X/G (`lhs`) and of the z-fixed locus
+    (`rhs`), the restriction maps between their levels, and the left Tate
+    tables (only tables: keeping u-series complexes would cost memory).
+
+    The fixed locus is modelled by its reduced presentation: degree -1 Koszul
+    generators for its bare relations would add spurious negative classes.
+    """
+
+    def __init__(self, inst: LocalizationInstance):
+        self.inst = inst
+        self._lhs_tate: dict[int, HilbertTable] = {}
+
+    def _tower(self, P: AlgebraPresentation) -> Tower:
+        inst, tr = self.inst, self.inst.truncation
+        return point_completion_tower(
+            loop_model(P, inst.T), inst.z, tr.tower_levels, tr.aux_max,
+            weight_filter=(0,) * inst.T.rank, backend=inst.backend(),
+        )
+
+    @cached_property
+    def lhs(self) -> Tower:
+        return self._tower(self.inst.P)
+
+    @cached_property
+    def rhs(self) -> Tower:
+        return self._tower(reduce_linear_relations(fixed_points(self.inst.P, self.inst.z)))
+
+    @cached_property
+    def maps(self) -> list[ChainMap]:
+        """Restriction maps lhs level n -> rhs level n, for n = 1..N."""
+        maps = []
+        for s, t in zip(self.lhs.levels, self.rhs.levels):
+            F = _restriction_map(s, t, self.lhs.gen_names, self.rhs.gen_names)
+            F.verify_chain_map()
+            maps.append(F)
+        return maps
+
+    def lhs_tate(self, n: int) -> HilbertTable:
+        """Tate table of the left level n at the instance's u-window."""
+        if n not in self._lhs_tate:
+            self._lhs_tate[n] = tate(self.lhs.level(n), self.inst.truncation.u_window).cohomology()
+        return self._lhs_tate[n]
 
 
 # ---------------------------------------------------------------------------
 # the theorem checks
 # ---------------------------------------------------------------------------
 
-def _both_towers(inst: LocalizationInstance):
-    """Completed weight-0 loop towers of X/G and of the fixed locus.
-
-    The fixed locus of a linear torus action is cut out by bare generator
-    relations; the reduced presentation is its honest smooth model (keeping
-    degree -1 Koszul generators for the added relations would introduce
-    spurious negative classes into the loop model).
-    """
-    tr = inst.truncation
-    backend = inst.backend()
-    wf = (0,) * inst.T.rank
-    lhs_model = loop_model(inst.P, inst.T)
-    rhs_model = loop_model(reduce_linear_relations(fixed_points(inst.P, inst.z)), inst.T)
-    lhs = point_completion_tower(
-        lhs_model, inst.z, tr.tower_levels, tr.aux_max, weight_filter=wf, backend=backend
-    )
-    rhs = point_completion_tower(
-        rhs_model, inst.z, tr.tower_levels, tr.aux_max, weight_filter=wf, backend=backend
-    )
-    maps = []
-    for n in range(tr.tower_levels):
-        s = _attach_names(lhs.levels[n], lhs_model.at_torus_point_level(inst.z, n + 1, backend))
-        t = _attach_names(rhs.levels[n], rhs_model.at_torus_point_level(inst.z, n + 1, backend))
-        F = _restriction_map(s, t)
-        F.verify_chain_map()
-        maps.append(F)
-    return lhs, rhs, maps
-
-
 def check_hh_localization(inst: LocalizationInstance) -> Report:
     """Completed HH towers of X/G and of the z-fixed locus agree, and the
     restriction map is an isomorphism levelwise."""
     report = Report("hh-localization", PASS)
-    lhs, rhs, maps = _both_towers(inst)
+    ses = inst.session
     verdicts = []
     for n in range(1, inst.truncation.tower_levels + 1):
-        tl = lhs.level(n).cohomology()
-        tr_ = rhs.level(n).cohomology()
+        tl = ses.lhs.level(n).cohomology()
+        tr_ = ses.rhs.level(n).cohomology()
         verdicts.append(_compare_tables(f"level {n}", tl, tr_, report))
-        ok, failures = maps[n - 1].induced_iso_everywhere()
+        ok, failures = ses.maps[n - 1].induced_iso_everywhere()
         if not ok:
             for m, hs, ht, r in failures[:5]:
                 report.add(f"  level {n}: induced map not iso at {m}: {hs}/{ht}/rank {r}")
@@ -217,21 +232,21 @@ def check_hc_variants(inst: LocalizationInstance) -> Report:
 
     report = Report("hc-variants", PASS)
     tr = inst.truncation
-    lhs, rhs, maps = _both_towers(inst)
+    ses = inst.session
     verdicts = []
     for n in range(1, tr.tower_levels + 1):
-        L, R = lhs.level(n), rhs.level(n)
-        _verify_eps_square(maps[n - 1], L, R)
+        L, R, F_n = ses.lhs.level(n), ses.rhs.level(n), ses.maps[n - 1]
+        _verify_eps_square(F_n, L, R)
         for tag, F in (
             ("HN", lambda V: s1_invariants_level(V, tr.u_window)),
             ("HC", lambda V: coinvariants(V, tr.u_window)),
             ("HP", lambda V: tate(V, tr.u_window)),
         ):
             us_l, us_r = F(L), F(R)
-            tl = us_l.cohomology()
+            tl = ses.lhs_tate(n) if tag == "HP" else us_l.cohomology()
             tr_ = us_r.cohomology()
             verdicts.append(_compare_tables(f"{tag} level {n}", tl, tr_, report))
-            ok, failures = useries_induced_iso(us_l, us_r, maps[n - 1])
+            ok, failures = useries_induced_iso(us_l, us_r, F_n)
             if not ok:
                 for key, hs, ht, r in failures[:5]:
                     report.add(f"  {tag} level {n}: induced map not iso at {key}: {hs}/{ht}/rank {r}")
@@ -245,18 +260,12 @@ def check_hp_completion(inst: LocalizationInstance) -> Report:
     fixed quotient, completed along its augmentation ideal (tu = s)."""
     report = Report("hp-completion", PASS)
     tr = inst.truncation
-    backend = inst.backend()
-    wf = (0,) * inst.T.rank
-    lhs_model = loop_model(inst.P, inst.T)
-    lhs = point_completion_tower(
-        lhs_model, inst.z, tr.tower_levels, tr.aux_max, weight_filter=wf, backend=backend
-    )
     fixed = reduce_linear_relations(fixed_points(inst.P, inst.z))
     cart = cartan_model(fixed, inst.T)
     rhs = cartan_augmentation_tower(cart, tr.tower_levels, tr.aux_max)
     verdicts = []
     for n in range(1, tr.tower_levels + 1):
-        tl = tate(lhs.level(n), tr.u_window).cohomology()
+        tl = inst.session.lhs_tate(n)
         tr_ = tate(rhs.level(n), tr.u_window).cohomology().shear_aux_into_upow()
         verdicts.append(_compare_tables(f"Tate level {n} (sheared)", tl, tr_, report))
     report.verdict = _merge(verdicts)
@@ -283,13 +292,12 @@ def check_derived_fixed_fiber(inst: LocalizationInstance) -> Report:
     plain_t = plain.instantiate(tr.aux_max).cohomology()
     verdicts = [_compare_tables("fiber vs L(fixed)", fib_t, plain_t, report)]
 
-    hkr_t = odd_tangent_model(fixed_trivial).instantiate(tr.aux_max).cohomology()
+    hkr_mc = odd_tangent_model(fixed_trivial).instantiate(tr.aux_max)
+    hkr_t = hkr_mc.cohomology()
     verdicts.append(_compare_tables("fiber vs HKR", fib_t, hkr_t, report))
 
     tate_fib = tate(fib_mc, tr.u_window).cohomology().forget_weight()
-    tate_hkr = tate(
-        odd_tangent_model(fixed_trivial).instantiate(tr.aux_max), tr.u_window
-    ).cohomology()
+    tate_hkr = tate(hkr_mc, tr.u_window).cohomology()
     verdicts.append(_compare_tables("HP fiber vs de Rham oracle", tate_fib, tate_hkr, report))
     report.verdict = _merge(verdicts)
     return report

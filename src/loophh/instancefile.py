@@ -22,6 +22,7 @@ Relations must be weight/aux homogeneous; violations are parse errors.
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 from .algebra import Polynomial
@@ -116,14 +117,15 @@ def parse_instance(text: str):
     if point is None:
         point = TorusPoint.make([(Fraction(1), Fraction(0))] * rank)
 
-    tr = Truncation()
+    known = {f.name for f in fields(Truncation)}
+    overrides = {}
     for ln in sections.get("truncation", []):
         key, _, val = ln.partition(" ")
-        if not hasattr(tr, key):
+        if key not in known:
             raise ParseError(f"unknown truncation field {key!r}")
-        setattr(tr, key, int(val))
+        overrides[key] = int(val)
 
-    return P, TorusData(rank), point, tr
+    return P, TorusData(rank), point, Truncation(**overrides)
 
 
 def parse_coordinate(tok: str):

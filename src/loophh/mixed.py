@@ -63,12 +63,6 @@ class MixedComplex:
     def cohomology(self) -> HilbertTable:
         return self.base.cohomology()
 
-    def weight_component(self, w) -> "MixedComplex":
-        w = tuple(w)
-        gc = self.base.weight_component(w)
-        eps = {m: e for m, e in self.eps.items() if m.weight == w}
-        return MixedComplex(gc, eps)
-
     # -- laws ---------------------------------------------------------------------
     def check_mixed_laws(self):
         """eps^2 = 0 and d.eps + eps.d = 0 on every bin."""

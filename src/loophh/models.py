@@ -159,9 +159,6 @@ class AlgebraPresentation:
             raise ValueError(f"relation {poly!r} is not weight/aux homogeneous")
         self.relations.append(poly)
 
-    def gen_names(self):
-        return [g.name for g in self.generators]
-
     def relation_support(self) -> set:
         names = set()
         for rel in self.relations:

@@ -42,11 +42,13 @@ class IdealData:
 
 
 class Tower:
-    """Levels 1..N with transition chain maps level n+1 -> level n."""
+    """Levels 1..N with transition chain maps level n+1 -> level n; the basis
+    labels of every level are exponent tuples over `gen_names`, when given."""
 
-    def __init__(self, levels, transitions):
+    def __init__(self, levels, transitions, gen_names=None):
         self.levels: list[MixedComplex] = list(levels)
         self.transitions: list[ChainMap] = list(transitions)
+        self.gen_names: list[str] | None = gen_names
 
     @property
     def depth(self):
@@ -60,9 +62,6 @@ class Tower:
             F.verify_chain_map()
             _verify_eps_square(F, self.levels[i + 1], self.levels[i])
         return True
-
-    def tables(self) -> list[HilbertTable]:
-        return [lv.cohomology() for lv in self.levels]
 
     def tate_tables(self, u_window: int) -> list[HilbertTable]:
         return [tate(lv, u_window).cohomology() for lv in self.levels]
@@ -98,7 +97,8 @@ def point_completion_tower(
     transitions = []
     for n in range(1, N):
         transitions.append(_truncation_map(levels[n], levels[n - 1], n))
-    tower = Tower(levels, transitions)
+    # every level renames the Laurent coordinates to t_j alike
+    tower = Tower(levels, transitions, [g.name for g in lv_model.alg.gens] if levels else None)
     tower.check_transitions()
     return tower
 

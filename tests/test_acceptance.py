@@ -82,9 +82,8 @@ def test_criterion_1_hh_localization():
     P = line_gm()
     z = TorusPoint.make([2])
     inst = LocalizationInstance(P, TorusData(1), z, Truncation(tower_levels=4))
-    from loophh import harness as H
-
-    lhs, rhs, maps = H._both_towers(inst)
+    ses = inst.session
+    lhs, rhs, maps = ses.lhs, ses.rhs, ses.maps
     ok = True
     for n in range(1, 5):
         tl = lhs.level(n).cohomology()

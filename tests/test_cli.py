@@ -1,11 +1,13 @@
+import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from loophh.cli import main
+from loophh.cli import build_parser, main, run_verb
 
 LINE_GM = """\
 # the scaling line modulo the rank-1 torus
@@ -243,3 +245,52 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "unipotent-formal-tate: PASS" in proc.stdout
+
+
+# sha256 of the reports, recorded before the localization checks shared one
+# session per instance; a refactor of the harness must not move a byte.
+REPORT_SHA256 = {
+    ("localize", "01_line_gm_z2"): "d842866db5c5ce26a08e31317d2b55474e4316655aa2f1129d5e6183e7d0f3c8",
+    ("fixed-fiber", "01_line_gm_z2"): "1b2473dee0c2a52aac9c336b39b055a78818d7431610436a6890a22325dafe67",
+    ("localize", "03_plane_12_z3"): "60f24cf5ebac41711879f574d5892b387686f408d125b8ad5efd8b53cb08eb09",
+    ("fixed-fiber", "03_plane_12_z3"): "80c1e6293f319751c93b51785845d819f178de441cb2649e69262d3dbb3ebc89",
+    ("localize", "06_weight2_zeta2"): "66cb9f45d2dad74768578261f1aa02fe996857107d2294a4348c20e0161551b0",
+    ("fixed-fiber", "06_weight2_zeta2"): "507cd78b40c2dc3fa707677bfdac16f383e5fd9214ecb493b4a37ef660135699",
+    ("localize", "01_line_gm_z2", "--tower-levels", "2", "--u-window", "3"):
+        "efeef2cc958dee7e9d74afe1756d0c9e7798e32dbd55357c65ec3b3036955469",
+}
+
+
+def _shipped(name):
+    return (Path(__file__).resolve().parents[1] / "instances" / f"{name}.loop").read_text()
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_SHA256), ids=" ".join)
+def test_report_bytes_pinned(case):
+    verb, name, *flags = case
+    args = build_parser().parse_args([verb, name, *flags])
+    report, code = run_verb(verb, args, _shipped(name))
+    assert code == 0
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256[case]
+
+
+def test_localize_builds_each_tower_once(monkeypatch):
+    from loophh import harness as H
+
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(H, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(H, name, wrapper)
+
+    counted("point_completion_tower")
+    counted("cartan_augmentation_tower")
+    args = build_parser().parse_args(["localize", "01_line_gm_z2"])
+    _, code = run_verb("localize", args, _shipped("01_line_gm_z2"))
+    assert code == 0
+    assert calls == {"point_completion_tower": 2, "cartan_augmentation_tower": 1}

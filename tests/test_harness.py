@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,21 @@ def test_hp_completion_line():
     assert rep.verdict == PASS, rep.render()
 
 
+def test_hp_completion_independent_of_check_order():
+    fresh = check_hp_completion(plane_instance(1, 2, -1, tower_levels=3, u_window=3))
+    inst = plane_instance(1, 2, -1, tower_levels=3, u_window=3)
+    check_hc_variants(inst)
+    assert check_hp_completion(inst).render() == fresh.render()
+
+
+def test_truncation_is_frozen():
+    inst = line_instance(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.truncation.u_window = 9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.truncation = Truncation(u_window=9)
+
+
 def test_hp_completion_line_at_identity():
     rep = check_hp_completion(line_instance(1))
     assert rep.verdict == PASS, rep.render()
@@ -121,7 +137,8 @@ def test_negative_control_corrupted_differential():
     inst = line_instance(2, tower_levels=2)
     from loophh import harness as H
 
-    lhs, rhs, maps = H._both_towers(inst)
+    ses = inst.session
+    lhs, rhs, maps = ses.lhs, ses.rhs, ses.maps
     t1 = lhs.level(1).cohomology()
     t2 = rhs.level(1).cohomology()
     # tamper with the table directly
