@@ -257,26 +257,25 @@ class CyclicLevels:
             for ls in self.levels[n].values():
                 for el in ls:
                     combo = {el: 1}
-                    b1, c1 = self._apply_linear(self.apply_b, combo)
-                    bb, c2 = self._apply_linear(self.apply_b, b1)
-                    if bb and not (c1 or c2):
+                    b1, cb = self._apply_linear(self.apply_b, combo)
+                    bb, cbb = self._apply_linear(self.apply_b, b1)
+                    if bb and not (cb or cbb):
                         raise NotAComplex(self._degree(el), "b^2 != 0")
+                    if n + 1 > self.N:
+                        continue
+                    B1, cB = self._apply_linear(self.apply_B, combo)
                     if n + 2 <= self.N:
-                        B1, c1 = self._apply_linear(self.apply_B, combo)
-                        BB, c2 = self._apply_linear(self.apply_B, B1)
-                        if BB and not (c1 or c2):
+                        BB, cBB = self._apply_linear(self.apply_B, B1)
+                        if BB and not (cB or cBB):
                             raise NotAComplex(self._degree(el), "B^2 != 0")
-                    if n + 1 <= self.N:
-                        B1, c1 = self._apply_linear(self.apply_B, combo)
-                        bB, c2 = self._apply_linear(self.apply_b, B1)
-                        b1, c3 = self._apply_linear(self.apply_b, combo)
-                        Bb, c4 = self._apply_linear(self.apply_B, b1)
-                        tot = dict(bB)
-                        for e, v in Bb.items():
-                            tot[e] = tot.get(e, 0) + v
-                        tot = {e: v for e, v in tot.items() if v}
-                        if tot and not (c1 or c2 or c3 or c4):
-                            raise NotAComplex(self._degree(el), "bB + Bb != 0")
+                    bB, cbB = self._apply_linear(self.apply_b, B1)
+                    Bb, cBb = self._apply_linear(self.apply_B, b1)
+                    tot = dict(bB)
+                    for e, v in Bb.items():
+                        tot[e] = tot.get(e, 0) + v
+                    tot = {e: v for e, v in tot.items() if v}
+                    if tot and not (cB or cbB or cb or cBb):
+                        raise NotAComplex(self._degree(el), "bB + Bb != 0")
         return True
 
     def apply_B(self, el: BarElement):
@@ -316,19 +315,18 @@ class CyclicLevels:
     def check_simplicial_identities(self):
         """Face-face, face-degeneracy and cyclic identities on every level."""
         for n in range(2, self.N + 1):
-            for bins in [self.levels[n]]:
-                for ls in bins.values():
-                    for el in ls:
-                        for j in range(1, n + 1):
-                            for i in range(j):
-                                a = self._chain_face(el, i, j)
-                                b = self._chain_face_rev(el, i, j)
-                                if a == "capped" or b == "capped":
-                                    continue  # unknown region; edge-flagged
-                                if a != b:
-                                    raise NotAComplex(
-                                        self._degree(el), f"d_{i} d_{j} != d_{j-1} d_{i}"
-                                    )
+            for ls in self.levels[n].values():
+                for el in ls:
+                    for j in range(1, n + 1):
+                        for i in range(j):
+                            a = self._chain_face(el, i, j)
+                            b = self._chain_face_rev(el, i, j)
+                            if a == "capped" or b == "capped":
+                                continue  # unknown region; edge-flagged
+                            if a != b:
+                                raise NotAComplex(
+                                    self._degree(el), f"d_{i} d_{j} != d_{j-1} d_{i}"
+                                )
         for n in range(0, self.N + 1):
             for ls in self.levels[n].values():
                 for el in ls:

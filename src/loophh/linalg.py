@@ -2,8 +2,10 @@
 
 Matrices act on column vectors; an (r x c) matrix maps k^c -> k^r.  Entries
 are Fraction or CycElt scalars from a single backend, and both backends are
-fields.  Elimination is sparse Gauss elimination over the field with
-deterministic pivoting: lowest remaining row index first, then lowest column.
+fields.  All elimination goes through one `EchelonReducer`: each vector is
+reduced against the rows kept so far by its lowest nonzero index, and kept,
+scaled to pivot 1, if it reaches a new pivot.  Rank, RREF (reduce, then
+back-substitute), kernel, image and quotient rank are read off a reducer.
 Kernel bases are echelonized and normalized so the first nonzero coordinate
 is 1, making every output canonical and reproducible.
 """
@@ -158,42 +160,12 @@ class SparseMatrix:
 
 # -- elimination --------------------------------------------------------------
 
-def _check_backend(M: SparseMatrix):
+def _check_backend(vectors):
+    """Raise BackendMismatch unless all entries of `vectors` share one backend."""
     try:
-        return M.backend()
+        common_backend(v for vec in vectors for v in vec.values())
     except BackendMismatch as e:
         raise BackendMismatch(f"matrix entries: {e}") from e
-
-
-def _forward_eliminate(M: SparseMatrix):
-    """Sparse Gauss elimination over the field.
-
-    Returns (pivots, rows) where pivots is a list of (row, col) in elimination
-    order and rows is the final list of row dicts (col -> value); each pivot
-    row is scaled so its pivot is 1.  Rows with no entry in the pivot column
-    are left untouched.
-    """
-    _check_backend(M)
-    rows = [dict() for _ in range(M.nrows)]
-    for (i, j), v in M.entries.items():
-        rows[i][j] = v
-    active = list(range(M.nrows))
-    pivots = []
-    while True:
-        pr = next((ri for ri in active if rows[ri]), None)
-        if pr is None:
-            break
-        pc = min(rows[pr])
-        pivots.append((pr, pc))
-        active.remove(pr)
-        prow = _scaled_to_one(rows[pr], pc)
-        rows[pr] = prow
-        for ri in active:
-            row = rows[ri]
-            coef = row.get(pc)
-            if coef is not None:
-                _axpy(row, -coef, prow)
-    return pivots, rows
 
 
 def _scaled_to_one(row, pc):
@@ -228,14 +200,20 @@ class EchelonReducer:
     Rows are keyed by their pivot (lowest) index and scaled so the pivot is 1.
     """
 
-    def __init__(self):
+    def __init__(self, vectors=()):
         self.rows = {}  # pivot index -> row dict (pivot scaled to 1)
+        for vec in vectors:
+            self.add(vec)
+
+    def __len__(self):
+        return len(self.rows)
 
     def add(self, vec):
-        """Reduce `vec` (consumed) and keep it if independent.
+        """Reduce a copy of `vec` and keep it if independent.
 
         Returns its new pivot index, or None if it lies in the span so far.
         """
+        vec = {c: v for c, v in vec.items() if v}
         while vec:
             lead = min(vec)
             row = self.rows.get(lead)
@@ -245,10 +223,35 @@ class EchelonReducer:
             _axpy(vec, -vec[lead], row)
         return None
 
+    def reduced(self):
+        """Back-substitute in place: (pivot columns, rows) of the RREF, by pivot."""
+        pivots = sorted(self.rows)
+        rows = [self.rows[pc] for pc in pivots]
+        for idx in range(len(rows) - 1, 0, -1):
+            pc, row = pivots[idx], rows[idx]
+            for urow in rows[:idx]:
+                coef = urow.get(pc)
+                if coef is not None:
+                    _axpy(urow, -coef, row)
+        return pivots, rows
+
+
+def _reduce(vectors):
+    """An EchelonReducer of `vectors`, after the backend check."""
+    vectors = list(vectors)
+    _check_backend(vectors)
+    return EchelonReducer(vectors)
+
+
+def _rows(M: SparseMatrix):
+    rows = [dict() for _ in range(M.nrows)]
+    for (i, j), v in M.entries.items():
+        rows[i][j] = v
+    return rows
+
 
 def rank(M: SparseMatrix) -> int:
-    pivots, _ = _forward_eliminate(M)
-    return len(pivots)
+    return len(_reduce(_rows(M)))
 
 
 def rref(M: SparseMatrix):
@@ -257,16 +260,7 @@ def rref(M: SparseMatrix):
     Returns (pivot_cols, rows) with rows the normalized pivot rows as dicts,
     ordered by pivot column.  RREF is canonical, independent of pivoting.
     """
-    pivots, rows = _forward_eliminate(M)
-    # pivot rows (already scaled to 1) ordered by pivot column; eliminate upward
-    ordered = sorted(((pc, rows[ri]) for ri, pc in pivots), key=lambda t: t[0])
-    for idx in range(len(ordered) - 1, -1, -1):
-        pc, row = ordered[idx]
-        for _, urow in ordered[:idx]:
-            coef = urow.get(pc)
-            if coef is not None:
-                _axpy(urow, -coef, row)
-    return [pc for pc, _ in ordered], [row for _, row in ordered]
+    return _reduce(_rows(M)).reduced()
 
 
 def kernel_basis(M: SparseMatrix):
@@ -302,26 +296,34 @@ def _sample(M: SparseMatrix):
 
 
 def image_basis(M: SparseMatrix):
-    """Echelonized basis of the column space, as dicts row -> value."""
-    pivot_cols, rows = rref(M.transpose())
-    # rows of RREF(M^T) span the column space of M
-    return [dict(r) for r in rows]
+    """Echelonized basis of the column space, as dicts row -> value.
+
+    These are the rows of RREF(M^T), read off the reduced columns of M.
+    """
+    return _reduce(M.columns()).reduced()[1]
 
 
 def rank_of_vectors(vectors, dim) -> int:
     """Rank of a list of sparse vectors (dicts index -> value) in k^dim."""
-    ent = {}
-    for j, vec in enumerate(vectors):
-        for i, v in vec.items():
-            ent[(i, j)] = v
-    return rank(SparseMatrix(dim, len(vectors), ent))
+    return len(_reduce(vectors))
+
+
+def quotient_pivots(vectors, subspace):
+    """Pivots of the images of `vectors` in k^n / span(subspace).
+
+    Seeds one reducer with `subspace`, then adds `vectors` in order; each
+    vector that gets a new pivot adds one class to the quotient, attributed
+    to that pivot index.
+    """
+    vectors, subspace = list(vectors), list(subspace)
+    _check_backend(vectors + subspace)
+    reducer = EchelonReducer(subspace)
+    return [p for p in map(reducer.add, vectors) if p is not None]
 
 
 def quotient_rank(vectors, subspace, dim) -> int:
     """Rank of the images of `vectors` in k^dim / span(subspace)."""
-    return rank_of_vectors(list(vectors) + list(subspace), dim) - rank_of_vectors(
-        list(subspace), dim
-    )
+    return len(quotient_pivots(vectors, subspace))
 
 
 def cohomology_dims(d_in: SparseMatrix, d_out: SparseMatrix, bin_name="?") -> int:

@@ -18,12 +18,12 @@ from fractions import Fraction
 from .complexes import GradedComplex
 from .grading import Multidegree, Window
 from .linalg import (
-    EchelonReducer,
     NotAComplex,
     SparseMatrix,
     apply_matrix,
     image_basis,
     kernel_basis,
+    quotient_pivots,
     quotient_rank,
 )
 from .tables import HilbertTable
@@ -278,7 +278,7 @@ class USeriesComplex:
 
     # -- cohomology ------------------------------------------------------------
     def _column_h(self, key):
-        """(kernel basis, image basis, class attribution) of column `key`."""
+        """(kernel basis, image basis, pivot of each class) of column `key`."""
         data = self._hcache.get(key)
         if data is None:
             tau, w, a = key
@@ -298,17 +298,17 @@ class USeriesComplex:
             cells, offset, total = self._column_basis(key)
             if total == 0:
                 continue
-            _, _, attributions = self._column_h(key)
+            _, _, pivots = self._column_h(key)
             cell_of_index = {}
             for (m, p) in cells:
                 off = offset[(m, p)]
                 for j in range(self.mixed.base.dim(m)):
                     cell_of_index[off + j] = (m, p)
             col_edge = self._column_is_edge(key)
-            for idx, count in attributions.items():
+            for idx in pivots:
                 m, p = cell_of_index[idx]
                 bkey = Multidegree(m.cohdeg, m.weight, m.aux, p)
-                vals[bkey] = vals.get(bkey, 0) + count
+                vals[bkey] = vals.get(bkey, 0) + 1
             if col_edge:
                 for (m, p) in cells:
                     edge.add(Multidegree(m.cohdeg, m.weight, m.aux, p))
@@ -363,19 +363,6 @@ def _cell_of(cells, offset, idx, base):
     raise IndexError(idx)
 
 
-def _attribute_quotient(ker, im):
-    """Dims of ker/im attributed to the echelon pivot index of each class."""
-    reducer = EchelonReducer()
-    for v in im:
-        reducer.add(dict(v))
-    out = {}
-    for v in ker:
-        lead = reducer.add(dict(v))
-        if lead is not None:
-            out[lead] = out.get(lead, 0) + 1
-    return out
-
-
 # Column results keyed by exact content: the same column matrices recur
 # across flavors, windows, tower levels and the two sides of each comparison.
 # `cli.run_verb` clears it, so one CLI call is one memo lifetime.
@@ -395,7 +382,7 @@ def _content_key(M: SparseMatrix) -> tuple:
 
 
 def _column_cohomology(D: SparseMatrix, Dprev: SparseMatrix, key):
-    """(ker D, im Dprev, attribution), computed once per distinct content.
+    """(ker D, im Dprev, pivots of ker/im), computed once per distinct content.
 
     The (d + u eps)^2 check runs on every miss; a failing column is never
     stored, so it raises again on every later call.
@@ -407,7 +394,7 @@ def _column_cohomology(D: SparseMatrix, Dprev: SparseMatrix, key):
             raise NotAComplex(key, "(d + u eps)^2 != 0")
         ker = kernel_basis(D)
         im = image_basis(Dprev)
-        data = (ker, im, _attribute_quotient(ker, im))
+        data = (ker, im, quotient_pivots(ker, im))
         _COLUMN_MEMO[memo_key] = data
     return data
 

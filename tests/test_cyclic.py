@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from loophh.grading import Multidegree, md
+from loophh.linalg import NotAComplex
 from loophh.models import (
     AlgebraPresentation,
     TorusData,
@@ -189,3 +190,19 @@ def test_unnormalized_vs_normalized_ranks():
     dim_c0 = len(L.levels[0].get(md(0, (2,), 2), []))
     h0 = (dim_c0 - 0) - mrank(d1)
     assert h0 == 1  # matches the normalized table
+
+
+def test_bar_laws_catch_a_sign_error_in_connes_b(monkeypatch):
+    L = cyclic_bar(kx(), N=4, aux_max=3)
+    assert L.check_bar_laws()
+    apply_B = CyclicLevels.apply_B
+
+    def apply_B_odd_sign_flipped(self, el):
+        terms, capped = apply_B(self, el)
+        if el.level % 2:
+            terms = [(-s, e) for s, e in terms]
+        return terms, capped
+
+    monkeypatch.setattr(CyclicLevels, "apply_B", apply_B_odd_sign_flipped)
+    with pytest.raises(NotAComplex, match=r"bB \+ Bb != 0"):
+        L.check_bar_laws()

@@ -14,9 +14,10 @@ from loophh.linalg import (
     kernel_basis,
     quotient_rank,
     rank,
+    rank_of_vectors,
     rref,
 )
-from loophh.scalars import CyclotomicField
+from loophh.scalars import BackendMismatch, CyclotomicField
 
 
 def test_rank_trivial_examples():
@@ -182,6 +183,26 @@ def test_rank_rref_kernel_agree_with_sympy(rows):
         K = SparseMatrix(ncols, len(basis), {(i, j): v for j, vec in enumerate(basis) for i, v in vec.items()})
         assert rank(K) == len(basis)
 
+    RT, _ = S.T.rref()
+    expected_image = [[Fraction(int(x.p), int(x.q)) for x in RT.row(k)] for k in range(S.rank())]
+    assert [[row.get(i, 0) for i in range(len(rows))] for row in image_basis(M)] == expected_image
+
+    vectors = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    for k in range(len(rows) + 1):
+        assert quotient_rank(vectors[:k], vectors[k:], ncols) == S.rank() - S[k:, :].rank()
+
+
+def test_every_entry_point_rejects_mixed_conductors():
+    a, b = CyclotomicField(3).zeta(), CyclotomicField(4).zeta()
+    M = SparseMatrix(2, 2, {(0, 0): a, (1, 1): b})
+    for f in (rank, kernel_basis, image_basis):
+        with pytest.raises(BackendMismatch):
+            f(M)
+    with pytest.raises(BackendMismatch):
+        rank_of_vectors([{0: a}, {1: b}], 2)
+    with pytest.raises(BackendMismatch):
+        quotient_rank([{0: a}], [{1: b}], 2)
+
 
 def test_echelon_reducer_pivots_and_dependence():
     red = EchelonReducer()
@@ -190,3 +211,4 @@ def test_echelon_reducer_pivots_and_dependence():
     assert red.add({1: Fraction(-1), 2: Fraction(-2)}) is None
     assert red.add({1: Fraction(1), 2: Fraction(3)}) == 2
     assert red.add({}) is None
+    assert red.add({3: Fraction(0)}) is None  # explicit zeros are not entries
