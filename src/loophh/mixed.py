@@ -12,6 +12,7 @@ must be edge-flagged.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -182,6 +183,8 @@ class USeriesComplex:
         }
         self._columns = None
         self._hcache = {}
+        self._bases = {}
+        self._tokens = None  # (d tokens, eps tokens) by bin, built on first use
 
     # -- cells ---------------------------------------------------------------
     def columns(self):
@@ -199,40 +202,65 @@ class USeriesComplex:
         return cols
 
     def _column_basis(self, key):
-        cols = self.columns()
-        cells = cols.get(key, [])
-        offset = {}
-        total = 0
+        """(cells, offset of each cell, total dimension) of column key."""
+        basis = self._bases.get(key)
+        if basis is None:
+            cells = self.columns().get(key, [])
+            offset = {}
+            total = 0
+            for (m, p) in cells:
+                offset[(m, p)] = total
+                total += self.mixed.base.dim(m)
+            basis = self._bases[key] = (cells, offset, total)
+        return basis
+
+    def _placements(self, key, d_blocks, eps_blocks):
+        """(row offset, col offset, block) of each d- and eps-block of the
+        total differential out of column key into key + e_tau.
+
+        The block maps are keyed by bin: the complex's matrices, or their
+        tokens.  Both `_column_matrix` and `_column_key` place through here.
+        """
+        tau, w, a = key
+        cells, offset, _ = self._column_basis(key)
+        _, toffset, _ = self._column_basis((tau + 1, w, a))
+        base = self.mixed.base
         for (m, p) in cells:
-            offset[(m, p)] = total
-            total += self.mixed.base.dim(m)
-        return cells, offset, total
+            off = offset[(m, p)]
+            d = d_blocks.get(m)
+            if d is not None:
+                to = toffset.get((base.d_target(m), p))
+                if to is not None:
+                    yield to, off, d
+            e = eps_blocks.get(m)
+            if e is not None and p + 1 <= self.p_hi:
+                to = toffset.get((m.shift(cohdeg=-1), p + 1))
+                if to is not None:
+                    yield to, off, e
 
     def _column_matrix(self, key):
         """Total differential out of column key into key + e_tau."""
         tau, w, a = key
-        cells, offset, total = self._column_basis(key)
-        tkey = (tau + 1, w, a)
-        tcells, toffset, ttotal = self._column_basis(tkey)
+        _, _, total = self._column_basis(key)
+        _, _, ttotal = self._column_basis((tau + 1, w, a))
         ent = {}
-        base = self.mixed.base
-        for (m, p) in cells:
-            off = offset[(m, p)]
-            d = base.diffs.get(m)
-            if d is not None:
-                tm = base.d_target(m)
-                to = toffset.get((tm, p))
-                if to is not None:
-                    for (i, j), v in d.entries.items():
-                        ent[(to + i, off + j)] = v
-            e = self.mixed.eps.get(m)
-            if e is not None and p + 1 <= self.p_hi:
-                tm = m.shift(cohdeg=-1)
-                to = toffset.get((tm, p + 1))
-                if to is not None:
-                    for (i, j), v in e.entries.items():
-                        ent[(to + i, off + j)] = v
+        for to, off, block in self._placements(key, self.mixed.base.diffs, self.mixed.eps):
+            for (i, j), v in block.entries.items():
+                ent[(to + i, off + j)] = v
         return SparseMatrix(ttotal, total, ent)
+
+    def _column_key(self, key):
+        """Shape and token placements of `_column_matrix(key)`: equal keys,
+        equal matrices."""
+        if self._tokens is None:
+            self._tokens = (
+                {m: _block_token(d) for m, d in self.mixed.base.diffs.items()},
+                {m: _block_token(e) for m, e in self.mixed.eps.items()},
+            )
+        tau, w, a = key
+        _, _, total = self._column_basis(key)
+        _, _, ttotal = self._column_basis((tau + 1, w, a))
+        return (ttotal, total, tuple(self._placements(key, *self._tokens)))
 
     # -- edge / validity ----------------------------------------------------------
     def _column_is_edge(self, key) -> bool:
@@ -278,13 +306,27 @@ class USeriesComplex:
 
     # -- cohomology ------------------------------------------------------------
     def _column_h(self, key):
-        """(kernel basis, image basis, pivot of each class) of column `key`."""
+        """(kernel basis, image basis, pivot of each class) of column `key`.
+
+        A memo hit costs the two column keys; only a miss builds the column
+        matrices, runs the (d + u eps)^2 check and eliminates.  A failing
+        column is never stored, so it raises again on every later call.
+        """
         data = self._hcache.get(key)
         if data is None:
             tau, w, a = key
-            D = self._column_matrix(key)
-            Dprev = self._column_matrix((tau - 1, w, a))
-            data = _column_cohomology(D, Dprev, key)
+            prev = (tau - 1, w, a)
+            memo_key = (self._column_key(key), self._column_key(prev))
+            data = _COLUMN_MEMO.get(memo_key)
+            if data is None:
+                D = self._column_matrix(key)
+                Dprev = self._column_matrix(prev)
+                if not (D @ Dprev).is_zero_matrix():
+                    raise NotAComplex(key, "(d + u eps)^2 != 0")
+                ker = kernel_basis(D)
+                im = image_basis(Dprev)
+                data = (ker, im, quotient_pivots(ker, im))
+                _COLUMN_MEMO[memo_key] = data
             self._hcache[key] = data
         return data
 
@@ -363,14 +405,22 @@ def _cell_of(cells, offset, idx, base):
     raise IndexError(idx)
 
 
-# Column results keyed by exact content: the same column matrices recur
-# across flavors, windows, tower levels and the two sides of each comparison.
-# `cli.run_verb` clears it, so one CLI call is one memo lifetime.
+# Column results keyed by structure: a column key is the column's shape and
+# the (row offset, col offset, token) of every block placed in it, where a
+# block's token names its exact content (`_content_key`) in `_BLOCK_TOKENS`.
+# Equal keys mean equal matrices, and the same columns recur across flavors,
+# windows, tower levels and the two sides of each comparison.  `cli.run_verb`
+# clears both tables, so one CLI call is one memo lifetime; tokens come from a
+# counter that is never reset, so a token issued before a clear never names
+# other content after it.
 _COLUMN_MEMO: dict[tuple, tuple] = {}
+_BLOCK_TOKENS: dict[tuple, int] = {}
+_TOKEN_COUNTER = itertools.count()
 
 
 def clear_column_memo():
     _COLUMN_MEMO.clear()
+    _BLOCK_TOKENS.clear()
 
 
 def _content_key(M: SparseMatrix) -> tuple:
@@ -381,22 +431,13 @@ def _content_key(M: SparseMatrix) -> tuple:
     return (backend, M.nrows, M.ncols, tuple(sorted(M.entries.items())))
 
 
-def _column_cohomology(D: SparseMatrix, Dprev: SparseMatrix, key):
-    """(ker D, im Dprev, pivots of ker/im), computed once per distinct content.
-
-    The (d + u eps)^2 check runs on every miss; a failing column is never
-    stored, so it raises again on every later call.
-    """
-    memo_key = (_content_key(D), _content_key(Dprev))
-    data = _COLUMN_MEMO.get(memo_key)
-    if data is None:
-        if not (D @ Dprev).is_zero_matrix():
-            raise NotAComplex(key, "(d + u eps)^2 != 0")
-        ker = kernel_basis(D)
-        im = image_basis(Dprev)
-        data = (ker, im, quotient_pivots(ker, im))
-        _COLUMN_MEMO[memo_key] = data
-    return data
+def _block_token(M: SparseMatrix) -> int:
+    """The token of M's content, issued on first sight."""
+    ck = _content_key(M)
+    token = _BLOCK_TOKENS.get(ck)
+    if token is None:
+        token = _BLOCK_TOKENS[ck] = next(_TOKEN_COUNTER)
+    return token
 
 
 # ---------------------------------------------------------------------------

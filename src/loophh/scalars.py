@@ -73,6 +73,37 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=4096)
+def _inverse_coeffs(conductor: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Reduced coefficients of the inverse of a nonzero element of Q(zeta_m).
+
+    Keyed on the conductor, not on a field object: equal fields are often
+    distinct objects, and elements of one field recur across them.
+    """
+    modulus = list(cyclotomic_polynomial(conductor))
+    # xgcd(a, modulus) with gcd a nonzero constant.
+    r0, r1 = modulus, list(coeffs)
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_trim(
+            [
+                (s0[i] if i < len(s0) else Fraction(0))
+                - sum(
+                    q[j] * s1[i - j]
+                    for j in range(len(q))
+                    if 0 <= i - j < len(s1)
+                )
+                for i in range(max(len(s0), len(q) + len(s1) - 1))
+            ]
+        )
+    if len(r0) != 1:
+        raise AssertionError("modulus not coprime to element")
+    inv_consts = 1 / r0[0]
+    return CyclotomicField(conductor).element([c * inv_consts for c in s0]).coeffs
+
+
 class CyclotomicField:
     """The field Q(zeta_m), zeta_m a fixed primitive m-th root of unity."""
 
@@ -173,30 +204,11 @@ class CycElt:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycElt":
-        """Inverse via extended Euclid against the (irreducible) modulus."""
+        """Inverse via extended Euclid against the (irreducible) modulus,
+        remembered per (conductor, coefficients)."""
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        # xgcd(a, modulus) with gcd a nonzero constant.
-        r0, r1 = list(self.field.modulus), list(self.coeffs)
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim(
-                [
-                    (s0[i] if i < len(s0) else Fraction(0))
-                    - sum(
-                        q[j] * s1[i - j]
-                        for j in range(len(q))
-                        if 0 <= i - j < len(s1)
-                    )
-                    for i in range(max(len(s0), len(q) + len(s1) - 1))
-                ]
-            )
-        if len(r0) != 1:
-            raise AssertionError("modulus not coprime to element")
-        inv_consts = 1 / r0[0]
-        return self.field.element([c * inv_consts for c in s0])
+        return CycElt(self.field, _inverse_coeffs(self.field.conductor, self.coeffs))
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -258,6 +258,18 @@ REPORT_SHA256 = {
     ("fixed-fiber", "06_weight2_zeta2"): "507cd78b40c2dc3fa707677bfdac16f383e5fd9214ecb493b4a37ef660135699",
     ("localize", "01_line_gm_z2", "--tower-levels", "2", "--u-window", "3"):
         "efeef2cc958dee7e9d74afe1756d0c9e7798e32dbd55357c65ec3b3036955469",
+    # the u-series verbs, recorded before the column memo took structural keys;
+    # they run over Q, and localize / fixed-fiber on 06 (conductor 2) above
+    # pin the u-series path over a cyclotomic field
+    ("hp", "01_line_gm_z2"): "d14c8ceef59189a1b316dde676f0d8ec46b07c923a51758a760434761b4ba43e",
+    ("hn", "01_line_gm_z2"): "d632e3d6daaa7555cefa93831ed2608bf1ab44713b366773e2f8fbd4284f0506",
+    ("hc", "01_line_gm_z2"): "80ce34cd075e89f4060009d40a650c8b8ce01c9146534c1e203544b0f1e73963",
+    ("hp", "03_plane_12_z3"): "66d013a3345d259622c1c2ffdddf39d0f4ca4aa6c146b6480b46707eb2d5d9ea",
+    ("hn", "03_plane_12_z3"): "3d3d62d203ecf4d9372b3879b600e06b81bec825d03766a4bdbe57c8e83deb10",
+    ("hc", "03_plane_12_z3"): "6d6d8196ec90767db3d133731b20b6623ef1e90f7a48e31f911a96b73d2e4cb3",
+    ("hp", "06_weight2_zeta2"): "eccf8e51d5e2738281b68f6e0a0ebea739542d71f10716775e6eb6c89b5542fc",
+    ("hn", "06_weight2_zeta2"): "22ee50a7da74849812dd196b5587190af1b272b356b0b81c5f37c5ae37106a85",
+    ("hc", "06_weight2_zeta2"): "d09e5e93bf5b4181faea5a20a4d79937fea50ad38a06aac255ca382544bc1ddd",
 }
 
 

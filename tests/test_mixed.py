@@ -8,7 +8,13 @@ from loophh import mixed
 from loophh.cli import build_parser, run_verb
 from loophh.complexes import GradedComplex
 from loophh.grading import Multidegree, Window, md
-from loophh.linalg import NotAComplex, SparseMatrix
+from loophh.linalg import (
+    NotAComplex,
+    SparseMatrix,
+    image_basis,
+    kernel_basis,
+    quotient_pivots,
+)
 from loophh.mixed import (
     MixedComplex,
     bga_completed_preset,
@@ -223,3 +229,93 @@ def test_not_a_complex_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(NotAComplex):
             run_verb("hp", args, text)
+
+
+def _same_block_elsewhere():
+    """One d-block (cohdeg 0 -> 1) beside one idle bin.  In Tate at u-window 1
+    the block lands at row 0 (idle bin at cohdeg -1) or row 1 (cohdeg 3) of
+    equal 2x1 columns, and at column 0 (cohdeg -2) or column 1 (cohdeg 2) of
+    equal 1x2 columns: only the offsets tell these matrices apart."""
+    m0, m1 = md(0, (0,), 0), md(1, (0,), 0)
+    d = {m0: SparseMatrix.from_rows([[1]])}
+    return [
+        MixedComplex(GradedComplex({m0: ["v"], m1: ["dv"], md(i, (0,), 0): ["e"]}, d, WIN), {})
+        for i in (-1, 3, -2, 2)
+    ]
+
+
+def _key_check_complexes():
+    cases = [random_mixed_complex(seed) for seed in range(16)]
+    return cases + _same_block_elsewhere() + [
+        bga_polynomial_preset(4),
+        bga_completed_preset(5, 3),
+    ]
+
+
+def _all_flavors(V):
+    """Each of the five flavors at two windows, built directly so that the
+    direct-sum and product Tate flavors also run on the edge-carrying preset
+    (their constructors refuse it)."""
+    for u in (1, 2):
+        yield mixed.USeriesComplex(V, "invariants", (0, u))
+        yield mixed.USeriesComplex(V, "coinvariants", (-u, 0))
+        for flavor in ("tate", "oplus-tate", "prod-tate"):
+            yield mixed.USeriesComplex(V, flavor, (-u, u))
+
+
+def _columns_and_predecessors(us):
+    keys = set()
+    for tau, w, a in us.columns():
+        keys |= {(tau, w, a), (tau - 1, w, a)}
+    return sorted(keys)
+
+
+def test_structural_column_keys_are_sound():
+    # one memo lifetime: equal keys must mean equal matrices across every
+    # complex, flavor and window, not only within one u-series complex
+    mixed.clear_column_memo()
+    content_of = {}
+    checked = 0
+    for V in _key_check_complexes():
+        for us in _all_flavors(V):
+            for key in _columns_and_predecessors(us):
+                content = mixed._content_key(us._column_matrix(key))
+                assert content_of.setdefault(us._column_key(key), content) == content
+                checked += 1
+    assert len(content_of) < checked  # keys recur, so the check has teeth
+
+
+def test_column_h_equals_memo_free_recompute():
+    mixed.clear_column_memo()
+    for V in _key_check_complexes():
+        for us in _all_flavors(V):
+            for key in sorted(us.columns()):
+                tau, w, a = key
+                ker = kernel_basis(us._column_matrix(key))
+                im = image_basis(us._column_matrix((tau - 1, w, a)))
+                assert us._column_h(key) == (ker, im, quotient_pivots(ker, im))
+
+
+def test_block_tokens_are_never_reissued():
+    mixed.clear_column_memo()
+    block = SparseMatrix(1, 1, {(0, 0): Fraction(2)})
+    before = mixed._block_token(block)
+    assert mixed._block_token(SparseMatrix(1, 1, {(0, 0): Fraction(2)})) == before
+    F = CyclotomicField(3)
+    assert mixed._block_token(SparseMatrix(1, 1, {(0, 0): F.from_rational(2)})) != before
+
+    old = tate(bga_polynomial_preset(4), 2)
+    table = old.cohomology()
+    assert mixed._COLUMN_MEMO and mixed._BLOCK_TOKENS
+    mixed.clear_column_memo()
+    assert not mixed._COLUMN_MEMO and not mixed._BLOCK_TOKENS
+    assert mixed._block_token(block) != before
+
+    # the same content after a clear gets fresh tokens, so keys built from
+    # tokens issued before it cannot name the new columns
+    new = tate(bga_polynomial_preset(4), 2)
+    assert new.cohomology().values == table.values
+    keys = sorted(old.columns())
+    old_tokens = {t for k in keys for *_, t in old._column_key(k)[2]}
+    new_tokens = {t for k in keys for *_, t in new._column_key(k)[2]}
+    assert old_tokens and new_tokens and not old_tokens & new_tokens

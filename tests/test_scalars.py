@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from loophh.scalars import (
     BackendMismatch,
+    CycElt,
     CyclotomicField,
+    _inverse_coeffs,
     common_backend,
     cyclotomic_polynomial,
 )
@@ -89,3 +92,41 @@ def test_field_laws_q_zeta3(ac, bc):
     assert (a + b) * a == a * a + b * a
     if not a.is_zero():
         assert (b / a) * a == b
+
+
+def _random_nonzero(F, rng):
+    while True:
+        x = F.element([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(F.degree)])
+        if x:
+            return x
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8])
+def test_inverse_memo_is_exact_across_field_objects(m):
+    rng = random.Random(m)
+    F, G = CyclotomicField(m), CyclotomicField(m)
+    assert F is not G
+    for _ in range(10):
+        coeffs = _random_nonzero(F, rng).coeffs
+        for field in (F, G, F, G):  # each element twice, from two field objects
+            x = CycElt(field, coeffs)
+            y = x.inverse()
+            assert y.field is field
+            assert x * y == field.one()
+    hits = _inverse_coeffs.cache_info().hits
+    x = _random_nonzero(F, rng)
+    assert x.inverse() == x.inverse()
+    assert _inverse_coeffs.cache_info().hits > hits
+
+
+def test_inverse_memo_keeps_conductors_apart():
+    # 1 + zeta in Q(zeta_3) is -zeta^2, with inverse -zeta; in Q(i) it is
+    # 1 + i, with inverse (1 - i)/2
+    coeffs = (Fraction(1), Fraction(1))
+    F3, F4 = CyclotomicField(3), CyclotomicField(4)
+    x3, x4 = CycElt(F3, coeffs), CycElt(F4, coeffs)
+    for _ in range(2):
+        assert x3.inverse() == -F3.zeta()
+        assert x4.inverse() == F4.element([Fraction(1, 2), Fraction(-1, 2)])
+        assert x3 * x3.inverse() == F3.one()
+        assert x4 * x4.inverse() == F4.one()
