@@ -123,13 +123,6 @@ class GradedComplex:
         return True
 
     # -- constructions -------------------------------------------------------------
-    def weight_component(self, w) -> "GradedComplex":
-        w = tuple(w)
-        bins = {m: ls for m, ls in self.bins.items() if m.weight == w}
-        diffs = {m: d for m, d in self.diffs.items() if m.weight == w}
-        edge = {m for m in self.edge if m.weight == w}
-        return GradedComplex(bins, diffs, self.window, edge, self.aux_shift)
-
     def tensor(self, other: "GradedComplex") -> "GradedComplex":
         """Graded tensor product with Koszul signs.
 

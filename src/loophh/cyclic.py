@@ -1,13 +1,23 @@
 """The (equivariant) cyclic bar complex with the Connes B-operator.
 
-Independent oracle for Hochschild homology and its circle action.  For a
-monomial-relation presentation A and diagonalizable G, level n holds
-(A^{(x) n+1} (x) k[G])^G with the twisted last face d_n(a_0...a_n (x) w^mu)
-= (a_n a_0) (x) ... (x) w^{mu + wt(a_n)}, the cyclic operator rotating the
-coaction leg into the group monomial (the convention is validated by
-t^{n+1} = id on invariants), and degeneracies inserting units.  The mixed
-differential is B = (1 - lambda) s N with lambda = (-1)^n t, pushed to the
-normalized complex.
+Independent oracle for Hochschild homology and its circle action (Loday,
+*Cyclic Homology*, 1.1 and 2.1).  For a monomial-relation presentation A and
+diagonalizable G, level n holds (A^{(x) n+1} (x) k[G])^G.  The element-level
+`face`, `cyclic_t`, `degeneracy` and `apply_B` are the oracle's only
+definitions: the last face is twisted, d_n(a_0...a_n (x) w^mu) = (a_n a_0)
+(x) ... (x) w^{mu + wt(a_n)}, t rotates the coaction leg into the group
+monomial (validated by t^{n+1} = id on invariants), s_j inserts a unit after
+slot j, and B = (1 - lambda) s N with lambda = (-1)^n t.
+
+Each level is numbered once, in bin order, and d_i, t and s_j are stored as
+tables of target numbers (`faces[n][i]`, `t[n]`, `s[n][j]`): None where a
+product hits a relation, CAPPED where mu leaves the box |mu| <= mu_cap.  The
+simplicial identities are compositions of these tables; b = sum (-1)^i d_i is
+read off the face tables, and a B column is `apply_B` of one element,
+numbered.  b^2 = B^2 = bB + Bb = 0 are checked column by column, and skipped
+for an element when one of its own columns, or the column of a term that
+survives cancellation in its image, hit the cap.  `connes_B` pushes the same
+columns to the normalized complex.
 
 Simplicial truncation at depth N is exact on low weights: the normalized
 level n only touches aux >= n (every inner slot carries aux >= 1), so a bin
@@ -16,6 +26,7 @@ of auxiliary degree a is final once N >= a; deeper bins are edge-flagged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,8 +36,10 @@ from .linalg import NotAComplex, SparseMatrix
 from .mixed import MixedComplex
 from .models import AlgebraPresentation, TorusData
 
+CAPPED = "capped"  # a face or t whose group exponent leaves the mu box
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class BarElement:
     monos: tuple  # tuple of A-monomial exponent tuples, length n+1
     mu: tuple  # group-coordinate exponent, () when not equivariant
@@ -54,34 +67,23 @@ class CyclicLevels:
         self.relation_monos = self._relation_monomials()
         self.A_basis = self._a_basis()
         self._build_levels()
+        self._build_tables()
 
     # -- the algebra -----------------------------------------------------------
     def _relation_monomials(self):
-        out = []
-        for rel in self.P.relations:
-            if len(rel.terms) != 1:
-                raise NotImplementedError(
-                    "cyclic bar supports monomial relations only"
-                )
-            (mono,) = rel.terms
-            out.append(mono)
-        return out
+        if any(len(rel.terms) != 1 for rel in self.P.relations):
+            raise NotImplementedError("cyclic bar supports monomial relations only")
+        return [next(iter(rel.terms)) for rel in self.P.relations]
 
     def _a_basis(self):
         """Monomials of A up to aux_max (quotient by monomial relations)."""
         out = []
         exps = [0] * len(self.gens)
 
-        def reduced(m):
-            for rel in self.relation_monos:
-                if all(e >= r for e, r in zip(m, rel)):
-                    return False
-            return True
-
         def rec(i, aux):
             if i == len(self.gens):
                 m = tuple(exps)
-                if reduced(m):
+                if self.mono_mul(m, self.unit) is not None:
                     out.append(m)
                 return
             g = self.gens[i]
@@ -97,11 +99,12 @@ class CyclicLevels:
         return out
 
     def mono_weight(self, m):
-        w = [0] * self.rank
-        for e, g in zip(m, self.gens):
-            for k in range(self.rank):
-                w[k] += e * g.weight[k]
-        return tuple(w)
+        return tuple(
+            sum(e * g.weight[k] for e, g in zip(m, self.gens)) for k in range(self.rank)
+        )
+
+    def total_weight(self, monos):
+        return tuple(map(sum, zip(*map(self.mono_weight, monos))))
 
     def mono_aux(self, m):
         return sum(e * g.aux for e, g in zip(m, self.gens))
@@ -121,16 +124,14 @@ class CyclicLevels:
     # -- level bases -----------------------------------------------------------
     def _build_levels(self):
         self.levels: list[dict[Multidegree, list]] = []
-        self.index: list[dict] = []
+        self.elements: list[list[BarElement]] = []  # level n in bin order
+        self.number: list[dict[BarElement, int]] = []  # position in elements[n]
         self.mu_preserved = True
         for n in range(self.N + 1):
             elems = []
             for monos in self._tensor_tuples(n + 1):
-                wt = tuple(
-                    sum(ws) for ws in zip(*(self.mono_weight(m) for m in monos))
-                ) if self.rank else ()
                 if self.equivariant:
-                    if any(wt):
+                    if any(self.total_weight(monos)):
                         continue
                     if any(any(self.mono_weight(m)) for m in monos):
                         self.mu_preserved = False
@@ -144,9 +145,41 @@ class CyclicLevels:
             for k in bins:
                 bins[k].sort(key=lambda el: (el.monos, el.mu))
             self.levels.append(bins)
-            self.index.append(
-                {el: (k, i) for k, ls in bins.items() for i, el in enumerate(ls)}
-            )
+            flat = [el for ls in bins.values() for el in ls]
+            self.elements.append(flat)
+            self.number.append({el: e for e, el in enumerate(flat)})
+
+    def _build_tables(self):
+        """faces[n][i], t[n] and s[n][j]: the number of the image of each
+        element of level n under d_i, t and s_j (j >= 0, levels below N)."""
+        self.faces = [[]]
+        self.t = []
+        self.s = []
+        for n, elems in enumerate(self.elements):
+            if n:
+                self.faces.append([
+                    self._table(n - 1, lambda el: self.face(el, i), elems, f"d_{i}")
+                    for i in range(n + 1)
+                ])
+            self.t.append(self._table(n, self.cyclic_t, elems, "t"))
+            if n < self.N:
+                self.s.append([
+                    self._table(n + 1, lambda el: self.degeneracy(el, j), elems, f"s_{j}")
+                    for j in range(n + 1)
+                ])
+
+    def _table(self, level, image, elems, name):
+        """Number in `level` of image(el) for each el; None and CAPPED stay."""
+        number = self.number[level]
+        out = []
+        for el in elems:
+            im = image(el)
+            if isinstance(im, BarElement):
+                im = number.get(im)
+                if im is None:
+                    raise NotAComplex(self._degree(el), f"{name} leaves level {level}")
+            out.append(im)
+        return out
 
     def _tensor_tuples(self, slots):
         out = []
@@ -168,8 +201,6 @@ class CyclicLevels:
         return out
 
     def _mu_box(self):
-        if self.rank == 1:
-            return [(k,) for k in range(-self.mu_cap, self.mu_cap + 1)]
         box = [()]
         for _ in range(self.rank):
             box = [b + (k,) for b in box for k in range(-self.mu_cap, self.mu_cap + 1)]
@@ -181,14 +212,12 @@ class CyclicLevels:
         if self.equivariant:
             w = el.mu if self.mu_preserved else (0,) * self.rank
         else:
-            w = tuple(
-                sum(ws) for ws in zip(*(self.mono_weight(m) for m in el.monos))
-            ) if self.rank else ()
+            w = self.total_weight(el.monos)
         return Multidegree(-n, w, aux, 0)
 
     # -- structure maps ---------------------------------------------------------
     def face(self, el: BarElement, i: int):
-        """d_i; returns BarElement or None (killed by a relation / mu cap)."""
+        """d_i; returns BarElement, None (killed by a relation) or CAPPED."""
         n = el.level
         monos = el.monos
         if i < n:
@@ -204,7 +233,7 @@ class CyclicLevels:
             shift = self.mono_weight(monos[n])
             mu = tuple(m + s for m, s in zip(mu, shift))
             if any(abs(x) > self.mu_cap for x in mu):
-                return "capped"
+                return CAPPED
         return BarElement((prod,) + monos[1:n], mu)
 
     def degeneracy(self, el: BarElement, j: int) -> BarElement:
@@ -222,61 +251,8 @@ class CyclicLevels:
             shift = self.mono_weight(monos[n])
             mu = tuple(m + s for m, s in zip(mu, shift))
             if any(abs(x) > self.mu_cap for x in mu):
-                return "capped"
+                return CAPPED
         return BarElement((monos[n],) + monos[:n], mu)
-
-    # -- operators as linear data -------------------------------------------------
-    def apply_b(self, el: BarElement):
-        """Hochschild boundary: list of (sign, element); records cap hits."""
-        if el.level == 0:
-            return [], False
-        out = []
-        capped = False
-        for i in range(el.level + 1):
-            im = self.face(el, i)
-            if im == "capped":
-                capped = True
-                continue
-            if im is not None:
-                out.append(((-1) ** i, im))
-        return out, capped
-
-    def _apply_linear(self, op, combo):
-        out = {}
-        capped = False
-        for el, c in combo.items():
-            terms, cap = op(el)
-            capped |= cap
-            for s, im in terms:
-                out[im] = out.get(im, 0) + c * s
-        return {e: v for e, v in out.items() if v}, capped
-
-    def check_bar_laws(self):
-        """b^2 = 0, B^2 = 0, bB + Bb = 0 on the unnormalized levels."""
-        for n in range(self.N + 1):
-            for ls in self.levels[n].values():
-                for el in ls:
-                    combo = {el: 1}
-                    b1, cb = self._apply_linear(self.apply_b, combo)
-                    bb, cbb = self._apply_linear(self.apply_b, b1)
-                    if bb and not (cb or cbb):
-                        raise NotAComplex(self._degree(el), "b^2 != 0")
-                    if n + 1 > self.N:
-                        continue
-                    B1, cB = self._apply_linear(self.apply_B, combo)
-                    if n + 2 <= self.N:
-                        BB, cBB = self._apply_linear(self.apply_B, B1)
-                        if BB and not (cB or cBB):
-                            raise NotAComplex(self._degree(el), "B^2 != 0")
-                    bB, cbB = self._apply_linear(self.apply_b, B1)
-                    Bb, cBb = self._apply_linear(self.apply_B, b1)
-                    tot = dict(bB)
-                    for e, v in Bb.items():
-                        tot[e] = tot.get(e, 0) + v
-                    tot = {e: v for e, v in tot.items() if v}
-                    if tot and not (cB or cbB or cb or cBb):
-                        raise NotAComplex(self._degree(el), "bB + Bb != 0")
-        return True
 
     def apply_B(self, el: BarElement):
         """Connes boundary (1 - lambda) s N, unnormalized."""
@@ -294,14 +270,14 @@ class CyclicLevels:
                 s_e = self.degeneracy(e, -1)
                 add(sign, s_e)
                 lam_se = self.cyclic_t(s_e)
-                if lam_se == "capped":
+                if lam_se == CAPPED:
                     capped = True
                 else:
                     add(-sign * ((-1) ** (n + 1)), lam_se)
             nxt = []
             for sign, e in cur:
                 te = self.cyclic_t(e)
-                if te == "capped":
+                if te == CAPPED:
                     capped = True
                     continue
                 nxt.append((sign * ((-1) ** n), te))
@@ -311,96 +287,104 @@ class CyclicLevels:
     def is_degenerate(self, el: BarElement) -> bool:
         return any(m == self.unit for m in el.monos[1:])
 
-    # -- identity checks -----------------------------------------------------------
+    # -- columns ---------------------------------------------------------------------
+    def _b_column(self, n, e):
+        """b of element e of level n: ({number: coefficient}, hit the cap)."""
+        col = {}
+        capped = False
+        for i, d in enumerate(self.faces[n]):
+            k = d[e]
+            if k == CAPPED:
+                capped = True
+            elif k is not None:
+                col[k] = col.get(k, 0) + (-1) ** i
+        return {k: v for k, v in col.items() if v}, capped
+
+    def _B_column(self, n, e):
+        """B of element e of level n < N, numbered in level n + 1."""
+        terms, capped = self.apply_B(self.elements[n][e])
+        number = self.number[n + 1]
+        return {number[im]: s for s, im in terms}, capped
+
+    # -- law checks -----------------------------------------------------------------
     def check_simplicial_identities(self):
-        """Face-face, face-degeneracy and cyclic identities on every level."""
+        """Face-face, cyclic and face-degeneracy identities on every level."""
         for n in range(2, self.N + 1):
-            for ls in self.levels[n].values():
-                for el in ls:
-                    for j in range(1, n + 1):
-                        for i in range(j):
-                            a = self._chain_face(el, i, j)
-                            b = self._chain_face_rev(el, i, j)
-                            if a == "capped" or b == "capped":
-                                continue  # unknown region; edge-flagged
-                            if a != b:
-                                raise NotAComplex(
-                                    self._degree(el), f"d_{i} d_{j} != d_{j-1} d_{i}"
-                                )
-        for n in range(0, self.N + 1):
-            for ls in self.levels[n].values():
-                for el in ls:
-                    cur = el
-                    ok = True
-                    for _ in range(n + 1):
-                        cur = self.cyclic_t(cur)
-                        if cur == "capped":
-                            ok = False
-                            break
-                    if ok and cur != el:
-                        raise NotAComplex(self._degree(el), "t^{n+1} != id")
-        for n in range(0, self.N):
-            for ls in self.levels[n].values():
-                for el in ls:
-                    for j in range(-1, n + 1):
-                        s_el = self.degeneracy(el, j)
-                        if j >= 0:
-                            if self.face(s_el, j) != el or self.face(s_el, j + 1) != el:
-                                raise NotAComplex(
-                                    self._degree(el), f"d s_{j} != id"
-                                )
+            d, below = self.faces[n], self.faces[n - 1]
+            for e, el in enumerate(self.elements[n]):
+                for j in range(1, n + 1):
+                    for i in range(j):
+                        a = _after(below[i], d[j][e])
+                        b = _after(below[j - 1], d[i][e])
+                        if a != b and CAPPED not in (a, b):  # capped: edge-flagged
+                            raise NotAComplex(
+                                self._degree(el), f"d_{i} d_{j} != d_{j-1} d_{i}"
+                            )
+        for n, t in enumerate(self.t):
+            for e, el in enumerate(self.elements[n]):
+                k = e
+                for _ in range(n + 1):
+                    if k != CAPPED:
+                        k = t[k]
+                if k not in (e, CAPPED):
+                    raise NotAComplex(self._degree(el), "t^{n+1} != id")
+        for n, s in enumerate(self.s):
+            d = self.faces[n + 1]
+            for e, el in enumerate(self.elements[n]):
+                for j, sj in enumerate(s):
+                    if d[j][sj[e]] != e or d[j + 1][sj[e]] != e:
+                        raise NotAComplex(self._degree(el), f"d s_{j} != id")
         return True
 
-    def _chain_face(self, el, i, j):
-        mid = self.face(el, j)
-        if mid in (None, "capped"):
-            return mid
-        return self.face(mid, i)
+    def check_bar_laws(self):
+        """b^2 = 0, B^2 = 0, bB + Bb = 0 on the unnormalized levels.
 
-    def _chain_face_rev(self, el, i, j):
-        mid = self.face(el, i)
-        if mid in (None, "capped"):
-            return mid
-        return self.face(mid, j - 1)
+        b columns are read off the face tables when needed; B columns are
+        kept for the levels n - 1, n, n + 1 in use.
+        """
+        B_cols = {}
+        for n in range(self.N + 1):
+            B_cols.pop(n - 2, None)
+            for m in range(max(n - 1, 0), min(n + 1, self.N - 1) + 1):
+                if m not in B_cols:
+                    B_cols[m] = [self._B_column(m, e) for e in range(len(self.elements[m]))]
+            b_below = functools.partial(self._b_column, n - 1)
+            b_above = functools.partial(self._b_column, n + 1)
+            for e, el in enumerate(self.elements[n]):
+                b1, cb = self._b_column(n, e)
+                bb, cbb = _image((b1, b_below))
+                if bb and not (cb or cbb):
+                    raise NotAComplex(self._degree(el), "b^2 != 0")
+                if n + 1 > self.N:
+                    continue
+                B1, cB = B_cols[n][e]
+                if n + 2 <= self.N:
+                    BB, cBB = _image((B1, B_cols[n + 1].__getitem__))
+                    if BB and not (cB or cBB):
+                        raise NotAComplex(self._degree(el), "B^2 != 0")
+                tot, ctot = _image((B1, b_above), (b1, B_cols.get(n - 1, ()).__getitem__))
+                if tot and not (cB or cb or ctot):
+                    raise NotAComplex(self._degree(el), "bB + Bb != 0")
+        return True
 
-    # -- assembly -------------------------------------------------------------------
-    def _matrices(self, op, level_from, level_to, normalized):
-        """Assemble op: C_{level_from} -> C_{level_to} as bin matrices."""
-        src_bins = self.levels[level_from]
-        tgt_index = self.index[level_to]
-        mats = {}
-        cap_bins = set()
-        for mdeg, ls in src_bins.items():
-            if normalized:
-                cols = [el for el in ls if not self.is_degenerate(el)]
-            else:
-                cols = ls
-            if not cols:
-                continue
-            ent = {}
-            tgt_count = {}
-            for j, el in enumerate(cols):
-                terms, capped = op(el)
-                if capped:
-                    cap_bins.add(mdeg)
-                for sign, im in terms:
-                    if normalized and self.is_degenerate(im):
-                        continue
-                    tk, ti = tgt_index[im]
-                    if normalized:
-                        ti = self._normalized_index(level_to, tk, im)
-                    key = (tk, ti, j)
-                    ent[key] = ent.get(key, 0) + sign
-            by_tgt = {}
-            for (tk, ti, j), v in ent.items():
-                if v:
-                    by_tgt.setdefault(tk, {})[(ti, j)] = Fraction(v)
-            mats[mdeg] = by_tgt
-        return mats, cap_bins
 
-    def _normalized_index(self, n, mdeg, el):
-        basis = [e for e in self.levels[n].get(mdeg, []) if not self.is_degenerate(e)]
-        return basis.index(el)
+def _after(table, k):
+    """table applied to k, a number, None or CAPPED (the last two stay)."""
+    return table[k] if isinstance(k, int) else k
+
+
+def _image(*pairs):
+    """Sum of c * column(k) over (combo, column) pairs and the combo's terms
+    k: c, after cancellation, and whether one of those columns hit the cap."""
+    out = {}
+    capped = False
+    for combo, column in pairs:
+        for k, c in combo.items():
+            col, cap = column(k)
+            capped |= cap
+            for t, v in col.items():
+                out[t] = out.get(t, 0) + c * v
+    return {t: v for t, v in out.items() if v}, capped
 
 
 def cyclic_bar(P: AlgebraPresentation, N: int, aux_max: int) -> CyclicLevels:
@@ -420,38 +404,52 @@ def connes_B(L: CyclicLevels) -> MixedComplex:
     lower bins are final by the weight-stabilization bound.
     """
     bins = {}
-    norm_basis = {}
+    place = []  # place[n][e]: (bin, normalized position) of element e, None if degenerate
     for n in range(L.N + 1):
+        place.append([])
         for mdeg, ls in L.levels[n].items():
-            basis = [el for el in ls if not L.is_degenerate(el)]
+            basis = []
+            for el in ls:
+                if L.is_degenerate(el):
+                    place[n].append(None)
+                else:
+                    place[n].append((mdeg, len(basis)))
+                    basis.append((el.monos, el.mu))
             if basis:
-                bins[mdeg] = [(el.monos, el.mu) for el in basis]
-                norm_basis[mdeg] = basis
+                bins[mdeg] = basis
+
+    cap_bins = set()
+
+    def blocks(n, to, column, name):
+        """Per-bin normalized matrices of `column` from level n to level `to`."""
+        ent = {}
+        for e, src in enumerate(place[n]):
+            if src is None:
+                continue
+            mdeg, j = src
+            col, capped = column(n, e)
+            if capped:
+                cap_bins.add(mdeg)
+            by_tgt = ent.setdefault(mdeg, {})
+            for k, v in col.items():
+                if place[to][k] is not None:
+                    tk, i = place[to][k]
+                    by_tgt.setdefault(tk, {})[(i, j)] = Fraction(v)
+        out = {}
+        for mdeg, by_tgt in ent.items():
+            if len(by_tgt) > 1:
+                raise NotAComplex(mdeg, f"{name} spreads over several bins")
+            for tk, entries in by_tgt.items():
+                out[mdeg] = SparseMatrix(len(bins[tk]), len(bins[mdeg]), entries)
+        return out
 
     diffs = {}
     eps = {}
-    cap_bins = set()
     for n in range(L.N + 1):
         if n >= 1:
-            mats, capped = L._matrices(lambda e: L.apply_b(e), n, n - 1, normalized=True)
-            cap_bins |= capped
-            for mdeg, by_tgt in mats.items():
-                if len(by_tgt) > 1:
-                    raise NotAComplex(mdeg, "b spreads over several bins")
-                for tk, ent in by_tgt.items():
-                    diffs[mdeg] = SparseMatrix(
-                        len(norm_basis.get(tk, ())), len(norm_basis.get(mdeg, ())), ent
-                    )
+            diffs.update(blocks(n, n - 1, L._b_column, "b"))
         if n < L.N:
-            mats, capped = L._matrices(lambda e: L.apply_B(e), n, n + 1, normalized=True)
-            cap_bins |= capped
-            for mdeg, by_tgt in mats.items():
-                if len(by_tgt) > 1:
-                    raise NotAComplex(mdeg, "B spreads over several bins")
-                for tk, ent in by_tgt.items():
-                    eps[mdeg] = SparseMatrix(
-                        len(norm_basis.get(tk, ())), len(norm_basis.get(mdeg, ())), ent
-                    )
+            eps.update(blocks(n, n + 1, L._B_column, "B"))
 
     edge = set(cap_bins)
     weights = sorted({m.weight for m in bins})
@@ -464,8 +462,8 @@ def connes_B(L: CyclicLevels) -> MixedComplex:
         s_real = max(
             (abs(x) for m in L.A_basis for x in L.mono_weight(m)), default=0
         )
-        for mdeg, basis in norm_basis.items():
-            if any(abs(x) > L.mu_cap - s_real for el in basis for x in el.mu):
+        for mdeg, basis in bins.items():
+            if any(abs(x) > L.mu_cap - s_real for _, mu in basis for x in mu):
                 edge.add(mdeg)
 
     if bins:

@@ -34,9 +34,9 @@ def _coerce_entry(x):
 class SparseMatrix:
     """Immutable-by-convention sparse matrix with exact scalar entries."""
 
-    __slots__ = ("nrows", "ncols", "entries", "row_labels", "col_labels")
+    __slots__ = ("nrows", "ncols", "entries")
 
-    def __init__(self, nrows, ncols, entries=None, row_labels=None, col_labels=None):
+    def __init__(self, nrows, ncols, entries=None):
         self.nrows = nrows
         self.ncols = ncols
         self.entries = {}
@@ -48,8 +48,6 @@ class SparseMatrix:
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
                 self.entries[(i, j)] = v
-        self.row_labels = row_labels
-        self.col_labels = col_labels
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -82,15 +80,6 @@ class SparseMatrix:
 
     def get(self, i, j):
         return self.entries.get((i, j), Fraction(0))
-
-    def transpose(self):
-        return SparseMatrix(
-            self.ncols,
-            self.nrows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-        )
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:

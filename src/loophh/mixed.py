@@ -184,6 +184,7 @@ class USeriesComplex:
         self._columns = None
         self._hcache = {}
         self._bases = {}
+        self._keys = {}  # column key -> _column_key(column key)
         self._tokens = None  # (d tokens, eps tokens) by bin, built on first use
 
     # -- cells ---------------------------------------------------------------
@@ -308,15 +309,19 @@ class USeriesComplex:
     def _column_h(self, key):
         """(kernel basis, image basis, pivot of each class) of column `key`.
 
-        A memo hit costs the two column keys; only a miss builds the column
-        matrices, runs the (d + u eps)^2 check and eliminates.  A failing
-        column is never stored, so it raises again on every later call.
+        A memo hit costs the two column keys, each built once per complex; only
+        a miss builds the column matrices, runs the (d + u eps)^2 check and
+        eliminates.  A failing column is never stored, so it raises again on
+        every later call.
         """
         data = self._hcache.get(key)
         if data is None:
             tau, w, a = key
             prev = (tau - 1, w, a)
-            memo_key = (self._column_key(key), self._column_key(prev))
+            for k in (key, prev):
+                if k not in self._keys:
+                    self._keys[k] = self._column_key(k)
+            memo_key = (self._keys[key], self._keys[prev])
             data = _COLUMN_MEMO.get(memo_key)
             if data is None:
                 D = self._column_matrix(key)

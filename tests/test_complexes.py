@@ -87,29 +87,6 @@ def test_euler_consistency():
     assert C.euler_consistent()
 
 
-def test_weight_component():
-    m0 = md(0, (0,), 0)
-    m1 = md(0, (3,), 3)
-    C = GradedComplex({m0: ["1"], m1: ["x3"]}, {}, WIN)
-    sub = C.weight_component((3,))
-    assert sub.cohomology().dim(m1) == 1
-    assert sub.cohomology().dim(m0) == 0
-
-
-def test_weight_component_commutes_with_cohomology():
-    m0 = md(0, (1,), 1)
-    mm = md(-1, (1,), 1)
-    C = GradedComplex(
-        {m0: ["x"], mm: ["e"], md(0, (2,), 2): ["x2"]},
-        {mm: SparseMatrix.from_rows([[1]])},
-        WIN,
-    )
-    t_then = C.weight_component((1,)).cohomology()
-    full = C.cohomology()
-    sub = {m: v for m, v in full.values.items() if m.weight == (1,)}
-    assert t_then.values == sub
-
-
 def test_chain_map_verification_and_induced():
     m0 = md(0, (0,), 0)
     C = GradedComplex({m0: ["a"]}, {}, WIN)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,13 @@ from loophh.models import (
     odd_tangent_model,
     regrade_by_group_exponent,
 )
-from loophh.cyclic import CyclicLevels, connes_B, cyclic_bar, equivariant_cyclic_bar
+from loophh.cyclic import (
+    BarElement,
+    CyclicLevels,
+    connes_B,
+    cyclic_bar,
+    equivariant_cyclic_bar,
+)
 
 
 def kx(weight=1):
@@ -170,26 +177,26 @@ def test_unnormalized_vs_normalized_ranks():
     L = cyclic_bar(P, N=3, aux_max=2)
     from loophh.linalg import SparseMatrix, rank as mrank
 
-    # assemble unnormalized b at aux 2, level 1 -> 0 and 2 -> 1
+    # unnormalized b = sum (-1)^i d_i at aux 2, read off the face tables
     def unnorm_matrix(n, aux):
-        src = [
-            el
-            for ls in (L.levels[n].get(md(-n, (aux,), aux), []),)
-            for el in ls
-        ]
+        src = L.levels[n].get(md(-n, (aux,), aux), [])
         tgt = L.levels[n - 1].get(md(-n + 1, (aux,), aux), [])
         ent = {}
         for j, el in enumerate(src):
-            terms, _ = L.apply_b(el)
-            for s, im in terms:
-                ent[(tgt.index(im), j)] = ent.get((tgt.index(im), j), 0) + s
+            for i, d in enumerate(L.faces[n]):
+                k = d[L.number[n][el]]
+                if k is not None:
+                    key = (tgt.index(L.elements[n - 1][k]), j)
+                    ent[key] = ent.get(key, 0) + (-1) ** i
         return SparseMatrix(len(tgt), len(src), {k: Fraction(v) for k, v in ent.items() if v})
 
     d1 = unnorm_matrix(1, 2)
     d2 = unnorm_matrix(2, 2)
     dim_c0 = len(L.levels[0].get(md(0, (2,), 2), []))
+    dim_c1 = len(L.levels[1].get(md(-1, (2,), 2), []))
     h0 = (dim_c0 - 0) - mrank(d1)
     assert h0 == 1  # matches the normalized table
+    assert dim_c1 - mrank(d1) - mrank(d2) == 1  # x dx
 
 
 def test_bar_laws_catch_a_sign_error_in_connes_b(monkeypatch):
@@ -206,3 +213,58 @@ def test_bar_laws_catch_a_sign_error_in_connes_b(monkeypatch):
     monkeypatch.setattr(CyclicLevels, "apply_B", apply_B_odd_sign_flipped)
     with pytest.raises(NotAComplex, match=r"bB \+ Bb != 0"):
         L.check_bar_laws()
+
+
+def test_identity_checks_catch_a_wrong_face(monkeypatch):
+    assert cyclic_bar(kx(), N=4, aux_max=3).check_simplicial_identities()
+    face = CyclicLevels.face
+
+    def face_wrong_pair(self, el, i):
+        if el.level == 3 and i == 1:  # multiplies slots 2, 3 instead of 1, 2
+            prod = self.mono_mul(el.monos[2], el.monos[3])
+            return None if prod is None else BarElement(el.monos[:2] + (prod,), el.mu)
+        return face(self, el, i)
+
+    monkeypatch.setattr(CyclicLevels, "face", face_wrong_pair)
+    L = cyclic_bar(kx(), N=4, aux_max=3)
+    with pytest.raises(NotAComplex, match=r"d_\d d_\d"):
+        L.check_simplicial_identities()
+
+
+def test_identity_checks_catch_a_wrong_cyclic_operator(monkeypatch):
+    cyclic_t = CyclicLevels.cyclic_t
+
+    def t_swapping(self, el):
+        if el.level == 2:  # swaps the last two slots instead of rotating
+            a0, a1, a2 = el.monos
+            return BarElement((a0, a2, a1), el.mu)
+        return cyclic_t(self, el)
+
+    monkeypatch.setattr(CyclicLevels, "cyclic_t", t_swapping)
+    L = cyclic_bar(kx(), N=4, aux_max=3)
+    with pytest.raises(NotAComplex, match=r"t\^\{n\+1\} != id"):
+        L.check_simplicial_identities()
+
+
+def _plane():
+    return AlgebraPresentation([("x", (1,), 1), ("y", (2,), 1)], rank=1, asserted_smooth=True)
+
+
+def _dual_numbers():
+    P = kx()
+    P.add_relation(P.ambient.poly_gen("x", 2))
+    return P
+
+
+# sha256 of connes_B(L).cohomology().serialize(), edge bins included
+@pytest.mark.parametrize("build, digest", [
+    (lambda: cyclic_bar(_plane(), N=4, aux_max=3),
+     "f14d6f88a44ecd7d1dce383a96b99d7d465ecdcc33748b7b9d7bacadb8638eb2"),
+    (lambda: cyclic_bar(_dual_numbers(), N=6, aux_max=6),
+     "8666156eedaedf77551014221773b657ccdea8105ca163997a6b221ce257b9c8"),
+    (lambda: equivariant_cyclic_bar(kx(), TorusData(1), N=4, aux_max=3, mu_cap=4),
+     "63ef209622ca3dca4504c13fbe3da62b48d6a9df51fa6b9fba0f9de7bb64b6e2"),
+], ids=["plane N4 aux3", "k[x]/(x^2) N6 aux6", "equivariant k[x] N4 aux3 mu4"])
+def test_oracle_tables_pinned(build, digest):
+    table = connes_B(build()).cohomology().serialize()
+    assert hashlib.sha256(table.encode()).hexdigest() == digest

@@ -296,6 +296,25 @@ def test_column_h_equals_memo_free_recompute():
                 assert us._column_h(key) == (ker, im, quotient_pivots(ker, im))
 
 
+def test_each_column_key_is_built_once_per_complex(monkeypatch):
+    # column tau's key is also the key of Dprev for column tau + 1
+    built = []
+    column_key = mixed.USeriesComplex._column_key
+
+    def recording(self, key):
+        built.append((id(self), key))
+        return column_key(self, key)
+
+    monkeypatch.setattr(mixed.USeriesComplex, "_column_key", recording)
+    mixed.clear_column_memo()
+    complexes = []
+    for V in _key_check_complexes():
+        for us in _all_flavors(V):
+            complexes.append(us)  # alive, so no id is reused
+            us.cohomology()
+    assert built and len(set(built)) == len(built)
+
+
 def test_block_tokens_are_never_reissued():
     mixed.clear_column_memo()
     block = SparseMatrix(1, 1, {(0, 0): Fraction(2)})
