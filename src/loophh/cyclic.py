@@ -139,15 +139,26 @@ class CyclicLevels:
                         elems.append(BarElement(monos, mu))
                 else:
                     elems.append(BarElement(monos, ()))
-            bins: dict[Multidegree, list] = {}
-            for el in elems:
-                bins.setdefault(self._degree(el), []).append(el)
-            for k in bins:
-                bins[k].sort(key=lambda el: (el.monos, el.mu))
-            self.levels.append(bins)
-            flat = [el for ls in bins.values() for el in ls]
-            self.elements.append(flat)
-            self.number.append({el: e for e, el in enumerate(flat)})
+            self._add_level(elems)
+        if not self.mu_preserved:
+            # levels binned by mu before a higher level turned the mu grading
+            # off: bin every level again, by weight (0,)
+            built = self.elements
+            self.levels, self.elements, self.number = [], [], []
+            for elems in built:
+                self._add_level(elems)
+
+    def _add_level(self, elems):
+        """Bin one level's elements by degree and number them in bin order."""
+        bins: dict[Multidegree, list] = {}
+        for el in elems:
+            bins.setdefault(self._degree(el), []).append(el)
+        for k in bins:
+            bins[k].sort(key=lambda el: (el.monos, el.mu))
+        self.levels.append(bins)
+        flat = [el for ls in bins.values() for el in ls]
+        self.elements.append(flat)
+        self.number.append({el: e for e, el in enumerate(flat)})
 
     def _build_tables(self):
         """faces[n][i], t[n] and s[n][j]: the number of the image of each

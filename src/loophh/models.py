@@ -269,18 +269,21 @@ class SemifreeModel:
     `eps_images`, when present, is the mixed differential as a derivation.
     `mixed_weight_zero_only` records that d and eps anticommute only up to
     the weight operator (torus Cartan models); such mixed structures are
-    used exclusively on weight-0 subcomplexes.
+    used exclusively on weight-0 subcomplexes.  `truncated_names` are the
+    coordinates t_j of a coefficient ring k[t]/(t^n) (see
+    `at_torus_point_level`).
     """
 
     def __init__(self, alg: FreeAlgebra, d_images, eps_images=None,
                  aux_shift_d=0, mixed_weight_zero_only=False,
-                 laurent_names=(), backend=None):
+                 laurent_names=(), backend=None, truncated_names=()):
         self.alg = alg
         self.d = Derivation(alg, d_images)
         self.eps = Derivation(alg, eps_images) if eps_images is not None else None
         self.aux_shift_d = aux_shift_d
         self.mixed_weight_zero_only = mixed_weight_zero_only
         self.laurent_names = tuple(laurent_names)
+        self.truncated_names = tuple(truncated_names)
         self.backend = backend
         for n in self.laurent_names:
             if n in self.d.images or (self.eps and n in self.eps.images):
@@ -343,10 +346,13 @@ class SemifreeModel:
                     s = max(s, abs(m[i]))
         return s
 
-    def instantiate(self, aux_max, laurent_cap=None, weight_filter=None):
+    def instantiate(self, aux_max, laurent_cap=None, weight_filter=None, edge_depths=None):
         """Enumerate bins and assemble differential/mixed matrices.
 
         Returns a MixedComplex (with zero eps when the model carries none).
+        For a model over k[t]/(t^N), a dict passed as `edge_depths` receives
+        a depth per edge bin: the bin is edge at the quotient level
+        k[t]/(t^n) exactly when its depth is < n.
         """
         from .mixed import MixedComplex
 
@@ -356,17 +362,37 @@ class SemifreeModel:
         bins = enum.bins
         pos = {m: {lbl: i for i, lbl in enumerate(ls)} for m, ls in bins.items()}
         edge: set[Multidegree] = set()
+        tpos = [self.alg.index[n] for n in self.truncated_names]
 
         def assemble(deriv: Derivation, cohshift: int, auxshift: int):
             mats = {}
             for mdeg, labels in bins.items():
                 tgt = mdeg.shift(cohdeg=cohshift, aux=auxshift)
+                tgt_pos = pos.get(tgt, {})
                 ent = {}
                 touched = False
+                depth = None
                 for j, mono in enumerate(labels):
                     img = deriv.apply_monomial(mono)
                     for tm, c in img.terms.items():
-                        ti = pos.get(tgt, {}).get(tm)
+                        ti = tgt_pos.get(tm)
+                        if edge_depths is not None:
+                            # Depth rule.  t is closed, so the terms of
+                            # d(t^e x) are t^e times the terms t^k y of d(x),
+                            # and every bin holds t^e x for each e < N.
+                            # - growth k > 0: at every level n > k some label
+                            #   is sent past t^n, a term counted as leaving
+                            #   the window (depth k).  In k[t]/(t^n) that
+                            #   product is zero, so these edges are too many;
+                            #   dropping them changes report bytes and waits
+                            #   for the report v2 format.
+                            # - a term missing from the window with k = 0 is
+                            #   missing at every level that holds its
+                            #   t-exponent T (depth T; 0 for a model without t).
+                            k = max((tm[p] - mono[p] for p in tpos), default=0)
+                            if k or ti is None:
+                                cand = k or max((tm[p] for p in tpos), default=0)
+                                depth = cand if depth is None else min(depth, cand)
                         if ti is None:
                             touched = True
                             continue
@@ -374,6 +400,9 @@ class SemifreeModel:
                 if touched:
                     edge.add(mdeg)
                     edge.add(tgt)
+                if depth is not None:
+                    for b in (mdeg, tgt):
+                        edge_depths[b] = min(edge_depths.get(b, depth), depth)
                 if ent:
                     mats[mdeg] = SparseMatrix(
                         len(bins.get(tgt, ())), len(labels),
@@ -525,7 +554,7 @@ class SemifreeModel:
             new_alg, d_images, eps_images,
             aux_shift_d=self.aux_shift_d,
             mixed_weight_zero_only=self.mixed_weight_zero_only,
-            laurent_names=(), backend=backend,
+            laurent_names=(), backend=backend, truncated_names=tnames,
         )
 
     @staticmethod

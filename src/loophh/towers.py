@@ -5,8 +5,11 @@ Two completion routes, chosen by the shape of the ideal:
 * point ideals (w_j - z_j) in the Laurent group coordinates: the model is a
   free module over its Laurent coordinate ring, so tensoring with the Koszul
   complex on (w_j - z_j)^n is quasi-isomorphic to the coefficient reduction
-  k[w^\pm] -> k[t]/(t^n), t = w - z, which has finite bins.  Levels are the
-  reduced instantiations, transitions the quotient maps.
+  k[w^\pm] -> k[t]/(t^n), t = w - z, which has finite bins.  Only the top
+  level N is instantiated; level n is its quotient by the labels with a
+  t-exponent >= n.  Those labels span a dg-ideal (t is d- and eps-closed),
+  so the quotient maps are chain maps by construction and the tower carries
+  none.
 
 * homogeneous ideals (generators of positive aux or nonzero weight degree):
   literal Koszul adjunction at complex level, one odd generator kappa^(n)
@@ -42,7 +45,9 @@ class IdealData:
 
 
 class Tower:
-    """Levels 1..N with transition chain maps level n+1 -> level n; the basis
+    """Levels 1..N, with transition chain maps level n+1 -> level n for the
+    Koszul towers.  Point towers are derived from their top level and carry
+    no transitions: each level is a label quotient of the next.  The basis
     labels of every level are exponent tuples over `gen_names`, when given."""
 
     def __init__(self, levels, transitions, gen_names=None):
@@ -89,37 +94,52 @@ def point_completion_tower(
     weight_filter=None,
     backend=None,
 ) -> Tower:
-    levels = []
-    for n in range(1, N + 1):
-        lv_model = model.at_torus_point_level(z, n, backend=backend)
-        lv_model.check_symbolic()
-        levels.append(lv_model.instantiate(aux_max, weight_filter=weight_filter))
-    transitions = []
-    for n in range(1, N):
-        transitions.append(_truncation_map(levels[n], levels[n - 1], n))
-    # every level renames the Laurent coordinates to t_j alike
-    tower = Tower(levels, transitions, [g.name for g in lv_model.alg.gens] if levels else None)
-    tower.check_transitions()
-    return tower
+    """Levels k[t]/(t^n), n = 1..N, of the completion at z, from level N.
 
-
-def _truncation_map(src: MixedComplex, tgt: MixedComplex, n: int) -> ChainMap:
-    """Quotient map: kill monomials with any t-exponent >= n.
-
-    Labels are exponent tuples over algebras of identical generator order, so
-    a source label survives iff it is present verbatim in the target bin.
+    t has degree 0, so every level has the same bins and window; level n
+    keeps, in each bin, the level-N labels with t-exponents < n, in order,
+    and d and eps restricted to them.
     """
-    blocks = {}
-    for m, labels in src.base.bins.items():
-        tpos = {lbl: i for i, lbl in enumerate(tgt.base.labels(m))}
-        ent = {}
-        for j, lbl in enumerate(labels):
-            i = tpos.get(lbl)
-            if i is not None:
-                ent[(i, j)] = Fraction(1)
-        if ent:
-            blocks[m] = SparseMatrix(tgt.base.dim(m), len(labels), ent)
-    return ChainMap(src.base, tgt.base, blocks)
+    if N < 1:
+        return Tower([], [])
+    top_model = model.at_torus_point_level(z, N, backend=backend)
+    top_model.check_symbolic()
+    depths = {}
+    top = top_model.instantiate(aux_max, weight_filter=weight_filter, edge_depths=depths)
+    tpos = [top_model.alg.index[name] for name in top_model.truncated_names]
+    levels = [
+        _quotient_level(top, tpos, n, {m for m, v in depths.items() if v < n})
+        for n in range(1, N)
+    ]
+    levels.append(top)
+    return Tower(levels, [], [g.name for g in top_model.alg.gens])
+
+
+def _quotient_level(top: MixedComplex, tpos, n: int, edge) -> MixedComplex:
+    """`top` modulo the labels with a t-exponent >= n (t at positions tpos)."""
+    keep = {}
+    for m, labels in top.base.bins.items():
+        keep[m] = {j: i for i, j in enumerate(
+            j for j, lbl in enumerate(labels) if all(lbl[p] < n for p in tpos)
+        )}
+
+    def restrict(mats, target):
+        out = {}
+        for m, mat in mats.items():
+            cols, rows = keep[m], keep.get(target(m), {})
+            ent = {
+                (rows[i], cols[j]): v for (i, j), v in mat.entries.items()
+                if i in rows and j in cols
+            }
+            if ent:
+                out[m] = SparseMatrix(len(rows), len(cols), ent)
+        return out
+
+    base = top.base
+    bins = {m: [base.bins[m][j] for j in idx] for m, idx in keep.items()}
+    gc = GradedComplex(bins, restrict(base.diffs, base.d_target), base.window, edge,
+                       aux_shift=base.aux_shift)
+    return MixedComplex(gc, restrict(top.eps, top.eps_target))
 
 
 # ---------------------------------------------------------------------------

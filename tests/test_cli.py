@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from loophh.cli import build_parser, main, run_verb
+from loophh.models import SemifreeModel
 
 LINE_GM = """\
 # the scaling line modulo the rank-1 torus
@@ -302,7 +303,18 @@ def test_localize_builds_each_tower_once(monkeypatch):
 
     counted("point_completion_tower")
     counted("cartan_augmentation_tower")
+    for name in ("at_torus_point_level", "instantiate"):
+        fn = getattr(SemifreeModel, name)
+
+        def method(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(SemifreeModel, name, method)
     args = build_parser().parse_args(["localize", "01_line_gm_z2"])
     _, code = run_verb("localize", args, _shipped("01_line_gm_z2"))
     assert code == 0
-    assert calls == {"point_completion_tower": 2, "cartan_augmentation_tower": 1}
+    # each point tower instantiates its top level only; the Cartan tower
+    # instantiates its base once
+    assert calls == {"point_completion_tower": 2, "cartan_augmentation_tower": 1,
+                     "at_torus_point_level": 2, "instantiate": 3}

@@ -126,6 +126,18 @@ def test_equivariant_bar_matches_loop_model():
     assert set(comp) >= {md(0, (mu,), 0) for mu in range(-3, 4)}
 
 
+def test_equivariant_bar_bins_every_level_by_final_mu_flag():
+    # level 0 holds only weight-0 monomials; level 1 holds x (x) y, which
+    # turns the mu grading off, so level 0 must be binned without mu too
+    P = AlgebraPresentation([("x", (1,), 1), ("y", (-1,), 1)], rank=1, asserted_smooth=True)
+    L = equivariant_cyclic_bar(P, TorusData(1), N=3, aux_max=2, mu_cap=2)
+    assert not L.mu_preserved
+    assert all(m.weight == (0,) for level in L.levels for m in level)
+    L.check_simplicial_identities()
+    L.check_bar_laws()
+    connes_B(L).cohomology()
+
+
 def test_bar_depth_edge_flags():
     P = kx()
     L = cyclic_bar(P, N=2, aux_max=4)

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loophh.grading import Multidegree, md
 from loophh.mixed import bga_completed_preset, bga_polynomial_preset, tate
@@ -10,10 +12,17 @@ from loophh.models import (
     TorusData,
     TorusPoint,
     cartan_model,
+    fixed_points,
     loop_model,
+    reduce_linear_relations,
 )
 from loophh.algebra import FreeAlgebra, Generator
+from loophh.complexes import ChainMap
+from loophh.instancefile import parse_instance
+from loophh.linalg import SparseMatrix
+from loophh.scalars import CyclotomicField
 from loophh.towers import (
+    _verify_eps_square,
     cartan_augmentation_tower,
     cech_local_cohomology,
     point_completion_tower,
@@ -59,6 +68,101 @@ def test_point_tower_root_of_unity_needs_cyclotomic():
     F = CyclotomicField(3)
     tower = point_completion_tower(V, z, 2, aux_max=1, weight_filter=(0,), backend=F)
     assert tower.level(2).cohomology().dim(md(0, (0,), 0)) == 2
+
+
+def _nonzero_blocks(mats):
+    return {m: (b.nrows, b.ncols, b.entries) for m, b in mats.items() if b.entries}
+
+
+def _label_quotient(src, tgt):
+    """Level n+1 -> level n: a label survives verbatim or maps to zero."""
+    blocks = {}
+    for m, labels in src.base.bins.items():
+        tpos = {lbl: i for i, lbl in enumerate(tgt.base.labels(m))}
+        ent = {(tpos[lbl], j): 1 for j, lbl in enumerate(labels) if lbl in tpos}
+        if ent:
+            blocks[m] = SparseMatrix(tgt.base.dim(m), len(labels), ent)
+    return ChainMap(src.base, tgt.base, blocks)
+
+
+def assert_tower_matches_per_level_build(model, z, N, aux_max, backend=None):
+    """Every derived level equals the level instantiated on its own, and the
+    label quotients between levels are chain maps commuting with eps."""
+    wf = (0,) * z.rank
+    tower = point_completion_tower(model, z, N, aux_max, weight_filter=wf, backend=backend)
+    assert tower.depth == N and not tower.transitions
+    for n in range(1, N + 1):
+        got = tower.level(n)
+        want = model.at_torus_point_level(z, n, backend=backend).instantiate(
+            aux_max, weight_filter=wf
+        )
+        assert got.base.bins == want.base.bins  # bins and label order
+        assert _nonzero_blocks(got.base.diffs) == _nonzero_blocks(want.base.diffs)
+        assert _nonzero_blocks(got.eps) == _nonzero_blocks(want.eps)
+        assert got.base.edge == want.base.edge, n
+        assert got.base.window == want.base.window
+        assert got.base.aux_shift == want.base.aux_shift
+    for n in range(1, N):
+        src, tgt = tower.level(n + 1), tower.level(n)
+        F = _label_quotient(src, tgt)
+        F.verify_chain_map()
+        _verify_eps_square(F, src, tgt)
+    return tower
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "instances").glob("*.loop"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+@pytest.mark.parametrize("aux_max", [2, 4])
+def test_point_tower_levels_equal_per_level_build(path, aux_max):
+    P, T, z, _ = parse_instance(path.read_text())
+    backend = CyclotomicField(z.conductor()) if z.conductor() > 1 else None
+    for side in (P, reduce_linear_relations(fixed_points(P, z))):
+        assert_tower_matches_per_level_build(loop_model(side, T), z, 5, aux_max, backend)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(1, 2)), min_size=2, max_size=3
+    ),
+    st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+    st.integers(1, 4),
+)
+def test_point_tower_levels_equal_per_level_build_generated(gens, zval, aux_max):
+    P = AlgebraPresentation(
+        [(f"x{i}", (w,), a) for i, (w, a) in enumerate(gens)], rank=1
+    )
+    assert_tower_matches_per_level_build(
+        loop_model(P, TorusData(1)), TorusPoint.make([zval]), 5, aux_max
+    )
+
+
+def _aux_raising_model(laurent):
+    """d x = (w - 1) y (or d x = y without w), raising aux by one, so the
+    image of the top-aux bin leaves the window."""
+    gens = [Generator("x", 0, (0,) * laurent, 1), Generator("y", 1, (0,) * laurent, 2)]
+    if laurent:
+        gens.append(Generator("w0", 0, (0,), 0, laurent=True))
+    alg = FreeAlgebra(gens, laurent)
+    coeff = alg.poly_gen("w0") - alg.poly_scalar(1) if laurent else alg.poly_scalar(1)
+    return SemifreeModel(alg, {"x": coeff * alg.poly_gen("y")}, aux_shift_d=1,
+                         laurent_names=("w0",) if laurent else ())
+
+
+@pytest.mark.parametrize("zval, level1_edge", [(1, False), (2, True)])
+def test_point_tower_levels_equal_per_level_build_aux_shift(zval, level1_edge):
+    # at z = 1 the image t y of x is zero at level 1
+    model = _aux_raising_model(1)
+    tower = assert_tower_matches_per_level_build(model, TorusPoint.make([zval]), 5, 3)
+    assert bool(tower.level(1).base.edge) == level1_edge
+    assert all(tower.level(n).base.edge for n in range(2, 6))
+
+
+def test_point_tower_rank0_levels_all_equal_top():
+    tower = assert_tower_matches_per_level_build(_aux_raising_model(0), TorusPoint.make([]), 3, 3)
+    assert all(tower.level(n).base.edge for n in range(1, 4))
 
 
 def test_torsion_module_completion_shift_pattern():
