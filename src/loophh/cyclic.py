@@ -127,6 +127,7 @@ class CyclicLevels:
         self.elements: list[list[BarElement]] = []  # level n in bin order
         self.number: list[dict[BarElement, int]] = []  # position in elements[n]
         self.mu_preserved = True
+        built = []  # binned only once mu_preserved is final
         for n in range(self.N + 1):
             elems = []
             for monos in self._tensor_tuples(n + 1):
@@ -139,14 +140,9 @@ class CyclicLevels:
                         elems.append(BarElement(monos, mu))
                 else:
                     elems.append(BarElement(monos, ()))
+            built.append(elems)
+        for elems in built:
             self._add_level(elems)
-        if not self.mu_preserved:
-            # levels binned by mu before a higher level turned the mu grading
-            # off: bin every level again, by weight (0,)
-            built = self.elements
-            self.levels, self.elements, self.number = [], [], []
-            for elems in built:
-                self._add_level(elems)
 
     def _add_level(self, elems):
         """Bin one level's elements by degree and number them in bin order."""

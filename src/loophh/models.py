@@ -269,21 +269,21 @@ class SemifreeModel:
     `eps_images`, when present, is the mixed differential as a derivation.
     `mixed_weight_zero_only` records that d and eps anticommute only up to
     the weight operator (torus Cartan models); such mixed structures are
-    used exclusively on weight-0 subcomplexes.  `truncated_names` are the
-    coordinates t_j of a coefficient ring k[t]/(t^n) (see
-    `at_torus_point_level`).
+    used exclusively on weight-0 subcomplexes.  `t_index` is the generator
+    position of the coordinate t of a coefficient ring k[t]/(t^n) (see
+    `at_torus_point_level`), or None.
     """
 
     def __init__(self, alg: FreeAlgebra, d_images, eps_images=None,
                  aux_shift_d=0, mixed_weight_zero_only=False,
-                 laurent_names=(), backend=None, truncated_names=()):
+                 laurent_names=(), backend=None, t_index=None):
         self.alg = alg
         self.d = Derivation(alg, d_images)
         self.eps = Derivation(alg, eps_images) if eps_images is not None else None
         self.aux_shift_d = aux_shift_d
         self.mixed_weight_zero_only = mixed_weight_zero_only
         self.laurent_names = tuple(laurent_names)
-        self.truncated_names = tuple(truncated_names)
+        self.t_index = t_index
         self.backend = backend
         for n in self.laurent_names:
             if n in self.d.images or (self.eps and n in self.eps.images):
@@ -362,7 +362,7 @@ class SemifreeModel:
         bins = enum.bins
         pos = {m: {lbl: i for i, lbl in enumerate(ls)} for m, ls in bins.items()}
         edge: set[Multidegree] = set()
-        tpos = [self.alg.index[n] for n in self.truncated_names]
+        tp = self.t_index
 
         def assemble(deriv: Derivation, cohshift: int, auxshift: int):
             mats = {}
@@ -379,19 +379,20 @@ class SemifreeModel:
                         if edge_depths is not None:
                             # Depth rule.  t is closed, so the terms of
                             # d(t^e x) are t^e times the terms t^k y of d(x),
-                            # and every bin holds t^e x for each e < N.
-                            # - growth k > 0: at every level n > k some label
-                            #   is sent past t^n, a term counted as leaving
-                            #   the window (depth k).  In k[t]/(t^n) that
+                            # and every bin holds t^e x for each e < N.  A
+                            # term t^T y of the image of t^e x has T >= e.
+                            # - growth k = T - e > 0: at every level n > k
+                            #   some label is sent past t^n, a term counted as
+                            #   leaving the window (depth k).  In k[t]/(t^n) that
                             #   product is zero, so these edges are too many;
                             #   dropping them changes report bytes and waits
                             #   for the report v2 format.
                             # - a term missing from the window with k = 0 is
                             #   missing at every level that holds its
                             #   t-exponent T (depth T; 0 for a model without t).
-                            k = max((tm[p] - mono[p] for p in tpos), default=0)
-                            if k or ti is None:
-                                cand = k or max((tm[p] for p in tpos), default=0)
+                            e, T = (0, 0) if tp is None else (mono[tp], tm[tp])
+                            if T > e or ti is None:
+                                cand = T - e if T > e else T
                                 depth = cand if depth is None else min(depth, cand)
                         if ti is None:
                             touched = True
@@ -554,7 +555,7 @@ class SemifreeModel:
             new_alg, d_images, eps_images,
             aux_shift_d=self.aux_shift_d,
             mixed_weight_zero_only=self.mixed_weight_zero_only,
-            laurent_names=(), backend=backend, truncated_names=tnames,
+            laurent_names=(), backend=backend, t_index=tidx.get(0),
         )
 
     @staticmethod

@@ -106,21 +106,21 @@ def point_completion_tower(
     top_model.check_symbolic()
     depths = {}
     top = top_model.instantiate(aux_max, weight_filter=weight_filter, edge_depths=depths)
-    tpos = [top_model.alg.index[name] for name in top_model.truncated_names]
     levels = [
-        _quotient_level(top, tpos, n, {m for m, v in depths.items() if v < n})
+        _quotient_level(top, top_model.t_index, n, {m for m, v in depths.items() if v < n})
         for n in range(1, N)
     ]
     levels.append(top)
     return Tower(levels, [], [g.name for g in top_model.alg.gens])
 
 
-def _quotient_level(top: MixedComplex, tpos, n: int, edge) -> MixedComplex:
-    """`top` modulo the labels with a t-exponent >= n (t at positions tpos)."""
+def _quotient_level(top: MixedComplex, tp, n: int, edge) -> MixedComplex:
+    """`top` modulo the labels with a t-exponent >= n (t at generator
+    position tp; None keeps every label)."""
     keep = {}
     for m, labels in top.base.bins.items():
         keep[m] = {j: i for i, j in enumerate(
-            j for j, lbl in enumerate(labels) if all(lbl[p] < n for p in tpos)
+            j for j, lbl in enumerate(labels) if tp is None or lbl[tp] < n
         )}
 
     def restrict(mats, target):
