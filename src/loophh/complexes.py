@@ -18,6 +18,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
     quotient_rank,
+    rank,
 )
 from .tables import HilbertTable
 
@@ -29,7 +30,8 @@ class GradedComplex:
         self.window = window
         self.edge: set[Multidegree] = set(edge) if edge else set()
         self.aux_shift = aux_shift
-        self._hcache: dict[Multidegree, tuple] = {}
+        self._ranks: dict[Multidegree, int] = {}  # source bin -> rank of its d
+        self._bases: dict[Multidegree, tuple] = {}
 
     # -- bin structure -------------------------------------------------------
     def dim(self, m: Multidegree) -> int:
@@ -72,17 +74,27 @@ class GradedComplex:
         return True
 
     # -- cohomology --------------------------------------------------------------
+    def _rank(self, m: Multidegree) -> int:
+        """Rank of the differential out of bin m, computed once."""
+        r = self._ranks.get(m)
+        if r is None:
+            d = self.diffs.get(m)
+            r = self._ranks[m] = rank(d) if d is not None else 0
+        return r
+
+    def h_dim(self, m: Multidegree) -> int:
+        """dim H at bin m: dim(m) - rank(d out of m) - rank(d into m)."""
+        return self.dim(m) - self._rank(m) - self._rank(self.d_source(m))
+
     def cohomology_data(self, m: Multidegree):
-        """(dim H, kernel basis of d_out, image basis of d_in) at bin m."""
-        if m in self._hcache:
-            return self._hcache[m]
-        d_out = self.diff_from(m)
-        d_in = self.diff_from(self.d_source(m))
-        ker = kernel_basis(d_out)
-        im = image_basis(d_in) if not d_in.is_zero_matrix() else []
-        dim_h = len(ker) - len(im)  # im is an echelon basis
-        data = (dim_h, ker, im)
-        self._hcache[m] = data
+        """(kernel basis of d_out, image basis of d_in) at bin m, for the
+        induced-map checks; dimensions come from `h_dim`."""
+        data = self._bases.get(m)
+        if data is None:
+            d_in = self.diff_from(self.d_source(m))
+            ker = kernel_basis(self.diff_from(m))
+            im = image_basis(d_in) if not d_in.is_zero_matrix() else []
+            data = self._bases[m] = (ker, im)
         return data
 
     def cohomology(self) -> HilbertTable:
@@ -90,7 +102,7 @@ class GradedComplex:
         vals = {}
         edge = set()
         for m in self.all_bins():
-            h = self.cohomology_data(m)[0]
+            h = self.h_dim(m)
             if self._edge_adjacent(m):
                 edge.add(m)
                 h = max(h, 0)  # cap artifacts can make the formal count negative
@@ -221,8 +233,8 @@ class ChainMap:
 
     def induced_rank(self, m: Multidegree) -> int:
         """Rank of the induced map H(source) -> H(target) at bin m."""
-        _, ker_s, _ = self.source.cohomology_data(m)
-        _, _, im_t = self.target.cohomology_data(m)
+        ker_s, _ = self.source.cohomology_data(m)
+        _, im_t = self.target.cohomology_data(m)
         F = self.block(m)
         images = [apply_matrix(F, v) for v in ker_s]
         return quotient_rank(images, im_t, self.target.dim(m))
@@ -234,8 +246,8 @@ class ChainMap:
         for m in sorted(bins):
             if m in self.source.edge or m in self.target.edge:
                 continue
-            hs = self.source.cohomology_data(m)[0]
-            ht = self.target.cohomology_data(m)[0]
+            hs = self.source.h_dim(m)
+            ht = self.target.h_dim(m)
             r = self.induced_rank(m)
             if not (hs == ht == r):
                 failures.append((m, hs, ht, r))

@@ -57,6 +57,11 @@ class Truncation:
     cohdeg_max: int = 6
     laurent_cap: int = 6
 
+    def __post_init__(self):
+        # with no tower level the checks would compare nothing and PASS
+        if self.tower_levels < 1:
+            raise ValueError(f"tower_levels must be >= 1, got {self.tower_levels}")
+
 
 @dataclass(frozen=True)
 class LocalizationInstance:

@@ -125,7 +125,11 @@ def parse_instance(text: str):
             raise ParseError(f"unknown truncation field {key!r}")
         overrides[key] = int(val)
 
-    return P, TorusData(rank), point, Truncation(**overrides)
+    try:
+        truncation = Truncation(**overrides)
+    except ValueError as e:
+        raise ParseError(str(e)) from e
+    return P, TorusData(rank), point, truncation
 
 
 def parse_coordinate(tok: str):

@@ -1,4 +1,4 @@
-"""Sparse exact linear algebra: rank, kernel bases, per-bin cohomology dims.
+"""Sparse exact linear algebra: rank, kernel bases, lead sets.
 
 Matrices act on column vectors; an (r x c) matrix maps k^c -> k^r.  Entries
 are Fraction or CycElt scalars from a single backend, and both backends are
@@ -8,6 +8,18 @@ scaled to pivot 1, if it reaches a new pivot.  Rank, RREF (reduce, then
 back-substitute), kernel, image and quotient rank are read off a reducer.
 Kernel bases are echelonized and normalized so the first nonzero coordinate
 is 1, making every output canonical and reproducible.
+
+The lead set of a subspace is {lowest index of v : v != 0 in it}.  It depends
+only on the subspace, and an echelon basis has one vector per lead, so for
+subspaces I <= K the classes of K / I sit at the leads of K that are not
+leads of I: a Hilbert table needs lead sets, not bases.  Each lead set is one
+forward elimination.  The leads of the column space of M are the pivots of
+M's columns (`image_leads`).  The leads of ker M are the columns that are not
+pivots when M's rows are reduced with highest-index pivots (`kernel_leads`,
+the one reducer run on reversed column indices).  For such a free column f,
+the kernel vector with coordinate f set to 1 and the other free coordinates
+0 vanishes below f, because a row whose pivot lies below f meets only
+coordinates below f; these ncols - rank vectors span the kernel.
 """
 
 from __future__ import annotations
@@ -290,6 +302,22 @@ def image_basis(M: SparseMatrix):
     These are the rows of RREF(M^T), read off the reduced columns of M.
     """
     return _reduce(M.columns()).reduced()[1]
+
+
+def kernel_leads(M: SparseMatrix) -> set:
+    """Lead set of ker M: the columns left without a pivot when M's rows are
+    reduced with highest-index pivots.  Has ncols - rank(M) elements."""
+    top = M.ncols - 1
+    rows = [dict() for _ in range(M.nrows)]
+    for (i, j), v in M.entries.items():
+        rows[i][top - j] = v
+    pivots = {top - p for p in _reduce(rows).rows}
+    return {j for j in range(M.ncols) if j not in pivots}
+
+
+def image_leads(M: SparseMatrix) -> set:
+    """Lead set of the column space of M: the pivots of its reduced columns."""
+    return set(_reduce(M.columns()).rows)
 
 
 def rank_of_vectors(vectors, dim) -> int:

@@ -23,8 +23,9 @@ from .linalg import (
     SparseMatrix,
     apply_matrix,
     image_basis,
+    image_leads,
     kernel_basis,
-    quotient_pivots,
+    kernel_leads,
     quotient_rank,
 )
 from .tables import HilbertTable
@@ -118,9 +119,9 @@ class MixedComplex:
     # -- induced mixed map on cohomology ---------------------------------------
     def eps_induced_rank(self, m: Multidegree) -> int:
         """Rank of the map induced by eps on cohomology H(m) -> H(m - e1)."""
-        _, ker_s, _ = self.base.cohomology_data(m)
+        ker_s, _ = self.base.cohomology_data(m)
         tgt = self.eps_target(m)
-        _, _, im_t = self.base.cohomology_data(tgt)
+        _, im_t = self.base.cohomology_data(tgt)
         E = self.eps_from(m)
         images = [apply_matrix(E, v) for v in ker_s]
         return quotient_rank(images, im_t, self.base.dim(tgt))
@@ -307,12 +308,14 @@ class USeriesComplex:
 
     # -- cohomology ------------------------------------------------------------
     def _column_h(self, key):
-        """(kernel basis, image basis, pivot of each class) of column `key`.
+        """The memoized `_ColumnH` of column `key`: the sorted pivot of each
+        cohomology class, the leads of ker D not among the leads of im Dprev.
 
         A memo hit costs the two column keys, each built once per complex; only
         a miss builds the column matrices, runs the (d + u eps)^2 check and
-        eliminates.  A failing column is never stored, so it raises again on
-        every later call.
+        finds the two lead sets.  A failing column is never stored, so it
+        raises again on every later call.  The bases are not built here: see
+        `_column_kernel` and `_column_image`.
         """
         data = self._hcache.get(key)
         if data is None:
@@ -328,12 +331,26 @@ class USeriesComplex:
                 Dprev = self._column_matrix(prev)
                 if not (D @ Dprev).is_zero_matrix():
                     raise NotAComplex(key, "(d + u eps)^2 != 0")
-                ker = kernel_basis(D)
-                im = image_basis(Dprev)
-                data = (ker, im, quotient_pivots(ker, im))
+                data = _ColumnH(sorted(kernel_leads(D) - image_leads(Dprev)))
                 _COLUMN_MEMO[memo_key] = data
             self._hcache[key] = data
         return data
+
+    def _column_kernel(self, key):
+        """Kernel basis of D out of column `key`, built on first request and
+        kept with the column's memoized result."""
+        data = self._column_h(key)
+        if data.ker is None:
+            data.ker = kernel_basis(self._column_matrix(key))
+        return data.ker
+
+    def _column_image(self, key):
+        """Image basis of Dprev into column `key`, built like `_column_kernel`."""
+        data = self._column_h(key)
+        if data.im is None:
+            tau, w, a = key
+            data.im = image_basis(self._column_matrix((tau - 1, w, a)))
+        return data.im
 
     def cohomology(self) -> HilbertTable:
         """Table keyed (i, w, a, p); homology classes are attributed to the
@@ -345,7 +362,7 @@ class USeriesComplex:
             cells, offset, total = self._column_basis(key)
             if total == 0:
                 continue
-            _, _, pivots = self._column_h(key)
+            pivots = self._column_h(key).pivots
             cell_of_index = {}
             for (m, p) in cells:
                 off = offset[(m, p)]
@@ -363,8 +380,7 @@ class USeriesComplex:
         return HilbertTable(vals, edge, win.with_upow(self.p_lo, self.p_hi))
 
     def column_h_dim(self, key) -> int:
-        ker, im, _ = self._column_h(key)
-        return len(ker) - len(im)  # im is an echelon basis
+        return len(self._column_h(key).pivots)
 
     # -- u multiplication ----------------------------------------------------------
     def u_map_bijective(self):
@@ -387,10 +403,9 @@ class USeriesComplex:
                 continue
             hs = self.column_h_dim(key)
             ht = self.column_h_dim(tkey)
-            ker, _, _ = self._column_h(key)
-            _, im_t, _ = self._column_h(tkey)
+            im_t = self._column_image(tkey)
             shifted = []
-            for vec in ker:
+            for vec in self._column_kernel(key):
                 out = {}
                 for idx, v in vec.items():
                     m, p = _cell_of(cells, offset, idx, self.mixed.base)
@@ -410,15 +425,30 @@ def _cell_of(cells, offset, idx, base):
     raise IndexError(idx)
 
 
+class _ColumnH:
+    """One column's memoized result: the class pivots, and the kernel basis of
+    D and image basis of Dprev once an induced-map check has asked for them."""
+
+    __slots__ = ("pivots", "ker", "im")
+
+    def __init__(self, pivots):
+        self.pivots = pivots
+        self.ker = None
+        self.im = None
+
+
 # Column results keyed by structure: a column key is the column's shape and
 # the (row offset, col offset, token) of every block placed in it, where a
 # block's token names its exact content (`_content_key`) in `_BLOCK_TOKENS`.
 # Equal keys mean equal matrices, and the same columns recur across flavors,
-# windows, tower levels and the two sides of each comparison.  `cli.run_verb`
-# clears both tables, so one CLI call is one memo lifetime; tokens come from a
-# counter that is never reset, so a token issued before a clear never names
-# other content after it.
-_COLUMN_MEMO: dict[tuple, tuple] = {}
+# windows, tower levels and the two sides of each comparison.  The memo maps
+# the (D, Dprev) key pair to a `_ColumnH`: the pivots always, the two bases
+# only after `_column_kernel` or `_column_image` built them, so a basis is
+# built at most once per memo lifetime and only for a column an induced-map
+# check reads.  `cli.run_verb` clears both tables, so one CLI call is one memo
+# lifetime; tokens come from a counter that is never reset, so a token issued
+# before a clear never names other content after it.
+_COLUMN_MEMO: dict[tuple, _ColumnH] = {}
 _BLOCK_TOKENS: dict[tuple, int] = {}
 _TOKEN_COUNTER = itertools.count()
 
@@ -507,12 +537,10 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
             for (i, j), v in blk.entries.items():
                 ent[(t_off[(m, p)] + i, s_off[(m, p)] + j)] = v
         Fcol = SparseMatrix(t_total, s_total, ent)
-        ker_s, _, _ = us_src._column_h(key)
-        _, im_t, _ = us_tgt._column_h(key)
         hs = us_src.column_h_dim(key)
         ht = us_tgt.column_h_dim(key)
-        images = [apply_matrix(Fcol, v) for v in ker_s]
-        r = quotient_rank(images, im_t, t_total)
+        images = [apply_matrix(Fcol, v) for v in us_src._column_kernel(key)]
+        r = quotient_rank(images, us_tgt._column_image(key), t_total)
         if not (hs == ht == r):
             failures.append((key, hs, ht, r))
     return (not failures, failures)

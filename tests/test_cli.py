@@ -166,6 +166,23 @@ def test_window_too_small_inconclusive(tmp_path, capsys):
     assert "INCONCLUSIVE" in out
 
 
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_tower_levels_flag_below_one_rejected(levels, tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM)
+    code, out, err = run_cli(["localize", str(f), "--tower-levels", levels], capsys)
+    assert code == 2
+    assert "tower_levels" in err and "PASS" not in out
+
+
+def test_tower_levels_line_below_one_rejected(tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM.replace("tower_levels 3", "tower_levels 0"))
+    code, out, err = run_cli(["localize", str(f)], capsys)
+    assert code == 2
+    assert "tower_levels" in err and "PASS" not in out
+
+
 def test_cache_round_trip(tmp_path, capsys):
     f = tmp_path / "line.loop"
     f.write_text(LINE_GM)

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from loophh.cli import _weight_zero_mixed
 from loophh.complexes import ChainMap, GradedComplex, unit_complex
+from loophh.instancefile import parse_instance
 from loophh.grading import Multidegree, Window, md
 from loophh.linalg import NotAComplex, SparseMatrix
 from loophh.tables import HilbertTable
@@ -126,3 +129,18 @@ def test_table_compare_and_masking():
     d = HilbertTable({md(0, (0,), 0): 1}, edge={md(0, (0,), 0)}, window=WIN)
     mism, comp, masked = a.compare(d)
     assert not mism and masked == [md(0, (0,), 0)]
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "instances").glob("*.loop"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_rank_path_dims_equal_basis_dims(path):
+    # the weight-0 loop model that `hh` tabulates: dim - rank(d out) - rank(d in)
+    # must count the same classes as a kernel basis modulo an image basis
+    P, T, _, tr = parse_instance(path.read_text())
+    gc = _weight_zero_mixed(P, T, tr).base
+    assert gc.bins
+    for m in gc.all_bins():
+        ker, im = gc.cohomology_data(m)
+        assert gc.h_dim(m) == len(ker) - len(im)

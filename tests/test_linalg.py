@@ -11,7 +11,10 @@ from loophh.linalg import (
     apply_matrix,
     cohomology_dims,
     image_basis,
+    image_leads,
     kernel_basis,
+    kernel_leads,
+    quotient_pivots,
     quotient_rank,
     rank,
     rank_of_vectors,
@@ -213,3 +216,49 @@ def test_echelon_reducer_pivots_and_dependence():
     assert red.add({1: Fraction(1), 2: Fraction(3)}) == 2
     assert red.add({}) is None
     assert red.add({3: Fraction(0)}) is None  # explicit zeros are not entries
+
+
+_Q3 = CyclotomicField(3)
+
+
+def _scalar(backend, a, b):
+    if backend == "Q":
+        return Fraction(a, b or 1)
+    return _Q3.from_rational(a) + _Q3.from_rational(b) * _Q3.zeta()
+
+
+@st.composite
+def _sparse_matrices(draw, backend=None, nrows=None):
+    """Random sparse matrices over Q or Q(zeta3), zero and empty shapes included."""
+    backend = backend or draw(st.sampled_from(["Q", "Q(zeta3)"]))
+    nrows = draw(st.integers(0, 6)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 6))
+    cells = [(i, j) for i in range(nrows) for j in range(ncols)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    ent = {c: _scalar(backend, draw(st.integers(-3, 3)), draw(st.integers(-2, 2)))
+           for c in chosen}
+    return SparseMatrix(nrows, ncols, ent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_lead_sets_match_the_bases(M):
+    leads = kernel_leads(M)
+    assert leads == set(EchelonReducer(kernel_basis(M)).rows)
+    assert len(leads) == M.ncols - rank(M)
+    assert image_leads(M) == {min(v) for v in image_basis(M)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lead_set_difference_equals_quotient_pivots(data):
+    # I = im N inside K = ker M: N's columns are random combinations of a
+    # kernel basis of M
+    M = data.draw(_sparse_matrices())
+    backend = "Q" if M.backend() is None else "Q(zeta3)"
+    ker = kernel_basis(M)
+    K = SparseMatrix(M.ncols, len(ker), {(i, k): v for k, vec in enumerate(ker) for i, v in vec.items()})
+    N = K @ data.draw(_sparse_matrices(backend=backend, nrows=len(ker)))
+    assert (M @ N).is_zero_matrix()
+    expected = sorted(quotient_pivots(ker, image_basis(N)))
+    assert sorted(kernel_leads(M) - image_leads(N)) == expected

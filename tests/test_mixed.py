@@ -293,7 +293,9 @@ def test_column_h_equals_memo_free_recompute():
                 tau, w, a = key
                 ker = kernel_basis(us._column_matrix(key))
                 im = image_basis(us._column_matrix((tau - 1, w, a)))
-                assert us._column_h(key) == (ker, im, quotient_pivots(ker, im))
+                assert us._column_h(key).pivots == sorted(quotient_pivots(ker, im))
+                assert us._column_kernel(key) == ker
+                assert us._column_image(key) == im
 
 
 def test_each_column_key_is_built_once_per_complex(monkeypatch):
@@ -338,3 +340,66 @@ def test_block_tokens_are_never_reissued():
     old_tokens = {t for k in keys for *_, t in old._column_key(k)[2]}
     new_tokens = {t for k in keys for *_, t in new._column_key(k)[2]}
     assert old_tokens and new_tokens and not old_tokens & new_tokens
+
+
+
+def _record_basis_calls(monkeypatch):
+    """Record (module, function, matrix, open checks) of every kernel_basis and
+    image_basis call the engine makes.  Returns the record and a one-element
+    counter of open induced-map checks, for the caller's wrappers to keep."""
+    from loophh import complexes
+
+    calls, open_checks = [], [0]
+    for module in (mixed, complexes):
+        for name in ("kernel_basis", "image_basis"):
+
+            def recording(M, _fn=getattr(module, name), _at=(module.__name__, name)):
+                calls.append((*_at, M, open_checks[0]))
+                return _fn(M)
+
+            monkeypatch.setattr(module, name, recording)
+    return calls, open_checks
+
+
+def test_tables_build_no_bases(monkeypatch):
+    calls, _ = _record_basis_calls(monkeypatch)
+    mixed.clear_column_memo()
+    V = bga_polynomial_preset(5)
+    assert tate(V, 3).cohomology().values
+    assert V.base.cohomology().values
+    assert calls == []
+
+
+def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
+    from loophh.complexes import ChainMap
+
+    calls, open_checks = _record_basis_calls(monkeypatch)
+    read = set()  # contents of the source columns useries_induced_iso reads
+
+    def check(fn, record_reads=False):
+        def wrapper(*args):
+            if record_reads:
+                us_src, us_tgt, _ = args
+                for key in set(us_src.columns()) | set(us_tgt.columns()):
+                    if not (us_src._column_is_edge(key) or us_tgt._column_is_edge(key)):
+                        read.add(mixed._content_key(us_src._column_matrix(key)))
+            open_checks[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                open_checks[0] -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(mixed, "useries_induced_iso",
+                        check(mixed.useries_induced_iso, record_reads=True))
+    monkeypatch.setattr(ChainMap, "induced_iso_everywhere",
+                        check(ChainMap.induced_iso_everywhere))
+    path = Path(__file__).resolve().parents[1] / "instances" / "01_line_gm_z2.loop"
+    args = build_parser().parse_args(["localize", str(path)])
+    _, code = run_verb("localize", args, path.read_text())
+    assert code == 0
+    kernels = [M for module, name, M, _ in calls if (module, name) == ("loophh.mixed", "kernel_basis")]
+    assert kernels and read
+    assert {mixed._content_key(M) for M in kernels} <= read
+    assert all(depth for *_, depth in calls)
