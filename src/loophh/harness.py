@@ -58,9 +58,15 @@ class Truncation:
     laurent_cap: int = 6
 
     def __post_init__(self):
-        # with no tower level the checks would compare nothing and PASS
-        if self.tower_levels < 1:
-            raise ValueError(f"tower_levels must be >= 1, got {self.tower_levels}")
+        # an empty window would leave the checks nothing to compare (and PASS)
+        # or the tables nothing to print
+        for name, low in (("tower_levels", 1), ("u_window", 1), ("aux_max", 0), ("laurent_cap", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.cohdeg_min > self.cohdeg_max:
+            raise ValueError(
+                f"cohdeg_min must be <= cohdeg_max, got {self.cohdeg_min} > {self.cohdeg_max}"
+            )
 
 
 @dataclass(frozen=True)

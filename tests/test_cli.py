@@ -183,6 +183,46 @@ def test_tower_levels_line_below_one_rejected(tmp_path, capsys):
     assert "tower_levels" in err and "PASS" not in out
 
 
+# each window that is empty or inverted, as flags and as [truncation] lines
+EMPTY_WINDOWS = [
+    ("u_window", {"u_window": 0}),
+    ("u_window", {"u_window": -2}),
+    ("aux_max", {"aux_max": -1}),
+    ("laurent_cap", {"laurent_cap": -1}),
+    ("cohdeg_min", {"cohdeg_min": 3, "cohdeg_max": -3}),
+]
+
+
+@pytest.mark.parametrize("verb", ["hh", "localize"])
+@pytest.mark.parametrize("field,values", EMPTY_WINDOWS)
+def test_empty_window_flag_rejected(verb, field, values, tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM)
+    flags = [a for k, v in values.items() for a in (f"--{k.replace('_', '-')}", str(v))]
+    code, out, err = run_cli([verb, str(f), *flags], capsys)
+    assert code == 2
+    assert field in err and "table" not in out and "PASS" not in out
+
+
+@pytest.mark.parametrize("field,values", EMPTY_WINDOWS)
+def test_empty_window_line_rejected(field, values, tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    # a later line of the section overrides an earlier one
+    lines = "".join(f"{k} {v}\n" for k, v in values.items())
+    f.write_text(LINE_GM.replace("[assert]", lines + "[assert]"))
+    code, out, err = run_cli(["hh", str(f)], capsys)
+    assert code == 2
+    assert field in err and "table" not in out
+
+
+def test_smallest_windows_accepted(tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM)
+    code, out, _ = run_cli(["hh", str(f), "--aux-max", "0", "--laurent-cap", "0",
+                            "--cohdeg-min", "0", "--cohdeg-max", "0"], capsys)
+    assert code == 0 and "HH table" in out
+
+
 def test_cache_round_trip(tmp_path, capsys):
     f = tmp_path / "line.loop"
     f.write_text(LINE_GM)
