@@ -12,14 +12,13 @@ is 1, making every output canonical and reproducible.
 The lead set of a subspace is {lowest index of v : v != 0 in it}.  It depends
 only on the subspace, and an echelon basis has one vector per lead, so for
 subspaces I <= K the classes of K / I sit at the leads of K that are not
-leads of I: a Hilbert table needs lead sets, not bases.  Each lead set is one
-forward elimination.  The leads of the column space of M are the pivots of
-M's columns (`image_leads`).  The leads of ker M are the columns that are not
-pivots when M's rows are reduced with highest-index pivots (`kernel_leads`,
-the one reducer run on reversed column indices).  For such a free column f,
-the kernel vector with coordinate f set to 1 and the other free coordinates
-0 vanishes below f, because a row whose pivot lies below f meets only
-coordinates below f; these ncols - rank vectors span the kernel.
+leads of I: a Hilbert table needs lead sets, not bases.  One reduction of M's
+columns, from the last column to the first, gives both lead sets of M
+(`column_leads`).  Its pivots are the leads of the column space, whatever the
+column order.  f is a lead of ker M exactly when col_f lies in the span of the
+columns after it, which are what the reducer holds when col_f arrives: a
+kernel vector with lowest coordinate f is such a relation, and such a relation
+is a kernel vector with lowest coordinate f.
 """
 
 from __future__ import annotations
@@ -304,20 +303,16 @@ def image_basis(M: SparseMatrix):
     return _reduce(M.columns()).reduced()[1]
 
 
-def kernel_leads(M: SparseMatrix) -> set:
-    """Lead set of ker M: the columns left without a pivot when M's rows are
-    reduced with highest-index pivots.  Has ncols - rank(M) elements."""
-    top = M.ncols - 1
-    rows = [dict() for _ in range(M.nrows)]
-    for (i, j), v in M.entries.items():
-        rows[i][top - j] = v
-    pivots = {top - p for p in _reduce(rows).rows}
-    return {j for j in range(M.ncols) if j not in pivots}
-
-
-def image_leads(M: SparseMatrix) -> set:
-    """Lead set of the column space of M: the pivots of its reduced columns."""
-    return set(_reduce(M.columns()).rows)
+def column_leads(M: SparseMatrix):
+    """(lead set of ker M, lead set of the column space of M) as sorted
+    tuples, read off one reduction of M's columns from the last to the first.
+    The kernel leads are the columns found dependent; there are
+    ncols - rank(M) of them."""
+    cols = M.columns()
+    _check_backend(cols)
+    reducer = EchelonReducer()
+    kernel = [f for f in reversed(range(M.ncols)) if reducer.add(cols[f]) is None]
+    return tuple(reversed(kernel)), tuple(sorted(reducer.rows))
 
 
 def rank_of_vectors(vectors, dim) -> int:

@@ -22,10 +22,9 @@ from .linalg import (
     NotAComplex,
     SparseMatrix,
     apply_matrix,
+    column_leads,
     image_basis,
-    image_leads,
     kernel_basis,
-    kernel_leads,
     quotient_rank,
 )
 from .tables import HilbertTable
@@ -183,7 +182,7 @@ class USeriesComplex:
             "above": mixed.strictly_bounded_above(),
         }
         self._columns = None
-        self._hcache = {}
+        self._pivots = {}  # column key -> sorted class pivots
         self._bases = {}
         self._keys = {}  # column key -> _column_key(column key)
         self._tokens = None  # (d tokens, eps tokens) by bin, built on first use
@@ -307,50 +306,69 @@ class USeriesComplex:
             raise ValueError("comparison refused: not strictly bounded above within window")
 
     # -- cohomology ------------------------------------------------------------
-    def _column_h(self, key):
-        """The memoized `_ColumnH` of column `key`: the sorted pivot of each
-        cohomology class, the leads of ker D not among the leads of im Dprev.
+    def _key_of(self, key):
+        """`_column_key(key)`, built once per complex."""
+        ck = self._keys.get(key)
+        if ck is None:
+            ck = self._keys[key] = self._column_key(key)
+        return ck
 
-        A memo hit costs the two column keys, each built once per complex; only
-        a miss builds the column matrices, runs the (d + u eps)^2 check and
-        finds the two lead sets.  A failing column is never stored, so it
-        raises again on every later call.  The bases are not built here: see
-        `_column_kernel` and `_column_image`.
+    def _column(self, key, M=None):
+        """The shared `_Column` of column `key`: a memo miss reduces the
+        column matrix (`M` if given), a hit builds nothing."""
+        ck = self._key_of(key)
+        record = _COLUMN_MEMO.get(ck)
+        if record is None:
+            if M is None:
+                M = self._column_matrix(key)
+            record = _COLUMN_MEMO[ck] = _Column(*column_leads(M))
+        return record
+
+    def _column_pivots(self, key):
+        """The sorted pivot of each cohomology class of column `key`: the
+        leads of ker D not among the leads of im Dprev.
+
+        The pivots are remembered per (D, Dprev) key pair, so the (d + u eps)^2
+        check runs once per pair per memo lifetime.  A failing pair is never
+        remembered, so it raises again on every later call.  The bases are
+        not built here: see `_column_kernel` and `_column_image`.
         """
-        data = self._hcache.get(key)
-        if data is None:
+        pivots = self._pivots.get(key)
+        if pivots is None:
             tau, w, a = key
             prev = (tau - 1, w, a)
-            for k in (key, prev):
-                if k not in self._keys:
-                    self._keys[k] = self._column_key(k)
-            memo_key = (self._keys[key], self._keys[prev])
-            data = _COLUMN_MEMO.get(memo_key)
-            if data is None:
+            pair = (self._key_of(key), self._key_of(prev))
+            pivots = _PAIR_PIVOTS.get(pair)
+            if pivots is None:
                 D = self._column_matrix(key)
                 Dprev = self._column_matrix(prev)
                 if not (D @ Dprev).is_zero_matrix():
                     raise NotAComplex(key, "(d + u eps)^2 != 0")
-                data = _ColumnH(sorted(kernel_leads(D) - image_leads(Dprev)))
-                _COLUMN_MEMO[memo_key] = data
-            self._hcache[key] = data
-        return data
+                kernel = self._column(key, D).kernel_leads
+                image = self._column(prev, Dprev).image_leads
+                pivots = _PAIR_PIVOTS[pair] = [f for f in kernel if f not in image]
+            self._pivots[key] = pivots
+        return pivots
 
     def _column_kernel(self, key):
         """Kernel basis of D out of column `key`, built on first request and
-        kept with the column's memoized result."""
-        data = self._column_h(key)
-        if data.ker is None:
-            data.ker = kernel_basis(self._column_matrix(key))
-        return data.ker
+        kept on the column's record."""
+        self._column_pivots(key)
+        record = self._column(key)
+        if record.kernel is None:
+            record.kernel = kernel_basis(self._column_matrix(key))
+        return record.kernel
 
     def _column_image(self, key):
-        """Image basis of Dprev into column `key`, built like `_column_kernel`."""
-        data = self._column_h(key)
-        if data.im is None:
-            tau, w, a = key
-            data.im = image_basis(self._column_matrix((tau - 1, w, a)))
-        return data.im
+        """Image basis of Dprev into column `key`, kept on the record of the
+        predecessor column like `_column_kernel`."""
+        self._column_pivots(key)
+        tau, w, a = key
+        prev = (tau - 1, w, a)
+        record = self._column(prev)
+        if record.image is None:
+            record.image = image_basis(self._column_matrix(prev))
+        return record.image
 
     def cohomology(self) -> HilbertTable:
         """Table keyed (i, w, a, p); homology classes are attributed to the
@@ -362,7 +380,7 @@ class USeriesComplex:
             cells, offset, total = self._column_basis(key)
             if total == 0:
                 continue
-            pivots = self._column_h(key).pivots
+            pivots = self._column_pivots(key)
             cell_of_index = {}
             for (m, p) in cells:
                 off = offset[(m, p)]
@@ -380,7 +398,7 @@ class USeriesComplex:
         return HilbertTable(vals, edge, win.with_upow(self.p_lo, self.p_hi))
 
     def column_h_dim(self, key) -> int:
-        return len(self._column_h(key).pivots)
+        return len(self._column_pivots(key))
 
     # -- u multiplication ----------------------------------------------------------
     def u_map_bijective(self):
@@ -425,16 +443,18 @@ def _cell_of(cells, offset, idx, base):
     raise IndexError(idx)
 
 
-class _ColumnH:
-    """One column's memoized result: the class pivots, and the kernel basis of
-    D and image basis of Dprev once an induced-map check has asked for them."""
+class _Column:
+    """One column's memoized result: the lead sets of ker D and im D, read off
+    one reduction, and the kernel and image bases of D once an induced-map
+    check has asked for them."""
 
-    __slots__ = ("pivots", "ker", "im")
+    __slots__ = ("kernel_leads", "image_leads", "kernel", "image")
 
-    def __init__(self, pivots):
-        self.pivots = pivots
-        self.ker = None
-        self.im = None
+    def __init__(self, kernel_leads, image_leads):
+        self.kernel_leads = kernel_leads
+        self.image_leads = image_leads
+        self.kernel = None
+        self.image = None
 
 
 # Column results keyed by structure: a column key is the column's shape and
@@ -442,19 +462,24 @@ class _ColumnH:
 # block's token names its exact content (`_content_key`) in `_BLOCK_TOKENS`.
 # Equal keys mean equal matrices, and the same columns recur across flavors,
 # windows, tower levels and the two sides of each comparison.  The memo maps
-# the (D, Dprev) key pair to a `_ColumnH`: the pivots always, the two bases
-# only after `_column_kernel` or `_column_image` built them, so a basis is
-# built at most once per memo lifetime and only for a column an induced-map
-# check reads.  `cli.run_verb` clears both tables, so one CLI call is one memo
-# lifetime; tokens come from a counter that is never reset, so a token issued
-# before a clear never names other content after it.
-_COLUMN_MEMO: dict[tuple, _ColumnH] = {}
+# one column key to one `_Column`: its two lead sets always (sorted tuples,
+# far smaller than sets), its two bases only after `_column_kernel` or
+# `_column_image` built them.  So each column is reduced once and each basis
+# built at most once per memo lifetime, and only for a column an induced-map
+# check reads; no column matrix is kept.  `_PAIR_PIVOTS` holds the class
+# pivots of each (D, Dprev) key pair whose (d + u eps)^2 check passed, shared
+# by every complex with that pair.  `cli.run_verb` clears all three tables, so
+# one CLI call is one memo lifetime; tokens come from a counter that is never
+# reset, so a token issued before a clear never names other content after it.
+_COLUMN_MEMO: dict[tuple, _Column] = {}
+_PAIR_PIVOTS: dict[tuple, list] = {}
 _BLOCK_TOKENS: dict[tuple, int] = {}
 _TOKEN_COUNTER = itertools.count()
 
 
 def clear_column_memo():
     _COLUMN_MEMO.clear()
+    _PAIR_PIVOTS.clear()
     _BLOCK_TOKENS.clear()
 
 

@@ -314,11 +314,14 @@ class SemifreeModel:
         return True
 
     def _check_anticommute(self):
-        for name in set(self.d.images) | set(self.eps.images):
+        # generator order, so the first failure named does not depend on set order
+        for gen in self.alg.gens:
+            name = gen.name
+            if name not in self.d.images and name not in self.eps.images:
+                continue
             g = self.alg.poly_gen(name)
             comm = self.d.apply(self.eps.apply(g)) + self.eps.apply(self.d.apply(g))
             if self.mixed_weight_zero_only:
-                gen = self.alg.gens[self.alg.index[name]]
                 # Euler identity: [d, eps] = <weight, xi> on each generator
                 expected = self.alg.poly()
                 for l in range(self.alg.rank):

@@ -10,10 +10,9 @@ from loophh.linalg import (
     SparseMatrix,
     apply_matrix,
     cohomology_dims,
+    column_leads,
     image_basis,
-    image_leads,
     kernel_basis,
-    kernel_leads,
     quotient_pivots,
     quotient_rank,
     rank,
@@ -199,7 +198,7 @@ def test_rank_rref_kernel_agree_with_sympy(rows):
 def test_every_entry_point_rejects_mixed_conductors():
     a, b = CyclotomicField(3).zeta(), CyclotomicField(4).zeta()
     M = SparseMatrix(2, 2, {(0, 0): a, (1, 1): b})
-    for f in (rank, kernel_basis, image_basis):
+    for f in (rank, kernel_basis, image_basis, column_leads):
         with pytest.raises(BackendMismatch):
             f(M)
     with pytest.raises(BackendMismatch):
@@ -243,10 +242,26 @@ def _sparse_matrices(draw, backend=None, nrows=None):
 @settings(max_examples=150, deadline=None)
 @given(_sparse_matrices())
 def test_lead_sets_match_the_bases(M):
-    leads = kernel_leads(M)
-    assert leads == set(EchelonReducer(kernel_basis(M)).rows)
-    assert len(leads) == M.ncols - rank(M)
-    assert image_leads(M) == {min(v) for v in image_basis(M)}
+    kernel, image = column_leads(M)
+    assert kernel == tuple(sorted(EchelonReducer(kernel_basis(M)).rows))
+    assert len(kernel) == M.ncols - rank(M)
+    assert image == tuple(sorted(min(v) for v in image_basis(M)))
+
+
+def _columns_from(M, f):
+    """The submatrix of M's columns f..ncols-1."""
+    return SparseMatrix(M.nrows, M.ncols - f,
+                        {(i, j - f): v for (i, j), v in M.entries.items() if j >= f})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_kernel_leads_match_the_definition(M):
+    # f leads a kernel vector exactly when col_f adds no rank to the columns
+    # after it; the count and the image leads are checked above
+    assert column_leads(M)[0] == tuple(
+        f for f in range(M.ncols) if rank(_columns_from(M, f)) == rank(_columns_from(M, f + 1))
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -261,4 +276,4 @@ def test_lead_set_difference_equals_quotient_pivots(data):
     N = K @ data.draw(_sparse_matrices(backend=backend, nrows=len(ker)))
     assert (M @ N).is_zero_matrix()
     expected = sorted(quotient_pivots(ker, image_basis(N)))
-    assert sorted(kernel_leads(M) - image_leads(N)) == expected
+    assert sorted(set(column_leads(M)[0]) - set(column_leads(N)[1])) == expected

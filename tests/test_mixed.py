@@ -210,8 +210,23 @@ def test_column_memo_shares_results_between_equal_columns():
     second = tate(bga_polynomial_preset(4), 2)
     assert second.cohomology().values == first.cohomology().values
     assert len(mixed._COLUMN_MEMO) == stored
-    key = sorted(first.columns())[0]
-    assert second._column_h(key) is first._column_h(key)
+    for key in _columns_and_predecessors(first):
+        assert second._column(key) is first._column(key)
+
+
+def test_one_memo_lifetime_reduces_each_column_content_once(monkeypatch):
+    reduced = []
+
+    def recording(M, _fn=mixed.column_leads):
+        reduced.append(mixed._content_key(M))
+        return _fn(M)
+
+    monkeypatch.setattr(mixed, "column_leads", recording)
+    path = Path(__file__).resolve().parents[1] / "instances" / "01_line_gm_z2.loop"
+    args = build_parser().parse_args(["localize", str(path)])
+    _, code = run_verb("localize", args, path.read_text())
+    assert code == 0
+    assert reduced and len(set(reduced)) == len(reduced)
 
 
 def test_not_a_complex_raises_on_every_call():
@@ -293,7 +308,7 @@ def test_column_h_equals_memo_free_recompute():
                 tau, w, a = key
                 ker = kernel_basis(us._column_matrix(key))
                 im = image_basis(us._column_matrix((tau - 1, w, a)))
-                assert us._column_h(key).pivots == sorted(quotient_pivots(ker, im))
+                assert us._column_pivots(key) == sorted(quotient_pivots(ker, im))
                 assert us._column_kernel(key) == ker
                 assert us._column_image(key) == im
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import loophh
 
 from loophh.grading import Multidegree, md
 from loophh.models import (
@@ -254,3 +260,27 @@ def test_open_set_membership_and_containment():
     for w in inside:
         rel_w = fixed_points(P, w).bare_relation_names()
         assert base <= rel_w or rel_w == base
+
+
+# d eps + eps d is nonzero on x, y and c; x comes first in generator order
+_THREE_ANTICOMMUTE_FAILURES = """
+from loophh.algebra import FreeAlgebra, Generator
+from loophh.models import SemifreeModel
+alg = FreeAlgebra([Generator("x", 0, (), 1), Generator("y", 0, (), 1), Generator("c", 1, (), 1)], 0)
+c = alg.poly_gen("c")
+model = SemifreeModel(alg, {"x": c, "y": c}, eps_images={"c": alg.poly_gen("x")})
+try:
+    model.check_symbolic()
+except ValueError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2", "12345"])
+def test_anticommute_failure_names_the_first_generator(seed):
+    # a fresh interpreter per hash seed: set order must not pick the name
+    src = str(Path(loophh.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _THREE_ANTICOMMUTE_FAILURES],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "d eps + eps d != 0 on generator x"
