@@ -5,8 +5,8 @@ Reports are line-oriented, byte-deterministic, and cached content-addressed
 (the hash covers the comment-stripped instance, the effective truncation,
 the verb, and the engine version).
 
-Exit codes: 0 ok/PASS, 1 FAIL, 2 parse or homogeneity error, 3 backend
-mismatch, 4 INCONCLUSIVE.
+Exit codes: 0 ok/PASS, 1 FAIL or a law violation, 2 parse or homogeneity
+error, 3 backend mismatch, 4 INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .harness import (
     check_unipotent_formal_tate,
 )
 from .instancefile import ParseError, canonical_content, parse_instance
+from .linalg import NotAComplex
 from .mixed import clear_column_memo, coinvariants, s1_invariants_level, tate
 from .models import (
     loop_model,
@@ -241,6 +242,9 @@ def main(argv=None):
     except BackendMismatch as e:
         print(f"backend mismatch: {e}", file=sys.stderr)
         return EXIT_BACKEND
+    except NotAComplex as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL
 
     sys.stdout.write(report)
     if args.report:

@@ -32,6 +32,7 @@ class GradedComplex:
         self.aux_shift = aux_shift
         self._ranks: dict[Multidegree, int] = {}  # source bin -> rank of its d
         self._bases: dict[Multidegree, tuple] = {}
+        self._d2_faults: list[Multidegree] | None = None
 
     # -- bin structure -------------------------------------------------------
     def dim(self, m: Multidegree) -> int:
@@ -63,13 +64,19 @@ class GradedComplex:
             or self.d_target(m) in self.edge
         )
 
+    def d_squared_faults(self) -> list[Multidegree]:
+        """The sorted bins m with d(d(m)) != 0, computed once per complex."""
+        if self._d2_faults is None:
+            self._d2_faults = [
+                m for m in self.all_bins()
+                if not (self.diff_from(self.d_target(m)) @ self.diff_from(m)).is_zero_matrix()
+            ]
+        return self._d2_faults
+
     def check_complex(self):
         """d .. d = 0 on every non-edge bin (edge bins carry cap artifacts)."""
-        for m in self.all_bins():
-            d1 = self.diff_from(m)
-            d2 = self.diff_from(self.d_target(m))
-            comp = d2 @ d1
-            if not comp.is_zero_matrix() and not self._edge_adjacent(m):
+        for m in self.d_squared_faults():
+            if not self._edge_adjacent(m):
                 raise NotAComplex(m, "d^2 != 0")
         return True
 

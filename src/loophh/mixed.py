@@ -8,6 +8,12 @@ total differential sends (i, p) to (i+1, p) by d and to (i-1, p+1) by eps.
 Flavors differ in the p-window and in which truncation boundaries are
 genuine (quotient/sub structure of the true object) versus artifacts that
 must be edge-flagged.
+
+(d + u eps)^2 = d^2 + u (d eps + eps d) + u^2 eps^2, so once the bin laws
+hold the total differential squares to zero on every p-window (d keeps p and
+eps raises it, so a window is a subquotient).  A u-series complex checks them
+when it is built, from the d^2 record of the underlying complex and the
+mixed-law check, each computed once per complex.
 """
 
 from __future__ import annotations
@@ -29,13 +35,14 @@ from .linalg import (
 )
 from .tables import HilbertTable
 
-FLAVORS = ("invariants", "coinvariants", "tate", "oplus-tate", "prod-tate")
+FLAVORS = ("invariants", "coinvariants", "tate")
 
 
 class MixedComplex:
     def __init__(self, base: GradedComplex, eps=None):
         self.base = base
         self.eps: dict[Multidegree, SparseMatrix] = dict(eps) if eps else {}
+        self._laws_ok = False  # set once check_mixed_laws passes
 
     # -- delegation -----------------------------------------------------------
     def dim(self, m):
@@ -66,7 +73,10 @@ class MixedComplex:
 
     # -- laws ---------------------------------------------------------------------
     def check_mixed_laws(self):
-        """eps^2 = 0 and d.eps + eps.d = 0 on every bin."""
+        """eps^2 = 0 and d.eps + eps.d = 0 on every bin.  A pass is
+        remembered; a failure is not, so every later call raises again."""
+        if self._laws_ok:
+            return True
         gc = self.base
         for m in gc.all_bins():
             e1 = self.eps_from(m)
@@ -77,18 +87,8 @@ class MixedComplex:
             eps_then_d = gc.diff_from(self.eps_target(m)) @ self.eps_from(m)
             if not (d_then_eps + eps_then_d).is_zero_matrix():
                 raise NotAComplex(m, "d eps + eps d != 0")
+        self._laws_ok = True
         return True
-
-    def strictly_bounded_below(self):
-        """Certified lower cohdeg bound within the window, or None."""
-        if not self.base.bins:
-            return 0
-        return min(m.cohdeg for m in self.base.bins)
-
-    def strictly_bounded_above(self):
-        if not self.base.bins:
-            return 0
-        return max(m.cohdeg for m in self.base.bins)
 
     # Complexes truncated in cohdeg (simplicial depth) set a floor and may
     # supply a structural certifier for bins below it.
@@ -165,7 +165,11 @@ def direct_sum(a: MixedComplex, b: MixedComplex) -> MixedComplex:
 # ---------------------------------------------------------------------------
 
 class USeriesComplex:
-    """Windowed (V[[u]]-style, d + u*eps) complex of a declared flavor."""
+    """Windowed (V[[u]]-style, d + u*eps) complex of a declared flavor.
+
+    Construction raises NotAComplex unless d^2 = 0 on every bin, edge or not,
+    and the mixed laws hold.
+    """
 
     def __init__(self, mixed: MixedComplex, flavor: str, p_range: tuple):
         if flavor not in FLAVORS:
@@ -174,13 +178,13 @@ class USeriesComplex:
             not d.is_zero_matrix() for d in mixed.base.diffs.values()
         ):
             raise NotImplementedError("u-series over aux-shifting differentials")
+        faults = mixed.base.d_squared_faults()
+        if faults:
+            raise NotAComplex(faults[0], "d^2 != 0")
+        mixed.check_mixed_laws()
         self.mixed = mixed
         self.flavor = flavor
         self.p_lo, self.p_hi = p_range
-        self.boundedness = {
-            "below": mixed.strictly_bounded_below(),
-            "above": mixed.strictly_bounded_above(),
-        }
         self._columns = None
         self._pivots = {}  # column key -> sorted class pivots
         self._bases = {}
@@ -278,32 +282,15 @@ class USeriesComplex:
         # Each is harmless iff the corresponding underlying bin is certified
         # zero.  Invariants levels are honest quotients (no probes);
         # coinvariants genuinely end at p = 0 (no upper probe).
-        if self.flavor in ("tate", "oplus-tate", "prod-tate", "coinvariants"):
+        if self.flavor in ("tate", "coinvariants"):
             m_low = Multidegree(tau + 1 - 2 * self.p_lo, w, a, 0)
             if not self.mixed.certified_zero(m_low):
                 return True
-        if self.flavor in ("tate", "oplus-tate", "prod-tate"):
+        if self.flavor == "tate":
             m_high = Multidegree(tau - 2 * self.p_hi - 1, w, a, 0)
             if not self.mixed.certified_zero(m_high):
                 return True
         return False
-
-    def boundedness_flags(self):
-        """Which strict-boundedness hypotheses hold inside the window."""
-        has_edge_bins = bool(self.mixed.base.edge)
-        return {
-            "strictly_bounded_below": not has_edge_bins,
-            "strictly_bounded_above": not has_edge_bins,
-            "bound_below": self.boundedness["below"],
-            "bound_above": self.boundedness["above"],
-        }
-
-    def require_bounded(self):
-        flags = self.boundedness_flags()
-        if self.flavor == "oplus-tate" and not flags["strictly_bounded_below"]:
-            raise ValueError("comparison refused: not strictly bounded below within window")
-        if self.flavor == "prod-tate" and not flags["strictly_bounded_above"]:
-            raise ValueError("comparison refused: not strictly bounded above within window")
 
     # -- cohomology ------------------------------------------------------------
     def _key_of(self, key):
@@ -313,47 +300,32 @@ class USeriesComplex:
             ck = self._keys[key] = self._column_key(key)
         return ck
 
-    def _column(self, key, M=None):
+    def _column(self, key):
         """The shared `_Column` of column `key`: a memo miss reduces the
-        column matrix (`M` if given), a hit builds nothing."""
+        column matrix, a hit builds nothing."""
         ck = self._key_of(key)
         record = _COLUMN_MEMO.get(ck)
         if record is None:
-            if M is None:
-                M = self._column_matrix(key)
-            record = _COLUMN_MEMO[ck] = _Column(*column_leads(M))
+            record = _COLUMN_MEMO[ck] = _Column(*column_leads(self._column_matrix(key)))
         return record
 
     def _column_pivots(self, key):
         """The sorted pivot of each cohomology class of column `key`: the
-        leads of ker D not among the leads of im Dprev.
-
-        The pivots are remembered per (D, Dprev) key pair, so the (d + u eps)^2
-        check runs once per pair per memo lifetime.  A failing pair is never
-        remembered, so it raises again on every later call.  The bases are
-        not built here: see `_column_kernel` and `_column_image`.
-        """
+        leads of ker D not among the leads of im Dprev, kept per complex.
+        The bases are not built here: see `_column_kernel` and
+        `_column_image`."""
         pivots = self._pivots.get(key)
         if pivots is None:
             tau, w, a = key
-            prev = (tau - 1, w, a)
-            pair = (self._key_of(key), self._key_of(prev))
-            pivots = _PAIR_PIVOTS.get(pair)
-            if pivots is None:
-                D = self._column_matrix(key)
-                Dprev = self._column_matrix(prev)
-                if not (D @ Dprev).is_zero_matrix():
-                    raise NotAComplex(key, "(d + u eps)^2 != 0")
-                kernel = self._column(key, D).kernel_leads
-                image = self._column(prev, Dprev).image_leads
-                pivots = _PAIR_PIVOTS[pair] = [f for f in kernel if f not in image]
-            self._pivots[key] = pivots
+            image = self._column((tau - 1, w, a)).image_leads
+            pivots = self._pivots[key] = [
+                f for f in self._column(key).kernel_leads if f not in image
+            ]
         return pivots
 
     def _column_kernel(self, key):
         """Kernel basis of D out of column `key`, built on first request and
         kept on the column's record."""
-        self._column_pivots(key)
         record = self._column(key)
         if record.kernel is None:
             record.kernel = kernel_basis(self._column_matrix(key))
@@ -362,7 +334,6 @@ class USeriesComplex:
     def _column_image(self, key):
         """Image basis of Dprev into column `key`, kept on the record of the
         predecessor column like `_column_kernel`."""
-        self._column_pivots(key)
         tau, w, a = key
         prev = (tau - 1, w, a)
         record = self._column(prev)
@@ -466,20 +437,18 @@ class _Column:
 # far smaller than sets), its two bases only after `_column_kernel` or
 # `_column_image` built them.  So each column is reduced once and each basis
 # built at most once per memo lifetime, and only for a column an induced-map
-# check reads; no column matrix is kept.  `_PAIR_PIVOTS` holds the class
-# pivots of each (D, Dprev) key pair whose (d + u eps)^2 check passed, shared
-# by every complex with that pair.  `cli.run_verb` clears all three tables, so
-# one CLI call is one memo lifetime; tokens come from a counter that is never
-# reset, so a token issued before a clear never names other content after it.
+# check reads; no column matrix is kept.  No law is checked here: a u-series
+# complex checked its laws when it was built.  `cli.run_verb` clears both
+# tables, so one CLI call is one memo lifetime; tokens come from a counter that
+# is never reset, so a token issued before a clear never names other content
+# after it.
 _COLUMN_MEMO: dict[tuple, _Column] = {}
-_PAIR_PIVOTS: dict[tuple, list] = {}
 _BLOCK_TOKENS: dict[tuple, int] = {}
 _TOKEN_COUNTER = itertools.count()
 
 
 def clear_column_memo():
     _COLUMN_MEMO.clear()
-    _PAIR_PIVOTS.clear()
     _BLOCK_TOKENS.clear()
 
 
@@ -519,28 +488,12 @@ def tate(V: MixedComplex, u_window: int) -> USeriesComplex:
     return USeriesComplex(V, "tate", (-u_window, u_window))
 
 
-def oplus_tate(V: MixedComplex, u_window: int) -> USeriesComplex:
-    out = USeriesComplex(V, "oplus-tate", (-u_window, u_window))
-    out.require_bounded()
-    return out
-
-
-def prod_tate(V: MixedComplex, u_window: int) -> USeriesComplex:
-    out = USeriesComplex(V, "prod-tate", (-u_window, u_window))
-    out.require_bounded()
-    return out
-
-
-def connes_periodicity_check(V: MixedComplex, u_window: int):
-    """u-multiplication is bijective between in-window Tate cohomology bins."""
-    t = tate(V, u_window)
-    return t.u_map_bijective()
-
-
 def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
     """The u-linear extension of a chain map induces isomorphisms columnwise.
 
-    F must commute with both differentials (checked elsewhere); columns that
+    Both u-series complexes checked their laws when they were built.  F must
+    commute with d and with eps; the caller checks that, with
+    `ChainMap.verify_chain_map` and `towers._verify_eps_square`.  Columns that
     are edge on either side are skipped.  Returns (ok, failures).
     """
     if (us_src.flavor, us_src.p_lo, us_src.p_hi) != (us_tgt.flavor, us_tgt.p_lo, us_tgt.p_hi):

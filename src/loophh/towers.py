@@ -8,18 +8,18 @@ Two completion routes, chosen by the shape of the ideal:
   k[w^\pm] -> k[t]/(t^n), t = w - z, which has finite bins.  Only the top
   level N is instantiated; level n is its quotient by the labels with a
   t-exponent >= n.  Those labels span a dg-ideal (t is d- and eps-closed),
-  so the quotient maps are chain maps by construction and the tower carries
-  none.
+  so the quotient maps are chain maps by construction.
 
 * homogeneous ideals (generators of positive aux or nonzero weight degree):
   literal Koszul adjunction at complex level, one odd generator kappa^(n)
-  with d(kappa^(n)) = g^n per ideal generator; transitions multiply the
-  Koszul generator by g.  Bins stay finite because the grading shifts.
+  with d(kappa^(n)) = g^n per ideal generator.  Bins stay finite because the
+  grading shifts.  Each level checks its laws when it is built.
+
+A tower holds its levels only: no check reads a map between levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import FreeAlgebra, Polynomial
@@ -32,27 +32,12 @@ from .scalars import is_zero
 from .tables import HilbertTable
 
 
-@dataclass
-class IdealData:
-    """Ideal of the completion: a torus point or homogeneous generators."""
-
-    point: TorusPoint | None = None
-    homogeneous: tuple = ()  # Polynomials over the model algebra
-
-    @property
-    def kind(self):
-        return "point" if self.point is not None else "homogeneous"
-
-
 class Tower:
-    """Levels 1..N, with transition chain maps level n+1 -> level n for the
-    Koszul towers.  Point towers are derived from their top level and carry
-    no transitions: each level is a label quotient of the next.  The basis
-    labels of every level are exponent tuples over `gen_names`, when given."""
+    """Levels 1..N.  The basis labels of every level are exponent tuples over
+    `gen_names`, when given."""
 
-    def __init__(self, levels, transitions, gen_names=None):
+    def __init__(self, levels, gen_names=None):
         self.levels: list[MixedComplex] = list(levels)
-        self.transitions: list[ChainMap] = list(transitions)
         self.gen_names: list[str] | None = gen_names
 
     @property
@@ -61,12 +46,6 @@ class Tower:
 
     def level(self, n: int) -> MixedComplex:
         return self.levels[n - 1]
-
-    def check_transitions(self):
-        for i, F in enumerate(self.transitions):
-            F.verify_chain_map()
-            _verify_eps_square(F, self.levels[i + 1], self.levels[i])
-        return True
 
     def tate_tables(self, u_window: int) -> list[HilbertTable]:
         return [tate(lv, u_window).cohomology() for lv in self.levels]
@@ -78,7 +57,7 @@ def _verify_eps_square(F: ChainMap, src: MixedComplex, tgt: MixedComplex):
         lhs = F.block(et) @ src.eps_from(m)
         rhs = tgt.eps_from(m) @ F.block(m)
         if lhs != rhs:
-            raise NotAComplex(m, "transition does not commute with eps")
+            raise NotAComplex(m, "chain map does not commute with eps")
     return True
 
 
@@ -101,7 +80,7 @@ def point_completion_tower(
     and d and eps restricted to them.
     """
     if N < 1:
-        return Tower([], [])
+        return Tower([])
     top_model = model.at_torus_point_level(z, N, backend=backend)
     top_model.check_symbolic()
     depths = {}
@@ -111,7 +90,7 @@ def point_completion_tower(
         for n in range(1, N)
     ]
     levels.append(top)
-    return Tower(levels, [], [g.name for g in top_model.alg.gens])
+    return Tower(levels, [g.name for g in top_model.alg.gens])
 
 
 def _quotient_level(top: MixedComplex, tp, n: int, edge) -> MixedComplex:
@@ -275,17 +254,11 @@ def _wsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def homogeneous_completion_tower(
-    M: MixedComplex,
-    ops_for_level,
-    transition_ops,
-    N: int,
-) -> Tower:
+def homogeneous_completion_tower(M: MixedComplex, ops_for_level, N: int) -> Tower:
     """Koszul tower: level n adjoins kappa_j^(n) with d = g_j^n.
 
     `ops_for_level(n)` returns the list of multiplication-by-g_j^n
-    BinOperators on the base complex; `transition_ops` the list of
-    multiplication-by-g_j operators (for kappa^(n+1) -> g_j kappa^(n)).
+    BinOperators on the base complex.
     """
     levels = []
     for n in range(1, N + 1):
@@ -295,120 +268,19 @@ def homogeneous_completion_tower(
         lv.base.check_complex()
         lv.check_mixed_laws()
         levels.append(lv)
-    if len(transition_ops) != 1:
-        if N > 1:
-            raise NotImplementedError("transition maps implemented for one ideal generator")
-        return Tower(levels, [])
-    gop = transition_ops[0]
-    transitions = []
-    for n in range(1, N):
-        transitions.append(_cone_transition(levels[n], levels[n - 1], M, gop, n))
-    tower = Tower(levels, transitions)
-    tower.check_transitions()
-    return tower
-
-
-def _cone_transition(src: MixedComplex, tgt: MixedComplex, base: MixedComplex,
-                     gop: BinOperator, n: int) -> ChainMap:
-    """Identity on the base sector; kappa^(n+1) v -> kappa^(n) (g v)."""
-    blocks = {}
-    for m, ls in src.base.bins.items():
-        tls = tgt.base.labels(m)
-        tpos = {lbl: i for i, lbl in enumerate(tls)}
-        ent = {}
-        for j, (tag, lbl) in enumerate(ls):
-            if tag == "b":
-                i = tpos.get(("b", lbl))
-                if i is not None:
-                    ent[(i, j)] = Fraction(1)
-            else:
-                # v sits in base bin m - kdeg(n+1); g v in bin m - kdeg(n)
-                vsrc = _sub_kdeg(m, gop.deg, n + 1)
-                gb = gop.block(base.base, vsrc)
-                vlabels = base.base.labels(vsrc)
-                glabels = base.base.labels(vsrc.add(gop.deg))
-                jj = vlabels.index(lbl)
-                for (i2, j2), v in gb.entries.items():
-                    if j2 != jj:
-                        continue
-                    i = tpos.get(("k", glabels[i2]))
-                    if i is not None:
-                        ent[(i, j)] = ent.get((i, j), 0) + v
-        if ent:
-            blocks[m] = SparseMatrix(len(tls), len(ls), ent)
-    return ChainMap(src.base, tgt.base, blocks)
-
-
-def _sub_kdeg(m: Multidegree, gdeg: Multidegree, k: int) -> Multidegree:
-    """Subtract deg(kappa^(k)) = (-1, k*wt(g), k*aux(g), k*upow(g))."""
-    return Multidegree(
-        m.cohdeg + 1,
-        tuple(w - k * gw for w, gw in zip(m.weight, gdeg.weight)),
-        m.aux - k * gdeg.aux,
-        m.upow - k * gdeg.upow,
-    )
-
-
-def completion_tower(model: SemifreeModel, ideal: IdealData, N: int,
-                     aux_max: int, weight_filter=None, backend=None) -> Tower:
-    """Derived completion tower of a semifree model along an ideal.
-
-    Point ideals route through the coefficient reduction; homogeneous ideals
-    through Koszul cones on the instantiated complex.
-    """
-    if ideal.kind == "point":
-        return point_completion_tower(
-            model, ideal.point, N, aux_max, weight_filter=weight_filter, backend=backend
-        )
-    inv = model.instantiate(aux_max, weight_filter=weight_filter)
-    polys = list(ideal.homogeneous)
-
-    def ops_for_level(n):
-        ops = []
-        for g in polys:
-            gn = model.alg.poly_scalar(1)
-            for _ in range(n):
-                gn = gn * g
-            ops.append(multiplication_operator(model.alg, inv.base, gn))
-        return ops
-
-    transition_ops = [multiplication_operator(model.alg, inv.base, g) for g in polys]
-    return homogeneous_completion_tower(inv, ops_for_level, transition_ops, N)
-
-
-def s1_invariants_tower(V: MixedComplex, N: int):
-    """The filtered-limit levels (V[u]/u^n, d + u eps) for n = 1..N.
-
-    Transitions are the u-truncations; returned as the list of u-series
-    complexes (their tables stabilize per bin as n grows).
-    """
-    from .mixed import s1_invariants_level
-
-    return [s1_invariants_level(V, n) for n in range(1, N + 1)]
+    return Tower(levels)
 
 
 # ---------------------------------------------------------------------------
 # standard tower builders and fixtures
 # ---------------------------------------------------------------------------
 
-def identity_tower(M: MixedComplex, N: int) -> Tower:
-    """Constant tower (trivial group: the completion ideal is zero)."""
-    levels = [M] * N
-    transitions = []
-    for _ in range(N - 1):
-        blocks = {
-            m: SparseMatrix.identity(M.base.dim(m)) for m in M.base.bins
-        }
-        transitions.append(ChainMap(M.base, M.base, blocks))
-    return Tower(levels, transitions)
-
-
 def cartan_augmentation_tower(cart_model: SemifreeModel, N: int, aux_max: int) -> Tower:
     """Weight-0 Cartan model completed along the Lie-coordinate augmentation."""
     r = cart_model.alg.rank
     inv = cart_model.instantiate(aux_max, weight_filter=(0,) * r)
     if r == 0:
-        return identity_tower(inv, N)
+        return Tower([inv] * N)  # trivial group: the completion ideal is zero
     alg = cart_model.alg
 
     def ops_for_level(n):
@@ -417,11 +289,7 @@ def cartan_augmentation_tower(cart_model: SemifreeModel, N: int, aux_max: int) -
             for l in range(r)
         ]
 
-    transition_ops = [
-        multiplication_operator(alg, inv.base, alg.poly_gen(f"xi{l}", 1))
-        for l in range(r)
-    ]
-    return homogeneous_completion_tower(inv, ops_for_level, transition_ops, N)
+    return homogeneous_completion_tower(inv, ops_for_level, N)
 
 
 def torsion_laurent_module(cap: int):
@@ -464,12 +332,7 @@ def torsion_completion_tower(cap: int, N: int) -> Tower:
                 lv.base.edge.add(m)
         lv.base.check_complex()
         levels.append(lv)
-    transitions = [
-        _cone_transition(levels[n], levels[n - 1], M, op(1), n) for n in range(1, N)
-    ]
-    tower = Tower(levels, transitions)
-    tower.check_transitions()
-    return tower
+    return Tower(levels)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,6 @@ from loophh.harness import (
 from loophh.mixed import (
     bga_completed_preset,
     bga_polynomial_preset,
-    connes_periodicity_check,
-    oplus_tate,
-    prod_tate,
     random_mixed_complex,
     s1_invariants_level,
     tate,
@@ -230,14 +227,9 @@ def _law_check_mixed(V, u_window=2):
     V.base.check_complex()
     V.check_mixed_laws()
     t = tate(V, u_window)
-    t.cohomology()  # forces (d + u eps)^2 checks per column
+    t.cohomology()
     assert V.base.euler_consistent()
-    flags = t.boundedness_flags()
-    if flags["strictly_bounded_below"]:
-        assert tate(V, u_window).cohomology().values == oplus_tate(V, u_window).cohomology().values
-    if flags["strictly_bounded_above"]:
-        assert tate(V, u_window).cohomology().values == prod_tate(V, u_window).cohomology().values
-    ok, failures = connes_periodicity_check(V, u_window)
+    ok, failures = t.u_map_bijective()
     assert ok, failures
 
 

@@ -305,6 +305,20 @@ def test_console_entry_point():
     assert "unipotent-formal-tate: PASS" in proc.stdout
 
 
+def test_law_violation_exit_1_without_traceback():
+    # 05's weight-0 complex has d^2 != 0 on an edge-adjacent bin: `hh` exempts
+    # it, the u-series does not
+    path = Path(__file__).resolve().parents[1] / "instances" / "05_plane_opposite_z3.loop"
+    proc = subprocess.run(
+        [sys.executable, "-m", "loophh", "hp", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: not a complex at bin ")
+    assert proc.stdout == ""
+
+
 # sha256 of the reports, recorded before the localization checks shared one
 # session per instance; a refactor of the harness must not move a byte.
 REPORT_SHA256 = {

@@ -20,10 +20,7 @@ from loophh.mixed import (
     bga_completed_preset,
     bga_polynomial_preset,
     coinvariants,
-    connes_periodicity_check,
     direct_sum,
-    oplus_tate,
-    prod_tate,
     random_mixed_complex,
     s1_invariants_level,
     tate,
@@ -95,20 +92,6 @@ def test_tate_completed_preset_matches_away_from_edges():
     assert comp  # nonempty comparable region
 
 
-def test_tate_prod_oplus_agree_for_bounded():
-    V = bga_polynomial_preset(4)
-    t = tate(V, 3).cohomology()
-    t_plus = oplus_tate(V, 3).cohomology()
-    t_prod = prod_tate(V, 3).cohomology()
-    assert t.values == t_plus.values == t_prod.values
-
-
-def test_oplus_refused_on_uncertified():
-    V = bga_completed_preset(6, 4)  # carries edge bins
-    with pytest.raises(ValueError):
-        oplus_tate(V, 3)
-
-
 def test_coinvariants_point():
     V = point_complex()
     t = coinvariants(V, 3).cohomology()
@@ -142,9 +125,9 @@ def test_tate_spread_identity_with_differential():
 
 
 def test_periodicity_point_and_bga():
-    ok, failures = connes_periodicity_check(point_complex(), 3)
+    ok, failures = tate(point_complex(), 3).u_map_bijective()
     assert ok, failures
-    ok, failures = connes_periodicity_check(bga_polynomial_preset(5), 3)
+    ok, failures = tate(bga_polynomial_preset(5), 3).u_map_bijective()
     assert ok, failures
 
 
@@ -153,7 +136,7 @@ def test_periodicity_acyclic():
     m1 = md(1, (0,), 0)
     gc = GradedComplex({m0: ["v"], m1: ["dv"]}, {m0: SparseMatrix.from_rows([[1]])}, WIN)
     V = MixedComplex(gc, {})
-    ok, failures = connes_periodicity_check(V, 3)
+    ok, failures = tate(V, 3).u_map_bijective()
     assert ok
 
 
@@ -168,7 +151,7 @@ def test_random_mixed_complexes_laws():
         V = random_mixed_complex(seed)
         V.base.check_complex()
         V.check_mixed_laws()
-        # (d + u eps)^2 = 0 surfaces through u-series assembly
+        # the u-series checks (d + u eps)^2 = 0 when it is built
         t = tate(V, 2)
         t.cohomology()
         assert V.base.euler_consistent()
@@ -246,6 +229,52 @@ def test_not_a_complex_raises_on_every_call():
             run_verb("hp", args, text)
 
 
+def test_eps_square_fault_raises_at_construction():
+    # eps: cohdeg 2 -> 1 -> 0, both the identity, and d = 0: the only fault
+    # is eps^2 != 0 at cohdeg 2
+    m0, m1, m2 = md(0, (0,), 0), md(1, (0,), 0), md(2, (0,), 0)
+    one = SparseMatrix.from_rows([[1]])
+    V = MixedComplex(GradedComplex({m0: ["a"], m1: ["b"], m2: ["c"]}, {}, WIN), {m2: one, m1: one})
+    assert V.base.d_squared_faults() == []
+    with pytest.raises(NotAComplex) as err:
+        tate(V, 1)
+    assert err.value.bin_name == m2 and "eps^2" in str(err.value)
+
+
+def test_edge_adjacent_d_squared_fault_exempt_only_for_graded_table():
+    # d: cohdeg 0 -> 1 -> 2, both the identity, so d^2 != 0 at cohdeg 0;
+    # cohdeg 1 is edge, so that bin is edge-adjacent
+    m0, m1, m2 = md(0, (0,), 0), md(1, (0,), 0), md(2, (0,), 0)
+    one = SparseMatrix.from_rows([[1]])
+    gc = GradedComplex({m0: ["a"], m1: ["b"], m2: ["c"]}, {m0: one, m1: one}, WIN, edge={m1})
+    V = MixedComplex(gc, {})
+    assert gc.d_squared_faults() == [m0]
+    assert m0 in V.cohomology().edge
+    for build in (tate, coinvariants, s1_invariants_level):
+        with pytest.raises(NotAComplex) as err:
+            build(V, 1)
+        assert err.value.bin_name == m0 and "d^2" in str(err.value)
+
+
+def test_laws_computed_once_per_mixed_complex(monkeypatch):
+    # d^2 takes one product per bin, eps^2 one, d eps + eps d two
+    products = [0]
+
+    def counting(a, b, _fn=SparseMatrix.__matmul__):
+        products[0] += 1
+        return _fn(a, b)
+
+    V = bga_polynomial_preset(4)
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    hn = s1_invariants_level(V, 2)
+    assert products[0] == 4 * len(V.base.bins)
+    hc, hp = coinvariants(V, 2), tate(V, 2)
+    for us in (hn, hc, hp):
+        us.cohomology()
+    V.cohomology()
+    assert products[0] == 4 * len(V.base.bins)
+
+
 def _same_block_elsewhere():
     """One d-block (cohdeg 0 -> 1) beside one idle bin.  In Tate at u-window 1
     the block lands at row 0 (idle bin at cohdeg -1) or row 1 (cohdeg 3) of
@@ -268,14 +297,11 @@ def _key_check_complexes():
 
 
 def _all_flavors(V):
-    """Each of the five flavors at two windows, built directly so that the
-    direct-sum and product Tate flavors also run on the edge-carrying preset
-    (their constructors refuse it)."""
+    """Each of the three flavors at two windows."""
     for u in (1, 2):
         yield mixed.USeriesComplex(V, "invariants", (0, u))
         yield mixed.USeriesComplex(V, "coinvariants", (-u, 0))
-        for flavor in ("tate", "oplus-tate", "prod-tate"):
-            yield mixed.USeriesComplex(V, flavor, (-u, u))
+        yield mixed.USeriesComplex(V, "tate", (-u, u))
 
 
 def _columns_and_predecessors(us):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophh.grading import Multidegree, md
-from loophh.mixed import bga_completed_preset, bga_polynomial_preset, tate
+from loophh.mixed import bga_completed_preset, bga_polynomial_preset, s1_invariants_level, tate
 from loophh.models import (
     AlgebraPresentation,
     SemifreeModel,
@@ -90,7 +90,7 @@ def assert_tower_matches_per_level_build(model, z, N, aux_max, backend=None):
     label quotients between levels are chain maps commuting with eps."""
     wf = (0,) * z.rank
     tower = point_completion_tower(model, z, N, aux_max, weight_filter=wf, backend=backend)
-    assert tower.depth == N and not tower.transitions
+    assert tower.depth == N
     for n in range(1, N + 1):
         got = tower.level(n)
         want = model.at_torus_point_level(z, n, backend=backend).instantiate(
@@ -248,10 +248,8 @@ def test_cartan_tower_stabilization():
 
 def test_invariants_tower_levelwise_stabilization():
     # u-truncation towers stabilize per bin as the level grows
-    from loophh.towers import s1_invariants_tower
-
     V = bga_polynomial_preset(5)
-    tables = [us.cohomology() for us in s1_invariants_tower(V, 5)]
+    tables = [s1_invariants_level(V, n).cohomology() for n in range(1, 6)]
     for n in range(1, 5):
         lo, hi = tables[n - 1], tables[n]
         for m, v in lo.values.items():
@@ -260,24 +258,15 @@ def test_invariants_tower_levelwise_stabilization():
 
 
 def test_completion_tower_dispatcher_point():
-    from loophh.towers import IdealData, completion_tower
-
     V = laurent_line_model()
-    tower = completion_tower(
-        V, IdealData(point=TorusPoint.make([2])), 3, aux_max=1, weight_filter=(0,)
-    )
+    tower = point_completion_tower(V, TorusPoint.make([2]), 3, aux_max=1, weight_filter=(0,))
     assert tower.level(3).cohomology().dim(md(0, (0,), 0)) == 3
 
 
 def test_completion_tower_dispatcher_homogeneous():
-    from loophh.towers import IdealData, completion_tower
-
     P = AlgebraPresentation([], rank=1)
     cart = cartan_model(P, TorusData(1))
-    xi = cart.alg.poly_gen("xi0")
-    tower = completion_tower(
-        cart, IdealData(homogeneous=(xi,)), 3, aux_max=5, weight_filter=(0,)
-    )
+    tower = cartan_augmentation_tower(cart, 3, aux_max=5)
     t = tower.level(2).cohomology()
     vals = {m: v for m, v in t.values.items() if t.known(m)}
     assert vals == {md(0, (0,), 0): 1, md(0, (0,), 1): 1}
