@@ -9,15 +9,20 @@ definitions: the last face is twisted, d_n(a_0...a_n (x) w^mu) = (a_n a_0)
 monomial (validated by t^{n+1} = id on invariants), s_j inserts a unit after
 slot j, and B = (1 - lambda) s N with lambda = (-1)^n t.
 
-Each level is numbered once, in bin order, and d_i, t and s_j are stored as
-tables of target numbers (`faces[n][i]`, `t[n]`, `s[n][j]`): None where a
-product hits a relation, CAPPED where mu leaves the box |mu| <= mu_cap.  The
-simplicial identities are compositions of these tables; b = sum (-1)^i d_i is
-read off the face tables, and a B column is `apply_B` of one element,
-numbered.  b^2 = B^2 = bB + Bb = 0 are checked column by column, and skipped
-for an element when one of its own columns, or the column of a term that
-survives cancellation in its image, hit the cap.  `connes_B` pushes the same
-columns to the normalized complex.
+Elements are plain tuples (`BarElement`, a NamedTuple of monomials and mu).
+The aux degree and weight of each monomial of A are tabulated once per
+complex, and products of monomials are memoized, so numbering a level and
+applying a structure map never re-derive them.  Each level is numbered once,
+in bin order, and d_i, t and s_j are stored as tables of target numbers
+(`faces[n][i]`, `t[n]`, `s[n][j]`): None where a product hits a relation,
+CAPPED where mu leaves the box |mu| <= mu_cap.  The simplicial identities are
+compositions of these tables.  b = sum (-1)^i d_i of any combination is read
+straight off the face tables each time a check needs it (no b column is
+stored); a B column is `apply_B` of one element, numbered.  b^2 = B^2 = bB +
+Bb = 0 are checked column by column, and skipped for an element when one of
+its own columns, or the column of a term that survives cancellation in its
+image, hit the cap.  `connes_B` pushes the same columns to the normalized
+complex.
 
 Simplicial truncation at depth N is exact on low weights: the normalized
 level n only touches aux >= n (every inner slot carries aux >= 1), so a bin
@@ -26,9 +31,8 @@ of auxiliary degree a is final once N >= a; deeper bins are edge-flagged.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import GradedComplex
 from .grading import Multidegree, Window
@@ -39,8 +43,7 @@ from .models import AlgebraPresentation, TorusData
 CAPPED = "capped"  # a face or t whose group exponent leaves the mu box
 
 
-@dataclass(frozen=True, slots=True)
-class BarElement:
+class BarElement(NamedTuple):
     monos: tuple  # tuple of A-monomial exponent tuples, length n+1
     mu: tuple  # group-coordinate exponent, () when not equivariant
 
@@ -64,8 +67,18 @@ class CyclicLevels:
         if self.equivariant and T.rank != P.rank:
             raise ValueError("torus rank mismatch")
         self.gens = P.generators
+        self.unit = (0,) * len(self.gens)
         self.relation_monos = self._relation_monomials()
+        self._products = {}  # (a, b) -> mono_mul(a, b)
         self.A_basis = self._a_basis()
+        self.mono_aux = {
+            m: sum(e * g.aux for e, g in zip(m, self.gens)) for m in self.A_basis
+        }
+        self.mono_weight = {
+            m: tuple(sum(e * g.weight[k] for e, g in zip(m, self.gens))
+                     for k in range(self.rank))
+            for m in self.A_basis
+        }
         self._build_levels()
         self._build_tables()
 
@@ -98,28 +111,18 @@ class CyclicLevels:
         out.sort()
         return out
 
-    def mono_weight(self, m):
-        return tuple(
-            sum(e * g.weight[k] for e, g in zip(m, self.gens)) for k in range(self.rank)
-        )
-
     def total_weight(self, monos):
-        return tuple(map(sum, zip(*map(self.mono_weight, monos))))
-
-    def mono_aux(self, m):
-        return sum(e * g.aux for e, g in zip(m, self.gens))
+        return tuple(map(sum, zip(*map(self.mono_weight.__getitem__, monos))))
 
     def mono_mul(self, a, b):
         """Product in A: None if it hits a monomial relation."""
-        m = tuple(x + y for x, y in zip(a, b))
-        for rel in self.relation_monos:
-            if all(e >= r for e, r in zip(m, rel)):
-                return None
+        m = self._products.get((a, b), False)
+        if m is False:
+            m = tuple(x + y for x, y in zip(a, b))
+            if any(all(e >= r for e, r in zip(m, rel)) for rel in self.relation_monos):
+                m = None
+            self._products[a, b] = m
         return m
-
-    @property
-    def unit(self):
-        return (0,) * len(self.gens)
 
     # -- level bases -----------------------------------------------------------
     def _build_levels(self):
@@ -128,16 +131,16 @@ class CyclicLevels:
         self.number: list[dict[BarElement, int]] = []  # position in elements[n]
         self.mu_preserved = True
         built = []  # binned only once mu_preserved is final
-        for n in range(self.N + 1):
+        box = self._mu_box()
+        for level in self._tensor_tuples():
             elems = []
-            for monos in self._tensor_tuples(n + 1):
+            for monos in level:
                 if self.equivariant:
                     if any(self.total_weight(monos)):
                         continue
-                    if any(any(self.mono_weight(m)) for m in monos):
+                    if any(any(self.mono_weight[m]) for m in monos):
                         self.mu_preserved = False
-                    for mu in self._mu_box():
-                        elems.append(BarElement(monos, mu))
+                    elems += [BarElement(monos, mu) for mu in box]
                 else:
                     elems.append(BarElement(monos, ()))
             built.append(elems)
@@ -149,8 +152,8 @@ class CyclicLevels:
         bins: dict[Multidegree, list] = {}
         for el in elems:
             bins.setdefault(self._degree(el), []).append(el)
-        for k in bins:
-            bins[k].sort(key=lambda el: (el.monos, el.mu))
+        for ls in bins.values():
+            ls.sort()
         self.levels.append(bins)
         flat = [el for ls in bins.values() for el in ls]
         self.elements.append(flat)
@@ -188,24 +191,20 @@ class CyclicLevels:
             out.append(im)
         return out
 
-    def _tensor_tuples(self, slots):
-        out = []
-        cur = []
-
-        def rec(aux):
-            if len(cur) == slots:
-                out.append(tuple(cur))
-                return
-            for m in self.A_basis:
-                a = self.mono_aux(m)
-                if aux + a > self.aux_max:
-                    continue
-                cur.append(m)
-                rec(aux + a)
-                cur.pop()
-
-        rec(0)
-        return out
+    def _tensor_tuples(self):
+        """Per level n, the (n+1)-tuples of A-monomials of total aux <= aux_max
+        in lex order; each level extends the tuples of the level below."""
+        basis = [(m, self.mono_aux[m]) for m in self.A_basis]
+        tuples, auxes = [()], [0]
+        for _ in range(self.N + 1):
+            longer, longer_aux = [], []
+            for t, a in zip(tuples, auxes):
+                for m, b in basis:
+                    if a + b <= self.aux_max:
+                        longer.append(t + (m,))
+                        longer_aux.append(a + b)
+            tuples, auxes = longer, longer_aux
+            yield tuples
 
     def _mu_box(self):
         box = [()]
@@ -214,13 +213,12 @@ class CyclicLevels:
         return box
 
     def _degree(self, el: BarElement) -> Multidegree:
-        n = el.level
-        aux = sum(self.mono_aux(m) for m in el.monos)
+        aux = sum(map(self.mono_aux.__getitem__, el.monos))
         if self.equivariant:
             w = el.mu if self.mu_preserved else (0,) * self.rank
         else:
             w = self.total_weight(el.monos)
-        return Multidegree(-n, w, aux, 0)
+        return Multidegree(-el.level, w, aux, 0)
 
     # -- structure maps ---------------------------------------------------------
     def face(self, el: BarElement, i: int):
@@ -237,7 +235,7 @@ class CyclicLevels:
             return None
         mu = el.mu
         if self.equivariant:
-            shift = self.mono_weight(monos[n])
+            shift = self.mono_weight[monos[n]]
             mu = tuple(m + s for m, s in zip(mu, shift))
             if any(abs(x) > self.mu_cap for x in mu):
                 return CAPPED
@@ -255,7 +253,7 @@ class CyclicLevels:
         monos = el.monos
         mu = el.mu
         if self.equivariant:
-            shift = self.mono_weight(monos[n])
+            shift = self.mono_weight[monos[n]]
             mu = tuple(m + s for m, s in zip(mu, shift))
             if any(abs(x) > self.mu_cap for x in mu):
                 return CAPPED
@@ -263,48 +261,48 @@ class CyclicLevels:
 
     def apply_B(self, el: BarElement):
         """Connes boundary (1 - lambda) s N, unnormalized."""
-        n = el.level
+        sign_n = -1 if el.level % 2 else 1  # (-1)^n
         out = {}
         capped = False
-
-        def add(sign, e):
-            out[e] = out.get(e, 0) + sign
-
-        # N = sum lambda^i with lambda = (-1)^n t on C_n
-        cur = [(1, el)]
-        for i in range(n + 1):
-            for sign, e in cur:
-                s_e = self.degeneracy(e, -1)
-                add(sign, s_e)
-                lam_se = self.cyclic_t(s_e)
-                if lam_se == CAPPED:
-                    capped = True
-                else:
-                    add(-sign * ((-1) ** (n + 1)), lam_se)
-            nxt = []
-            for sign, e in cur:
-                te = self.cyclic_t(e)
-                if te == CAPPED:
-                    capped = True
-                    continue
-                nxt.append((sign * ((-1) ** n), te))
-            cur = nxt
+        # N = sum lambda^i with lambda = (-1)^n t on C_n; lambda^i el = sign * e
+        sign, e = 1, el
+        for _ in range(el.level + 1):
+            s_e = self.degeneracy(e, -1)
+            out[s_e] = out.get(s_e, 0) + sign
+            lam_se = self.cyclic_t(s_e)  # -lambda = (-1)^n t on C_{n+1}
+            if lam_se is CAPPED:
+                capped = True
+            else:
+                out[lam_se] = out.get(lam_se, 0) + sign * sign_n
+            e = self.cyclic_t(e)
+            if e is CAPPED:
+                capped = True
+                break
+            sign *= sign_n
         return [(s, e) for e, s in out.items() if s], capped
 
     def is_degenerate(self, el: BarElement) -> bool:
-        return any(m == self.unit for m in el.monos[1:])
+        return self.unit in el.monos[1:]
 
     # -- columns ---------------------------------------------------------------------
+    def _b(self, n, combo, out=None):
+        """b of a combination {number: coefficient} on level n, read off
+        faces[n] and added into `out`: (out, whether a face hit the cap)."""
+        out = {} if out is None else out
+        capped = False
+        for k, c in combo.items():
+            for d in self.faces[n]:  # d_i with sign (-1)^i
+                t = d[k]
+                if t is CAPPED:
+                    capped = True
+                elif t is not None:
+                    out[t] = out.get(t, 0) + c
+                c = -c
+        return out, capped
+
     def _b_column(self, n, e):
         """b of element e of level n: ({number: coefficient}, hit the cap)."""
-        col = {}
-        capped = False
-        for i, d in enumerate(self.faces[n]):
-            k = d[e]
-            if k == CAPPED:
-                capped = True
-            elif k is not None:
-                col[k] = col.get(k, 0) + (-1) ** i
+        col, capped = self._b(n, {e: 1})
         return {k: v for k, v in col.items() if v}, capped
 
     def _B_column(self, n, e):
@@ -346,8 +344,8 @@ class CyclicLevels:
     def check_bar_laws(self):
         """b^2 = 0, B^2 = 0, bB + Bb = 0 on the unnormalized levels.
 
-        b columns are read off the face tables when needed; B columns are
-        kept for the levels n - 1, n, n + 1 in use.
+        b is read off the face tables for each check; B columns are kept for
+        the levels n - 1, n, n + 1 in use.
         """
         B_cols = {}
         for n in range(self.N + 1):
@@ -355,22 +353,21 @@ class CyclicLevels:
             for m in range(max(n - 1, 0), min(n + 1, self.N - 1) + 1):
                 if m not in B_cols:
                     B_cols[m] = [self._B_column(m, e) for e in range(len(self.elements[m]))]
-            b_below = functools.partial(self._b_column, n - 1)
-            b_above = functools.partial(self._b_column, n + 1)
             for e, el in enumerate(self.elements[n]):
-                b1, cb = self._b_column(n, e)
-                bb, cbb = _image((b1, b_below))
-                if bb and not (cb or cbb):
+                b1, cb = self._b_column(n, e)  # empty on level 0
+                bb, cbb = self._b(n - 1, b1)
+                if any(bb.values()) and not (cb or cbb):
                     raise NotAComplex(self._degree(el), "b^2 != 0")
                 if n + 1 > self.N:
                     continue
                 B1, cB = B_cols[n][e]
                 if n + 2 <= self.N:
-                    BB, cBB = _image((B1, B_cols[n + 1].__getitem__))
-                    if BB and not (cB or cBB):
+                    BB, cBB = _image(B1, B_cols[n + 1])
+                    if any(BB.values()) and not (cB or cBB):
                         raise NotAComplex(self._degree(el), "B^2 != 0")
-                tot, ctot = _image((B1, b_above), (b1, B_cols.get(n - 1, ()).__getitem__))
-                if tot and not (cB or cb or ctot):
+                tot, cbB = self._b(n + 1, B1)
+                tot, cBb = _image(b1, B_cols.get(n - 1), tot)
+                if any(tot.values()) and not (cB or cb or cbB or cBb):
                     raise NotAComplex(self._degree(el), "bB + Bb != 0")
         return True
 
@@ -380,18 +377,17 @@ def _after(table, k):
     return table[k] if isinstance(k, int) else k
 
 
-def _image(*pairs):
-    """Sum of c * column(k) over (combo, column) pairs and the combo's terms
-    k: c, after cancellation, and whether one of those columns hit the cap."""
-    out = {}
+def _image(combo, columns, out=None):
+    """Sum of c * columns[k] over the terms k: c of combo, added into `out`,
+    and whether one of those columns hit the cap."""
+    out = {} if out is None else out
     capped = False
-    for combo, column in pairs:
-        for k, c in combo.items():
-            col, cap = column(k)
-            capped |= cap
-            for t, v in col.items():
-                out[t] = out.get(t, 0) + c * v
-    return {t: v for t, v in out.items() if v}, capped
+    for k, c in combo.items():
+        col, cap = columns[k]
+        capped |= cap
+        for t, v in col.items():
+            out[t] = out.get(t, 0) + c * v
+    return out, capped
 
 
 def cyclic_bar(P: AlgebraPresentation, N: int, aux_max: int) -> CyclicLevels:
@@ -467,7 +463,7 @@ def connes_B(L: CyclicLevels) -> MixedComplex:
     # mu-cap shield for the collapsed equivariant case
     if L.equivariant and not L.mu_preserved:
         s_real = max(
-            (abs(x) for m in L.A_basis for x in L.mono_weight(m)), default=0
+            (abs(x) for w in L.mono_weight.values() for x in w), default=0
         )
         for mdeg, basis in bins.items():
             if any(abs(x) > L.mu_cap - s_real for _, mu in basis for x in mu):

@@ -23,7 +23,6 @@ from loophh.harness import (
 from loophh.mixed import (
     bga_completed_preset,
     bga_polynomial_preset,
-    random_mixed_complex,
     s1_invariants_level,
     tate,
 )
@@ -49,6 +48,7 @@ from loophh.towers import (
     pro_graded_compare,
     torsion_completion_tower,
 )
+from mixed_fixtures import random_mixed_complex
 
 
 def verdict(n, ok, detail=""):

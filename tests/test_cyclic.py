@@ -258,6 +258,18 @@ def test_identity_checks_catch_a_wrong_cyclic_operator(monkeypatch):
         L.check_simplicial_identities()
 
 
+def test_bar_laws_catch_a_corrupt_face_entry():
+    # d_2 of x(x)x(x)x(x)x redirected to d_0's target: the element has no unit
+    # slot, so no B column and no bB + Bb check below level 3 reads it
+    L = cyclic_bar(kx(), N=4, aux_max=4)
+    assert L.check_bar_laws()
+    x = (1,)
+    e = L.number[3][BarElement((x, x, x, x), ())]
+    L.faces[3][2][e] = L.faces[3][0][e]
+    with pytest.raises(NotAComplex, match=r"b\^2 != 0"):
+        L.check_bar_laws()
+
+
 def _plane():
     return AlgebraPresentation([("x", (1,), 1), ("y", (2,), 1)], rank=1, asserted_smooth=True)
 
@@ -276,7 +288,10 @@ def _dual_numbers():
      "8666156eedaedf77551014221773b657ccdea8105ca163997a6b221ce257b9c8"),
     (lambda: equivariant_cyclic_bar(kx(), TorusData(1), N=4, aux_max=3, mu_cap=4),
      "63ef209622ca3dca4504c13fbe3da62b48d6a9df51fa6b9fba0f9de7bb64b6e2"),
-], ids=["plane N4 aux3", "k[x]/(x^2) N6 aux6", "equivariant k[x] N4 aux3 mu4"])
+    (lambda: cyclic_bar(_plane(), N=5, aux_max=4),
+     "bb331995f3160972181af7bf28c24d0d55998b74908555994a57ede650f8188c"),
+], ids=["plane N4 aux3", "k[x]/(x^2) N6 aux6", "equivariant k[x] N4 aux3 mu4",
+        "plane N5 aux4"])
 def test_oracle_tables_pinned(build, digest):
     table = connes_B(build()).cohomology().serialize()
     assert hashlib.sha256(table.encode()).hexdigest() == digest

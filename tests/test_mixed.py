@@ -20,12 +20,11 @@ from loophh.mixed import (
     bga_completed_preset,
     bga_polynomial_preset,
     coinvariants,
-    direct_sum,
-    random_mixed_complex,
     s1_invariants_level,
     tate,
 )
 from loophh.scalars import CyclotomicField
+from mixed_fixtures import direct_sum, random_mixed_complex
 
 WIN = Window((-6, 6), ((-6, 6),), (0, 6))
 
