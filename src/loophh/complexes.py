@@ -141,77 +141,6 @@ class GradedComplex:
                 return False
         return True
 
-    # -- constructions -------------------------------------------------------------
-    def tensor(self, other: "GradedComplex") -> "GradedComplex":
-        """Graded tensor product with Koszul signs.
-
-        d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy.  Requires both factors to
-        have aux_shift 0.
-        """
-        if self.aux_shift or other.aux_shift:
-            raise ValueError("tensor requires aux_shift 0 factors")
-        bins: dict[Multidegree, list] = {}
-        index: dict[Multidegree, dict] = {}
-        for m1, l1 in self.bins.items():
-            for m2, l2 in other.bins.items():
-                m = m1.add(m2)
-                tgt = bins.setdefault(m, [])
-                idx = index.setdefault(m, {})
-                for a in l1:
-                    for b in l2:
-                        idx[(m1, a, m2, b)] = len(tgt)
-                        tgt.append((a, b))
-        diffs: dict[Multidegree, dict] = {}
-
-        def _pos(m1, a, m2, b):
-            m = m1.add(m2)
-            return m, index[m].get((m1, a, m2, b))
-
-        for m1, l1 in self.bins.items():
-            d1 = self.diffs.get(m1)
-            t1 = self.d_target(m1)
-            for m2, l2 in other.bins.items():
-                d2 = other.diffs.get(m2)
-                t2 = other.d_target(m2)
-                m = m1.add(m2)
-                ent = diffs.setdefault(m, {})
-                for j1, a in enumerate(l1):
-                    for j2, b in enumerate(l2):
-                        col = index[m][(m1, a, m2, b)]
-                        if d1 is not None:
-                            for (i, j), v in d1.entries.items():
-                                if j != j1:
-                                    continue
-                                tm, row = _pos(t1, self.labels(t1)[i], m2, b)
-                                ent[(row, col)] = ent.get((row, col), 0) + v
-                        if d2 is not None:
-                            sign = -1 if (m1.cohdeg % 2) else 1
-                            for (i, j), v in d2.entries.items():
-                                if j != j2:
-                                    continue
-                                tm, row = _pos(m1, a, t2, other.labels(t2)[i])
-                                ent[(row, col)] = ent.get((row, col), 0) + sign * v
-        out_diffs = {}
-        for m, ent in diffs.items():
-            tgt = m.shift(cohdeg=1)
-            if not ent:
-                continue
-            out_diffs[m] = SparseMatrix(len(bins.get(tgt, ())), len(bins[m]), ent)
-        edge = set()
-        for m1 in self.edge:
-            for m2 in other.bins:
-                edge.add(m1.add(m2))
-        for m2 in other.edge:
-            for m1 in self.bins:
-                edge.add(m1.add(m2))
-        return GradedComplex(bins, out_diffs, self.window.combine(other.window), edge)
-
-
-def unit_complex(rank: int, window: Window) -> GradedComplex:
-    """k in multidegree zero."""
-    m = Multidegree(0, (0,) * rank, 0, 0)
-    return GradedComplex({m: ["1"]}, {}, window)
-
 
 class ChainMap:
     """Degree-zero map of graded complexes, given per-bin."""

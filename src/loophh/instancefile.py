@@ -34,6 +34,9 @@ class ParseError(Exception):
     pass
 
 
+SECTIONS = ("space", "group", "point", "truncation", "assert")
+
+
 def strip_comments(text: str) -> str:
     out = []
     for line in text.splitlines():
@@ -61,13 +64,16 @@ def parse_instance(text: str):
         if cur is None:
             raise ParseError(f"content before any section: {ln!r}")
         sections[cur].append(ln)
+    for name in sections:
+        if name not in SECTIONS:
+            raise ParseError(f"unknown section [{name}]")
 
     rank = 1
     for ln in sections.get("group", []):
         key, _, val = ln.partition(" ")
         if key != "rank":
             raise ParseError(f"unknown group field {key!r}")
-        rank = int(val)
+        rank = _int_field(key, val)
 
     gens = []
     relations_raw = []
@@ -123,7 +129,7 @@ def parse_instance(text: str):
         key, _, val = ln.partition(" ")
         if key not in known:
             raise ParseError(f"unknown truncation field {key!r}")
-        overrides[key] = int(val)
+        overrides[key] = _int_field(key, val)
 
     try:
         truncation = Truncation(**overrides)
@@ -132,19 +138,30 @@ def parse_instance(text: str):
     return P, TorusData(rank), point, truncation
 
 
-def parse_coordinate(tok: str):
-    """`q`, `q*zeta(m)^k`, `zeta(m)^k`, or `zeta(m)`."""
-    m = re.match(r"^(?:(-?\d+(?:/\d+)?)\*)?zeta\((\d+)\)(?:\^(-?\d+))?$", tok)
-    if m:
-        qs, ms, ks = m.groups()
-        q = Fraction(qs) if qs else Fraction(1)
-        mm = int(ms)
-        k = int(ks) if ks else 1
-        return (q, Fraction(k % mm, mm))
+def _int_field(key: str, val: str) -> int:
     try:
-        return (Fraction(tok), Fraction(0))
+        return int(val)
     except ValueError:
-        raise ParseError(f"bad coordinate token {tok!r}")
+        raise ParseError(f"{key}: expected an integer, got {val.strip()!r}") from None
+
+
+def parse_coordinate(tok: str):
+    """`q`, `q*zeta(m)^k`, `zeta(m)^k`, or `zeta(m)`; m >= 1, q finite."""
+    m = re.match(r"^(?:(-?\d+(?:/\d+)?)\*)?zeta\((\d+)\)(?:\^(-?\d+))?$", tok)
+    try:
+        if m:
+            qs, ms, ks = m.groups()
+            mm = int(ms)
+            if mm < 1:
+                raise ParseError(f"zeta conductor must be >= 1 in coordinate {tok!r}")
+            q = Fraction(qs) if qs else Fraction(1)
+            k = int(ks) if ks else 1
+            return (q, Fraction(k % mm, mm))
+        return (Fraction(tok), Fraction(0))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in coordinate {tok!r}") from None
+    except ValueError:
+        raise ParseError(f"bad coordinate token {tok!r}") from None
 
 
 # ---------------------------------------------------------------------------

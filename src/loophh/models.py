@@ -336,19 +336,6 @@ class SemifreeModel:
                     raise ValueError(f"d eps + eps d != 0 on generator {name}")
 
     # -- instantiation -----------------------------------------------------------
-    def laurent_shift_bound(self) -> int:
-        """Max |Laurent exponent| occurring in any d/eps image term."""
-        idxs = [self.alg.index[n] for n in self.laurent_names]
-        s = 0
-        imgs = list(self.d.images.values())
-        if self.eps is not None:
-            imgs += list(self.eps.images.values())
-        for poly in imgs:
-            for m in poly.terms:
-                for i in idxs:
-                    s = max(s, abs(m[i]))
-        return s
-
     def instantiate(self, aux_max, laurent_cap=None, weight_filter=None, edge_depths=None):
         """Enumerate bins and assemble differential/mixed matrices.
 
@@ -587,27 +574,6 @@ class SemifreeModel:
 # ---------------------------------------------------------------------------
 # model constructors
 # ---------------------------------------------------------------------------
-
-def koszul_model(P: AlgebraPresentation) -> SemifreeModel:
-    """Koszul resolution: one eta_j of cohdeg -1 per relation, d(eta_j) = f_j."""
-    gens = [Generator(g.name, 0, g.weight, g.aux) for g in P.generators]
-    for j, rel in enumerate(P.relations):
-        deg = rel.homogeneous_degree()
-        gens.append(Generator(f"eta{j}", -1, deg.weight, deg.aux))
-    alg = FreeAlgebra(gens, P.rank)
-    d_images = {f"eta{j}": lift_poly(rel, alg) for j, rel in enumerate(P.relations)}
-    return SemifreeModel(alg, d_images)
-
-
-def regularity_evidence(model: SemifreeModel, aux_max: int):
-    """Nonzero negative-degree bins of a Koszul model.
-
-    Empty for a regular sequence (within the window); nonempty output is
-    evidence against the asserted_regular_sequence flag.
-    """
-    t = model.instantiate(aux_max).cohomology()
-    return sorted(m for m, v in t.values.items() if m.cohdeg < 0 and v and t.known(m))
-
 
 def loop_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
     """Model of functions on the derived loop space, before invariants.

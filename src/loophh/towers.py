@@ -1,4 +1,4 @@
-r"""Derived completion as level towers, and Cech local cohomology.
+r"""Derived completion as level towers.
 
 Two completion routes, chosen by the shape of the ideal:
 
@@ -26,7 +26,7 @@ from .algebra import FreeAlgebra, Polynomial
 from .complexes import ChainMap, GradedComplex
 from .grading import Multidegree, Window
 from .linalg import NotAComplex, SparseMatrix
-from .mixed import MixedComplex, tate
+from .mixed import MixedComplex
 from .models import SemifreeModel, TorusPoint
 from .scalars import is_zero
 from .tables import HilbertTable
@@ -40,15 +40,8 @@ class Tower:
         self.levels: list[MixedComplex] = list(levels)
         self.gen_names: list[str] | None = gen_names
 
-    @property
-    def depth(self):
-        return len(self.levels)
-
     def level(self, n: int) -> MixedComplex:
         return self.levels[n - 1]
-
-    def tate_tables(self, u_window: int) -> list[HilbertTable]:
-        return [tate(lv, u_window).cohomology() for lv in self.levels]
 
 
 def _verify_eps_square(F: ChainMap, src: MixedComplex, tgt: MixedComplex):
@@ -254,208 +247,29 @@ def _wsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def homogeneous_completion_tower(M: MixedComplex, ops_for_level, N: int) -> Tower:
-    """Koszul tower: level n adjoins kappa_j^(n) with d = g_j^n.
-
-    `ops_for_level(n)` returns the list of multiplication-by-g_j^n
-    BinOperators on the base complex.
-    """
-    levels = []
-    for n in range(1, N + 1):
-        lv = M
-        for op in ops_for_level(n):
-            lv = koszul_cone(lv, op)
-        lv.base.check_complex()
-        lv.check_mixed_laws()
-        levels.append(lv)
-    return Tower(levels)
-
-
 # ---------------------------------------------------------------------------
-# standard tower builders and fixtures
+# standard tower builder
 # ---------------------------------------------------------------------------
 
 def cartan_augmentation_tower(cart_model: SemifreeModel, N: int, aux_max: int) -> Tower:
-    """Weight-0 Cartan model completed along the Lie-coordinate augmentation."""
+    """Weight-0 Cartan model completed along the Lie-coordinate augmentation.
+
+    Koszul tower: level n adjoins kappa_l^(n) with d(kappa_l^(n)) = xi_l^n.
+    """
     r = cart_model.alg.rank
     inv = cart_model.instantiate(aux_max, weight_filter=(0,) * r)
     if r == 0:
         return Tower([inv] * N)  # trivial group: the completion ideal is zero
     alg = cart_model.alg
-
-    def ops_for_level(n):
-        return [
-            multiplication_operator(alg, inv.base, alg.poly_gen(f"xi{l}", n))
-            for l in range(r)
-        ]
-
-    return homogeneous_completion_tower(inv, ops_for_level, N)
-
-
-def torsion_laurent_module(cap: int):
-    """The module k[x, x^{-1}]/k[x] (x of weight -1): basis x^{-a}, a = 1..cap.
-
-    Returns (module complex in degree 0, n -> multiplication-by-x^n operator).
-    Weights <= 0 vanish in the quotient, so the operators are exact; only the
-    upper weight frontier is a truncation.
-    """
-    bins = {
-        Multidegree(0, (a,), 0, 0): [f"x^-{a}"] for a in range(1, cap + 1)
-    }
-    win = Window((-2, 2), ((-cap, cap),), (0, 0))
-    gc = GradedComplex(bins, {}, win)
-    M = MixedComplex(gc, {})
-
-    def op(n):
-        deg = Multidegree(0, (-n,), 0, 0)
-        blocks = {}
-        for a in range(1, cap + 1):
-            if a - n >= 1:
-                src = Multidegree(0, (a,), 0, 0)
-                blocks[src] = SparseMatrix(1, 1, {(0, 0): Fraction(1)})
-        return BinOperator(deg, blocks)
-
-    return M, op
-
-
-def torsion_completion_tower(cap: int, N: int) -> Tower:
-    """Derived (x)-adic completion tower of k[x,x^{-1}]/k[x]."""
-    if N + 1 > cap:
-        raise ValueError("cap too small for the requested depth")
-    M, op = torsion_laurent_module(cap)
     levels = []
     for n in range(1, N + 1):
-        lv = koszul_cone(M, op(n))
-        # inflow into weights > cap - n comes from beyond the cap
-        for m in list(lv.base.bins):
-            if m.weight[0] > cap - n:
-                lv.base.edge.add(m)
+        lv = inv
+        for l in range(r):
+            lv = koszul_cone(lv, multiplication_operator(alg, inv.base, alg.poly_gen(f"xi{l}", n)))
         lv.base.check_complex()
+        lv.check_mixed_laws()
         levels.append(lv)
     return Tower(levels)
-
-
-# ---------------------------------------------------------------------------
-# Cech local cohomology
-# ---------------------------------------------------------------------------
-
-def cech_local_cohomology(
-    model: SemifreeModel,
-    invert: list[str],
-    cap: int,
-) -> GradedComplex:
-    """G^bullet (x) M via formal inversion of monomial ideal generators.
-
-    `invert` names model generators; each subset S of them contributes the
-    instantiation with those generators made Laurent (capped at `cap`),
-    placed in cohomological degree |S|, with alternating inclusion maps.
-    Output bins are graded by weight alone (aux is zeroed): the inclusions
-    do not preserve polynomial degree, only the weight.
-    """
-    from .algebra import Generator
-
-    subsets = []
-    for mask in range(1 << len(invert)):
-        subsets.append(tuple(invert[i] for i in range(len(invert)) if mask >> i & 1))
-
-    shift = model.laurent_shift_bound()
-    for poly in model.d.images.values():
-        for mono in poly.terms:
-            for e, g in zip(mono, model.alg.gens):
-                shift = max(shift, abs(e))
-
-    terms = {}
-    for S in subsets:
-        gens = []
-        for g in model.alg.gens:
-            if g.name in S or g.laurent:
-                gens.append(Generator(g.name, g.cohdeg, g.weight, 0, laurent=True))
-            elif g.odd:
-                gens.append(Generator(g.name, g.cohdeg, g.weight, 0, exp_range=(0, 1)))
-            else:
-                gens.append(Generator(g.name, g.cohdeg, g.weight, 0, exp_range=(0, cap)))
-        alg = FreeAlgebra(gens, model.alg.rank)
-        sub = SemifreeModel(
-            alg,
-            {n: _relabel(p, alg) for n, p in model.d.images.items()},
-            laurent_names=tuple(g.name for g in gens if g.laurent),
-        )
-        mc = sub.instantiate(0, laurent_cap=cap)
-        # cap shield for the truncated polynomial directions
-        capped = [i for i, g in enumerate(gens) if g.exp_range == (0, cap)]
-        for m, ls in mc.base.bins.items():
-            if any(mono[i] > cap - shift for mono in ls for i in capped):
-                mc.base.edge.add(m)
-        terms[S] = mc
-
-    bins = {}
-    edge = set()
-    offs = {}
-    for S in subsets:
-        t = terms[S]
-        for m, ls in t.base.bins.items():
-            tm = m.shift(cohdeg=len(S))
-            cur = bins.setdefault(tm, [])
-            offs[(S, m)] = len(cur)
-            cur.extend((S, l) for l in ls)
-        for m in t.base.edge:
-            edge.add(m.shift(cohdeg=len(S)))
-
-    diffs = {}
-    for S in subsets:
-        t = terms[S]
-        for m, ls in t.base.bins.items():
-            tm = m.shift(cohdeg=len(S))
-            ent = diffs.setdefault(tm, {})
-            tgt_md = tm.shift(cohdeg=1)
-            # internal differential of the term
-            d = t.base.diffs.get(m)
-            if d is not None:
-                im = t.base.d_target(m)
-                sgn = -1 if len(S) % 2 else 1
-                o_src = offs[(S, m)]
-                o_tgt = offs.get((S, im))
-                if o_tgt is not None:
-                    for (i, j), v in d.entries.items():
-                        ent[(o_tgt + i, o_src + j)] = ent.get((o_tgt + i, o_src + j), 0) + sgn * v
-            # Cech inclusions into S + {j}
-            for jname in invert:
-                if jname in S:
-                    continue
-                S2 = tuple(x for x in invert if x in S or x == jname)
-                sign = (-1) ** S2.index(jname)
-                t2 = terms[S2]
-                tpos = {lbl: i for i, lbl in enumerate(t2.base.labels(m))}
-                o_src = offs[(S, m)]
-                o2 = offs.get((S2, m))
-                if o2 is None:
-                    continue
-                for j, lbl in enumerate(ls):
-                    i = tpos.get(lbl)
-                    if i is not None:
-                        key = (o2 + i, o_src + j)
-                        ent[key] = ent.get(key, 0) + sign
-
-    out_diffs = {}
-    for m, ent in diffs.items():
-        ent = {k: v for k, v in ent.items() if not is_zero(_frac(v))}
-        if not ent:
-            continue
-        tgt = m.shift(cohdeg=1)
-        out_diffs[m] = SparseMatrix(len(bins.get(tgt, ())), len(bins[m]), {k: _frac(v) for k, v in ent.items()})
-
-    full = terms[subsets[-1]]
-    win = full.base.window
-    win = Window((win.cohdeg[0], win.cohdeg[1] + len(invert)), win.weight, win.aux)
-    return GradedComplex(bins, out_diffs, win, edge)
-
-
-def _frac(v):
-    return Fraction(v) if isinstance(v, int) else v
-
-
-def _relabel(poly: Polynomial, alg: FreeAlgebra) -> Polynomial:
-    return Polynomial(alg, dict(poly.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -479,55 +293,3 @@ def pro_graded_compare(t1: HilbertTable, t2: HilbertTable, weights) -> dict:
                     mism.append((k, t1.dim(k), t2.dim(k)))
         report[w] = {"equal": not mism, "mismatches": mism, "compared": comp}
     return report
-
-
-# ---------------------------------------------------------------------------
-# stabilization (Tate commutes with the completion limit, levelwise)
-# ---------------------------------------------------------------------------
-
-def stable_keys_for_level(M: MixedComplex, gdeg: Multidegree, keys, n: int):
-    """Keys unaffected by the level bump n -> n+1 of a Koszul tower.
-
-    A bin is stable when the kappa sector of neither level can reach it or
-    its cohdeg neighbors: the base complex certifies vanishing at the
-    corresponding shifted bins.
-    """
-    out = []
-    for key in keys:
-        ok = True
-        for dc in (-1, 0, 1):
-            probe = Multidegree(key.cohdeg + dc, key.weight, key.aux, 0)
-            for k in (n, n + 1):
-                shifted = Multidegree(
-                    probe.cohdeg + 1,
-                    tuple(w - k * gw for w, gw in zip(probe.weight, gdeg.weight)),
-                    probe.aux - k * gdeg.aux,
-                    0,
-                )
-                if shifted.aux < 0:
-                    continue
-                if not M.certified_zero(shifted):
-                    ok = False
-        if ok:
-            out.append(key)
-    return out
-
-
-def tate_stabilization_report(tower: Tower, base: MixedComplex, gdeg: Multidegree,
-                              u_window: int):
-    """Check level-n and level-(n+1) Tate tables agree on stable bins."""
-    tabs = tower.tate_tables(u_window)
-    failures = []
-    for n in range(1, tower.depth):
-        t_lo, t_hi = tabs[n - 1], tabs[n]
-        keys = set(t_lo.values) | set(t_hi.values)
-        base_keys = {Multidegree(k.cohdeg, k.weight, k.aux, 0) for k in keys}
-        stable = set(stable_keys_for_level(base, gdeg, base_keys, n))
-        for k in sorted(keys):
-            if Multidegree(k.cohdeg, k.weight, k.aux, 0) not in stable:
-                continue
-            if not (t_lo.known(k) and t_hi.known(k)):
-                continue
-            if t_lo.dim(k) != t_hi.dim(k):
-                failures.append((n, k, t_lo.dim(k), t_hi.dim(k)))
-    return (not failures, failures)

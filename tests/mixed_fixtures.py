@@ -4,6 +4,10 @@
 law-preserving blocks, joined by `direct_sum`, under a random change of
 basis; `tests/test_mixed.py` and `tests/test_acceptance.py` check the
 mixed-complex laws and the u-series functors on it.
+
+`torsion_cone_levels` builds the derived (x)-adic completion tower of the
+torsion module k[x, x^-1]/k[x] by Koszul cones; `tests/test_towers.py` and
+`tests/test_acceptance.py` read its [1]-shift off the kappa sector.
 """
 
 import random
@@ -13,6 +17,7 @@ from loophh.complexes import GradedComplex
 from loophh.grading import Multidegree, Window
 from loophh.linalg import SparseMatrix, rank as mat_rank, rref
 from loophh.mixed import MixedComplex
+from loophh.towers import BinOperator, koszul_cone
 
 
 def direct_sum(a: MixedComplex, b: MixedComplex) -> MixedComplex:
@@ -133,3 +138,27 @@ def _matrix_inverse(M: SparseMatrix) -> SparseMatrix:
             if c >= n:
                 ent[(r, c - n)] = v
     return SparseMatrix(n, n, ent)
+
+
+def torsion_cone_levels(cap: int, N: int) -> list[MixedComplex]:
+    """Levels n = 1..N: the Koszul cone on k[x, x^-1]/k[x] along x^n.
+
+    x has weight -1; the module has basis x^-a, a = 1..cap, in degree 0.
+    Weights <= 0 vanish in the quotient, so multiplication by x^n is exact;
+    only the upper weight frontier is a truncation: at level n the inflow
+    into weights > cap - n comes from beyond the cap, so those bins are edge.
+    """
+    bins = {Multidegree(0, (a,), 0, 0): [f"x^-{a}"] for a in range(1, cap + 1)}
+    M = MixedComplex(GradedComplex(bins, {}, Window((-2, 2), ((-cap, cap),), (0, 0))), {})
+    one = SparseMatrix(1, 1, {(0, 0): Fraction(1)})
+    levels = []
+    for n in range(1, N + 1):
+        x_n = BinOperator(
+            Multidegree(0, (-n,), 0, 0),
+            {Multidegree(0, (a,), 0, 0): one for a in range(n + 1, cap + 1)},
+        )
+        lv = koszul_cone(M, x_n)
+        lv.base.edge |= {m for m in lv.base.bins if m.weight[0] > cap - n}
+        lv.base.check_complex()
+        levels.append(lv)
+    return levels

@@ -134,6 +134,34 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("coord", ["zeta(0)", "1/0", "2*zeta(0)", "1/0*zeta(3)"])
+def test_degenerate_coordinate_rejected(coord, tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM.replace("z 2", f"z {coord}"))
+    code, out, err = run_cli(["localize", str(f)], capsys)
+    assert code == 2
+    assert "parse error" in err and repr(coord) in err and "PASS" not in out
+
+
+@pytest.mark.parametrize("line,bad", [("aux_max 3", "aux_max four"), ("rank 1", "rank one")])
+def test_non_integer_field_rejected(line, bad, tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM.replace(line, bad))
+    code, out, err = run_cli(["hh", str(f)], capsys)
+    assert code == 2
+    field, _, val = bad.partition(" ")
+    assert f"parse error: {field}" in err and repr(val) in err and "table" not in out
+
+
+@pytest.mark.parametrize("section,typo", [("group", "grp"), ("truncation", "truncaton")])
+def test_unknown_section_rejected(section, typo, tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM.replace(f"[{section}]", f"[{typo}]"))
+    code, out, err = run_cli(["hh", str(f)], capsys)
+    assert code == 2
+    assert f"[{typo}]" in err and "table" not in out
+
+
 def test_inhomogeneous_relation_rejected(tmp_path, capsys):
     f = tmp_path / "bad.loop"
     f.write_text(

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from loophh.cli import _weight_zero_mixed
-from loophh.complexes import ChainMap, GradedComplex, unit_complex
+from loophh.complexes import ChainMap, GradedComplex
 from loophh.instancefile import parse_instance
 from loophh.grading import Multidegree, Window, md
 from loophh.linalg import NotAComplex, SparseMatrix
@@ -50,39 +50,6 @@ def test_d_squared_violation_named():
     with pytest.raises(NotAComplex) as ei:
         C.cohomology()
     assert str(md(0, (0,), 0)) in str(ei.value)
-
-
-def test_tensor_unit():
-    C = two_term_zero()
-    U = unit_complex(1, WIN)
-    T = C.tensor(U)
-    assert T.cohomology().values == C.cohomology().values
-
-
-def test_tensor_contractible_factor_acyclic():
-    m0 = md(0, (0,), 0)
-    m1 = md(1, (0,), 0)
-    A = GradedComplex(
-        {m0: ["v"], m1: ["dv"]},
-        {m0: SparseMatrix.from_rows([[1]])},
-        WIN,
-    )
-    C = two_term_zero()
-    T = C.tensor(A)
-    assert T.cohomology().values == {}
-
-
-def test_tensor_koszul_signs_square_zero():
-    # Koszul(x) (x) Koszul(y) must again be a complex (sign check)
-    m0 = md(0, (1,), 1)
-    mm = md(-1, (1,), 1)
-    K = GradedComplex(
-        {md(0, (0,), 0): ["1"], m0: ["x"], mm: ["e"]},
-        {mm: SparseMatrix.from_rows([[1]])},
-        WIN,
-    )
-    T = K.tensor(K)
-    T.check_complex()
 
 
 def test_euler_consistency():

@@ -17,7 +17,6 @@ from loophh.models import (
     derived_fiber_model,
     fixed_points,
     identity_point,
-    koszul_model,
     localization_open_set,
     loop_model,
     point_in_open_set,
@@ -39,52 +38,6 @@ def plane(w1, w2):
         [("x", (w1,), 1), ("y", (w2,), 1)], rank=1, asserted_smooth=True,
         asserted_regular_sequence=True,
     )
-
-
-# -- koszul ------------------------------------------------------------------
-
-def test_koszul_single_relation_x():
-    P = line()
-    P.add_relation(P.ambient.poly_gen("x"))
-    model = koszul_model(P)
-    model.check_symbolic()
-    t = model.instantiate(4).cohomology()
-    assert t.values == {md(0, (0,), 0): 1}
-
-
-def test_koszul_xy_relation():
-    P = AlgebraPresentation(
-        [("x", (1,), 1), ("y", (1,), 1)], rank=1, asserted_regular_sequence=True
-    )
-    P.add_relation(P.ambient.poly_gen("x") * P.ambient.poly_gen("y"))
-    model = koszul_model(P)
-    model.check_symbolic()
-    t = model.instantiate(4).cohomology()
-    # H^0 = k[x,y]/(xy): dims 1,2,2,2,... per aux; H^{-1} = 0
-    by_aux = {}
-    for m, v in t.values.items():
-        assert m.cohdeg == 0
-        by_aux[m.aux] = by_aux.get(m.aux, 0) + v
-    assert by_aux == {0: 1, 1: 2, 2: 2, 3: 2, 4: 2}
-
-
-def test_koszul_x_squared():
-    P = line()
-    P.add_relation(P.ambient.poly_gen("x", 2))
-    model = koszul_model(P)
-    t = model.instantiate(4).cohomology()
-    dims = [sum(v for m, v in t.values.items() if m.aux == a and m.cohdeg == 0) for a in range(4)]
-    assert dims == [1, 1, 0, 0]
-    assert all(m.cohdeg == 0 for m in t.values)
-
-
-def test_koszul_non_regular_evidence():
-    # relations (x, x) are not a regular sequence: H^{-1} != 0
-    P = line()
-    P.add_relation(P.ambient.poly_gen("x"))
-    P.add_relation(P.ambient.poly_gen("x"))
-    t = koszul_model(P).instantiate(4).cohomology()
-    assert any(m.cohdeg < 0 and v for m, v in t.values.items())
 
 
 # -- loop models -----------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loophh.grading import Multidegree, md
+from loophh.grading import md
 from loophh.mixed import bga_completed_preset, bga_polynomial_preset, s1_invariants_level, tate
 from loophh.models import (
     AlgebraPresentation,
@@ -24,13 +24,10 @@ from loophh.scalars import CyclotomicField
 from loophh.towers import (
     _verify_eps_square,
     cartan_augmentation_tower,
-    cech_local_cohomology,
     point_completion_tower,
     pro_graded_compare,
-    tate_stabilization_report,
-    torsion_completion_tower,
-    torsion_laurent_module,
 )
+from mixed_fixtures import torsion_cone_levels
 
 
 def laurent_line_model():
@@ -90,7 +87,7 @@ def assert_tower_matches_per_level_build(model, z, N, aux_max, backend=None):
     label quotients between levels are chain maps commuting with eps."""
     wf = (0,) * z.rank
     tower = point_completion_tower(model, z, N, aux_max, weight_filter=wf, backend=backend)
-    assert tower.depth == N
+    assert len(tower.levels) == N
     for n in range(1, N + 1):
         got = tower.level(n)
         want = model.at_torus_point_level(z, n, backend=backend).instantiate(
@@ -166,45 +163,10 @@ def test_point_tower_rank0_levels_all_equal_top():
 
 
 def test_torsion_module_completion_shift_pattern():
-    tower = torsion_completion_tower(cap=8, N=4)
-    for n in range(1, 5):
-        t = tower.level(n).cohomology()
+    for n, level in enumerate(torsion_cone_levels(cap=8, N=4), 1):
+        t = level.cohomology()
         known = {m: v for m, v in t.values.items() if t.known(m)}
         assert known == {md(-1, (w,), 0): 1 for w in range(1 - n, 1)}
-
-
-def test_cech_k_x_supported_in_degree_one():
-    P = AlgebraPresentation([("x", (-1,), 1)], rank=1)
-    model = SemifreeModel(P.ambient, {})
-    C = cech_local_cohomology(model, ["x"], cap=6)
-    C.check_complex()
-    t = C.cohomology()
-    known = {m: v for m, v in t.values.items() if t.known(m)}
-    assert known == {md(1, (a,), 0): 1 for a in range(1, 7)}
-    assert all(m.cohdeg == 1 for m in known)
-
-
-def test_cech_laurent_module_is_zero():
-    alg = FreeAlgebra([Generator("x", 0, (-1,), 0, laurent=True)], 1)
-    model = SemifreeModel(alg, {}, laurent_names=("x",))
-    C = cech_local_cohomology(model, ["x"], cap=6)
-    t = C.cohomology()
-    known = {m: v for m, v in t.values.items() if t.known(m)}
-    assert known == {}
-
-
-def test_cech_torsion_quotient():
-    # k[x]/x: already (x)-torsion: local cohomology = k in degree 0
-    P = AlgebraPresentation([("x", (-1,), 1)], rank=1)
-    P.add_relation(P.ambient.poly_gen("x"))
-    from loophh.models import koszul_model
-
-    model = koszul_model(P)
-    C = cech_local_cohomology(model, ["x"], cap=6)
-    C.check_complex()
-    t = C.cohomology()
-    known = {m: v for m, v in t.values.items() if t.known(m)}
-    assert known == {md(0, (0,), 0): 1}
 
 
 def test_pro_graded_compare_bga_presets():
@@ -236,14 +198,14 @@ def test_cartan_tower_point_mod_gm():
 
 
 def test_cartan_tower_stabilization():
+    # Tate of k[xi]/(xi^n) with zero eps: one class per aux a < n and u-power
     P = AlgebraPresentation([], rank=1)
     cart = cartan_model(P, TorusData(1))
     tower = cartan_augmentation_tower(cart, 4, aux_max=6)
-    base = cart.instantiate(6, weight_filter=(0,))
-    ok, failures = tate_stabilization_report(
-        tower, base, Multidegree(0, (0,), 1, 0), u_window=3
-    )
-    assert ok, failures
+    for n in range(1, 5):
+        t = tate(tower.level(n), 3).cohomology()
+        known = {m: v for m, v in t.values.items() if t.known(m)}
+        assert known == {md(0, (0,), a, p): 1 for a in range(n) for p in range(-3, 4)}
 
 
 def test_invariants_tower_levelwise_stabilization():
@@ -272,14 +234,3 @@ def test_completion_tower_dispatcher_homogeneous():
     assert vals == {md(0, (0,), 0): 1, md(0, (0,), 1): 1}
 
 
-def test_regularity_evidence():
-    from loophh.models import koszul_model, regularity_evidence
-
-    P = AlgebraPresentation([("x", (1,), 1)], rank=1)
-    P.add_relation(P.ambient.poly_gen("x"))
-    P.add_relation(P.ambient.poly_gen("x"))
-    bad = regularity_evidence(koszul_model(P), 3)
-    assert bad and all(m.cohdeg < 0 for m in bad)
-    Q = AlgebraPresentation([("x", (1,), 1)], rank=1)
-    Q.add_relation(Q.ambient.poly_gen("x", 2))
-    assert regularity_evidence(koszul_model(Q), 3) == []
