@@ -10,7 +10,6 @@ generators and extended by the graded Leibniz rule with Koszul signs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add
 
 from .grading import Multidegree
@@ -114,14 +113,12 @@ class FreeAlgebra:
         return Polynomial(self, terms or {})
 
     def poly_scalar(self, c) -> "Polynomial":
-        if isinstance(c, int):
-            c = Fraction(c)
         if is_zero(c):
             return Polynomial(self, {})
         return Polynomial(self, {self.zero_exps(): c})
 
     def poly_gen(self, name, e=1) -> "Polynomial":
-        return Polynomial(self, {self.gen_monomial(name, e): Fraction(1)})
+        return Polynomial(self, {self.gen_monomial(name, e): 1})
 
 
 def _add_term(out: dict, m, c):
@@ -154,7 +151,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or not isinstance(other, Polynomial):
+        if not isinstance(other, Polynomial):
             return self.scaled(other)
         out = {}
         for m1, c1 in self.terms.items():
@@ -170,8 +167,6 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scaled(self, c):
-        if isinstance(c, int):
-            c = Fraction(c)
         if is_zero(c):
             return Polynomial(self.alg, {})
         return Polynomial(self.alg, {m: c * v for m, v in self.terms.items()})
@@ -247,8 +242,6 @@ class Derivation:
     def apply(self, poly: Polynomial) -> Polynomial:
         out = {}
         for m, c in poly.terms.items():
-            if isinstance(c, int):
-                c = Fraction(c)
             for tm, tc in self.apply_monomial(m).terms.items():
                 _add_term(out, tm, c * tc)
         return Polynomial(self.alg, out)

@@ -24,7 +24,11 @@ from .tables import HilbertTable
 
 
 class GradedComplex:
-    def __init__(self, bins, diffs, window: Window, edge=None, aux_shift: int = 0):
+    """`d2_faults`, when given, is the d^2 fault list known from how the
+    complex was built; otherwise `d_squared_faults` computes it on first use."""
+
+    def __init__(self, bins, diffs, window: Window, edge=None, aux_shift: int = 0,
+                 d2_faults=None):
         self.bins: dict[Multidegree, list] = {m: list(ls) for m, ls in bins.items() if ls}
         self.diffs: dict[Multidegree, SparseMatrix] = dict(diffs)
         self.window = window
@@ -32,7 +36,7 @@ class GradedComplex:
         self.aux_shift = aux_shift
         self._ranks: dict[Multidegree, int] = {}  # source bin -> rank of its d
         self._bases: dict[Multidegree, tuple] = {}
-        self._d2_faults: list[Multidegree] | None = None
+        self._d2_faults: list[Multidegree] | None = d2_faults
 
     # -- bin structure -------------------------------------------------------
     def dim(self, m: Multidegree) -> int:
@@ -135,8 +139,8 @@ class GradedComplex:
         for key, ms in cols.items():
             if any(m in self.edge for m in ms):
                 continue
-            chi_c = sum((-1) ** m.cohdeg * self.dim(m) for m in ms)
-            chi_h = sum((-1) ** m.cohdeg * table.dim(m) for m in ms)
+            chi_c = sum((-1 if m.cohdeg % 2 else 1) * self.dim(m) for m in ms)
+            chi_h = sum((-1 if m.cohdeg % 2 else 1) * table.dim(m) for m in ms)
             if chi_c != chi_h:
                 return False
         return True

@@ -31,7 +31,6 @@ of auxiliary degree a is final once N >= a; deeper bins are edge-flagged.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .complexes import GradedComplex
@@ -437,7 +436,7 @@ def connes_B(L: CyclicLevels) -> MixedComplex:
             for k, v in col.items():
                 if place[to][k] is not None:
                     tk, i = place[to][k]
-                    by_tgt.setdefault(tk, {})[(i, j)] = Fraction(v)
+                    by_tgt.setdefault(tk, {})[(i, j)] = v
         out = {}
         for mdeg, by_tgt in ent.items():
             if len(by_tgt) > 1:

@@ -28,6 +28,7 @@ from fractions import Fraction
 from .algebra import Polynomial
 from .harness import Truncation
 from .models import AlgebraPresentation, TorusData, TorusPoint
+from .scalars import rational
 
 
 class ParseError(Exception):
@@ -246,7 +247,7 @@ def parse_polynomial(s: str, P: AlgebraPresentation) -> Polynomial:
             return inner
         if re.fullmatch(r"\d+(/\d+)?", t):
             i += 1
-            return alg.poly_scalar(Fraction(t))
+            return alg.poly_scalar(rational(t))
         if t in alg.index:
             i += 1
             return alg.poly_gen(t)

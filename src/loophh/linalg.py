@@ -1,11 +1,13 @@
 """Sparse exact linear algebra: rank, kernel bases, lead sets.
 
 Matrices act on column vectors; an (r x c) matrix maps k^c -> k^r.  Entries
-are Fraction or CycElt scalars from a single backend, and both backends are
-fields.  All elimination goes through one `EchelonReducer`: each vector is
-reduced against the rows kept so far by its lowest nonzero index, and kept,
-scaled to pivot 1, if it reaches a new pivot.  Rank, RREF (reduce, then
-back-substitute), kernel, image and quotient rank are read off a reducer.
+are scalars from a single backend, and both backends are fields: rationals
+(an int when integral, else a Fraction) or CycElt.  A stored integral
+Fraction becomes an int, and every division goes through `exact_div`.  All
+elimination goes through one `EchelonReducer`: each vector is reduced
+against the rows kept so far by its lowest nonzero index, and kept, scaled to
+pivot 1, if it reaches a new pivot.  Rank, RREF (reduce, then back-substitute),
+kernel, image and quotient rank are read off a reducer.
 Kernel bases are echelonized and normalized so the first nonzero coordinate
 is 1, making every output canonical and reproducible.
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import BackendMismatch, common_backend, is_zero, scalar_one
+from .scalars import BackendMismatch, common_backend, exact_div, is_zero, scalar_one
 
 
 class NotAComplex(Exception):
@@ -37,8 +39,8 @@ class NotAComplex(Exception):
 
 
 def _coerce_entry(x):
-    if isinstance(x, int):
-        return Fraction(x)
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
     return x
 
 
@@ -80,7 +82,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     # -- basics ---------------------------------------------------------------
     def backend(self):
@@ -90,7 +92,7 @@ class SparseMatrix:
         return not self.entries
 
     def get(self, i, j):
-        return self.entries.get((i, j), Fraction(0))
+        return self.entries.get((i, j), 0)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
@@ -173,7 +175,7 @@ def _scaled_to_one(row, pc):
     pval = row[pc]
     if pval == 1:
         return row
-    return {c: _div(v, pval) for c, v in row.items()}
+    return {c: exact_div(v, pval) for c, v in row.items()}
 
 
 def _axpy(row, coef, other):
@@ -185,13 +187,6 @@ def _axpy(row, coef, other):
             row[c] = s
         else:
             row.pop(c, None)
-
-
-def _div(a, b):
-    # Both backends are fields, so division is always exact.
-    if isinstance(a, int):
-        a = Fraction(a)
-    return a / b
 
 
 class EchelonReducer:
@@ -284,7 +279,7 @@ def kernel_basis(M: SparseMatrix):
         lead = min(vec.keys())
         lv = vec[lead]
         if lv != 1:
-            vec = {c: _div(v, lv) for c, v in vec.items()}
+            vec = {c: exact_div(v, lv) for c, v in vec.items()}
         basis.append(vec)
     return basis
 
@@ -292,7 +287,7 @@ def kernel_basis(M: SparseMatrix):
 def _sample(M: SparseMatrix):
     for v in M.entries.values():
         return v
-    return Fraction(1)
+    return 1
 
 
 def image_basis(M: SparseMatrix):

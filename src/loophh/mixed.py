@@ -37,10 +37,10 @@ FLAVORS = ("invariants", "coinvariants", "tate")
 
 
 class MixedComplex:
-    def __init__(self, base: GradedComplex, eps=None):
+    def __init__(self, base: GradedComplex, eps=None, laws_ok=False):
         self.base = base
         self.eps: dict[Multidegree, SparseMatrix] = dict(eps) if eps else {}
-        self._laws_ok = False  # set once check_mixed_laws passes
+        self._laws_ok = laws_ok  # set once check_mixed_laws passes, or inherited
 
     # -- delegation -----------------------------------------------------------
     def dim(self, m):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .algebra import Derivation, FreeAlgebra, Generator, Polynomial, enumerate_monomials
 from .grading import Multidegree, Window
 from .linalg import SparseMatrix
-from .scalars import BackendMismatch, coerce, is_zero
+from .scalars import BackendMismatch, coerce, exact_div, is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +502,7 @@ class SemifreeModel:
             if e < 0:
                 # (z + t)^-1 = z^-1 sum (-t/z)^i
                 inv = []
-                zinv = 1 / zj if not isinstance(zj, Fraction) else Fraction(1) / zj
+                zinv = exact_div(1, zj)
                 acc = zinv
                 for i in range(n):
                     inv.append(acc)
@@ -600,7 +600,7 @@ def loop_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
         wmono = [0] * len(alg.gens)
         for l, wl in enumerate(lam):
             wmono[alg.index[wnames[l]]] = wl
-        coeff = Polynomial(alg, {tuple(wmono): Fraction(1)}) - alg.poly_scalar(1)
+        coeff = Polynomial(alg, {tuple(wmono): 1}) - alg.poly_scalar(1)
         d_images[f"eps_{g.name}"] = coeff * alg.poly_gen(g.name)
     for j, rel in enumerate(P.relations):
         d_images[f"eta{j}"] = lift_poly(rel, alg)

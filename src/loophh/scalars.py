@@ -1,10 +1,13 @@
 """Exact scalar arithmetic: rationals and cyclotomic extensions Q(zeta_m).
 
-Two backends.  The rational backend is `fractions.Fraction`.  The cyclotomic
-backend represents elements of Q(zeta_m) as polynomials of degree < phi(m)
-in a fixed primitive m-th root of unity, with Fraction coefficients reduced
-modulo the m-th cyclotomic polynomial.  All arithmetic is exact; equality is
-decided on the reduced normal form.
+Two backends.  A rational is stored as an `int` when it is integral and as a
+`fractions.Fraction` otherwise (`rational`); both are exact, and
+`Fraction(n) == n` with equal hashes, so the two forms of one value are
+interchangeable as keys.  `int / int` is a float, so every division goes
+through `exact_div`.  The cyclotomic backend represents elements of Q(zeta_m)
+as polynomials of degree < phi(m) in a fixed primitive m-th root of unity,
+with rational coefficients reduced modulo the m-th cyclotomic polynomial.
+All arithmetic is exact; equality is decided on the reduced normal form.
 
 The conductor m is fixed per field object; elements of distinct conductors
 never mix (BackendMismatch), mirroring the session-level conductor contract.
@@ -20,16 +23,34 @@ class BackendMismatch(Exception):
     """Raised when scalars from incompatible backends meet."""
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
+def rational(x):
+    """The rational x as an int when it is integral, otherwise as a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_div(a, b):
+    """a / b, exactly: an int when both are ints and b divides a, a Fraction
+    for other ints, and field division when either is a CycElt."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def _poly_trim(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -39,12 +60,12 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _poly_trim(out)
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
+def _poly_divmod(a: list, b: list):
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
+    q = [0] * max(0, len(a) - len(b) + 1)
+    lead = b[-1]  # 1 for every cyclotomic modulus
     while len(a) >= len(b):
-        coef = a[-1] * inv
+        coef = a[-1] if lead == 1 else exact_div(a[-1], lead)
         deg = len(a) - len(b)
         q[deg] = coef
         for i, y in enumerate(b):
@@ -56,14 +77,14 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the m-th cyclotomic polynomial.
 
     Computed by exact division: x^m - 1 = prod_{d | m} Phi_d(x).
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
             q, r = _poly_divmod(num, list(cyclotomic_polynomial(d)))
@@ -74,7 +95,7 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _inverse_coeffs(conductor: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _inverse_coeffs(conductor: int, coeffs: tuple) -> tuple:
     """Reduced coefficients of the inverse of a nonzero element of Q(zeta_m).
 
     Keyed on the conductor, not on a field object: equal fields are often
@@ -83,13 +104,13 @@ def _inverse_coeffs(conductor: int, coeffs: tuple[Fraction, ...]) -> tuple[Fract
     modulus = list(cyclotomic_polynomial(conductor))
     # xgcd(a, modulus) with gcd a nonzero constant.
     r0, r1 = modulus, list(coeffs)
-    s0, s1 = [], [Fraction(1)]
+    s0, s1 = [], [1]
     while r1:
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _poly_trim(
             [
-                (s0[i] if i < len(s0) else Fraction(0))
+                (s0[i] if i < len(s0) else 0)
                 - sum(
                     q[j] * s1[i - j]
                     for j in range(len(q))
@@ -100,7 +121,7 @@ def _inverse_coeffs(conductor: int, coeffs: tuple[Fraction, ...]) -> tuple[Fract
         )
     if len(r0) != 1:
         raise AssertionError("modulus not coprime to element")
-    inv_consts = 1 / r0[0]
+    inv_consts = exact_div(1, r0[0])
     return CyclotomicField(conductor).element([c * inv_consts for c in s0]).coeffs
 
 
@@ -124,7 +145,7 @@ class CyclotomicField:
         return hash(("CyclotomicField", self.conductor))
 
     def element(self, coeffs) -> "CycElt":
-        c = [Fraction(x) for x in coeffs]
+        c = [rational(x) for x in coeffs]
         if len(c) >= len(self.modulus):
             _, c = _poly_divmod(c, self.modulus)
         return CycElt(self, tuple(_poly_trim(list(c))))
@@ -133,14 +154,14 @@ class CyclotomicField:
         return CycElt(self, ())
 
     def one(self) -> "CycElt":
-        return CycElt(self, (Fraction(1),))
+        return CycElt(self, (1,))
 
     def zeta(self, power: int = 1) -> "CycElt":
         power %= self.conductor
-        return self.element([Fraction(0)] * power + [Fraction(1)])
+        return self.element([0] * power + [1])
 
     def from_rational(self, q) -> "CycElt":
-        q = Fraction(q)
+        q = rational(q)
         return CycElt(self, (q,) if q else ())
 
 
@@ -149,7 +170,7 @@ class CycElt:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: CyclotomicField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: CyclotomicField, coeffs: tuple):
         self.field = field
         self.coeffs = coeffs
 
@@ -171,7 +192,7 @@ class CycElt:
         if o is NotImplemented:
             return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
-        c = [Fraction(0)] * n
+        c = [0] * n
         for i, x in enumerate(self.coeffs):
             c[i] += x
         for i, x in enumerate(o.coeffs):
@@ -199,7 +220,7 @@ class CycElt:
         prod = _poly_mul(list(self.coeffs), list(o.coeffs))
         if len(prod) >= len(self.field.modulus):
             _, prod = _poly_divmod(prod, self.field.modulus)
-        return CycElt(self.field, tuple(_poly_trim(prod)))
+        return CycElt(self.field, tuple(map(rational, _poly_trim(prod))))
 
     __rmul__ = __mul__
 
@@ -259,7 +280,7 @@ class CycElt:
 def scalar_one(sample):
     if isinstance(sample, CycElt):
         return sample.field.one()
-    return Fraction(1)
+    return 1
 
 
 def is_zero(x) -> bool:
@@ -302,7 +323,7 @@ def coerce(x, field):
     if field is None:
         if isinstance(x, CycElt):
             raise BackendMismatch("cyclotomic scalar in a rational session")
-        return Fraction(x)
+        return rational(x)
     if isinstance(x, CycElt):
         if x.field != field:
             raise BackendMismatch(

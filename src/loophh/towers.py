@@ -8,7 +8,8 @@ Two completion routes, chosen by the shape of the ideal:
   k[w^\pm] -> k[t]/(t^n), t = w - z, which has finite bins.  Only the top
   level N is instantiated; level n is its quotient by the labels with a
   t-exponent >= n.  Those labels span a dg-ideal (t is d- and eps-closed),
-  so the quotient maps are chain maps by construction.
+  so the quotient maps are chain maps by construction, and each level
+  inherits d^2 = 0 and the mixed laws when the top level has them.
 
 * homogeneous ideals (generators of positive aux or nonzero weight degree):
   literal Koszul adjunction at complex level, one odd generator kappa^(n)
@@ -19,8 +20,6 @@ A tower holds its levels only: no check reads a map between levels.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .algebra import FreeAlgebra, Polynomial
 from .complexes import ChainMap, GradedComplex
@@ -78,17 +77,25 @@ def point_completion_tower(
     top_model.check_symbolic()
     depths = {}
     top = top_model.instantiate(aux_max, weight_filter=weight_filter, edge_depths=depths)
+    d2_ok = not top.base.d_squared_faults()
+    try:
+        laws_ok = top.check_mixed_laws()
+    except NotAComplex:
+        laws_ok = False  # inherit a pass only: each level then checks itself
     levels = [
-        _quotient_level(top, top_model.t_index, n, {m for m, v in depths.items() if v < n})
+        _quotient_level(top, top_model.t_index, n, {m for m, v in depths.items() if v < n},
+                        d2_ok, laws_ok)
         for n in range(1, N)
     ]
     levels.append(top)
     return Tower(levels, [g.name for g in top_model.alg.gens])
 
 
-def _quotient_level(top: MixedComplex, tp, n: int, edge) -> MixedComplex:
+def _quotient_level(top: MixedComplex, tp, n: int, edge, d2_ok, laws_ok) -> MixedComplex:
     """`top` modulo the labels with a t-exponent >= n (t at generator
-    position tp; None keeps every label)."""
+    position tp; None keeps every label).  The quotient of a complex by a
+    dg-ideal has d^2 = 0 and the mixed laws when `d2_ok` and `laws_ok` say
+    the top level has them."""
     keep = {}
     for m, labels in top.base.bins.items():
         keep[m] = {j: i for i, j in enumerate(
@@ -110,8 +117,8 @@ def _quotient_level(top: MixedComplex, tp, n: int, edge) -> MixedComplex:
     base = top.base
     bins = {m: [base.bins[m][j] for j in idx] for m, idx in keep.items()}
     gc = GradedComplex(bins, restrict(base.diffs, base.d_target), base.window, edge,
-                       aux_shift=base.aux_shift)
-    return MixedComplex(gc, restrict(top.eps, top.eps_target))
+                       aux_shift=base.aux_shift, d2_faults=[] if d2_ok else None)
+    return MixedComplex(gc, restrict(top.eps, top.eps_target), laws_ok=laws_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +157,7 @@ def multiplication_operator(alg: FreeAlgebra, C: GradedComplex, poly: Polynomial
         tp = pos.get(tgt, {})
         ent = {}
         for j, mono in enumerate(labels):
-            prod = Polynomial(alg, {mono: Fraction(1)}) * poly
+            prod = Polynomial(alg, {mono: 1}) * poly
             for tm, c in prod.terms.items():
                 i = tp.get(tm)
                 if i is None:

@@ -6,16 +6,13 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 import time
 from fractions import Fraction
 
-import pytest
-
 from loophh.cyclic import connes_B, cyclic_bar, equivariant_cyclic_bar
-from loophh.grading import Multidegree, md
+from loophh.grading import md
 from loophh.harness import (
     PASS,
     LocalizationInstance,
     Truncation,
     check_derived_fixed_fiber,
-    check_hc_variants,
     check_hh_localization,
     check_hp_completion,
     check_unipotent_formal_tate,
@@ -23,7 +20,6 @@ from loophh.harness import (
 from loophh.mixed import (
     bga_completed_preset,
     bga_polynomial_preset,
-    s1_invariants_level,
     tate,
 )
 from loophh.models import (

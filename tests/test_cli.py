@@ -3,12 +3,15 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from loophh.cli import build_parser, main, run_verb
+from loophh.linalg import EchelonReducer, SparseMatrix
 from loophh.models import SemifreeModel
+from loophh.scalars import CycElt
 
 LINE_GM = """\
 # the scaling line modulo the rank-1 torus
@@ -417,3 +420,51 @@ def test_localize_builds_each_tower_once(monkeypatch):
     # instantiates its base once
     assert calls == {"point_completion_tower": 2, "cartan_augmentation_tower": 1,
                      "at_torus_point_level": 2, "instantiate": 3}
+
+
+def _exact_scalar(v):
+    """A non-bool int, a Fraction, or a CycElt with such coefficients."""
+    if type(v) is CycElt:
+        return all(type(c) is int or type(c) is Fraction for c in v.coeffs)
+    return type(v) is int or type(v) is Fraction
+
+
+@pytest.mark.parametrize("name, point", [
+    ("01_line_gm_z2", None), ("03_plane_12_z3", None), ("03_plane_12_z3", "zeta(3)"),
+])
+def test_verbs_store_no_float(monkeypatch, name, point):
+    text = _shipped(name)
+    if point:  # 03 at a primitive cube root of unity: scalars in Q(zeta_3)
+        text = text.replace("\nz 3\n", f"\nz {point}\n")
+    seen = Counter()
+
+    def guard(kind, values):
+        values = list(values)
+        assert all(map(_exact_scalar, values)), (kind, [v for v in values if not _exact_scalar(v)])
+        seen[kind] += len(values)
+
+    matrix_init, add, cyc_init = SparseMatrix.__init__, EchelonReducer.add, CycElt.__init__
+
+    def checked_matrix_init(self, *args, **kwargs):
+        matrix_init(self, *args, **kwargs)
+        guard("matrix", self.entries.values())
+
+    def checked_add(self, vec):
+        pivot = add(self, vec)
+        if pivot is not None:
+            guard("row", self.rows[pivot].values())
+        return pivot
+
+    def checked_cyc_init(self, field, coeffs):
+        cyc_init(self, field, coeffs)
+        guard("cyc", [self])
+
+    monkeypatch.setattr(SparseMatrix, "__init__", checked_matrix_init)
+    monkeypatch.setattr(EchelonReducer, "add", checked_add)
+    monkeypatch.setattr(CycElt, "__init__", checked_cyc_init)
+    for verb in ("localize", "hp", "fixed-fiber"):
+        args = build_parser().parse_args(
+            [verb, name, "--aux-max", "1", "--tower-levels", "2", "--u-window", "1"])
+        run_verb(verb, args, text)
+    assert seen["matrix"] and seen["row"]
+    assert bool(seen["cyc"]) == bool(point)

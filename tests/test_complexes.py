@@ -1,4 +1,3 @@
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from loophh.cli import _weight_zero_mixed
 from loophh.complexes import ChainMap, GradedComplex
 from loophh.instancefile import parse_instance
-from loophh.grading import Multidegree, Window, md
+from loophh.grading import Window, md
 from loophh.linalg import NotAComplex, SparseMatrix
 from loophh.tables import HilbertTable
 

@@ -1,5 +1,4 @@
 import dataclasses
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,7 @@ from loophh.harness import (
     check_hp_completion,
     check_unipotent_formal_tate,
 )
-from loophh.models import AlgebraPresentation, TorusData, TorusPoint, identity_point
+from loophh.models import AlgebraPresentation, TorusData, TorusPoint
 
 
 def line_instance(z, **tr):

@@ -19,7 +19,7 @@ from loophh.linalg import (
     rank_of_vectors,
     rref,
 )
-from loophh.scalars import BackendMismatch, CyclotomicField
+from loophh.scalars import BackendMismatch, CyclotomicField, exact_div
 
 
 def test_rank_trivial_examples():
@@ -277,3 +277,42 @@ def test_lead_set_difference_equals_quotient_pivots(data):
     assert (M @ N).is_zero_matrix()
     expected = sorted(quotient_pivots(ker, image_basis(N)))
     assert sorted(set(column_leads(M)[0]) - set(column_leads(N)[1])) == expected
+
+
+def _exact(values):
+    return all(type(v) is int or type(v) is Fraction for v in values)
+
+
+def _undo_row_scale(vec, r):
+    """An image vector of the matrix with row r scaled by 1/3, with
+    coordinate r scaled back and the lead coordinate renormalised to 1."""
+    vec = {i: v * 3 if i == r else v for i, v in vec.items()}
+    lead = vec[min(vec)]
+    return {i: exact_div(v, lead) for i, v in vec.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_int_and_fraction_entries_give_the_same_linear_algebra(data):
+    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    rows = [[data.draw(st.integers(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
+    r = data.draw(st.integers(0, nrows - 1))
+    k = data.draw(st.integers(0, nrows))
+    forms = [
+        rows,
+        [[Fraction(v) for v in row] for row in rows],
+        [[Fraction(v, 3) if i == r else v for v in row] for i, row in enumerate(rows)],
+    ]
+    results = []
+    for form in forms:
+        M = SparseMatrix.from_rows(form)
+        vectors = [{j: v for j, v in enumerate(row) if v} for row in form]
+        kernel, image = kernel_basis(M), image_basis(M)
+        assert all(_exact(v.values()) for v in kernel + image)
+        results.append((rank(M), column_leads(M), quotient_pivots(vectors[:k], vectors[k:]),
+                        kernel, image))
+    assert results[1] == results[0]
+    # scaling a row keeps the rank, both lead sets, the row spans and the
+    # kernel; the image is the old one with coordinate r scaled
+    assert results[2][:4] == results[0][:4]
+    assert [_undo_row_scale(v, r) for v in results[2][4]] == results[0][4]

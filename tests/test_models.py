@@ -8,7 +8,7 @@ import pytest
 
 import loophh
 
-from loophh.grading import Multidegree, md
+from loophh.grading import md
 from loophh.models import (
     AlgebraPresentation,
     TorusData,

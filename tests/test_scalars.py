@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,8 @@ from loophh.scalars import (
     _inverse_coeffs,
     common_backend,
     cyclotomic_polynomial,
+    exact_div,
+    rational,
 )
 
 
@@ -130,3 +134,47 @@ def test_inverse_memo_keeps_conductors_apart():
         assert x4.inverse() == F4.element([Fraction(1, 2), Fraction(-1, 2)])
         assert x3 * x3.inverse() == F3.one()
         assert x4 * x4.inverse() == F4.one()
+
+
+def test_exact_div_keeps_ints_and_fractions_exact():
+    q = exact_div(4, 2)
+    assert q == 2 and type(q) is int
+    assert exact_div(1, 3) == Fraction(1, 3)
+    assert exact_div(-6, 4) == Fraction(-3, 2)
+    assert exact_div(Fraction(2, 3), 2) == Fraction(1, 3)
+    z = CyclotomicField(3).zeta()
+    assert exact_div(1, z) == z.inverse()
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
+
+
+def test_rational_is_an_int_when_integral():
+    for x, want in ((3, 3), (Fraction(6, 3), 2), ("4/2", 2), (True, 1)):
+        assert type(rational(x)) is int and rational(x) == want
+    assert rational(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_cyclotomic_inverse_coefficients_are_exact():
+    x = CyclotomicField(3).element([1, 1])
+    inv = x.inverse()
+    assert all(type(c) is int or type(c) is Fraction for c in inv.coeffs)
+    assert x * inv == 1
+    y = CyclotomicField(4).element([1, 1]).inverse()  # (1 - i) / 2
+    assert y.coeffs == (Fraction(1, 2), Fraction(-1, 2))
+    assert all(type(c) is int for c in (x * inv).coeffs)
+
+
+def _true_divisions(node):
+    return [n for n in ast.walk(node)
+            if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)]
+
+
+def test_the_only_true_division_is_exact_div():
+    # int / int is a float, so every scalar division goes through exact_div
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in (Path(__file__).resolve().parents[1] / "src" / "loophh").glob("*.py")}
+    counts = {name: len(_true_divisions(tree)) for name, tree in trees.items()}
+    assert {name: c for name, c in counts.items() if c} == {"scalars": 1}
+    [exact] = [n for n in ast.walk(trees["scalars"])
+               if isinstance(n, ast.FunctionDef) and n.name == "exact_div"]
+    assert len(_true_divisions(exact)) == 1

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophh.grading import md
-from loophh.mixed import bga_completed_preset, bga_polynomial_preset, s1_invariants_level, tate
+from loophh.mixed import (
+    MixedComplex,
+    bga_completed_preset,
+    bga_polynomial_preset,
+    s1_invariants_level,
+    tate,
+)
 from loophh.models import (
     AlgebraPresentation,
     SemifreeModel,
@@ -17,7 +23,7 @@ from loophh.models import (
     reduce_linear_relations,
 )
 from loophh.algebra import FreeAlgebra, Generator
-from loophh.complexes import ChainMap
+from loophh.complexes import ChainMap, GradedComplex
 from loophh.instancefile import parse_instance
 from loophh.linalg import SparseMatrix
 from loophh.scalars import CyclotomicField
@@ -117,6 +123,26 @@ def test_point_tower_levels_equal_per_level_build(path, aux_max):
     backend = CyclotomicField(z.conductor()) if z.conductor() > 1 else None
     for side in (P, reduce_linear_relations(fixed_points(P, z))):
         assert_tower_matches_per_level_build(loop_model(side, T), z, 5, aux_max, backend)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_point_tower_levels_inherit_the_top_law_record(path):
+    P, T, z, tr = parse_instance(path.read_text())
+    backend = CyclotomicField(z.conductor()) if z.conductor() > 1 else None
+    for side in (P, reduce_linear_relations(fixed_points(P, z))):
+        tower = point_completion_tower(loop_model(side, T), z, tr.tower_levels, tr.aux_max,
+                                       weight_filter=(0,) * z.rank, backend=backend)
+        for level in tower.levels[:-1]:
+            # every shipped top level has d^2 = 0 and the mixed laws, so each
+            # level starts with both records, before any check has run
+            gc = level.base
+            assert gc._d2_faults == [] and level._laws_ok
+            copy = MixedComplex(
+                GradedComplex(gc.bins, gc.diffs, gc.window, gc.edge, aux_shift=gc.aux_shift),
+                level.eps,
+            )
+            assert copy.base.d_squared_faults() == []
+            assert copy.check_mixed_laws()
 
 
 @settings(max_examples=25, deadline=None)
