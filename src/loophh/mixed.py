@@ -19,6 +19,7 @@ mixed-law check, each computed once per complex.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 
 from .complexes import GradedComplex
 from .grading import Multidegree
@@ -41,21 +42,7 @@ class MixedComplex:
         self.base = base
         self.eps: dict[Multidegree, SparseMatrix] = dict(eps) if eps else {}
         self._laws_ok = laws_ok  # set once check_mixed_laws passes, or inherited
-
-    # -- delegation -----------------------------------------------------------
-    def dim(self, m):
-        return self.base.dim(m)
-
-    def all_bins(self):
-        return self.base.all_bins()
-
-    @property
-    def window(self):
-        return self.base.window
-
-    @property
-    def edge(self):
-        return self.base.edge
+        self._strips = None  # see strips()
 
     def eps_target(self, m: Multidegree) -> Multidegree:
         return m.shift(cohdeg=-1)
@@ -93,25 +80,21 @@ class MixedComplex:
     cohdeg_floor = None
     zero_certifier = None
 
-    def certified_zero(self, m: Multidegree) -> bool:
-        """The bin is known to vanish (complete enumeration, not edge)."""
-        if self.base.dim(m):
-            return False
-        if m in self.base.edge:
-            return False
-        win = self.base.window
-        if len(m.weight) != len(win.weight):
-            return False
-        for w, (lo, hi) in zip(m.weight, win.weight):
-            if not (lo <= w <= hi):
-                return False
-        if not (win.aux[0] <= m.aux <= win.aux[1]):
-            return False
-        # cohdeg is complete by construction of instantiations unless a
-        # depth floor was declared.
-        if self.cohdeg_floor is not None and m.cohdeg < self.cohdeg_floor:
-            return bool(self.zero_certifier and self.zero_certifier(m))
-        return True
+    def strips(self):
+        """The u-series strip index, (weight, aux) -> `_Strip`: each strip with
+        a bin or an edge degree, built on first u-series use (laws checked, any
+        cohdeg floor declared), and the empty ones `USeriesComplex._shapes` adds."""
+        if self._strips is None:
+            dims, edge = {}, {}
+            for m, labels in self.base.bins.items():
+                dims.setdefault((m.weight, m.aux), {})[m.cohdeg] = len(labels)
+            for m in self.base.edge:
+                edge.setdefault((m.weight, m.aux), set()).add(m.cohdeg)
+            self._strips = {
+                (w, a): _Strip(self, w, a, dims.get((w, a), {}), edge.get((w, a), frozenset()))
+                for w, a in sorted(dims.keys() | edge.keys())
+            }
+        return self._strips
 
     # -- induced mixed map on cohomology ---------------------------------------
     def eps_induced_rank(self, m: Multidegree) -> int:
@@ -132,7 +115,10 @@ class USeriesComplex:
     """Windowed (V[[u]]-style, d + u*eps) complex of a declared flavor.
 
     Construction raises NotAComplex unless d^2 = 0 on every bin, edge or not,
-    and the mixed laws hold.
+    and the mixed laws hold.  A u-series complex keeps only the shape of each
+    column; what a shape determines (its reduction, its classes) is kept on
+    the strips of the mixed complex (`_Strip`), so every flavor and window
+    over one mixed complex shares it.
     """
 
     def __init__(self, mixed: MixedComplex, flavor: str, p_range: tuple):
@@ -150,190 +136,78 @@ class USeriesComplex:
         self.flavor = flavor
         self.p_lo, self.p_hi = p_range
         self._columns = None
-        self._pivots = {}  # column key -> sorted class pivots
-        self._bases = {}
-        self._keys = {}  # column key -> _column_key(column key)
-        self._tokens = None  # (d tokens, eps tokens) by bin, built on first use
 
     # -- cells ---------------------------------------------------------------
     def columns(self):
-        """Group cells into total columns keyed (tau, weight, aux)."""
-        if self._columns is not None:
-            return self._columns
-        cols: dict[tuple, list] = {}
-        for m in self.mixed.base.bins:
-            for p in range(self.p_lo, self.p_hi + 1):
-                tau = m.cohdeg + 2 * p
-                cols.setdefault((tau, m.weight, m.aux), []).append((m, p))
-        for key in cols:
-            cols[key].sort(key=lambda mp: (mp[1], mp[0]))
-        self._columns = cols
-        return cols
+        """Total columns keyed (tau, weight, aux), sorted, each -> `_shapes`."""
+        if self._columns is None:
+            lo, hi = self.p_lo, self.p_hi
+            cols = {}
+            for (w, a), strip in self.mixed.strips().items():
+                if strip.dims:
+                    taus = range(min(strip.dims) + 2 * lo - 1, max(strip.dims) + 2 * hi + 2)
+                    shape = {tau: strip.shape(tau, lo, hi) for tau in taus}
+                    for tau in taus[1:-1]:
+                        if shape[tau] is not None:
+                            cols[(tau, w, a)] = (strip, shape[tau - 1], shape[tau], shape[tau + 1])
+            self._columns = dict(sorted(cols.items()))
+        return self._columns
 
-    def _column_basis(self, key):
-        """(cells, offset of each cell, total dimension) of column key."""
-        basis = self._bases.get(key)
-        if basis is None:
-            cells = self.columns().get(key, [])
-            offset = {}
-            total = 0
-            for (m, p) in cells:
-                offset[(m, p)] = total
-                total += self.mixed.base.dim(m)
-            basis = self._bases[key] = (cells, offset, total)
-        return basis
-
-    def _placements(self, key, d_blocks, eps_blocks):
-        """(row offset, col offset, block) of each d- and eps-block of the
-        total differential out of column key into key + e_tau.
-
-        The block maps are keyed by bin: the complex's matrices, or their
-        tokens.  Both `_column_matrix` and `_column_key` place through here.
-        """
+    def _shapes(self, key):
+        """(strip, prv, src, nxt): the strip of column key and the shapes of
+        columns tau - 1, tau and tau + 1 on it."""
+        shapes = self.columns().get(key)
+        if shapes is not None:
+            return shapes
         tau, w, a = key
-        cells, offset, _ = self._column_basis(key)
-        _, toffset, _ = self._column_basis((tau + 1, w, a))
-        base = self.mixed.base
-        for (m, p) in cells:
-            off = offset[(m, p)]
-            d = d_blocks.get(m)
-            if d is not None:
-                to = toffset.get((base.d_target(m), p))
-                if to is not None:
-                    yield to, off, d
-            e = eps_blocks.get(m)
-            if e is not None and p + 1 <= self.p_hi:
-                to = toffset.get((m.shift(cohdeg=-1), p + 1))
-                if to is not None:
-                    yield to, off, e
+        strips, lo, hi = self.mixed.strips(), self.p_lo, self.p_hi
+        strip = strips.get((w, a))
+        if strip is None:  # a key of another complex: no bin, no edge degree
+            strip = strips[(w, a)] = _Strip(self.mixed, w, a, {}, frozenset())
+        return strip, strip.shape(tau - 1, lo, hi), None, strip.shape(tau + 1, lo, hi)
 
     def _column_matrix(self, key):
         """Total differential out of column key into key + e_tau."""
-        tau, w, a = key
-        _, _, total = self._column_basis(key)
-        _, _, ttotal = self._column_basis((tau + 1, w, a))
-        ent = {}
-        for to, off, block in self._placements(key, self.mixed.base.diffs, self.mixed.eps):
-            for (i, j), v in block.entries.items():
-                ent[(to + i, off + j)] = v
-        return SparseMatrix(ttotal, total, ent)
+        strip, _, src, nxt = self._shapes(key)
+        return strip.matrix(src, nxt)
 
     def _column_key(self, key):
-        """Shape and token placements of `_column_matrix(key)`: equal keys,
-        equal matrices."""
-        if self._tokens is None:
-            self._tokens = (
-                {m: _block_token(d) for m, d in self.mixed.base.diffs.items()},
-                {m: _block_token(e) for m, e in self.mixed.eps.items()},
-            )
-        tau, w, a = key
-        _, _, total = self._column_basis(key)
-        _, _, ttotal = self._column_basis((tau + 1, w, a))
-        return (ttotal, total, tuple(self._placements(key, *self._tokens)))
+        """The `_COLUMN_MEMO` key of `_column_matrix(key)`."""
+        strip, _, src, nxt = self._shapes(key)
+        return strip.column_key(src, nxt)
 
     # -- edge / validity ----------------------------------------------------------
     def _column_is_edge(self, key) -> bool:
-        tau, w, a = key
-        base = self.mixed.base
-        cells, _, _ = self._column_basis(key)
-        for (m, p) in cells:
-            if m in base.edge:
-                return True
-        # Truncation boundaries.  d preserves p and eps raises it by one, so
-        # the only couplings across the p-window are the eps-arrow into our
-        # bottom cell (source: column tau-1, cell p_lo - 1) and the dropped
-        # eps-arrow out of our top cell (target: column tau+1, cell p_hi + 1).
-        # Each is harmless iff the corresponding underlying bin is certified
-        # zero.  Invariants levels are honest quotients (no probes);
-        # coinvariants genuinely end at p = 0 (no upper probe).
-        if self.flavor in ("tate", "coinvariants"):
-            m_low = Multidegree(tau + 1 - 2 * self.p_lo, w, a, 0)
-            if not self.mixed.certified_zero(m_low):
-                return True
-        if self.flavor == "tate":
-            m_high = Multidegree(tau - 2 * self.p_hi - 1, w, a, 0)
-            if not self.mixed.certified_zero(m_high):
-                return True
-        return False
+        strip, _, src, _ = self._shapes(key)
+        return strip.has_edge(src) or self._cut(strip, key[0])
+
+    def _cut(self, strip, tau) -> bool:
+        """Column tau of the strip meets an artifact of the p-window.  d keeps
+        p and eps raises it, so the only couplings across the window are the
+        eps-arrow into the bottom cell (from cell p_lo - 1 of column tau - 1)
+        and the dropped one out of the top cell (to cell p_hi + 1 of column
+        tau + 1); each is harmless iff its bin is certified zero.  Invariants
+        levels are honest quotients, coinvariants genuinely end at p = 0."""
+        if self.flavor == "invariants":
+            return False
+        mixed, lo, hi = self.mixed, self.p_lo, self.p_hi
+        if not strip.certified_zero(tau + 1 - 2 * lo, mixed):
+            return True
+        return self.flavor == "tate" and not strip.certified_zero(tau - 2 * hi - 1, mixed)
 
     # -- cohomology ------------------------------------------------------------
-    def _key_of(self, key):
-        """`_column_key(key)`, built once per complex."""
-        ck = self._keys.get(key)
-        if ck is None:
-            ck = self._keys[key] = self._column_key(key)
-        return ck
-
-    def _column(self, key):
-        """The shared `_Column` of column `key`: a memo miss reduces the
-        column matrix, a hit builds nothing."""
-        ck = self._key_of(key)
-        record = _COLUMN_MEMO.get(ck)
-        if record is None:
-            record = _COLUMN_MEMO[ck] = _Column(*column_leads(self._column_matrix(key)))
-        return record
-
-    def _column_pivots(self, key):
-        """The sorted pivot of each cohomology class of column `key`: the
-        leads of ker D not among the leads of im Dprev, kept per complex.
-        The bases are not built here: see `_column_kernel` and
-        `_column_image`."""
-        pivots = self._pivots.get(key)
-        if pivots is None:
-            tau, w, a = key
-            image = self._column((tau - 1, w, a)).image_leads
-            pivots = self._pivots[key] = [
-                f for f in self._column(key).kernel_leads if f not in image
-            ]
-        return pivots
-
-    def _column_kernel(self, key):
-        """Kernel basis of D out of column `key`, built on first request and
-        kept on the column's record."""
-        record = self._column(key)
-        if record.kernel is None:
-            record.kernel = kernel_basis(self._column_matrix(key))
-        return record.kernel
-
-    def _column_image(self, key):
-        """Image basis of Dprev into column `key`, kept on the record of the
-        predecessor column like `_column_kernel`."""
-        tau, w, a = key
-        prev = (tau - 1, w, a)
-        record = self._column(prev)
-        if record.image is None:
-            record.image = image_basis(self._column_matrix(prev))
-        return record.image
-
     def cohomology(self) -> HilbertTable:
         """Table keyed (i, w, a, p); homology classes are attributed to the
         cell of their echelon pivot (canonical in all split cases)."""
         vals: dict[Multidegree, int] = {}
         edge: set[Multidegree] = set()
-        for key in sorted(self.columns().keys()):
-            tau, w, a = key
-            cells, offset, total = self._column_basis(key)
-            if total == 0:
-                continue
-            pivots = self._column_pivots(key)
-            cell_of_index = {}
-            for (m, p) in cells:
-                off = offset[(m, p)]
-                for j in range(self.mixed.base.dim(m)):
-                    cell_of_index[off + j] = (m, p)
-            col_edge = self._column_is_edge(key)
-            for idx in pivots:
-                m, p = cell_of_index[idx]
-                bkey = Multidegree(m.cohdeg, m.weight, m.aux, p)
-                vals[bkey] = vals.get(bkey, 0) + 1
-            if col_edge:
-                for (m, p) in cells:
-                    edge.add(Multidegree(m.cohdeg, m.weight, m.aux, p))
-        win = self.mixed.base.window
-        return HilbertTable(vals, edge, win.with_upow(self.p_lo, self.p_hi))
-
-    def column_h_dim(self, key) -> int:
-        return len(self._column_pivots(key))
+        for (tau, w, a), (strip, prv, src, nxt) in self.columns().items():
+            counts, has_edge = strip.classes_of(prv, src, nxt)
+            for i, n in counts:
+                vals[Multidegree(i, w, a, (tau - i) // 2)] = n
+            if has_edge or self._cut(strip, tau):
+                edge.update(Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src))
+        return HilbertTable(vals, edge, self.mixed.base.window.with_upow(self.p_lo, self.p_hi))
 
     # -- u multiplication ----------------------------------------------------------
     def u_map_bijective(self):
@@ -342,40 +216,159 @@ class USeriesComplex:
         Returns (ok, failures); failures name (tau, weight, aux) columns.
         """
         failures = []
-        cols = self.columns()
-        for key in sorted(cols.keys()):
+        for key, (strip, prv, src, nxt) in self.columns().items():
             tau, w, a = key
             tkey = (tau + 2, w, a)
             if self._column_is_edge(key) or self._column_is_edge(tkey):
                 continue
-            # u shifts every cell p -> p+1; usable only if the image column
-            # retains all shifted cells inside the window.
-            cells, offset, total = self._column_basis(key)
-            tcells, toffset, ttotal = self._column_basis(tkey)
-            if any((m, p + 1) not in toffset for (m, p) in cells):
+            # u sends cell i of column tau (p -> p+1) to cell i of column tau + 2;
+            # usable only if the image column retains every shifted cell.
+            _, tprv, tsrc, tnxt = self._shapes(tkey)
+            offset, _ = strip.offsets(src)
+            toffset, ttotal = strip.offsets(tsrc)
+            if any(i not in toffset for i in offset):
                 continue
-            hs = self.column_h_dim(key)
-            ht = self.column_h_dim(tkey)
-            im_t = self._column_image(tkey)
-            shifted = []
-            for vec in self._column_kernel(key):
-                out = {}
-                for idx, v in vec.items():
-                    m, p = _cell_of(cells, offset, idx, self.mixed.base)
-                    ti = toffset[(m, p + 1)] + (idx - offset[(m, p)])
-                    out[ti] = v
-                shifted.append(out)
+            hs, ht = strip.h_dim(prv, src, nxt), strip.h_dim(tprv, tsrc, tnxt)
+            im_t = strip.image(tprv, tsrc)
+            shift = [toffset[i] - offset[i] for i in offset for _ in range(strip.dims[i])]
+            kernel = strip.kernel(src, nxt)
+            shifted = [{idx + shift[idx]: v for idx, v in vec.items()} for vec in kernel]
             r = quotient_rank(shifted, im_t, ttotal)
             if not (hs == ht == r):
                 failures.append((key, hs, ht, r))
         return (not failures, failures)
 
 
-def _cell_of(cells, offset, idx, base):
-    for (m, p) in reversed(cells):
-        if idx >= offset[(m, p)]:
-            return (m, p)
-    raise IndexError(idx)
+class _Strip:
+    """The bins of one (weight, aux) strip of a mixed complex, as u-series
+    columns read them.  Column (tau, w, a) over the p-window [p_lo, p_hi]
+    holds the cells (i, (tau - i)/2) for the degrees i = tau mod 2 with
+    tau - 2 p_hi <= i <= tau - 2 p_lo, in descending i: a slice of one
+    parity's degrees, its shape (parity, lo, hi), or None if empty.  From
+    cell i, d is placed exactly when i + 1 is a cell of column tau + 1, and
+    eps exactly when i - 1 is.  So a column's matrix depends only on the
+    shapes (src, nxt) of columns tau and tau + 1, and its classes only on
+    (prv, src, nxt); the strip keeps one record per pair and per triple."""
+
+    __slots__ = ("w", "a", "degrees", "dims", "d", "eps", "edge", "inside", "columns", "classes")
+
+    def __init__(self, mixed, w, a, dims, edge):
+        base, win = mixed.base, mixed.base.window
+        self.w, self.a, self.dims, self.edge = w, a, dims, edge
+        self.degrees = tuple(tuple(sorted(i for i in dims if i & 1 == par)) for par in (0, 1))
+        # (token, block) of each bin's d- and eps-block; an aux-shifting d leaves the strip
+        self.d, self.eps = {}, {}
+        d_blocks = {} if base.aux_shift else base.diffs
+        for blocks, source in ((self.d, d_blocks), (self.eps, mixed.eps)):
+            for i in dims:
+                block = source.get(Multidegree(i, w, a))
+                if block is not None:
+                    blocks[i] = (_block_token(block), block)
+        self.inside = len(w) == len(win.weight) and win.aux[0] <= a <= win.aux[1] and all(
+            lo <= x <= hi for x, (lo, hi) in zip(w, win.weight))
+        self.columns: dict[tuple, _Column] = {}  # (src, nxt) -> shared record
+        self.classes: dict[tuple, tuple] = {}  # (prv, src, nxt) -> classes_of
+
+    def shape(self, tau, p_lo, p_hi):
+        par = tau & 1
+        lo = bisect_left(self.degrees[par], tau - 2 * p_hi)
+        hi = bisect_right(self.degrees[par], tau - 2 * p_lo)
+        return (par, lo, hi) if lo < hi else None
+
+    def cells(self, shape):
+        """The degrees of a shape's cells, descending."""
+        if shape is None:
+            return ()
+        par, lo, hi = shape
+        return self.degrees[par][lo:hi][::-1]
+
+    def offsets(self, shape):
+        """({degree: offset} of a shape's cells, total dimension)."""
+        offset, total = {}, 0
+        for i in self.cells(shape):
+            offset[i] = total
+            total += self.dims[i]
+        return offset, total
+
+    def has_edge(self, shape) -> bool:
+        return not self.edge.isdisjoint(self.cells(shape))
+
+    def certified_zero(self, i, mixed) -> bool:
+        """The bin (i, w, a) of `mixed` is known to vanish: empty, not edge,
+        inside the window, and above any declared cohdeg floor or vouched for
+        by the complex's certifier below it."""
+        if i in self.dims or i in self.edge or not self.inside:
+            return False
+        certify = mixed.zero_certifier
+        if mixed.cohdeg_floor is not None and i < mixed.cohdeg_floor:
+            return bool(certify and certify(Multidegree(i, self.w, self.a)))
+        return True
+
+    def _placements(self, src, nxt):
+        """(row offset, col offset, (token, block)) of each d- and eps-block
+        of the total differential out of shape src into shape nxt."""
+        offset, _ = self.offsets(src)
+        target, _ = self.offsets(nxt)
+        for i, col in offset.items():
+            if i in self.d and i + 1 in target:
+                yield target[i + 1], col, self.d[i]
+            if i in self.eps and i - 1 in target:
+                yield target[i - 1], col, self.eps[i]
+
+    def matrix(self, src, nxt) -> SparseMatrix:
+        ent = {}
+        for row, col, (_, block) in self._placements(src, nxt):
+            for (i, j), v in block.entries.items():
+                ent[(row + i, col + j)] = v
+        return SparseMatrix(self.offsets(nxt)[1], self.offsets(src)[1], ent)
+
+    def column_key(self, src, nxt) -> tuple:
+        """`_COLUMN_MEMO` key of `matrix(src, nxt)`: equal keys, equal matrices."""
+        placed = tuple((row, col, token) for row, col, (token, _) in self._placements(src, nxt))
+        return (self.offsets(nxt)[1], self.offsets(src)[1], placed)
+
+    def column(self, src, nxt):
+        """The shared `_Column` of `matrix(src, nxt)`: a memo miss reduces
+        the matrix, a hit builds nothing."""
+        record = self.columns.get((src, nxt))
+        if record is None:
+            key = self.column_key(src, nxt)
+            record = _COLUMN_MEMO.get(key)
+            if record is None:
+                record = _COLUMN_MEMO[key] = _Column(*column_leads(self.matrix(src, nxt)))
+            self.columns[(src, nxt)] = record
+        return record
+
+    def kernel(self, src, nxt):
+        """Kernel basis of `matrix(src, nxt)`, built once, kept on its `_Column`."""
+        record = self.column(src, nxt)
+        if record.kernel is None:
+            record.kernel = kernel_basis(self.matrix(src, nxt))
+        return record.kernel
+
+    def image(self, src, nxt):
+        """Image basis of `matrix(src, nxt)`, kept like `kernel`."""
+        record = self.column(src, nxt)
+        if record.image is None:
+            record.image = image_basis(self.matrix(src, nxt))
+        return record.image
+
+    def h_dim(self, prv, src, nxt) -> int:
+        return sum(n for _, n in self.classes_of(prv, src, nxt)[0])
+
+    def classes_of(self, prv, src, nxt):
+        """(((degree, class count), ...) in descending degree, some cell is
+        edge) of shape src; a class is a lead of ker D not among im Dprev's."""
+        record = self.classes.get((prv, src, nxt))
+        if record is None:
+            image = self.column(prv, src).image_leads
+            owner = [i for i in self.cells(src) for _ in range(self.dims[i])]
+            counts = {}
+            for f in self.column(src, nxt).kernel_leads:
+                if f not in image:
+                    counts[owner[f]] = counts.get(owner[f], 0) + 1
+            record = self.classes[(prv, src, nxt)] = (tuple(counts.items()), self.has_edge(src))
+        return record
 
 
 class _Column:
@@ -392,20 +385,22 @@ class _Column:
         self.image = None
 
 
-# Column results keyed by structure: a column key is the column's shape and
-# the (row offset, col offset, token) of every block placed in it, where a
-# block's token names its exact content (`_content_key`) in `_BLOCK_TOKENS`.
-# Equal keys mean equal matrices, and the same columns recur across flavors,
-# windows, tower levels and the two sides of each comparison.  The memo maps
-# one column key to one `_Column`: its two lead sets always (sorted tuples,
-# far smaller than sets), its two bases only after `_column_kernel` or
-# `_column_image` built them.  So each column is reduced once and each basis
-# built at most once per memo lifetime, and only for a column an induced-map
-# check reads; no column matrix is kept.  No law is checked here: a u-series
-# complex checked its laws when it was built.  `cli.run_verb` clears both
-# tables, so one CLI call is one memo lifetime; tokens come from a counter that
-# is never reset, so a token issued before a clear never names other content
-# after it.
+# Two levels of sharing.  Per mixed complex, each strip maps a shape pair
+# (src, nxt) to its `_Column` and a triple (prv, src, nxt) to its classes, so
+# a column costs a lookup once its shape was seen in any flavor or window.
+# Across complexes, `_COLUMN_MEMO` maps a column key -- its dimensions and the
+# (row offset, col offset, token) of every block placed in it, a token naming
+# a block's exact content (`_content_key`) in `_BLOCK_TOKENS` -- to one
+# `_Column`: equal keys mean equal matrices, and columns recur across tower
+# levels and the two sides of each comparison.  A `_Column` holds its two lead
+# sets always (sorted tuples, far smaller than sets), its two bases only after
+# `_Strip.kernel` or `_Strip.image` built them.  So each column is reduced
+# once and each basis built at most once per memo lifetime, and only for a
+# column an induced-map check reads; no column matrix is kept.  No law is
+# checked here: a u-series complex checked its laws when it was built.
+# `cli.run_verb` clears both tables, so one CLI call is one memo lifetime;
+# tokens come from a counter that is never reset, so a token issued before a
+# clear never names other content after it.
 _COLUMN_MEMO: dict[tuple, _Column] = {}
 _BLOCK_TOKENS: dict[tuple, int] = {}
 _TOKEN_COUNTER = itertools.count()
@@ -463,26 +458,29 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
     if (us_src.flavor, us_src.p_lo, us_src.p_hi) != (us_tgt.flavor, us_tgt.p_lo, us_tgt.p_hi):
         raise ValueError("flavor/window mismatch")
     failures = []
-    keys = set(us_src.columns()) | set(us_tgt.columns())
-    for key in sorted(keys):
+    ranks = {}  # (w, a, source shapes, target shapes) -> (hs, ht, rank)
+    for key in sorted(set(us_src.columns()) | set(us_tgt.columns())):
         if us_src._column_is_edge(key) or us_tgt._column_is_edge(key):
             continue
-        s_cells, s_off, s_total = us_src._column_basis(key)
-        t_cells, t_off, t_total = us_tgt._column_basis(key)
-        ent = {}
-        for (m, p) in s_cells:
-            blk = F.blocks.get(m)
-            if blk is None:
-                continue
-            if (m, p) not in t_off:
-                continue
-            for (i, j), v in blk.entries.items():
-                ent[(t_off[(m, p)] + i, s_off[(m, p)] + j)] = v
-        Fcol = SparseMatrix(t_total, s_total, ent)
-        hs = us_src.column_h_dim(key)
-        ht = us_tgt.column_h_dim(key)
-        images = [apply_matrix(Fcol, v) for v in us_src._column_kernel(key)]
-        r = quotient_rank(images, us_tgt._column_image(key), t_total)
+        _, w, a = key
+        s_shapes, t_shapes = us_src._shapes(key), us_tgt._shapes(key)
+        shapes = (w, a, s_shapes[1:], t_shapes[1:])
+        if shapes not in ranks:
+            # F's blocks are per bin, so equal shapes give equal Fcol
+            (s_strip, _, s_src, s_nxt), (t_strip, t_prv, t_src, _) = s_shapes, t_shapes
+            s_off, s_total = s_strip.offsets(s_src)
+            t_off, t_total = t_strip.offsets(t_src)
+            ent = {}
+            for i, col in s_off.items():
+                blk = F.blocks.get(Multidegree(i, w, a))
+                if blk is not None and i in t_off:
+                    for (r, c), v in blk.entries.items():
+                        ent[(t_off[i] + r, col + c)] = v
+            Fcol = SparseMatrix(t_total, s_total, ent)
+            images = [apply_matrix(Fcol, v) for v in s_strip.kernel(s_src, s_nxt)]
+            rank = quotient_rank(images, t_strip.image(t_prv, t_src), t_total)
+            ranks[shapes] = (s_strip.h_dim(*s_shapes[1:]), t_strip.h_dim(*t_shapes[1:]), rank)
+        hs, ht, r = ranks[shapes]
         if not (hs == ht == r):
             failures.append((key, hs, ht, r))
     return (not failures, failures)

@@ -373,6 +373,18 @@ REPORT_SHA256 = {
     ("hp", "06_weight2_zeta2"): "eccf8e51d5e2738281b68f6e0a0ebea739542d71f10716775e6eb6c89b5542fc",
     ("hn", "06_weight2_zeta2"): "22ee50a7da74849812dd196b5587190af1b272b356b0b81c5f37c5ae37106a85",
     ("hc", "06_weight2_zeta2"): "d09e5e93bf5b4181faea5a20a4d79937fea50ad38a06aac255ca382544bc1ddd",
+    # u-windows wider than every strip, so interior column shapes repeat;
+    # recorded before the u-series columns were keyed by shape
+    ("hp", "02_plane_12_zm1", "--u-window", "8"):
+        "cca57f7c80a395ae2a18f815362f1625fc5aea9a76e443d20ff9f3c58ebb095e",
+    ("hc", "02_plane_12_zm1", "--u-window", "8"):
+        "46d5f0105d208f34dae12998ec7ff0d77e202f1543f1f944714079e2996b7371",
+    ("hn", "04_line_gm_identity", "--u-window", "8"):
+        "7733a794d2a469b6d0f02ac2061ab67d4bb0fe3ea2270dbe493c9c450338b924",
+    ("localize", "02_plane_12_zm1", "--u-window", "7"):
+        "8baf104927c3717390d0565a8dda25986cad58597de2af0ebdd725021357cb28",
+    ("localize", "04_line_gm_identity", "--u-window", "7"):
+        "442374dc4693168c7aabe270040eb6f536e22c99dad2aa0ce3d6a19fd76879ea",
 }
 
 

@@ -6,14 +6,16 @@ import pytest
 
 from loophh import mixed
 from loophh.cli import build_parser, run_verb
-from loophh.complexes import GradedComplex
+from loophh.complexes import ChainMap, GradedComplex
 from loophh.grading import Multidegree, Window, md
 from loophh.linalg import (
     NotAComplex,
     SparseMatrix,
+    apply_matrix,
     image_basis,
     kernel_basis,
     quotient_pivots,
+    quotient_rank,
 )
 from loophh.mixed import (
     MixedComplex,
@@ -193,7 +195,8 @@ def test_column_memo_shares_results_between_equal_columns():
     assert second.cohomology().values == first.cohomology().values
     assert len(mixed._COLUMN_MEMO) == stored
     for key in _columns_and_predecessors(first):
-        assert second._column(key) is first._column(key)
+        (strip, _, src, nxt), (again, _, src2, nxt2) = first._shapes(key), second._shapes(key)
+        assert again.column(src2, nxt2) is strip.column(src, nxt)
 
 
 def test_one_memo_lifetime_reduces_each_column_content_once(monkeypatch):
@@ -295,9 +298,9 @@ def _key_check_complexes():
     ]
 
 
-def _all_flavors(V):
-    """Each of the three flavors at two windows."""
-    for u in (1, 2):
+def _all_flavors(V, windows=(1, 2)):
+    """Each of the three flavors at each u-window."""
+    for u in windows:
         yield mixed.USeriesComplex(V, "invariants", (0, u))
         yield mixed.USeriesComplex(V, "coinvariants", (-u, 0))
         yield mixed.USeriesComplex(V, "tate", (-u, u))
@@ -333,28 +336,168 @@ def test_column_h_equals_memo_free_recompute():
                 tau, w, a = key
                 ker = kernel_basis(us._column_matrix(key))
                 im = image_basis(us._column_matrix((tau - 1, w, a)))
-                assert us._column_pivots(key) == sorted(quotient_pivots(ker, im))
-                assert us._column_kernel(key) == ker
-                assert us._column_image(key) == im
+                strip, prv, src, nxt = us._shapes(key)
+                assert strip.h_dim(prv, src, nxt) == len(quotient_pivots(ker, im))
+                assert strip.kernel(src, nxt) == ker
+                assert strip.image(prv, src) == im
 
 
 def test_each_column_key_is_built_once_per_complex(monkeypatch):
-    # column tau's key is also the key of Dprev for column tau + 1
+    # column tau's key is also the key of Dprev for column tau + 1, and the
+    # shapes of HN, HC and HP at two windows recur over one mixed complex
     built = []
-    column_key = mixed.USeriesComplex._column_key
+    column_key = mixed._Strip.column_key
 
-    def recording(self, key):
-        built.append((id(self), key))
-        return column_key(self, key)
+    def recording(self, src, nxt):
+        built.append((id(self), src, nxt))
+        return column_key(self, src, nxt)
 
-    monkeypatch.setattr(mixed.USeriesComplex, "_column_key", recording)
+    monkeypatch.setattr(mixed._Strip, "column_key", recording)
     mixed.clear_column_memo()
     complexes = []
     for V in _key_check_complexes():
+        complexes.append(V)  # alive, so no strip id is reused
+        columns = 0
         for us in _all_flavors(V):
-            complexes.append(us)  # alive, so no id is reused
             us.cohomology()
+            columns += len(us.columns())
+        records = sum(len(strip.classes) for strip in V.strips().values())
+        assert records < columns
     assert built and len(set(built)) == len(built)
+
+
+class _CellReference:
+    """A u-series complex rebuilt cell by cell, with no shapes and no memo:
+    columns from the bins, column matrices from the cell lists, classes
+    from `kernel_basis`, `image_basis` and `quotient_pivots`, and the edge
+    rule written out."""
+
+    def __init__(self, us):
+        self.us, self.base = us, us.mixed.base
+        self.cols = {}
+        for m in self.base.bins:
+            for p in range(us.p_lo, us.p_hi + 1):
+                self.cols.setdefault((m.cohdeg + 2 * p, m.weight, m.aux), []).append((m, p))
+        for cells in self.cols.values():
+            cells.sort(key=lambda cell: cell[1])
+
+    def offsets(self, key):
+        offset, total = {}, 0
+        for m, p in self.cols.get(key, []):
+            offset[(m, p)] = total
+            total += self.base.dim(m)
+        return offset, total
+
+    def matrix(self, key):
+        """The total differential out of column key: d from cell (m, p) to
+        (m + e_cohdeg, p), eps to (m - e_cohdeg, p + 1), where those cells
+        exist."""
+        tau, w, a = key
+        offset, total = self.offsets(key)
+        target, ttotal = self.offsets((tau + 1, w, a))
+        ent = {}
+        for (m, p), col in offset.items():
+            d, eps = self.base.diffs.get(m), self.us.mixed.eps.get(m)
+            for block, cell in ((d, (self.base.d_target(m), p)), (eps, (m.shift(cohdeg=-1), p + 1))):
+                if block is not None and cell in target:
+                    for (i, j), v in block.entries.items():
+                        ent[(target[cell] + i, col + j)] = v
+        return SparseMatrix(ttotal, total, ent)
+
+    def kernel_image(self, key):
+        tau, w, a = key
+        return kernel_basis(self.matrix(key)), image_basis(self.matrix((tau - 1, w, a)))
+
+    def pivots(self, key):
+        return quotient_pivots(*self.kernel_image(key))
+
+    def certified_zero(self, m):
+        V, win = self.us.mixed, self.base.window
+        if self.base.dim(m) or m in self.base.edge or len(m.weight) != len(win.weight):
+            return False
+        if not all(lo <= x <= hi for x, (lo, hi) in zip(m.weight, win.weight)):
+            return False
+        if not win.aux[0] <= m.aux <= win.aux[1]:
+            return False
+        if V.cohdeg_floor is not None and m.cohdeg < V.cohdeg_floor:
+            return bool(V.zero_certifier and V.zero_certifier(m))
+        return True
+
+    def is_edge(self, key):
+        """An edge cell, or a p-window boundary whose eps-arrow in (all but
+        invariants) or out (Tate) may meet a nonzero bin."""
+        tau, w, a = key
+        us = self.us
+        if any(m in self.base.edge for m, _ in self.cols.get(key, [])):
+            return True
+        probes = []
+        if us.flavor in ("tate", "coinvariants"):
+            probes.append(Multidegree(tau + 1 - 2 * us.p_lo, w, a))
+        if us.flavor == "tate":
+            probes.append(Multidegree(tau - 2 * us.p_hi - 1, w, a))
+        return not all(self.certified_zero(m) for m in probes)
+
+    def table(self):
+        vals, edge = {}, set()
+        for key in sorted(self.cols):
+            cells = self.cols[key]
+            owner = [(m, p) for m, p in cells for _ in range(self.base.dim(m))]
+            for f in self.pivots(key):
+                m, p = owner[f]
+                cell = Multidegree(m.cohdeg, m.weight, m.aux, p)
+                vals[cell] = vals.get(cell, 0) + 1
+            if self.is_edge(key):
+                edge |= {Multidegree(m.cohdeg, m.weight, m.aux, p) for m, p in cells}
+        return vals, edge
+
+    def induced_iso_failures(self, target, F):
+        """`useries_induced_iso` from this reference into `target`'s, one
+        column at a time."""
+        failures = []
+        for key in sorted(set(self.cols) | set(target.cols)):
+            if self.is_edge(key) or target.is_edge(key):
+                continue
+            s_off, s_total = self.offsets(key)
+            t_off, t_total = target.offsets(key)
+            ent = {}
+            for (m, p), col in s_off.items():
+                if m in F.blocks and (m, p) in t_off:
+                    for (i, j), v in F.blocks[m].entries.items():
+                        ent[(t_off[(m, p)] + i, col + j)] = v
+            ker, _ = self.kernel_image(key)
+            _, im = target.kernel_image(key)
+            images = [apply_matrix(SparseMatrix(t_total, s_total, ent), v) for v in ker]
+            hs, ht = len(self.pivots(key)), len(target.pivots(key))
+            r = quotient_rank(images, im, t_total)
+            if not (hs == ht == r):
+                failures.append((key, hs, ht, r))
+        return failures
+
+
+def test_tables_equal_cell_by_cell_reference():
+    # u-window 4 is wider than every strip, so interior shapes repeat
+    mixed.clear_column_memo()
+    for V in _key_check_complexes():
+        for us in _all_flavors(V, (1, 2, 4)):
+            table = us.cohomology()
+            assert (table.values, table.edge) == _CellReference(us).table()
+
+
+def test_induced_iso_lists_every_failing_column():
+    # the identity of the BGa preset with the block of its unit zeroed fails
+    # at every column of the unit's periodic classes; at Tate u-window 4
+    # those columns all have one shape
+    mixed.clear_column_memo()
+    V = bga_polynomial_preset(5)
+    blocks = {m: SparseMatrix.identity(V.base.dim(m)) for m in V.base.bins}
+    blocks[md(0, (0,), 0)] = SparseMatrix.zero(1, 1)
+    F = ChainMap(V.base, V.base, blocks)
+    us_src, us_tgt = tate(V, 4), tate(V, 4)
+    ok, failures = mixed.useries_induced_iso(us_src, us_tgt, F)
+    assert not ok
+    assert failures == _CellReference(us_src).induced_iso_failures(_CellReference(us_tgt), F)
+    shapes = [us_src._shapes(key)[1:] for key, *_ in failures]
+    assert len(set(shapes)) < len(shapes)
 
 
 def test_block_tokens_are_never_reissued():
