@@ -29,6 +29,7 @@ from .harness import (
     check_hh_localization,
     check_hp_completion,
     check_unipotent_formal_tate,
+    merge_verdicts,
 )
 from .instancefile import ParseError, canonical_content, parse_instance
 from .linalg import NotAComplex
@@ -44,6 +45,7 @@ from .scalars import BackendMismatch
 REPORT_HEADER = f"loophh report v1 (engine {ENGINE_VERSION})"
 
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_BACKEND, EXIT_INCONCLUSIVE = 0, 1, 2, 3, 4
+VERDICT_EXIT = {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 _WINDOW_FLAGS = (
     "aux_max", "tower_levels", "bar_depth", "u_window",
@@ -92,8 +94,7 @@ def run_verb(verb, args, text):
     if verb == "unipotent-check":
         rep = check_unipotent_formal_tate()
         lines += ["", rep.render()]
-        code = {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[rep.verdict]
-        return "\n".join(lines) + "\n", code
+        return "\n".join(lines) + "\n", VERDICT_EXIT[rep.verdict]
 
     P, T, z, tr = parse_instance(text)
     overrides = {f: getattr(args, f) for f in _WINDOW_FLAGS}
@@ -144,15 +145,9 @@ def run_verb(verb, args, text):
         ]
     for rep in reps:
         lines += ["", rep.render()]
-    verdicts = [r.verdict for r in reps]
-    if FAIL in verdicts:
-        code = EXIT_FAIL
-    elif INCONCLUSIVE in verdicts:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_OK
-    lines += ["", f"verdict: {'FAIL' if code == EXIT_FAIL else 'INCONCLUSIVE' if code == EXIT_INCONCLUSIVE else 'PASS'}"]
-    return "\n".join(lines) + "\n", code
+    verdict = merge_verdicts([r.verdict for r in reps])
+    lines += ["", f"verdict: {verdict}"]
+    return "\n".join(lines) + "\n", VERDICT_EXIT[verdict]
 
 
 # ---------------------------------------------------------------------------

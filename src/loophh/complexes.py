@@ -160,15 +160,24 @@ class ChainMap:
             return b
         return SparseMatrix.zero(self.target.dim(m), self.source.dim(m))
 
-    def verify_chain_map(self):
+    def verify_chain_map(self, *mixed):
+        """F d = d F on every bin.  Given the mixed complexes (source, target)
+        whose bases F maps between, also F eps = eps F."""
         if self.source.aux_shift != self.target.aux_shift:
             raise NotAComplex("?", "aux shift mismatch between sides")
-        for m in set(self.source.bins) | set(self.blocks):
+        bins = set(self.source.bins) | set(self.blocks)
+        for m in bins:
             tgt = self.source.d_target(m)
             lhs = self.block(tgt) @ self.source.diff_from(m)
             rhs = self.target.diff_from(m) @ self.block(m)
             if lhs != rhs:
                 raise NotAComplex(m, "comparison map is not a chain map")
+        if mixed:
+            src, tgt = mixed
+            for m in bins:
+                lhs = self.block(m.shift(cohdeg=-1)) @ src.eps_from(m)
+                if lhs != tgt.eps_from(m) @ self.block(m):
+                    raise NotAComplex(m, "chain map does not commute with eps")
         return True
 
     def induced_rank(self, m: Multidegree) -> int:

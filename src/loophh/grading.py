@@ -31,9 +31,6 @@ class Multidegree(NamedTuple):
             self.upow + other.upow,
         )
 
-    def key(self):
-        return (self.cohdeg, self.weight, self.aux, self.upow)
-
 
 def md(cohdeg, weight=(), aux=0, upow=0) -> Multidegree:
     return Multidegree(cohdeg, tuple(weight), aux, upow)
@@ -83,7 +80,3 @@ class Window:
 
     def with_upow(self, lo, hi) -> "Window":
         return Window(self.cohdeg, self.weight, self.aux, (lo, hi))
-
-
-def window(cohdeg, weight=(), aux=(0, 0), upow=(0, 0)) -> Window:
-    return Window(tuple(cohdeg), tuple(tuple(w) for w in weight), tuple(aux), tuple(upow))

@@ -71,6 +71,16 @@ class Truncation:
 
 @dataclass(frozen=True)
 class LocalizationInstance:
+    """One instance of the localization theorems, and what its checks share,
+    each built once: the z-fixed locus (`fixed`), the completed weight-0 loop
+    towers of X/G (`lhs`) and of the fixed locus (`rhs`), the restriction maps
+    between their levels, and the left Tate tables (only tables: keeping
+    u-series complexes would cost memory).
+
+    The fixed locus is modelled by its reduced presentation: degree -1 Koszul
+    generators for its bare relations would add spurious negative classes.
+    """
+
     P: AlgebraPresentation
     T: TorusData
     z: TorusPoint
@@ -87,8 +97,39 @@ class LocalizationInstance:
         return None if m == 1 else CyclotomicField(m)
 
     @cached_property
-    def session(self) -> "LocalizationSession":
-        return LocalizationSession(self)
+    def fixed(self) -> AlgebraPresentation:
+        return reduce_linear_relations(fixed_points(self.P, self.z))
+
+    def _tower(self, P: AlgebraPresentation) -> Tower:
+        tr = self.truncation
+        return point_completion_tower(
+            loop_model(P, self.T), self.z, tr.tower_levels, tr.aux_max,
+            weight_filter=(0,) * self.T.rank, backend=self.backend(),
+        )
+
+    @cached_property
+    def lhs(self) -> Tower:
+        return self._tower(self.P)
+
+    @cached_property
+    def rhs(self) -> Tower:
+        return self._tower(self.fixed)
+
+    @cached_property
+    def maps(self) -> list[ChainMap]:
+        """Restriction maps lhs level n -> rhs level n, for n = 1..N, each
+        checked against d and eps."""
+        maps = []
+        for s, t in zip(self.lhs.levels, self.rhs.levels):
+            F = _restriction_map(s, t, self.lhs.gen_names, self.rhs.gen_names)
+            F.verify_chain_map(s, t)
+            maps.append(F)
+        return maps
+
+    @cached_property
+    def lhs_tate(self) -> list[HilbertTable]:
+        """Tate tables of the left levels 1..N at the instance's u-window."""
+        return [tate(L, self.truncation.u_window).cohomology() for L in self.lhs.levels]
 
 
 @dataclass
@@ -119,7 +160,7 @@ def _compare_tables(name, lhs: HilbertTable, rhs: HilbertTable, report: Report):
     return PASS
 
 
-def _merge(verdicts):
+def merge_verdicts(verdicts):
     if FAIL in verdicts:
         return FAIL
     if INCONCLUSIVE in verdicts:
@@ -163,52 +204,6 @@ def _restriction_map(src: MixedComplex, tgt: MixedComplex, src_names, tgt_names)
     return ChainMap(src.base, tgt.base, blocks)
 
 
-class LocalizationSession:
-    """What the localization checks of one instance share, each built once:
-    the completed weight-0 loop towers of X/G (`lhs`) and of the z-fixed locus
-    (`rhs`), the restriction maps between their levels, and the left Tate
-    tables (only tables: keeping u-series complexes would cost memory).
-
-    The fixed locus is modelled by its reduced presentation: degree -1 Koszul
-    generators for its bare relations would add spurious negative classes.
-    """
-
-    def __init__(self, inst: LocalizationInstance):
-        self.inst = inst
-        self._lhs_tate: dict[int, HilbertTable] = {}
-
-    def _tower(self, P: AlgebraPresentation) -> Tower:
-        inst, tr = self.inst, self.inst.truncation
-        return point_completion_tower(
-            loop_model(P, inst.T), inst.z, tr.tower_levels, tr.aux_max,
-            weight_filter=(0,) * inst.T.rank, backend=inst.backend(),
-        )
-
-    @cached_property
-    def lhs(self) -> Tower:
-        return self._tower(self.inst.P)
-
-    @cached_property
-    def rhs(self) -> Tower:
-        return self._tower(reduce_linear_relations(fixed_points(self.inst.P, self.inst.z)))
-
-    @cached_property
-    def maps(self) -> list[ChainMap]:
-        """Restriction maps lhs level n -> rhs level n, for n = 1..N."""
-        maps = []
-        for s, t in zip(self.lhs.levels, self.rhs.levels):
-            F = _restriction_map(s, t, self.lhs.gen_names, self.rhs.gen_names)
-            F.verify_chain_map()
-            maps.append(F)
-        return maps
-
-    def lhs_tate(self, n: int) -> HilbertTable:
-        """Tate table of the left level n at the instance's u-window."""
-        if n not in self._lhs_tate:
-            self._lhs_tate[n] = tate(self.lhs.level(n), self.inst.truncation.u_window).cohomology()
-        return self._lhs_tate[n]
-
-
 # ---------------------------------------------------------------------------
 # the theorem checks
 # ---------------------------------------------------------------------------
@@ -217,20 +212,19 @@ def check_hh_localization(inst: LocalizationInstance) -> Report:
     """Completed HH towers of X/G and of the z-fixed locus agree, and the
     restriction map is an isomorphism levelwise."""
     report = Report("hh-localization", PASS)
-    ses = inst.session
     verdicts = []
     for n in range(1, inst.truncation.tower_levels + 1):
-        tl = ses.lhs.level(n).cohomology()
-        tr_ = ses.rhs.level(n).cohomology()
+        tl = inst.lhs.level(n).cohomology()
+        tr_ = inst.rhs.level(n).cohomology()
         verdicts.append(_compare_tables(f"level {n}", tl, tr_, report))
-        ok, failures = ses.maps[n - 1].induced_iso_everywhere()
+        ok, failures = inst.maps[n - 1].induced_iso_everywhere()
         if not ok:
             for m, hs, ht, r in failures[:5]:
                 report.add(f"  level {n}: induced map not iso at {m}: {hs}/{ht}/rank {r}")
             verdicts.append(FAIL)
         else:
             report.add(f"  level {n}: restriction map full rank on cohomology")
-    report.verdict = _merge(verdicts)
+    report.verdict = merge_verdicts(verdicts)
     return report
 
 
@@ -239,22 +233,19 @@ def check_hc_variants(inst: LocalizationInstance) -> Report:
     (Tate), mixed structure from the de Rham operator on each side; the
     restriction map must induce isomorphisms columnwise as well."""
     from .mixed import useries_induced_iso
-    from .towers import _verify_eps_square
 
     report = Report("hc-variants", PASS)
     tr = inst.truncation
-    ses = inst.session
     verdicts = []
     for n in range(1, tr.tower_levels + 1):
-        L, R, F_n = ses.lhs.level(n), ses.rhs.level(n), ses.maps[n - 1]
-        _verify_eps_square(F_n, L, R)
+        L, R, F_n = inst.lhs.level(n), inst.rhs.level(n), inst.maps[n - 1]
         for tag, F in (
             ("HN", lambda V: s1_invariants_level(V, tr.u_window)),
             ("HC", lambda V: coinvariants(V, tr.u_window)),
             ("HP", lambda V: tate(V, tr.u_window)),
         ):
             us_l, us_r = F(L), F(R)
-            tl = ses.lhs_tate(n) if tag == "HP" else us_l.cohomology()
+            tl = inst.lhs_tate[n - 1] if tag == "HP" else us_l.cohomology()
             tr_ = us_r.cohomology()
             verdicts.append(_compare_tables(f"{tag} level {n}", tl, tr_, report))
             ok, failures = useries_induced_iso(us_l, us_r, F_n)
@@ -262,7 +253,7 @@ def check_hc_variants(inst: LocalizationInstance) -> Report:
                 for key, hs, ht, r in failures[:5]:
                     report.add(f"  {tag} level {n}: induced map not iso at {key}: {hs}/{ht}/rank {r}")
                 verdicts.append(FAIL)
-    report.verdict = _merge(verdicts)
+    report.verdict = merge_verdicts(verdicts)
     return report
 
 
@@ -271,15 +262,14 @@ def check_hp_completion(inst: LocalizationInstance) -> Report:
     fixed quotient, completed along its augmentation ideal (tu = s)."""
     report = Report("hp-completion", PASS)
     tr = inst.truncation
-    fixed = reduce_linear_relations(fixed_points(inst.P, inst.z))
-    cart = cartan_model(fixed, inst.T)
+    cart = cartan_model(inst.fixed, inst.T)
     rhs = cartan_augmentation_tower(cart, tr.tower_levels, tr.aux_max)
     verdicts = []
     for n in range(1, tr.tower_levels + 1):
-        tl = inst.session.lhs_tate(n)
+        tl = inst.lhs_tate[n - 1]
         tr_ = tate(rhs.level(n), tr.u_window).cohomology().shear_aux_into_upow()
         verdicts.append(_compare_tables(f"Tate level {n} (sheared)", tl, tr_, report))
-    report.verdict = _merge(verdicts)
+    report.verdict = merge_verdicts(verdicts)
     return report
 
 
@@ -294,9 +284,8 @@ def check_derived_fixed_fiber(inst: LocalizationInstance) -> Report:
     fib_mc = fib.instantiate(tr.aux_max)
     fib_t = fib_mc.cohomology().forget_weight()
 
-    fixed = reduce_linear_relations(fixed_points(inst.P, inst.z))
     fixed_trivial = AlgebraPresentation(
-        [(g.name, (), g.aux) for g in fixed.generators], rank=0,
+        [(g.name, (), g.aux) for g in inst.fixed.generators], rank=0,
         asserted_smooth=True,
     )
     plain = loop_model(fixed_trivial, TorusData(0))
@@ -310,7 +299,7 @@ def check_derived_fixed_fiber(inst: LocalizationInstance) -> Report:
     tate_fib = tate(fib_mc, tr.u_window).cohomology().forget_weight()
     tate_hkr = tate(hkr_mc, tr.u_window).cohomology()
     verdicts.append(_compare_tables("HP fiber vs de Rham oracle", tate_fib, tate_hkr, report))
-    report.verdict = _merge(verdicts)
+    report.verdict = merge_verdicts(verdicts)
     return report
 
 
@@ -358,5 +347,5 @@ def check_unipotent_formal_tate(aux_max: int = 6, truncation: int = 5,
     verdicts.append(_compare_tables("Tate(polynomial) = k((u))", tateA, expected, report))
     verdicts.append(_compare_tables("Tate(completed) = k((u))", tateB, expected, report))
     verdicts.append(_compare_tables("Tate A = Tate B", tateA, tateB, report))
-    report.verdict = _merge(verdicts)
+    report.verdict = merge_verdicts(verdicts)
     return report

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import Polynomial
 from .harness import Truncation
-from .models import AlgebraPresentation, TorusData, TorusPoint
+from .models import AlgebraPresentation, TorusData, TorusPoint, identity_point
 from .scalars import rational
 
 
@@ -122,7 +122,7 @@ def parse_instance(text: str):
             raise ParseError(f"point has {len(coords)} coordinates, rank is {rank}")
         point = TorusPoint.make(coords)
     if point is None:
-        point = TorusPoint.make([(Fraction(1), Fraction(0))] * rank)
+        point = identity_point(rank)
 
     known = {f.name for f in fields(Truncation)}
     overrides = {}

@@ -452,7 +452,7 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
 
     Both u-series complexes checked their laws when they were built.  F must
     commute with d and with eps; the caller checks that, with
-    `ChainMap.verify_chain_map` and `towers._verify_eps_square`.  Columns that
+    `ChainMap.verify_chain_map` given both mixed complexes.  Columns that
     are edge on either side are skipped.  Returns (ok, failures).
     """
     if (us_src.flavor, us_src.p_lo, us_src.p_hi) != (us_tgt.flavor, us_tgt.p_lo, us_tgt.p_hi):

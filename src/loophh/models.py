@@ -1,10 +1,10 @@
 """Semifree dg-algebra models for weight-graded affine quotient presentations.
 
-Builds the Koszul resolution model, the loop-space model with Laurent group
-coordinates (d eps_i = (w^{lambda_i} - 1) x_i), and the Cartan / odd-tangent
-model (d dx_i = <lambda_i, xi> x_i with mixed differential the de Rham
-operator), plus classical fixed loci and the finite stabilizer-subgroup
-analysis for linear torus actions.
+Builds the loop-space model with Laurent group coordinates
+(d eps_i = (w^{lambda_i} - 1) x_i) and its base change to k[t]/(t^n) at a
+torus point, and the Cartan / odd-tangent model (d dx_i = <lambda_i, xi> x_i
+with mixed differential the de Rham operator), plus classical fixed loci and
+the finite stabilizer-subgroup analysis for linear torus actions.
 
 Conventions fixed here once:
   * right coaction c(x_i) = x_i (x) w^{lambda_i}; the loop differential is
@@ -455,85 +455,58 @@ class SemifreeModel:
 
     # -- coefficient contexts -------------------------------------------------
     def at_torus_point_level(self, z: TorusPoint, n: int, backend=None) -> "SemifreeModel":
-        """Base change along k[w..] -> k[t..]/(t^n), t_j = w_j - z_j.
+        """Base change along k[w^+-] -> k[t]/(t^n), t = w - z.
 
         Valid because the model is a free module over its Laurent coordinate
         ring; this computes the same cohomology as tensoring with the Koszul
-        complex on (w_j - z_j)^n, with finite bins.
+        complex on (w - z)^n, with finite bins.  Each w^e, e any integer,
+        becomes the binomial series sum_{k<n} C(e, k) z^(e-k) t^k; t takes
+        w's generator position, so the other exponents carry over.
         """
         if n < 1:
             raise ValueError("level must be >= 1")
-        lnames = list(self.laurent_names)
+        lnames = self.laurent_names
         if len(lnames) != z.rank:
             raise ValueError("torus point rank mismatch with group coordinates")
-        tnames = [f"t{j}" for j in range(z.rank)]
-        new_gens = []
-        for g in self.alg.gens:
-            if g.name in lnames:
-                j = lnames.index(g.name)
-                new_gens.append(
-                    Generator(tnames[j], 0, (0,) * self.alg.rank, 0, exp_range=(0, n - 1))
-                )
-            else:
-                new_gens.append(g)
-        new_alg = FreeAlgebra(new_gens, self.alg.rank)
-
+        new_alg = FreeAlgebra(
+            [
+                Generator(f"t{lnames.index(g.name)}", 0, (0,) * self.alg.rank, 0,
+                          exp_range=(0, n - 1))
+                if g.name in lnames else g
+                for g in self.alg.gens
+            ],
+            self.alg.rank,
+        )
+        tpos = [self.alg.index[nm] for nm in lnames]
         zvals = [z.coordinate_scalar(j, backend) for j in range(z.rank)]
 
-        def trunc_mul(a, b):
-            # multiply truncated univariate t-polynomials (lists, len <= n)
-            out = [coerce(0, backend)] * min(n, len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if is_zero(x):
-                    continue
-                for j2, y in enumerate(b):
-                    if i + j2 >= n or is_zero(y):
-                        continue
-                    out[i + j2] = out[i + j2] + x * y
-            return out
-
-        def w_power(j, e):
-            # (z_j + t_j)^e mod t^n as a coefficient list
-            one = [coerce(1, backend)]
-            if e == 0:
-                return one
-            zj = zvals[j]
-            base = [zj, coerce(1, backend)]  # z + t
+        def binomial_series(zj, e):
+            # c_0 = z^e, c_k = c_{k-1} (e - k + 1) / (k z)
+            c = coerce(1, backend)
+            for _ in range(abs(e)):
+                c = c * zj
             if e < 0:
-                # (z + t)^-1 = z^-1 sum (-t/z)^i
-                inv = []
-                zinv = exact_div(1, zj)
-                acc = zinv
-                for i in range(n):
-                    inv.append(acc)
-                    acc = acc * (-1) * zinv
-                base = inv
-                e = -e
-            out = one
-            for _ in range(e):
-                out = trunc_mul(out, base)
-            return out
-
-        lidx = {self.alg.index[nm]: lnames.index(nm) for nm in lnames}
-        tidx = {j: new_alg.index[tnames[j]] for j in range(z.rank)}
+                c = exact_div(1, c)
+            series = [c]
+            for k in range(1, n):
+                c = exact_div(c * (e - k + 1), k * zj)
+                series.append(c)
+            return series
 
         def subst(poly: Polynomial) -> Polynomial:
-            out = new_alg.poly()
+            out = {}
             for m, c in poly.terms.items():
-                coeff_list = [coerce(c, backend)]
-                base_exps = [0] * len(new_alg.gens)
-                for i, e in enumerate(m):
-                    if not e:
-                        continue
-                    if i in lidx:
-                        coeff_list = trunc_mul(coeff_list, w_power(lidx[i], e))
-                    else:
-                        base_exps[new_alg.index[self.alg.gens[i].name]] = e
-                add = {}
-                for tdeg, cv in self._spread_t(coeff_list, base_exps, tidx, n):
-                    add[tdeg] = cv
-                out = out + Polynomial(new_alg, add)
-            return out
+                c = coerce(c, backend)
+                if not tpos:
+                    out[m] = c
+                    continue
+                if len(tpos) > 1:
+                    raise NotImplementedError("torus rank > 1 completion points")
+                (tp,) = tpos
+                for k, ck in enumerate(binomial_series(zvals[0], m[tp])):
+                    mono = m[:tp] + (k,) + m[tp + 1:]
+                    out[mono] = out.get(mono, 0) + c * ck
+            return Polynomial(new_alg, out)
 
         d_images = {nm: subst(p) for nm, p in self.d.images.items()}
         eps_images = (
@@ -545,30 +518,8 @@ class SemifreeModel:
             new_alg, d_images, eps_images,
             aux_shift_d=self.aux_shift_d,
             mixed_weight_zero_only=self.mixed_weight_zero_only,
-            laurent_names=(), backend=backend, t_index=tidx.get(0),
+            laurent_names=(), backend=backend, t_index=tpos[0] if tpos else None,
         )
-
-    @staticmethod
-    def _spread_t(coeff_list, base_exps, tidx, n):
-        # distribute a univariate truncated t-polynomial (rank-1 case) or a
-        # scalar (rank-0) onto monomials.  Multivariate points are handled by
-        # iterated single-variable expansion, so coeff_list is univariate in
-        # the sole t index when rank == 1.
-        if len(tidx) == 0:
-            c = coeff_list[0]
-            if not is_zero(c):
-                yield tuple(base_exps), c
-            return
-        if len(tidx) == 1:
-            (j, pos), = tidx.items()
-            for e, c in enumerate(coeff_list):
-                if is_zero(c):
-                    continue
-                exps = list(base_exps)
-                exps[pos] = e
-                yield tuple(exps), c
-            return
-        raise NotImplementedError("torus rank > 1 completion points")
 
 
 # ---------------------------------------------------------------------------
@@ -611,41 +562,20 @@ def loop_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
 
 
 def _attach_de_rham(model: SemifreeModel, P: AlgebraPresentation):
-    """Attach eps = de Rham on the largest generator set where it is exact.
+    """Attach eps = de Rham, x -> eps_x, on every ambient generator x whose
+    loop differential d(eps_x) vanishes and that appears in no relation.
 
-    Start from all ambient generators whose loop differential vanishes
-    identically, drop any generator appearing in a relation, and verify the
-    anticommutation symbolically; offending generators are removed until the
-    check passes.  The fallback is the zero mixed structure (exact on
-    cohomology for complexes concentrated in one degree).
+    On that set eps anticommutes with d generator by generator: for x in it,
+    d(eps x) = d(eps_x) = 0 and d x = 0; for y outside it, d(eps_y) = c y with
+    c closed, and eps kills y; every generator of a relation f = d(eta) is
+    outside it, so eps f = 0.
     """
-    alg = model.alg
-    support = set()
-    for g in P.generators:
-        img = model.d.images.get(f"eps_{g.name}")
-        if img is None or img.is_zero():
-            support.add(g.name)
-    support -= P.relation_support()
-    while True:
-        eps_images = {n: alg.poly_gen(f"eps_{n}") for n in sorted(support)}
-        eps = Derivation(alg, eps_images)
-        failed = []
-        for name in set(model.d.images) | set(eps.images):
-            gpoly = alg.poly_gen(name)
-            comm = model.d.apply(eps.apply(gpoly)) + eps.apply(model.d.apply(gpoly))
-            if not comm.is_zero():
-                failed.append(name)
-        if not failed:
-            model.eps = eps
-            return
-        bad = set()
-        for name in failed:
-            base = name.removeprefix("eps_")
-            if base in support:
-                bad.add(base)
-            elif name in support:
-                bad.add(name)
-        support = (support - bad) if bad else set()
+    related = P.relation_support()
+    model.eps = Derivation(model.alg, {
+        name: model.alg.poly_gen(f"eps_{name}")
+        for name in sorted(g.name for g in P.generators)
+        if name not in related and f"eps_{name}" not in model.d.images
+    })
 
 
 def derived_fiber_model(P: AlgebraPresentation, T: TorusData, z: TorusPoint,
@@ -715,56 +645,31 @@ def cartan_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
 # ---------------------------------------------------------------------------
 
 def _hermite_normal_form(rows, r):
-    """Row-style HNF of an integer matrix (list of length-r rows)."""
+    """Row-style Hermite normal form of an integer matrix (list of length-r
+    rows): column by column, Euclid on the column, a positive pivot, and the
+    rows above it reduced into [0, pivot)."""
     mat = [list(row) for row in rows if any(row)]
     out = []
-    col = 0
-    while mat and col < r:
-        cand = [row for row in mat if row[col]]
-        if not cand:
-            col += 1
+    for col in range(r):
+        live = [row for row in mat if row[col]]
+        if not live:
             continue
-        # reduce the column by gcd steps
-        while True:
-            cand = sorted((row for row in mat if row[col]), key=lambda rw: abs(rw[col]))
-            if len(cand) <= 1:
-                break
-            a = cand[0]
-            changed = False
-            for row in cand[1:]:
-                q = row[col] // a[col]
-                if q:
-                    for k in range(r):
-                        row[k] -= q * a[k]
-                    changed = True
-            mat = [row for row in mat if any(row)]
-            if not changed:
-                break
-        pivot_rows = [row for row in mat if row[col]]
-        if pivot_rows:
-            p = pivot_rows[0]
-            if p[col] < 0:
-                for k in range(r):
-                    p[k] = -p[k]
-            mat.remove(p)
-            mat = [row for row in mat if not row[col] or _reduce_row(row, p, col, r)]
-            mat = [row for row in mat if any(row)]
-            # reduce earlier pivots above this one
-            for prev in out:
-                q = prev[col] // p[col]
-                if q:
-                    for k in range(r):
-                        prev[k] -= q * p[k]
-            out.append(p)
-        col += 1
+        while len(live) > 1:
+            live.sort(key=lambda row: abs(row[col]))
+            p = live[0]
+            for row in live[1:]:
+                q = row[col] // p[col]
+                row[:] = [a - q * b for a, b in zip(row, p)]
+            live = [p] + [row for row in live[1:] if row[col]]
+        (p,) = live
+        if p[col] < 0:
+            p[:] = [-a for a in p]
+        mat = [row for row in mat if row is not p and any(row)]
+        for prev in out:
+            q = prev[col] // p[col]
+            prev[:] = [a - q * b for a, b in zip(prev, p)]
+        out.append(p)
     return tuple(tuple(row) for row in out)
-
-
-def _reduce_row(row, pivot, col, r):
-    q = row[col] // pivot[col]
-    for k in range(r):
-        row[k] -= q * pivot[k]
-    return True
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,6 @@ class HilbertTable:
             return False
         return True
 
-    def support(self):
-        return sorted(self.values.keys())
-
     # -- transforms -----------------------------------------------------------
     def forget_weight(self) -> "HilbertTable":
         vals: dict[Multidegree, int] = {}

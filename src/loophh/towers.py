@@ -22,7 +22,7 @@ A tower holds its levels only: no check reads a map between levels.
 from __future__ import annotations
 
 from .algebra import FreeAlgebra, Polynomial
-from .complexes import ChainMap, GradedComplex
+from .complexes import GradedComplex
 from .grading import Multidegree, Window
 from .linalg import NotAComplex, SparseMatrix
 from .mixed import MixedComplex
@@ -41,16 +41,6 @@ class Tower:
 
     def level(self, n: int) -> MixedComplex:
         return self.levels[n - 1]
-
-
-def _verify_eps_square(F: ChainMap, src: MixedComplex, tgt: MixedComplex):
-    for m in set(src.base.bins) | set(F.blocks):
-        et = m.shift(cohdeg=-1)
-        lhs = F.block(et) @ src.eps_from(m)
-        rhs = tgt.eps_from(m) @ F.block(m)
-        if lhs != rhs:
-            raise NotAComplex(m, "chain map does not commute with eps")
-    return True
 
 
 # ---------------------------------------------------------------------------

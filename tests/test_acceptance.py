@@ -73,8 +73,7 @@ def test_criterion_1_hh_localization():
     P = line_gm()
     z = TorusPoint.make([2])
     inst = LocalizationInstance(P, TorusData(1), z, Truncation(tower_levels=4))
-    ses = inst.session
-    lhs, rhs, maps = ses.lhs, ses.rhs, ses.maps
+    lhs, rhs, maps = inst.lhs, inst.rhs, inst.maps
     ok = True
     for n in range(1, 5):
         tl = lhs.level(n).cohomology()

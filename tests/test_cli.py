@@ -61,10 +61,38 @@ smooth true
 """
 
 
+# the rank-2 torus acting on the plane by its two coordinates, at z = (-1, 1)
+RANK_TWO = """\
+[space]
+generator x weight=1,0 aux=1
+generator y weight=0,1 aux=1
+[group]
+rank 2
+[point]
+z -1,1
+[assert]
+smooth true
+"""
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("verb, code", [
+    ("localize", 2), ("fixed-fiber", 2), ("hh", 0), ("hp", 0), ("stabilizers", 0),
+])
+def test_rank_two_point(tmp_path, capsys, verb, code):
+    # completing at a rank-2 point is not implemented: the verbs that complete
+    # say so in one line; the others do not complete and run
+    f = tmp_path / "rank2.loop"
+    f.write_text(RANK_TWO)
+    got, out, err = run_cli([verb, str(f)], capsys)
+    assert got == code
+    assert err == ("error: torus rank > 1 completion points\n" if code else "")
+    assert (out == "") == bool(code)
 
 
 def test_hh_line_gm(tmp_path, capsys):

@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from loophh.harness import (
     check_hp_completion,
     check_unipotent_formal_tate,
 )
+from loophh.instancefile import parse_instance
 from loophh.models import AlgebraPresentation, TorusData, TorusPoint
 
 
@@ -131,13 +135,28 @@ def test_unipotent_formal():
     assert rep.verdict == PASS, rep.render()
 
 
+def test_instance_is_freed_without_the_cycle_collector():
+    # what the checks cache on the instance holds no reference back to it, so
+    # dropping the instance frees it by reference counting alone
+    path = Path(__file__).resolve().parents[1] / "instances" / "01_line_gm_z2.loop"
+    gc.disable()
+    try:
+        inst = LocalizationInstance(*parse_instance(path.read_text()))
+        for check in (check_hh_localization, check_hc_variants, check_hp_completion):
+            assert check(inst).verdict == PASS
+        ref = weakref.ref(inst)
+        del inst
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_negative_control_corrupted_differential():
     # corrupt one side: the comparison must FAIL with the bin named
     inst = line_instance(2, tower_levels=2)
     from loophh import harness as H
 
-    ses = inst.session
-    lhs, rhs, maps = ses.lhs, ses.rhs, ses.maps
+    lhs, rhs, maps = inst.lhs, inst.rhs, inst.maps
     t1 = lhs.level(1).cohomology()
     t2 = rhs.level(1).cohomology()
     # tamper with the table directly

@@ -5,14 +5,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import loophh
 
 from loophh.grading import md
+from loophh.instancefile import parse_instance
 from loophh.models import (
     AlgebraPresentation,
     TorusData,
     TorusPoint,
+    _hermite_normal_form,
     cartan_model,
     derived_fiber_model,
     fixed_points,
@@ -24,6 +27,9 @@ from loophh.models import (
     regrade_by_group_exponent,
     stabilizer_subgroups,
 )
+from loophh.scalars import CyclotomicField, coerce, exact_div, is_zero
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def line(weight=1, rank=1):
@@ -169,6 +175,64 @@ def test_derived_fiber_at_identity_is_hkr():
     assert mc.eps_induced_rank(md(0, (2,), 2)) == 1
 
 
+# -- base change to k[t]/(t^n) ------------------------------------------------------
+
+def _reference_w_power(zj, e, n, one):
+    """(z + t)^e mod t^n, by repeated multiplication by z + t, or for e < 0
+    by the truncated series z^-1 sum_i (-t/z)^i."""
+
+    def trunc_mul(a, b):
+        out = [0 * one] * n
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if i + j < n:
+                    out[i + j] = out[i + j] + x * y
+        return out
+
+    base = [zj, one]
+    if e < 0:
+        zinv = exact_div(one, zj)
+        base, acc = [], zinv
+        for _ in range(n):
+            base.append(acc)
+            acc = -acc * zinv
+    out = [one] + [0 * one] * (n - 1)
+    for _ in range(abs(e)):
+        out = trunc_mul(out, base)
+    return out
+
+
+def _reference_image(poly, p, zj, n, one):
+    out = {}
+    for m, c in poly.terms.items():
+        for k, ck in enumerate(_reference_w_power(zj, m[p], n, one)):
+            mono = m[:p] + (k,) + m[p + 1:]
+            out[mono] = out.get(mono, 0 * one) + c * ck
+    return {m: v for m, v in out.items() if not is_zero(v)}
+
+
+BASE_CHANGE_INSTANCES = sorted((ROOT / "instances").glob("*.loop")) + [
+    ROOT / "perfbench" / "instances" / f"{name}.loop" for name in ("big3", "cyc3")
+]
+
+
+@pytest.mark.parametrize("path", BASE_CHANGE_INSTANCES, ids=lambda p: p.stem)
+def test_base_change_matches_repeated_multiplication(path):
+    P, T, z, _ = parse_instance(path.read_text())
+    backend = None if z.conductor() == 1 else CyclotomicField(z.conductor())
+    model = loop_model(P, T)
+    (p,) = [model.alg.index[nm] for nm in model.laurent_names]
+    zj, one = z.coordinate_scalar(0, backend), coerce(1, backend)
+    for n in range(1, 5):
+        based = model.at_torus_point_level(z, n, backend=backend)
+        assert based.t_index == p and based.alg.gens[p].name == "t0"
+        for old, new in ((model.d, based.d), (model.eps, based.eps)):
+            assert set(new.images) <= set(old.images)
+            for name, poly in old.images.items():
+                got = new.images[name].terms if name in new.images else {}
+                assert got == _reference_image(poly, p, zj, n, one), (name, n)
+
+
 # -- stabilizers ------------------------------------------------------------------
 
 def test_stabilizers_weight_one():
@@ -184,6 +248,89 @@ def test_stabilizers_weight_two():
 def test_stabilizers_mixed():
     subs = stabilizer_subgroups(TorusData(1), [(1,), (-1,)])
     assert [s.describe() for s in subs] == ["full torus", "trivial"]
+
+
+def _reference_hnf(rows, r):
+    """The Hermite normal form as computed before the column-by-column rewrite."""
+    mat = [list(row) for row in rows if any(row)]
+    out = []
+    col = 0
+    while mat and col < r:
+        cand = [row for row in mat if row[col]]
+        if not cand:
+            col += 1
+            continue
+        # reduce the column by gcd steps
+        while True:
+            cand = sorted((row for row in mat if row[col]), key=lambda rw: abs(rw[col]))
+            if len(cand) <= 1:
+                break
+            a = cand[0]
+            changed = False
+            for row in cand[1:]:
+                q = row[col] // a[col]
+                if q:
+                    for k in range(r):
+                        row[k] -= q * a[k]
+                    changed = True
+            mat = [row for row in mat if any(row)]
+            if not changed:
+                break
+        pivot_rows = [row for row in mat if row[col]]
+        if pivot_rows:
+            p = pivot_rows[0]
+            if p[col] < 0:
+                for k in range(r):
+                    p[k] = -p[k]
+            mat.remove(p)
+            mat = [row for row in mat if not row[col] or _reference_reduce_row(row, p, col, r)]
+            mat = [row for row in mat if any(row)]
+            # reduce earlier pivots above this one
+            for prev in out:
+                q = prev[col] // p[col]
+                if q:
+                    for k in range(r):
+                        prev[k] -= q * p[k]
+            out.append(p)
+        col += 1
+    return tuple(tuple(row) for row in out)
+
+
+def _reference_reduce_row(row, pivot, col, r):
+    q = row[col] // pivot[col]
+    for k in range(r):
+        row[k] -= q * pivot[k]
+    return True
+
+
+_matrices = st.integers(1, 4).flatmap(
+    lambda r: st.tuples(
+        st.just(r),
+        st.lists(st.lists(st.integers(-7, 7), min_size=r, max_size=r), max_size=6),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices)
+def test_hermite_normal_form(case):
+    r, rows = case
+    hnf = _hermite_normal_form(rows, r)
+    assert hnf == _reference_hnf(rows, r)
+    # echelon rows with positive pivots, and the entries above each pivot in [0, pivot)
+    pivots = [next(c for c, v in enumerate(row) if v) for row in hnf]
+    assert pivots == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(hnf, pivots)):
+        assert row[c] > 0
+        assert all(0 <= prev[c] < row[c] for prev in hnf[:i])
+    # every input row lies in the lattice the HNF rows span
+    for row in rows:
+        v = list(row)
+        for h, c in zip(hnf, pivots):
+            q, rem = divmod(v[c], h[c])
+            assert rem == 0
+            v = [a - q * b for a, b in zip(v, h)]
+        assert not any(v)
 
 
 def test_localization_open_set_examples():
