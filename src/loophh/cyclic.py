@@ -2,27 +2,28 @@
 
 Independent oracle for Hochschild homology and its circle action (Loday,
 *Cyclic Homology*, 1.1 and 2.1).  For a monomial-relation presentation A and
-diagonalizable G, level n holds (A^{(x) n+1} (x) k[G])^G.  The element-level
-`face`, `cyclic_t`, `degeneracy` and `apply_B` are the oracle's only
-definitions: the last face is twisted, d_n(a_0...a_n (x) w^mu) = (a_n a_0)
-(x) ... (x) w^{mu + wt(a_n)}, t rotates the coaction leg into the group
-monomial (validated by t^{n+1} = id on invariants), s_j inserts a unit after
-slot j, and B = (1 - lambda) s N with lambda = (-1)^n t.
+diagonalizable G, level n holds (A^{(x) n+1} (x) k[G])^G.
 
 Elements are plain tuples (`BarElement`, a NamedTuple of monomials and mu).
 The aux degree and weight of each monomial of A are tabulated once per
-complex, and products of monomials are memoized, so numbering a level and
-applying a structure map never re-derive them.  Each level is numbered once,
-in bin order, and d_i, t and s_j are stored as tables of target numbers
-(`faces[n][i]`, `t[n]`, `s[n][j]`): None where a product hits a relation,
-CAPPED where mu leaves the box |mu| <= mu_cap.  The simplicial identities are
-compositions of these tables.  b = sum (-1)^i d_i of any combination is read
-straight off the face tables each time a check needs it (no b column is
-stored); a B column is `apply_B` of one element, numbered.  b^2 = B^2 = bB +
-Bb = 0 are checked column by column, and skipped for an element when one of
-its own columns, or the column of a term that survives cancellation in its
-image, hit the cap.  `connes_B` pushes the same columns to the normalized
-complex.
+complex, and products of monomials are memoized.  Each level is numbered
+once, in bin order.  The structure maps are defined once each, per level, on
+the (monos, mu) pairs of that level: d_i multiplies slots i, i + 1; the last
+face is twisted, d_n(a_0...a_n (x) w^mu) = (a_n a_0) (x) ... (x)
+w^{mu + wt(a_n)}; t rotates a_n to the front and its weight into the group
+monomial (validated by t^{n+1} = id on invariants); s_j inserts a unit after
+slot j.  Their images are looked up as plain tuples and stored as tables of
+target numbers (`faces[n][i]`, `t[n]`, `s[n][j]`): None where a product hits
+a relation, CAPPED where mu leaves the box |mu| <= mu_cap.
+
+Everything else is index arithmetic on these tables.  The simplicial
+identities compose whole table rows.  b = sum (-1)^i d_i is read off the
+face tables.  B = (1 - lambda) s_{-1} N, with lambda = (-1)^n t, takes the
+extra degeneracy s_{-1} = t_{n+1} s_n (the unit in front) of the cyclic set.
+b^2 = B^2 = bB + Bb = 0 are checked column by column, and skipped for an
+element when one of its own columns, or the column of a term that survives
+cancellation in its image, hit the cap.  `connes_B` pushes the same columns
+to the normalized complex.
 
 Simplicial truncation at depth N is exact on low weights: the normalized
 level n only touches aux >= n (every inner slot carries aux >= 1), so a bin
@@ -31,6 +32,7 @@ of auxiliary degree a is final once N >= a; deeper bins are edge-flagged.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .complexes import GradedComplex
@@ -89,26 +91,16 @@ class CyclicLevels:
 
     def _a_basis(self):
         """Monomials of A up to aux_max (quotient by monomial relations)."""
-        out = []
-        exps = [0] * len(self.gens)
-
-        def rec(i, aux):
-            if i == len(self.gens):
-                m = tuple(exps)
-                if self.mono_mul(m, self.unit) is not None:
-                    out.append(m)
-                return
-            g = self.gens[i]
-            e = 0
-            while aux + e * g.aux <= self.aux_max:
-                exps[i] = e
-                rec(i + 1, aux + e * g.aux)
-                e += 1
-            exps[i] = 0
-
-        rec(0, 0)
-        out.sort()
-        return out
+        level = [((), 0)]  # exponents of the first generators, their aux
+        for g in self.gens:
+            longer = []
+            for m, aux in level:
+                e = 0
+                while aux + e * g.aux <= self.aux_max:
+                    longer.append((m + (e,), aux + e * g.aux))
+                    e += 1
+            level = longer
+        return sorted(m for m, _ in level if self.mono_mul(m, self.unit) is not None)
 
     def total_weight(self, monos):
         return tuple(map(sum, zip(*map(self.mono_weight.__getitem__, monos))))
@@ -167,27 +159,24 @@ class CyclicLevels:
         for n, elems in enumerate(self.elements):
             if n:
                 self.faces.append([
-                    self._table(n - 1, lambda el: self.face(el, i), elems, f"d_{i}")
+                    self._numbered(n - 1, elems, self._face(n, i, elems), f"d_{i}")
                     for i in range(n + 1)
                 ])
-            self.t.append(self._table(n, self.cyclic_t, elems, "t"))
+            self.t.append(self._numbered(n, elems, self._rotation(n, elems), "t"))
             if n < self.N:
                 self.s.append([
-                    self._table(n + 1, lambda el: self.degeneracy(el, j), elems, f"s_{j}")
+                    self._numbered(n + 1, elems, self._degeneracy(n, j, elems), f"s_{j}")
                     for j in range(n + 1)
                 ])
 
-    def _table(self, level, image, elems, name):
-        """Number in `level` of image(el) for each el; None and CAPPED stay."""
+    def _numbered(self, level, elems, images, name):
+        """Number in `level` of each image (a (monos, mu) tuple); None and
+        CAPPED stay."""
         number = self.number[level]
-        out = []
-        for el in elems:
-            im = image(el)
-            if isinstance(im, BarElement):
-                im = number.get(im)
-                if im is None:
-                    raise NotAComplex(self._degree(el), f"{name} leaves level {level}")
-            out.append(im)
+        out = [number.get(im, im) if im.__class__ is tuple else im for im in images]
+        if tuple in map(type, out):  # an image that is not numbered
+            e = list(map(type, out)).index(tuple)
+            raise NotAComplex(self._degree(elems[e]), f"{name} leaves level {level}")
         return out
 
     def _tensor_tuples(self):
@@ -219,66 +208,43 @@ class CyclicLevels:
             w = self.total_weight(el.monos)
         return Multidegree(-el.level, w, aux, 0)
 
-    # -- structure maps ---------------------------------------------------------
-    def face(self, el: BarElement, i: int):
-        """d_i; returns BarElement, None (killed by a relation) or CAPPED."""
-        n = el.level
-        monos = el.monos
+    # -- structure maps, one level at a time --------------------------------------
+    # Each takes the (monos, mu) pairs of level n and yields their images as
+    # (monos, mu) tuples, None where a product hits a relation, or CAPPED.
+    def _face(self, n, i, elems):
+        """d_i multiplies slots i, i + 1; the last face d_n is twisted:
+        a_n a_0 (x) a_1 ... a_{n-1} (x) w^{mu + wt(a_n)}."""
+        mul = self.mono_mul
         if i < n:
-            prod = self.mono_mul(monos[i], monos[i + 1])
-            if prod is None:
-                return None
-            return BarElement(monos[:i] + (prod,) + monos[i + 2:], el.mu)
-        prod = self.mono_mul(monos[n], monos[0])
-        if prod is None:
-            return None
-        mu = el.mu
-        if self.equivariant:
-            shift = self.mono_weight[monos[n]]
-            mu = tuple(m + s for m, s in zip(mu, shift))
-            if any(abs(x) > self.mu_cap for x in mu):
-                return CAPPED
-        return BarElement((prod,) + monos[1:n], mu)
+            for m, mu in elems:
+                p = mul(m[i], m[i + 1])
+                yield None if p is None else (m[:i] + (p,) + m[i + 2:], mu)
+            return
+        for m, mu in elems:
+            p = mul(m[n], m[0])
+            if p is None:
+                yield None
+                continue
+            mu = self._shifted(mu, m[n])
+            yield CAPPED if mu is CAPPED else ((p,) + m[1:n], mu)
 
-    def degeneracy(self, el: BarElement, j: int) -> BarElement:
-        """s_j inserts the unit after slot j; j = -1 means the front (extra)."""
-        monos = el.monos
-        if j < 0:
-            return BarElement((self.unit,) + monos, el.mu)
-        return BarElement(monos[: j + 1] + (self.unit,) + monos[j + 1:], el.mu)
+    def _rotation(self, n, elems):
+        """t moves a_n to the front and its weight into the group monomial."""
+        for m, mu in elems:
+            mu = self._shifted(mu, m[n])
+            yield CAPPED if mu is CAPPED else ((m[n],) + m[:n], mu)
 
-    def cyclic_t(self, el: BarElement):
-        n = el.level
-        monos = el.monos
-        mu = el.mu
-        if self.equivariant:
-            shift = self.mono_weight[monos[n]]
-            mu = tuple(m + s for m, s in zip(mu, shift))
-            if any(abs(x) > self.mu_cap for x in mu):
-                return CAPPED
-        return BarElement((monos[n],) + monos[:n], mu)
+    def _degeneracy(self, n, j, elems):
+        """s_j inserts the unit after slot j."""
+        unit = (self.unit,)
+        return ((m[:j + 1] + unit + m[j + 1:], mu) for m, mu in elems)
 
-    def apply_B(self, el: BarElement):
-        """Connes boundary (1 - lambda) s N, unnormalized."""
-        sign_n = -1 if el.level % 2 else 1  # (-1)^n
-        out = {}
-        capped = False
-        # N = sum lambda^i with lambda = (-1)^n t on C_n; lambda^i el = sign * e
-        sign, e = 1, el
-        for _ in range(el.level + 1):
-            s_e = self.degeneracy(e, -1)
-            out[s_e] = out.get(s_e, 0) + sign
-            lam_se = self.cyclic_t(s_e)  # -lambda = (-1)^n t on C_{n+1}
-            if lam_se is CAPPED:
-                capped = True
-            else:
-                out[lam_se] = out.get(lam_se, 0) + sign * sign_n
-            e = self.cyclic_t(e)
-            if e is CAPPED:
-                capped = True
-                break
-            sign *= sign_n
-        return [(s, e) for e, s in out.items() if s], capped
+    def _shifted(self, mu, a):
+        """mu + wt(a) when equivariant, CAPPED outside the box |mu| <= mu_cap."""
+        if not self.equivariant:
+            return mu
+        mu = tuple(map(add, mu, self.mono_weight[a]))
+        return CAPPED if any(abs(x) > self.mu_cap for x in mu) else mu
 
     def is_degenerate(self, el: BarElement) -> bool:
         return self.unit in el.monos[1:]
@@ -305,39 +271,68 @@ class CyclicLevels:
         return {k: v for k, v in col.items() if v}, capped
 
     def _B_column(self, n, e):
-        """B of element e of level n < N, numbered in level n + 1."""
-        terms, capped = self.apply_B(self.elements[n][e])
-        number = self.number[n + 1]
-        return {number[im]: s for s, im in terms}, capped
+        """B = (1 - lambda) s_{-1} N of element e of level n < N, numbered in
+        level n + 1, with lambda = (-1)^n t and the extra degeneracy
+        s_{-1} = t s_n (the unit in front; it moves no weight, so never caps)."""
+        t, up, s_n = self.t[n], self.t[n + 1], self.s[n][n]
+        sign_n = -1 if n % 2 else 1
+        col = {}
+        capped = False
+        sign = 1
+        for _ in range(n + 1):  # N = sum lambda^i; lambda^i e = sign * t^i e
+            k = up[s_n[e]]
+            col[k] = col.get(k, 0) + sign
+            k = up[k]  # -lambda = (-1)^n t on level n + 1
+            if k is CAPPED:
+                capped = True
+            else:
+                col[k] = col.get(k, 0) + sign * sign_n
+            e = t[e]
+            if e is CAPPED:
+                capped = True
+                break
+            sign *= sign_n
+        return {k: v for k, v in col.items() if v}, capped
 
     # -- law checks -----------------------------------------------------------------
     def check_simplicial_identities(self):
-        """Face-face, cyclic and face-degeneracy identities on every level."""
+        """Face-face, cyclic and face-degeneracy identities on every level.
+
+        Each identity composes whole table rows; a violation is reported at
+        the first element, in level order, where one fails.
+        """
         for n in range(2, self.N + 1):
             d, below = self.faces[n], self.faces[n - 1]
-            for e, el in enumerate(self.elements[n]):
-                for j in range(1, n + 1):
-                    for i in range(j):
-                        a = _after(below[i], d[j][e])
-                        b = _after(below[j - 1], d[i][e])
-                        if a != b and CAPPED not in (a, b):  # capped: edge-flagged
-                            raise NotAComplex(
-                                self._degree(el), f"d_{i} d_{j} != d_{j-1} d_{i}"
-                            )
+            bad = []  # (element, j, i) of the first failure of each pair
+            for j in range(1, n + 1):
+                for i in range(j):
+                    e = _first_difference(_compose(below[i], d[j]),
+                                          _compose(below[j - 1], d[i]))
+                    if e is not None:
+                        bad.append((e, j, i))
+            if bad:
+                e, j, i = min(bad)
+                raise NotAComplex(self._degree(self.elements[n][e]),
+                                  f"d_{i} d_{j} != d_{j-1} d_{i}")
         for n, t in enumerate(self.t):
-            for e, el in enumerate(self.elements[n]):
-                k = e
-                for _ in range(n + 1):
-                    if k != CAPPED:
-                        k = t[k]
-                if k not in (e, CAPPED):
-                    raise NotAComplex(self._degree(el), "t^{n+1} != id")
+            ks = ident = list(range(len(t)))
+            for _ in range(n + 1):
+                ks = _compose(t, ks)
+            e = _first_difference(ks, ident)
+            if e is not None:
+                raise NotAComplex(self._degree(self.elements[n][e]), "t^{n+1} != id")
         for n, s in enumerate(self.s):
             d = self.faces[n + 1]
-            for e, el in enumerate(self.elements[n]):
-                for j, sj in enumerate(s):
-                    if d[j][sj[e]] != e or d[j + 1][sj[e]] != e:
-                        raise NotAComplex(self._degree(el), f"d s_{j} != id")
+            ident = list(range(len(self.elements[n])))
+            bad = []
+            for j, sj in enumerate(s):
+                for face in (d[j], d[j + 1]):
+                    row = [face[k] for k in sj]
+                    if row != ident:
+                        bad.append((next(e for e, k in enumerate(row) if k != e), j))
+            if bad:
+                e, j = min(bad)
+                raise NotAComplex(self._degree(self.elements[n][e]), f"d s_{j} != id")
         return True
 
     def check_bar_laws(self):
@@ -371,9 +366,19 @@ class CyclicLevels:
         return True
 
 
-def _after(table, k):
-    """table applied to k, a number, None or CAPPED (the last two stay)."""
-    return table[k] if isinstance(k, int) else k
+def _compose(table, row):
+    """table applied to each entry of row: a number, None or CAPPED (the last
+    two stay)."""
+    return [table[k] if k.__class__ is int else k for k in row]
+
+
+def _first_difference(a, b):
+    """The first position where rows a and b differ, neither entry being
+    CAPPED (a capped image is edge-flagged); None if there is none."""
+    if a == b:
+        return None
+    return next((e for e, (x, y) in enumerate(zip(a, b))
+                 if x != y and x is not CAPPED and y is not CAPPED), None)
 
 
 def _image(combo, columns, out=None):

@@ -1,12 +1,15 @@
 """Monomial enumeration and the graded Leibniz rule against plain references."""
 
+import gc
 import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from loophh.algebra import Derivation, FreeAlgebra, Generator, Polynomial, enumerate_monomials
+from loophh.cyclic import cyclic_bar
 from loophh.grading import Multidegree
+from loophh.models import AlgebraPresentation
 from loophh.scalars import CyclotomicField
 
 Q_ZETA3 = CyclotomicField(3)
@@ -80,6 +83,24 @@ def test_enumeration_example():
         Multidegree(0, (0,), 0): [(0, 0, -1), (0, 0, 0), (0, 0, 1)],
         Multidegree(-1, (0,), 2): [(1, 1, -1), (1, 1, 0), (1, 1, 1)],
     }
+
+
+def test_enumerations_leave_no_reference_cycles():
+    # what an enumeration allocates is freed by reference counting alone
+    alg = FreeAlgebra([Generator("x", 0, (1,), 1), Generator("e", -1, (-1,), 1),
+                       Generator("w", 0, (0,), 0, laurent=True)], 1)
+    P = AlgebraPresentation([("x", (1,), 1), ("y", (2,), 1)], rank=1, asserted_smooth=True)
+    P.add_relation(P.ambient.poly_gen("x", 2))
+    L = cyclic_bar(P, N=1, aux_max=3)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_monomials(alg, 2, laurent_cap=1, weight_filter=(0,))
+        enumerate_monomials(alg, 2, laurent_cap=1)
+        assert L._a_basis() == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- the graded Leibniz rule -------------------------------------------------

@@ -13,6 +13,7 @@ from loophh.models import (
     regrade_by_group_exponent,
 )
 from loophh.cyclic import (
+    CAPPED,
     BarElement,
     CyclicLevels,
     connes_B,
@@ -214,48 +215,61 @@ def test_unnormalized_vs_normalized_ranks():
 def test_bar_laws_catch_a_sign_error_in_connes_b(monkeypatch):
     L = cyclic_bar(kx(), N=4, aux_max=3)
     assert L.check_bar_laws()
-    apply_B = CyclicLevels.apply_B
+    B_column = CyclicLevels._B_column
 
-    def apply_B_odd_sign_flipped(self, el):
-        terms, capped = apply_B(self, el)
-        if el.level % 2:
-            terms = [(-s, e) for s, e in terms]
-        return terms, capped
+    def B_column_odd_sign_flipped(self, n, e):
+        col, capped = B_column(self, n, e)
+        if n % 2:
+            col = {k: -v for k, v in col.items()}
+        return col, capped
 
-    monkeypatch.setattr(CyclicLevels, "apply_B", apply_B_odd_sign_flipped)
-    with pytest.raises(NotAComplex, match=r"bB \+ Bb != 0"):
+    monkeypatch.setattr(CyclicLevels, "_B_column", B_column_odd_sign_flipped)
+    with pytest.raises(NotAComplex, match=r"bB \+ Bb != 0") as err:
         L.check_bar_laws()
+    assert err.value.bin_name == md(-2, (1,), 1)  # the first element that fails
 
 
 def test_identity_checks_catch_a_wrong_face(monkeypatch):
     assert cyclic_bar(kx(), N=4, aux_max=3).check_simplicial_identities()
-    face = CyclicLevels.face
+    face = CyclicLevels._face
 
-    def face_wrong_pair(self, el, i):
-        if el.level == 3 and i == 1:  # multiplies slots 2, 3 instead of 1, 2
-            prod = self.mono_mul(el.monos[2], el.monos[3])
-            return None if prod is None else BarElement(el.monos[:2] + (prod,), el.mu)
-        return face(self, el, i)
+    def face_wrong_pair(self, n, i, elems):
+        if n == 3 and i == 1:  # multiplies slots 2, 3 instead of 1, 2
+            return [None if (p := self.mono_mul(m[2], m[3])) is None else (m[:2] + (p,), mu)
+                    for m, mu in elems]
+        return face(self, n, i, elems)
 
-    monkeypatch.setattr(CyclicLevels, "face", face_wrong_pair)
+    monkeypatch.setattr(CyclicLevels, "_face", face_wrong_pair)
     L = cyclic_bar(kx(), N=4, aux_max=3)
-    with pytest.raises(NotAComplex, match=r"d_\d d_\d"):
+    with pytest.raises(NotAComplex, match=r"d_\d d_\d") as err:
         L.check_simplicial_identities()
+    assert str(err.value).endswith("d_0 d_1 != d_0 d_0")  # the first identity that fails
+    assert err.value.bin_name == md(-3, (1,), 1)
 
 
 def test_identity_checks_catch_a_wrong_cyclic_operator(monkeypatch):
-    cyclic_t = CyclicLevels.cyclic_t
+    rotation = CyclicLevels._rotation
 
-    def t_swapping(self, el):
-        if el.level == 2:  # swaps the last two slots instead of rotating
-            a0, a1, a2 = el.monos
-            return BarElement((a0, a2, a1), el.mu)
-        return cyclic_t(self, el)
+    def t_swapping(self, n, elems):
+        if n == 2:  # swaps the last two slots instead of rotating
+            return [((a0, a2, a1), mu) for (a0, a1, a2), mu in elems]
+        return rotation(self, n, elems)
 
-    monkeypatch.setattr(CyclicLevels, "cyclic_t", t_swapping)
+    monkeypatch.setattr(CyclicLevels, "_rotation", t_swapping)
     L = cyclic_bar(kx(), N=4, aux_max=3)
-    with pytest.raises(NotAComplex, match=r"t\^\{n\+1\} != id"):
+    with pytest.raises(NotAComplex, match=r"t\^\{n\+1\} != id") as err:
         L.check_simplicial_identities()
+    assert err.value.bin_name == md(-2, (1,), 1)
+
+
+def test_tables_reject_an_image_outside_the_level(monkeypatch):
+    def s_inserting_two_units(self, n, j, elems):
+        return [(m[:j + 1] + (self.unit, self.unit) + m[j + 1:], mu) for m, mu in elems]
+
+    monkeypatch.setattr(CyclicLevels, "_degeneracy", s_inserting_two_units)
+    with pytest.raises(NotAComplex, match="s_0 leaves level 1") as err:
+        cyclic_bar(kx(), N=2, aux_max=2)
+    assert err.value.bin_name == md(0, (0,), 0)  # the first element of level 0
 
 
 def test_bar_laws_catch_a_corrupt_face_entry():
@@ -295,3 +309,101 @@ def _dual_numbers():
 def test_oracle_tables_pinned(build, digest):
     table = connes_B(build()).cohomology().serialize()
     assert hashlib.sha256(table.encode()).hexdigest() == digest
+
+
+# -- reference: Loday's element-level definitions ----------------------------------
+# Each acts on one (monos, mu) element and returns an element, None (a product
+# hits a relation) or CAPPED (mu leaves the box).  B uses the extra degeneracy
+# as the unit in front, not through t s_n.
+
+def _ref_mul(L, a, b):
+    m = tuple(x + y for x, y in zip(a, b))
+    return None if any(all(e >= r for e, r in zip(m, rel)) for rel in L.relation_monos) else m
+
+
+def _ref_shift(L, mu, a):
+    if not L.equivariant:
+        return mu
+    mu = tuple(x + w for x, w in zip(mu, L.mono_weight[a]))
+    return CAPPED if any(abs(x) > L.mu_cap for x in mu) else mu
+
+
+def _ref_face(L, el, i):
+    monos, mu = el
+    n = len(monos) - 1
+    if i < n:
+        p = _ref_mul(L, monos[i], monos[i + 1])
+        return None if p is None else (monos[:i] + (p,) + monos[i + 2:], mu)
+    p = _ref_mul(L, monos[n], monos[0])
+    if p is None:
+        return None
+    mu = _ref_shift(L, mu, monos[n])
+    return CAPPED if mu is CAPPED else ((p,) + monos[1:n], mu)
+
+
+def _ref_t(L, el):
+    monos, mu = el
+    mu = _ref_shift(L, mu, monos[-1])
+    return CAPPED if mu is CAPPED else ((monos[-1],) + monos[:-1], mu)
+
+
+def _ref_degeneracy(L, el, j):
+    monos, mu = el
+    return (monos[:j + 1] + (L.unit,) + monos[j + 1:], mu)
+
+
+def _ref_B(L, el):
+    """(1 - lambda) s_{-1} N, lambda = (-1)^n t: ({element: coefficient}, capped)."""
+    n = len(el[0]) - 1
+    sign_n = (-1) ** n
+    out, capped, sign = {}, False, 1
+    for _ in range(n + 1):
+        front = ((L.unit,) + el[0], el[1])
+        out[front] = out.get(front, 0) + sign
+        rotated = _ref_t(L, front)
+        if rotated is CAPPED:
+            capped = True
+        else:
+            out[rotated] = out.get(rotated, 0) + sign * sign_n
+        el = _ref_t(L, el)
+        if el is CAPPED:
+            capped = True
+            break
+        sign *= sign_n
+    return {k: v for k, v in out.items() if v}, capped
+
+
+def _ref_number(L, level, image):
+    return image if image is None or image is CAPPED else L.number[level][image]
+
+
+# `caps`: whether some face, t or B column leaves the mu box, so the CAPPED
+# rule is compared too
+@pytest.mark.parametrize("build, caps", [
+    (lambda: cyclic_bar(_plane(), N=4, aux_max=3), False),
+    (lambda: cyclic_bar(_dual_numbers(), N=6, aux_max=6), False),
+    (lambda: equivariant_cyclic_bar(kx(), TorusData(1), N=4, aux_max=3, mu_cap=4), False),
+    (lambda: equivariant_cyclic_bar(
+        AlgebraPresentation([("x", (1,), 1), ("y", (-1,), 1)], rank=1, asserted_smooth=True),
+        TorusData(1), N=3, aux_max=2, mu_cap=2), True),
+], ids=["plane N4 aux3", "k[x]/(x^2) N6 aux6", "equivariant k[x] N4 aux3 mu4",
+        "x weight 1, y weight -1 mu2"])
+def test_tables_equal_the_element_level_definitions(build, caps):
+    L = build()
+    capped = False
+    for n, elems in enumerate(L.elements):
+        for i in range(n + 1 if n else 0):
+            assert L.faces[n][i] == [_ref_number(L, n - 1, _ref_face(L, el, i)) for el in elems]
+            capped |= CAPPED in L.faces[n][i]
+        assert L.t[n] == [_ref_number(L, n, _ref_t(L, el)) for el in elems]
+        capped |= CAPPED in L.t[n]
+        if n == L.N:
+            continue
+        for j in range(n + 1):
+            assert L.s[n][j] == [L.number[n + 1][_ref_degeneracy(L, el, j)] for el in elems]
+        for e, el in enumerate(elems):
+            col, cap = _ref_B(L, el)
+            assert L._B_column(n, e) == ({L.number[n + 1][k]: v for k, v in col.items()}, cap)
+            capped |= cap
+    assert capped == caps
+    assert L.mu_preserved == (not caps)
