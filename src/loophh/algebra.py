@@ -247,13 +247,6 @@ class Derivation:
         return Polynomial(self.alg, out)
 
 
-def _reaches(target, reach, i, weight):
-    """Can generators i.. bring `weight` to the target (None: any weight)?"""
-    return target is None or all(
-        a <= t - x <= b for t, x, (a, b) in zip(target, weight, reach[i])
-    )
-
-
 @dataclass
 class Enumeration:
     """Monomial enumeration of an algebra within finite bounds."""
@@ -292,7 +285,6 @@ def enumerate_monomials(
             ranges.append((0, aux_max // g.aux if g.aux else 0))
     n = len(gens)
     target = None if weight_filter is None else tuple(weight_filter)
-    reach = None
     if target is not None:
         if len(target) != alg.rank:
             raise ValueError("weight_filter length != rank")
@@ -305,22 +297,24 @@ def enumerate_monomials(
             ))
         reach.reverse()
 
+    def reachable(i, weight):
+        """Can generators i.. bring `weight` to the target?"""
+        return target is None or all(
+            a <= t - x <= b for t, x, (a, b) in zip(target, weight, reach[i])
+        )
+
     out: dict[Multidegree, list] = {}
-    # Depth first over the generators: the partial degree of a branch travels
-    # with it, and a branch stops as soon as its weight can no longer reach
-    # the target.  Branches are pushed in reverse, so leaves arrive in
-    # lexicographic order and every bin comes out sorted.
-    zero = (0,) * alg.rank
-    stack = [((), 0, zero, 0)] if _reaches(target, reach, 0, zero) else []
-    while stack:
-        exps, cohdeg, weight, aux_used = stack.pop()
-        i = len(exps)
+    exps = [0] * n
+
+    # The partial degree of exps[:i] travels down the recursion, and a branch
+    # stops as soon as its weight can no longer reach the target.  Leaves
+    # arrive in lexicographic order, so every bin comes out sorted.
+    def rec(i, cohdeg, weight, aux_used):
         if i == n:
-            out.setdefault(Multidegree(cohdeg, weight, aux_used, 0), []).append(exps)
-            continue
+            out.setdefault(Multidegree(cohdeg, weight, aux_used, 0), []).append(tuple(exps))
+            return
         lo, hi = ranges[i]
         g = gens[i]
-        branches = []
         for e in range(lo, hi + 1):
             cost = e * g.aux if e > 0 else 0
             if aux_used + cost > aux_max:
@@ -328,7 +322,12 @@ def enumerate_monomials(
                     break
                 continue
             w = tuple([a + e * b for a, b in zip(weight, g.weight)])  # as in mul_monomials
-            if _reaches(target, reach, i + 1, w):
-                branches.append((exps + (e,), cohdeg + e * g.cohdeg, w, aux_used + cost))
-        stack += reversed(branches)
+            if reachable(i + 1, w):
+                exps[i] = e
+                rec(i + 1, cohdeg + e * g.cohdeg, w, aux_used + cost)
+        exps[i] = 0
+
+    if reachable(0, (0,) * alg.rank):
+        rec(0, 0, (0,) * alg.rank, 0)
+    del rec  # rec holds itself through its cell: break the cycle
     return Enumeration(out, aux_max, caps)

@@ -165,7 +165,7 @@ class CyclicLevels:
             self.t.append(self._numbered(n, elems, self._rotation(n, elems), "t"))
             if n < self.N:
                 self.s.append([
-                    self._numbered(n + 1, elems, self._degeneracy(n, j, elems), f"s_{j}")
+                    self._numbered(n + 1, elems, self._degeneracy(j, elems), f"s_{j}")
                     for j in range(n + 1)
                 ])
 
@@ -174,8 +174,8 @@ class CyclicLevels:
         CAPPED stay."""
         number = self.number[level]
         out = [number.get(im, im) if im.__class__ is tuple else im for im in images]
-        if tuple in map(type, out):  # an image that is not numbered
-            e = list(map(type, out)).index(tuple)
+        e = next((e for e, im in enumerate(out) if im.__class__ is tuple), None)
+        if e is not None:  # an image that is not numbered
             raise NotAComplex(self._degree(elems[e]), f"{name} leaves level {level}")
         return out
 
@@ -234,7 +234,7 @@ class CyclicLevels:
             mu = self._shifted(mu, m[n])
             yield CAPPED if mu is CAPPED else ((m[n],) + m[:n], mu)
 
-    def _degeneracy(self, n, j, elems):
+    def _degeneracy(self, j, elems):
         """s_j inserts the unit after slot j."""
         unit = (self.unit,)
         return ((m[:j + 1] + unit + m[j + 1:], mu) for m, mu in elems)

@@ -263,7 +263,7 @@ def test_identity_checks_catch_a_wrong_cyclic_operator(monkeypatch):
 
 
 def test_tables_reject_an_image_outside_the_level(monkeypatch):
-    def s_inserting_two_units(self, n, j, elems):
+    def s_inserting_two_units(self, j, elems):
         return [(m[:j + 1] + (self.unit, self.unit) + m[j + 1:], mu) for m, mu in elems]
 
     monkeypatch.setattr(CyclicLevels, "_degeneracy", s_inserting_two_units)

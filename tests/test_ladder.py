@@ -1,22 +1,31 @@
-"""tools/ladder.py on a two-entry slice: the file's schema and --compare.
+"""tools/ladder.py on a two-entry slice of its grid: the file's schema and
+--compare.
 
 No timing is checked: the times depend on the host.
 """
 
+import importlib.util
 import json
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LADDER = [sys.executable, str(ROOT / "tools" / "ladder.py")]
 
 
-def test_ladder_slice_schema_and_compare(tmp_path):
+def load_ladder():
+    spec = importlib.util.spec_from_file_location("ladder", ROOT / "tools" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return ladder
+
+
+def test_ladder_slice_schema_and_compare(tmp_path, monkeypatch, capsys):
+    ladder = load_ladder()
+    entries = ladder.grid()
+    assert len(entries) == 8 * 7 * 3 + 1  # perfbench's copies of instances/ run once
+    monkeypatch.setattr(ladder, "grid", lambda: entries[:2])
     out = tmp_path / "ladder.json"
-    subprocess.run(LADDER + ["--out", str(out), "--limit", "2", "--repeat", "2"],
-                   check=True, capture_output=True, timeout=120)
+    assert ladder.main(["--out", str(out), "--repeat", "2"]) == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == "loophh-ladder/1" and doc["repeat"] == 2
     assert [e["argv"] for e in doc["entries"]] == [
@@ -33,15 +42,13 @@ def test_ladder_slice_schema_and_compare(tmp_path):
         assert len(e["wall_ref_s"]) == len(e["peak_rss_mb"]) == 2
         assert all(isinstance(x, float) and x > 0 for x in e["wall_ref_s"] + e["peak_rss_mb"])
 
-    same = subprocess.run(LADDER + ["--compare", str(out), str(out)],
-                          capture_output=True, text=True, timeout=60)
-    assert same.returncode == 0
-    assert "outcomes all equal; 0 times moved" in same.stdout
+    capsys.readouterr()
+    assert ladder.main(["--compare", str(out), str(out)]) == 0
+    assert "outcomes all equal; 0 times moved" in capsys.readouterr().out
 
     doc["entries"][1]["stdout_sha256"] = "0" * 64
     other = tmp_path / "other.json"
     other.write_text(json.dumps(doc))
-    diff = subprocess.run(LADDER + ["--compare", str(out), str(other)],
-                          capture_output=True, text=True, timeout=60)
-    assert diff.returncode == 1
-    assert "changed stdout_sha256: hh instances/01_line_gm_z2.loop --aux-max 0" in diff.stdout
+    assert ladder.main(["--compare", str(out), str(other)]) == 1
+    assert ("changed stdout_sha256: hh instances/01_line_gm_z2.loop --aux-max 0"
+            in capsys.readouterr().out)

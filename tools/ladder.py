@@ -1,20 +1,23 @@
 """The ladder: every CLI verb on every instance file, each in a fresh interpreter.
 
-    python3 tools/ladder.py --out BENCH_<sha>.json [--repeat R] [--limit K]
+    python3 tools/ladder.py --out BENCH_<sha>.json [--repeat R]
     python3 tools/ladder.py --compare A.json B.json
 
 The grid is the seven table and theorem verbs on ``instances/*.loop`` and
-``perfbench/instances/*.loop``, each at three windows (the file's own, the
-smallest, and a u-window wider than every strip), plus ``unipotent-check``.
+``perfbench/instances/*.loop`` (a file whose bytes equal an earlier one runs
+once), each at three windows (the file's own, the smallest, and a u-window
+wider than every strip), plus ``unipotent-check``.
 Each entry runs ``python -m loophh`` on this checkout's ``src`` once per
 round, in ``--repeat`` rounds over the whole grid.  Per entry the file
 records the exit code, the sha256 of stdout and of stderr, whether stderr
 holds a traceback, the wall time of each run (interpreter start-up
 included) and the peak RSS.  Wall times are scaled to the reference host
 speed by the benchmark's calibration bursts (``perfbench/calibrate.py``),
-run between stretches of entries.  The peak RSS is the child's ``ru_maxrss``, read from
-the rusage that ``os.wait4`` returns for that child alone: the
-``RUSAGE_CHILDREN`` total keeps the largest child seen so far.
+run between stretches of entries.  The peak RSS is the child's
+``ru_maxrss``, read from the rusage that ``os.wait4`` returns for that
+child alone: the ``RUSAGE_CHILDREN`` total keeps the largest child seen so
+far.  The ladder prints the stderr of each run that ends in a traceback and,
+after it writes the file, exits 1 if there was one.
 
 ``--compare`` lists every entry whose exit code, traceback flag or output
 hash differs between two files, and every entry whose median scaled wall
@@ -52,7 +55,12 @@ OUTCOME = ("code", "traceback", "stdout_sha256", "stderr_sha256")
 
 def grid():
     """The argv of every entry, after ``python -m loophh``."""
-    files = sorted(ROOT.glob("instances/*.loop")) + sorted(ROOT.glob("perfbench/instances/*.loop"))
+    files, seen = [], set()
+    for f in sorted(ROOT.glob("instances/*.loop")) + sorted(ROOT.glob("perfbench/instances/*.loop")):
+        data = f.read_bytes()
+        if data not in seen:
+            seen.add(data)
+            files.append(f)
     entries = [[verb, str(f.relative_to(ROOT)), *flags]
                for f in files for verb in VERBS for flags in WINDOWS]
     return entries + [["unipotent-check"]]
@@ -151,7 +159,6 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", metavar="FILE", help="write the ladder to FILE")
     p.add_argument("--repeat", type=int, default=3, help="runs per entry (default 3)")
-    p.add_argument("--limit", type=int, help="run only the first K entries of the grid")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two ladder files")
     args = p.parse_args(argv)
     if args.compare:
@@ -162,13 +169,12 @@ def main(argv=None):
         p.error("--out or --compare is required")
     if args.repeat < 1:
         p.error("--repeat must be at least 1")
-    entries = grid()[:args.limit]
-    records = run_ladder(entries, args.repeat)
+    records = run_ladder(grid(), args.repeat)
     head = {"schema": SCHEMA, "python": sys.version.split()[0], "repeat": args.repeat}
     # one entry per line, so two files diff entry by entry
     body = ",\n".join(json.dumps(r) for r in records)
     Path(args.out).write_text(json.dumps(head)[:-1] + ', "entries": [\n' + body + "\n]}\n")
-    return 0
+    return 1 if any(r["traceback"] for r in records) else 0
 
 
 if __name__ == "__main__":
