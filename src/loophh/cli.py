@@ -16,7 +16,7 @@ import hashlib
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import ENGINE_VERSION
 from .harness import (
@@ -24,6 +24,7 @@ from .harness import (
     INCONCLUSIVE,
     PASS,
     LocalizationInstance,
+    Truncation,
     check_derived_fixed_fiber,
     check_hc_variants,
     check_hh_localization,
@@ -47,10 +48,7 @@ REPORT_HEADER = f"loophh report v1 (engine {ENGINE_VERSION})"
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_BACKEND, EXIT_INCONCLUSIVE = 0, 1, 2, 3, 4
 VERDICT_EXIT = {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
-_WINDOW_FLAGS = (
-    "aux_max", "tower_levels", "bar_depth", "u_window",
-    "cohdeg_min", "cohdeg_max", "laurent_cap",
-)
+_WINDOW_FLAGS = tuple(f.name for f in fields(Truncation))
 
 
 def build_parser():

@@ -6,6 +6,9 @@ preserves (weight, upow) and shifts aux by a fixed declared amount
 (`aux_shift`, normally 0; the torus Cartan differential uses +1 because the
 Lie coordinate carries one unit of aux).  Bins listed in `edge` may be
 contaminated by out-of-window data and are excluded from all comparisons.
+A `Relabelling` moves labels between bins and carries per-bin blocks along;
+every derived complex (a tower level, a regrading, a truncation) and every
+derived map is built through it.
 """
 
 from __future__ import annotations
@@ -144,6 +147,54 @@ class GradedComplex:
             if chi_c != chi_h:
                 return False
         return True
+
+
+class Relabelling:
+    """Each label of `bins` moved to the bin `move(m, label)`, or dropped
+    where that is None.  New bins fill in the order of the old bins and keep
+    their labels' order."""
+
+    def __init__(self, bins, move):
+        self.bins: dict[Multidegree, list] = {}
+        self.where: dict[Multidegree, list] = {}  # old bin -> (new bin, index) or None per label
+        for m, labels in bins.items():
+            row = self.where[m] = []
+            for lbl in labels:
+                new = move(m, lbl)
+                if new is None:
+                    row.append(None)
+                else:
+                    dest = self.bins.setdefault(new, [])
+                    row.append((new, len(dest)))
+                    dest.append(lbl)
+
+    def blocks(self, mats, target, onto=None):
+        """Blocks m -> target(m), keyed by source bin, re-indexed along this
+        move on the source side and along `onto` (by default this move) on
+        the target side.  An entry at a dropped label is dropped.  None when
+        an entry would land outside target(its new source bin)."""
+        onto = onto or self
+        ents, goal = {}, {}
+        for m, mat in mats.items():
+            if not mat.entries:
+                continue
+            src, tgt = self.where[m], onto.where[target(m)]
+            for (i, j), v in mat.entries.items():
+                s, t = src[j], tgt[i]
+                if s is None or t is None:
+                    continue
+                sb = s[0]
+                ent = ents.get(sb)
+                if ent is None:
+                    ent = ents[sb] = {}
+                    goal[sb] = target(sb)
+                if t[0] != goal[sb]:
+                    return None
+                ent[(t[1], s[1])] = v
+        return {
+            sb: SparseMatrix(len(onto.bins.get(goal[sb], ())), len(self.bins[sb]), ent)
+            for sb, ent in ents.items()
+        }
 
 
 class ChainMap:

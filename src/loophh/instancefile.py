@@ -94,6 +94,7 @@ def parse_instance(text: str):
         else:
             raise ParseError(f"unknown space field {head!r}")
 
+    # `regular_sequence` is accepted and read by nothing
     flags = {"smooth": False, "regular_sequence": False}
     for ln in sections.get("assert", []):
         key, _, val = ln.partition(" ")
@@ -101,11 +102,7 @@ def parse_instance(text: str):
             raise ParseError(f"unknown assert field {key!r}")
         flags[key] = val.strip().lower() in ("true", "1", "yes")
 
-    P = AlgebraPresentation(
-        gens, rank=rank,
-        asserted_smooth=flags["smooth"],
-        asserted_regular_sequence=flags["regular_sequence"],
-    )
+    P = AlgebraPresentation(gens, rank=rank, asserted_smooth=flags["smooth"])
     for raw in relations_raw:
         try:
             P.add_relation(parse_polynomial(raw, P))

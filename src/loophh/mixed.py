@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 
-from .complexes import GradedComplex
+from .complexes import GradedComplex, Relabelling
 from .grading import Multidegree
 from .linalg import (
     NotAComplex,
@@ -518,17 +518,9 @@ def bga_completed_preset(aux_max: int, truncation: int) -> MixedComplex:
     if truncation > aux_max:
         raise ValueError("truncation must lie inside the aux window")
     full = bga_polynomial_preset(aux_max)
-    bins = {m: ls for m, ls in full.base.bins.items() if m.aux < truncation}
-    diffs = {
-        m: d for m, d in full.base.diffs.items()
-        if m.aux < truncation and full.base.d_target(m).aux < truncation
-    }
-    eps = {
-        m: e for m, e in full.eps.items()
-        if m.aux < truncation and m.shift(cohdeg=-1).aux < truncation
-    }
+    kept = Relabelling(full.base.bins, lambda m, lbl: m if m.aux < truncation else None)
     # everything at or beyond the truncation frontier is unrepresented
     edge = {m for m in full.base.bins if m.aux >= truncation - 1}
-    win = full.base.window
-    gc = GradedComplex(bins, diffs, win, edge)
-    return MixedComplex(gc, eps)
+    gc = GradedComplex(kept.bins, kept.blocks(full.base.diffs, full.base.d_target),
+                       full.base.window, edge)
+    return MixedComplex(gc, kept.blocks(full.eps, full.eps_target))

@@ -127,8 +127,7 @@ class AmbientGenerator:
 class AlgebraPresentation:
     """Weight-graded affine presentation: ambient generators plus relations."""
 
-    def __init__(self, generators, relations=(), rank=None,
-                 asserted_regular_sequence=False, asserted_smooth=False):
+    def __init__(self, generators, relations=(), rank=None, asserted_smooth=False):
         self.generators = [
             AmbientGenerator(n, tuple(w), a) for (n, w, a) in generators
         ]
@@ -140,7 +139,6 @@ class AlgebraPresentation:
                 raise ValueError(f"generator {g.name}: weight length != rank {rank}")
             if g.aux < 1:
                 raise ValueError(f"generator {g.name}: ambient aux must be >= 1")
-        self.asserted_regular_sequence = asserted_regular_sequence
         self.asserted_smooth = asserted_smooth
         self.ambient = FreeAlgebra(
             [Generator(g.name, 0, g.weight, g.aux) for g in self.generators],
@@ -214,9 +212,7 @@ def fixed_points(P: AlgebraPresentation, z: TorusPoint) -> AlgebraPresentation:
         raise ValueError("torus point rank mismatch")
     Q = AlgebraPresentation(
         [(g.name, g.weight, g.aux) for g in P.generators],
-        rank=P.rank,
-        asserted_regular_sequence=P.asserted_regular_sequence,
-        asserted_smooth=P.asserted_smooth,
+        rank=P.rank, asserted_smooth=P.asserted_smooth,
     )
     for rel in P.relations:
         Q.add_relation(lift_poly(rel, Q.ambient))
@@ -236,11 +232,7 @@ def reduce_linear_relations(P: AlgebraPresentation) -> AlgebraPresentation:
     if not killed:
         return P
     keep = [(g.name, g.weight, g.aux) for g in P.generators if g.name not in killed]
-    Q = AlgebraPresentation(
-        keep, rank=P.rank,
-        asserted_regular_sequence=P.asserted_regular_sequence,
-        asserted_smooth=P.asserted_smooth,
-    )
+    Q = AlgebraPresentation(keep, rank=P.rank, asserted_smooth=P.asserted_smooth)
     killed_idx = {P.ambient.index[n] for n in killed}
     for rel in P.relations:
         terms = {}
@@ -276,7 +268,7 @@ class SemifreeModel:
 
     def __init__(self, alg: FreeAlgebra, d_images, eps_images=None,
                  aux_shift_d=0, mixed_weight_zero_only=False,
-                 laurent_names=(), backend=None, t_index=None):
+                 laurent_names=(), t_index=None):
         self.alg = alg
         self.d = Derivation(alg, d_images)
         self.eps = Derivation(alg, eps_images) if eps_images is not None else None
@@ -284,7 +276,6 @@ class SemifreeModel:
         self.mixed_weight_zero_only = mixed_weight_zero_only
         self.laurent_names = tuple(laurent_names)
         self.t_index = t_index
-        self.backend = backend
         for n in self.laurent_names:
             if n in self.d.images or (self.eps and n in self.eps.images):
                 raise ValueError("laurent coordinates must be closed")
@@ -518,7 +509,7 @@ class SemifreeModel:
             new_alg, d_images, eps_images,
             aux_shift_d=self.aux_shift_d,
             mixed_weight_zero_only=self.mixed_weight_zero_only,
-            laurent_names=(), backend=backend, t_index=tpos[0] if tpos else None,
+            laurent_names=(), t_index=tpos[0] if tpos else None,
         )
 
 
@@ -753,7 +744,7 @@ def regrade_by_group_exponent(mixed, model: SemifreeModel):
     the weight slot, which is free after invariants.  Returns None when the
     complex is not exponent-homogeneous.
     """
-    from .complexes import GradedComplex
+    from .complexes import GradedComplex, Relabelling
     from .mixed import MixedComplex
 
     gc = mixed.base
@@ -761,59 +752,18 @@ def regrade_by_group_exponent(mixed, model: SemifreeModel):
     if not idxs:
         return None
 
-    def expvec(lbl):
-        return tuple(lbl[i] for i in idxs)
+    def move(m, lbl):
+        return Multidegree(m.cohdeg, tuple(lbl[i] for i in idxs), m.aux, m.upow)
 
-    for mats, cshift, ashift in (
-        (gc.diffs, 1, gc.aux_shift),
-        (mixed.eps, -1, 0),
-    ):
-        for m, mat in mats.items():
-            src = gc.labels(m)
-            tgt = gc.labels(m.shift(cohdeg=cshift, aux=ashift))
-            for (i, j) in mat.entries:
-                if expvec(tgt[i]) != expvec(src[j]):
-                    return None
-
-    bins = {}
-    index = {}
-    for m, ls in gc.bins.items():
-        for lbl in ls:
-            key = Multidegree(m.cohdeg, expvec(lbl), m.aux, m.upow)
-            tgt = bins.setdefault(key, [])
-            index[(m, lbl)] = (key, len(tgt))
-            tgt.append(lbl)
-
-    def split(mats, cshift, ashift):
-        out = {}
-        for m, mat in mats.items():
-            src = gc.labels(m)
-            tgt = gc.labels(m.shift(cohdeg=cshift, aux=ashift))
-            for (i, j), v in mat.entries.items():
-                skey, sj = index[(m, src[j])]
-                tkey, ti = index[(m.shift(cohdeg=cshift, aux=ashift), tgt[i])]
-                out.setdefault(skey, {})[(ti, sj)] = v
-        return {
-            m: SparseMatrix(
-                len(bins.get(Multidegree(m.cohdeg + cshift, m.weight, m.aux + ashift, m.upow), ())),
-                len(bins[m]),
-                ent,
-            )
-            for m, ent in out.items()
-        }
-
-    diffs = split(gc.diffs, 1, gc.aux_shift)
-    eps = split(mixed.eps, -1, 0)
-    edge = set()
-    for m in gc.edge:
-        for lbl in gc.labels(m):
-            edge.add(Multidegree(m.cohdeg, expvec(lbl), m.aux, m.upow))
-    win = gc.window
+    regraded = Relabelling(gc.bins, move)
+    diffs = regraded.blocks(gc.diffs, gc.d_target)
+    eps = None if diffs is None else regraded.blocks(mixed.eps, mixed.eps_target)
+    if eps is None:
+        return None
+    edge = {move(m, lbl) for m in gc.edge for lbl in gc.labels(m)}
     # weight window: the realized exponent range per coordinate
-    wr = []
-    for i in idxs:
-        exps = [lbl[i] for ls in gc.bins.values() for lbl in ls]
-        wr.append((min(exps), max(exps)) if exps else (0, 0))
-    new_win = Window(win.cohdeg, tuple(wr), win.aux, win.upow)
-    out = GradedComplex(bins, diffs, new_win, edge, aux_shift=gc.aux_shift)
+    wr = [(min(e), max(e)) for e in zip(*(m.weight for m in regraded.bins))]
+    win = gc.window
+    new_win = Window(win.cohdeg, tuple(wr) or ((0, 0),) * len(idxs), win.aux, win.upow)
+    out = GradedComplex(regraded.bins, diffs, new_win, edge, aux_shift=gc.aux_shift)
     return MixedComplex(out, eps)

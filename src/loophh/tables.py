@@ -37,6 +37,11 @@ class HilbertTable:
         return True
 
     # -- transforms -----------------------------------------------------------
+    def at_weight(self, w) -> "HilbertTable":
+        """The bins of weight w, over the same window."""
+        return HilbertTable({m: v for m, v in self.values.items() if m.weight == w},
+                            {m for m in self.edge if m.weight == w}, self.window)
+
     def forget_weight(self) -> "HilbertTable":
         vals: dict[Multidegree, int] = {}
         edge = set()

@@ -16,28 +16,31 @@ Two completion routes, chosen by the shape of the ideal:
   with d(kappa^(n)) = g^n per ideal generator.  Bins stay finite because the
   grading shifts.  Each level checks its laws when it is built.
 
-A tower holds its levels only: no check reads a map between levels.
+A point tower also keeps, per level, where each label of its top level lands
+(`Tower.placements`): a map built and checked on the top level restricts to
+every lower level along them.  No check reads a map between levels.
 """
 
 from __future__ import annotations
 
 from .algebra import FreeAlgebra, Polynomial
-from .complexes import GradedComplex
+from .complexes import GradedComplex, Relabelling
 from .grading import Multidegree, Window
 from .linalg import NotAComplex, SparseMatrix
 from .mixed import MixedComplex
 from .models import SemifreeModel, TorusPoint
 from .scalars import is_zero
-from .tables import HilbertTable
 
 
 class Tower:
     """Levels 1..N.  The basis labels of every level are exponent tuples over
-    `gen_names`, when given."""
+    `gen_names`, when given.  `placements[n - 1]`, when given, is the
+    `Relabelling` of the top level onto level n < N."""
 
-    def __init__(self, levels, gen_names=None):
+    def __init__(self, levels, gen_names=None, placements=()):
         self.levels: list[MixedComplex] = list(levels)
         self.gen_names: list[str] | None = gen_names
+        self.placements: list[Relabelling] = list(placements)
 
     def level(self, n: int) -> MixedComplex:
         return self.levels[n - 1]
@@ -72,43 +75,27 @@ def point_completion_tower(
         laws_ok = top.check_mixed_laws()
     except NotAComplex:
         laws_ok = False  # inherit a pass only: each level then checks itself
-    levels = [
-        _quotient_level(top, top_model.t_index, n, {m for m, v in depths.items() if v < n},
-                        d2_ok, laws_ok)
+    tp = top_model.t_index
+    placements = [
+        Relabelling(top.base.bins, lambda m, lbl, n=n: m if tp is None or lbl[tp] < n else None)
         for n in range(1, N)
     ]
+    levels = [
+        _quotient_level(top, p, {m for m, v in depths.items() if v < n}, d2_ok, laws_ok)
+        for n, p in enumerate(placements, 1)
+    ]
     levels.append(top)
-    return Tower(levels, [g.name for g in top_model.alg.gens])
+    return Tower(levels, [g.name for g in top_model.alg.gens], placements)
 
 
-def _quotient_level(top: MixedComplex, tp, n: int, edge, d2_ok, laws_ok) -> MixedComplex:
-    """`top` modulo the labels with a t-exponent >= n (t at generator
-    position tp; None keeps every label).  The quotient of a complex by a
-    dg-ideal has d^2 = 0 and the mixed laws when `d2_ok` and `laws_ok` say
-    the top level has them."""
-    keep = {}
-    for m, labels in top.base.bins.items():
-        keep[m] = {j: i for i, j in enumerate(
-            j for j, lbl in enumerate(labels) if tp is None or lbl[tp] < n
-        )}
-
-    def restrict(mats, target):
-        out = {}
-        for m, mat in mats.items():
-            cols, rows = keep[m], keep.get(target(m), {})
-            ent = {
-                (rows[i], cols[j]): v for (i, j), v in mat.entries.items()
-                if i in rows and j in cols
-            }
-            if ent:
-                out[m] = SparseMatrix(len(rows), len(cols), ent)
-        return out
-
+def _quotient_level(top: MixedComplex, placement: Relabelling, edge, d2_ok, laws_ok) -> MixedComplex:
+    """`top` modulo the labels that `placement` drops, which span a dg-ideal.
+    The quotient of a complex by a dg-ideal has d^2 = 0 and the mixed laws
+    when `d2_ok` and `laws_ok` say the top level has them."""
     base = top.base
-    bins = {m: [base.bins[m][j] for j in idx] for m, idx in keep.items()}
-    gc = GradedComplex(bins, restrict(base.diffs, base.d_target), base.window, edge,
-                       aux_shift=base.aux_shift, d2_faults=[] if d2_ok else None)
-    return MixedComplex(gc, restrict(top.eps, top.eps_target), laws_ok=laws_ok)
+    gc = GradedComplex(placement.bins, placement.blocks(base.diffs, base.d_target), base.window,
+                       edge, aux_shift=base.aux_shift, d2_faults=[] if d2_ok else None)
+    return MixedComplex(gc, placement.blocks(top.eps, top.eps_target), laws_ok=laws_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +254,3 @@ def cartan_augmentation_tower(cart_model: SemifreeModel, N: int, aux_max: int) -
         lv.check_mixed_laws()
         levels.append(lv)
     return Tower(levels)
-
-
-# ---------------------------------------------------------------------------
-# pro-graded comparison
-# ---------------------------------------------------------------------------
-
-def pro_graded_compare(t1: HilbertTable, t2: HilbertTable, weights) -> dict:
-    """Per-weight table equality report over the given weight vectors."""
-    report = {}
-    for w in weights:
-        w = tuple(w)
-        sub1 = {m: v for m, v in t1.values.items() if m.weight == w}
-        sub2 = {m: v for m, v in t2.values.items() if m.weight == w}
-        keys = set(sub1) | set(sub2)
-        mism = []
-        comp = []
-        for k in sorted(keys):
-            if t1.known(k) and t2.known(k):
-                comp.append(k)
-                if t1.dim(k) != t2.dim(k):
-                    mism.append((k, t1.dim(k), t2.dim(k)))
-        report[w] = {"equal": not mism, "mismatches": mism, "compared": comp}
-    return report

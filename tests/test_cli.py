@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from loophh.cli import build_parser, main, run_verb
+from loophh.complexes import ChainMap
 from loophh.linalg import EchelonReducer, SparseMatrix
 from loophh.models import SemifreeModel
 from loophh.scalars import CycElt
@@ -445,21 +446,25 @@ def test_localize_builds_each_tower_once(monkeypatch):
 
     counted("point_completion_tower")
     counted("cartan_augmentation_tower")
-    for name in ("at_torus_point_level", "instantiate"):
-        fn = getattr(SemifreeModel, name)
+    counted("_restriction_map")
+    for cls, name in ((SemifreeModel, "at_torus_point_level"), (SemifreeModel, "instantiate"),
+                      (ChainMap, "verify_chain_map")):
+        fn = getattr(cls, name)
 
         def method(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(SemifreeModel, name, method)
+        monkeypatch.setattr(cls, name, method)
     args = build_parser().parse_args(["localize", "01_line_gm_z2"])
     _, code = run_verb("localize", args, _shipped("01_line_gm_z2"))
     assert code == 0
     # each point tower instantiates its top level only; the Cartan tower
-    # instantiates its base once
+    # instantiates its base once; the restriction map is built and checked
+    # on the top level only (one per level would be 4 of each)
     assert calls == {"point_completion_tower": 2, "cartan_augmentation_tower": 1,
-                     "at_torus_point_level": 2, "instantiate": 3}
+                     "at_torus_point_level": 2, "instantiate": 3,
+                     "_restriction_map": 1, "verify_chain_map": 1}
 
 
 def _exact_scalar(v):

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from loophh.cli import _weight_zero_mixed
-from loophh.complexes import ChainMap, GradedComplex
+from loophh.complexes import ChainMap, GradedComplex, Relabelling
 from loophh.instancefile import parse_instance
 from loophh.grading import Window, md
 from loophh.linalg import NotAComplex, SparseMatrix
@@ -75,6 +75,36 @@ def test_chain_map_detects_non_chain():
     F = ChainMap(C, D, {m0: SparseMatrix.identity(1), m1: SparseMatrix.identity(1)})
     with pytest.raises(NotAComplex):
         F.verify_chain_map()
+
+
+def test_relabelling_moves_drops_and_refuses_to_leave_the_target_bin():
+    a, b = md(0, (0,), 0), md(1, (0,), 0)
+    bins = {a: ["x", "y", "z"], b: ["p", "q"]}
+    d = {a: SparseMatrix(2, 3, {(0, 0): 1, (1, 1): 2, (0, 2): 3})}
+    d_target = lambda m: m.shift(cohdeg=1)
+    # dropping z drops its column; the other entries keep their places
+    keep = Relabelling(bins, lambda m, lbl: None if lbl == "z" else m)
+    assert keep.bins == {a: ["x", "y"], b: ["p", "q"]}
+    assert keep.blocks(d, d_target) == {a: SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 2})}
+    # moving each label to the bin of its key splits the block by key
+    key = {"x": 1, "y": 2, "z": 1, "p": 1, "q": 2}
+    by_key = Relabelling(bins, lambda m, lbl: md(m.cohdeg, (key[lbl],), m.aux))
+    assert by_key.bins == {md(0, (1,), 0): ["x", "z"], md(0, (2,), 0): ["y"],
+                           md(1, (1,), 0): ["p"], md(1, (2,), 0): ["q"]}
+    assert by_key.blocks(d, d_target) == {
+        md(0, (1,), 0): SparseMatrix(1, 2, {(0, 0): 1, (0, 1): 3}),
+        md(0, (2,), 0): SparseMatrix(1, 1, {(0, 0): 2}),
+    }
+    # z -> p would leave the target bin of z's new bin
+    key["z"] = 2
+    by_key = Relabelling(bins, lambda m, lbl: md(m.cohdeg, (key[lbl],), m.aux))
+    assert by_key.blocks(d, d_target) is None
+    # a map between two complexes re-indexes each side along its own move
+    F = {a: SparseMatrix(2, 3, {(0, 0): 1, (1, 2): 1})}
+    onto = Relabelling({a: ["u", "v"]}, lambda m, lbl: m if lbl == "v" else None)
+    assert keep.blocks(F, lambda m: m, onto) == {}
+    drop_x = Relabelling(bins, lambda m, lbl: None if lbl == "x" else m)
+    assert drop_x.blocks(F, lambda m: m, onto) == {a: SparseMatrix(1, 2, {(0, 1): 1})}
 
 
 def test_table_serialization_format():

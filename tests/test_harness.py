@@ -11,6 +11,7 @@ from loophh.harness import (
     PASS,
     LocalizationInstance,
     Truncation,
+    _restriction_map,
     check_derived_fixed_fiber,
     check_hc_variants,
     check_hh_localization,
@@ -20,21 +21,22 @@ from loophh.harness import (
 from loophh.instancefile import parse_instance
 from loophh.models import AlgebraPresentation, TorusData, TorusPoint
 
+ROOT = Path(__file__).resolve().parents[1]
+# the shipped instances, and the benchmark's two larger ones (read only)
+INSTANCE_FILES = sorted((ROOT / "instances").glob("*.loop")) + [
+    ROOT / "perfbench" / "instances" / name for name in ("big3.loop", "cyc3.loop")
+]
+
 
 def line_instance(z, **tr):
-    P = AlgebraPresentation(
-        [("x", (1,), 1)], rank=1, asserted_smooth=True, asserted_regular_sequence=True
-    )
+    P = AlgebraPresentation([("x", (1,), 1)], rank=1, asserted_smooth=True)
     return LocalizationInstance(
         P, TorusData(1), TorusPoint.make([z]), Truncation(**tr)
     )
 
 
 def plane_instance(w1, w2, z, **tr):
-    P = AlgebraPresentation(
-        [("x", (w1,), 1), ("y", (w2,), 1)], rank=1, asserted_smooth=True,
-        asserted_regular_sequence=True,
-    )
+    P = AlgebraPresentation([("x", (w1,), 1), ("y", (w2,), 1)], rank=1, asserted_smooth=True)
     return LocalizationInstance(
         P, TorusData(1), TorusPoint.make([z]), Truncation(**tr)
     )
@@ -184,3 +186,21 @@ def test_pass_monotone_in_window():
     big = check_hh_localization(line_instance(2, tower_levels=4, aux_max=5))
     assert small.verdict == PASS
     assert big.verdict == PASS
+
+
+def _blocks(F):
+    return {m: (b.nrows, b.ncols, b.entries) for m, b in F.blocks.items()}
+
+
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda p: p.stem)
+def test_derived_level_maps_equal_per_level_restriction_maps(path):
+    # only the top map is built and checked; each lower one is its
+    # restriction along the towers' placements
+    inst = LocalizationInstance(*parse_instance(path.read_text()))
+    lhs, rhs = inst.lhs, inst.rhs
+    assert len(inst.maps) == inst.truncation.tower_levels
+    for n, F in enumerate(inst.maps, 1):
+        s, t = lhs.level(n), rhs.level(n)
+        assert F.source is s.base and F.target is t.base
+        assert _blocks(F) == _blocks(_restriction_map(s, t, lhs.gen_names, rhs.gen_names)), n
+        F.verify_chain_map(s, t)

@@ -243,6 +243,18 @@ def test_eps_square_fault_raises_at_construction():
     assert err.value.bin_name == m2 and "eps^2" in str(err.value)
 
 
+@pytest.mark.xfail(strict=True, reason="u-series tables mark as edge only the cells of "
+                   "strips that hold labels, so a label-less edge bin reads as a known zero")
+def test_labelless_edge_bin_is_not_known_in_its_tate_table():
+    # an edge bin that holds no label, inside the window, as a Koszul cone
+    # flags the product bins beyond aux_max
+    win = Window((-1, 1), ((0, 0),), (0, 1))
+    gc = GradedComplex({md(0, (0,), 0): ["a"]}, {}, win, edge={md(0, (0,), 1)})
+    V = MixedComplex(gc)
+    assert not V.cohomology().known(md(0, (0,), 1))
+    assert not tate(V, 1).cohomology().known(md(0, (0,), 1, 0))
+
+
 def test_edge_adjacent_d_squared_fault_exempt_only_for_graded_table():
     # d: cohdeg 0 -> 1 -> 2, both the identity, so d^2 != 0 at cohdeg 0;
     # cohdeg 1 is edge, so that bin is edge-adjacent

@@ -33,17 +33,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def line(weight=1, rank=1):
-    return AlgebraPresentation(
-        [("x", (weight,), 1)], rank=rank, asserted_smooth=True,
-        asserted_regular_sequence=True,
-    )
+    return AlgebraPresentation([("x", (weight,), 1)], rank=rank, asserted_smooth=True)
 
 
 def plane(w1, w2):
-    return AlgebraPresentation(
-        [("x", (w1,), 1), ("y", (w2,), 1)], rank=1, asserted_smooth=True,
-        asserted_regular_sequence=True,
-    )
+    return AlgebraPresentation([("x", (w1,), 1), ("y", (w2,), 1)], rank=1, asserted_smooth=True)
 
 
 # -- loop models -----------------------------------------------------------------

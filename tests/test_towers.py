@@ -27,11 +27,7 @@ from loophh.complexes import ChainMap, GradedComplex
 from loophh.instancefile import parse_instance
 from loophh.linalg import SparseMatrix
 from loophh.scalars import CyclotomicField
-from loophh.towers import (
-    cartan_augmentation_tower,
-    point_completion_tower,
-    pro_graded_compare,
-)
+from loophh.towers import cartan_augmentation_tower, point_completion_tower
 from mixed_fixtures import torsion_cone_levels
 
 
@@ -196,19 +192,13 @@ def test_torsion_module_completion_shift_pattern():
 def test_pro_graded_compare_bga_presets():
     A = bga_polynomial_preset(6).cohomology()
     B = bga_completed_preset(6, 5).cohomology()
-    weights = [(-m,) for m in range(0, 4)]
-    report = pro_graded_compare(A, B, weights)
-    assert all(r["equal"] and r["compared"] for r in report.values())
+    for w in [(-m,) for m in range(0, 4)]:
+        mism, comp, _ = A.at_weight(w).compare(B.at_weight(w))
+        assert not mism and comp, w
     # global tables differ in the uncapped direction
     mism, comp, masked = A.compare(B)
     assert not mism
     assert masked  # nonzero A-bins invisible to the truncated side
-
-
-def test_pro_graded_self_compare():
-    A = bga_polynomial_preset(4).cohomology()
-    report = pro_graded_compare(A, A, [(-m,) for m in range(4)])
-    assert all(r["equal"] for r in report.values())
 
 
 def test_cartan_tower_point_mod_gm():
