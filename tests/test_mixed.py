@@ -243,8 +243,8 @@ def test_eps_square_fault_raises_at_construction():
     assert err.value.bin_name == m2 and "eps^2" in str(err.value)
 
 
-@pytest.mark.xfail(strict=True, reason="u-series tables mark as edge only the cells of "
-                   "strips that hold labels, so a label-less edge bin reads as a known zero")
+@pytest.mark.xfail(strict=True, reason="u-series tables mark as edge only cells that hold "
+                   "labels, so a label-less edge bin reads as a known zero")
 def test_labelless_edge_bin_is_not_known_in_its_tate_table():
     # an edge bin that holds no label, inside the window, as a Koszul cone
     # flags the product bins beyond aux_max
