@@ -5,9 +5,14 @@ are scalars from a single backend, and both backends are fields: rationals
 (an int when integral, else a Fraction) or CycElt.  A stored integral
 Fraction becomes an int, and every division goes through `exact_div`.  All
 elimination goes through one `EchelonReducer`: each vector is reduced
-against the rows kept so far by its lowest nonzero index, and kept, scaled to
-pivot 1, if it reaches a new pivot.  Rank, RREF (reduce, then back-substitute),
-kernel, image and quotient rank are read off a reducer.
+against the rows kept so far by its lowest nonzero index, and kept if it
+reaches a new pivot.  Reduction is fraction-free, as in Bareiss's
+integer-preserving elimination: a kept row is a primitive vector over Z or
+Z[zeta_m], integral coefficients with gcd 1, and a step replaces v by
+a*v - b*row, with a the row's pivot and b v's entry there, so it never
+divides.  Rank, the lead sets and quotient rank read the pivots
+alone; only `reduced()`, behind RREF, kernel and image bases, scales rows to
+pivot 1 and back-substitutes.
 Kernel bases are echelonized and normalized so the first nonzero coordinate
 is 1, making every output canonical and reproducible.
 
@@ -26,8 +31,9 @@ is a kernel vector with lowest coordinate f.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .scalars import BackendMismatch, common_backend, exact_div, is_zero, scalar_one
+from .scalars import BackendMismatch, common_backend, exact_div, is_zero, primitive, scalar_one
 
 
 class NotAComplex(Exception):
@@ -170,14 +176,6 @@ def _check_backend(vectors):
         raise BackendMismatch(f"matrix entries: {e}") from e
 
 
-def _scaled_to_one(row, pc):
-    """`row` divided by its entry at `pc`."""
-    pval = row[pc]
-    if pval == 1:
-        return row
-    return {c: exact_div(v, pval) for c, v in row.items()}
-
-
 def _axpy(row, coef, other):
     """row += coef * other in place, dropping the entries that become zero."""
     for c, v in other.items():
@@ -192,11 +190,13 @@ def _axpy(row, coef, other):
 class EchelonReducer:
     """Incremental echelon basis: `add` reduces a vector against the rows so far.
 
-    Rows are keyed by their pivot (lowest) index and scaled so the pivot is 1.
+    Rows are keyed by their pivot (lowest) index.  Each is primitive: over Q a
+    dict of ints with gcd 1, over Q(zeta_m) of CycElts whose integer
+    coefficients have gcd 1.  No row is divided by its pivot until `reduced()`.
     """
 
     def __init__(self, vectors=()):
-        self.rows = {}  # pivot index -> row dict (pivot scaled to 1)
+        self.rows = {}  # pivot index -> primitive row dict
         for vec in vectors:
             self.add(vec)
 
@@ -204,24 +204,46 @@ class EchelonReducer:
         return len(self.rows)
 
     def add(self, vec):
-        """Reduce a copy of `vec` and keep it if independent.
+        """Reduce a primitive copy of `vec` and keep it if independent.
 
         Returns its new pivot index, or None if it lies in the span so far.
         """
         vec = {c: v for c, v in vec.items() if v}
+        if not vec:
+            return None
+        vec = primitive(vec)
+        stepped = False
         while vec:
             lead = min(vec)
             row = self.rows.get(lead)
             if row is None:
-                self.rows[lead] = _scaled_to_one(vec, lead)
+                self.rows[lead] = primitive(vec) if stepped else vec
                 return lead
-            _axpy(vec, -vec[lead], row)
+            # vec <- a*vec - b*row, up to sign, for a the row's pivot and b
+            # vec's entry there, over Z first divided by gcd(a, b)
+            a, b = row[lead], vec[lead]
+            if a == -1:  # vec + b*row
+                b = -b
+            elif a != 1:
+                if type(a) is int and type(b) is int:
+                    g = gcd(a, b)
+                    a, b = a // g, b // g
+                if a != 1:
+                    for c, v in vec.items():
+                        vec[c] = a * v
+            _axpy(vec, -b, row)
+            stepped = True
         return None
 
     def reduced(self):
-        """Back-substitute in place: (pivot columns, rows) of the RREF, by pivot."""
+        """(pivot columns, rows) of the RREF, by pivot: the rows scaled to
+        pivot 1 and back-substituted, in new dicts."""
         pivots = sorted(self.rows)
-        rows = [self.rows[pc] for pc in pivots]
+        rows = []
+        for pc in pivots:
+            row = self.rows[pc]
+            p = row[pc]
+            rows.append(dict(row) if p == 1 else {c: exact_div(v, p) for c, v in row.items()})
         for idx in range(len(rows) - 1, 0, -1):
             pc, row = pivots[idx], rows[idx]
             for urow in rows[:idx]:

@@ -7,7 +7,10 @@ interchangeable as keys.  `int / int` is a float, so every division goes
 through `exact_div`.  The cyclotomic backend represents elements of Q(zeta_m)
 as polynomials of degree < phi(m) in a fixed primitive m-th root of unity,
 with rational coefficients reduced modulo the m-th cyclotomic polynomial.
-All arithmetic is exact; equality is decided on the reduced normal form.
+All arithmetic is exact; equality is decided on the reduced normal form, and
+an element equal to a rational hashes like it.  `primitive` is the one place
+that clears denominators and content, for the fraction-free elimination in
+`linalg`.
 
 The conductor m is fixed per field object; elements of distinct conductors
 never mix (BackendMismatch), mirroring the session-level conductor contract.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 class BackendMismatch(Exception):
@@ -257,6 +261,9 @@ class CycElt:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # equal to the hash of the rational it equals, as __eq__ requires
+        if len(self.coeffs) < 2:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.field.conductor, self.coeffs))
 
     def __repr__(self):
@@ -316,6 +323,39 @@ def common_backend(scalars):
                 f"mixed conductors {field.conductor} and {b.conductor}"
             )
     return field
+
+
+def primitive(vec):
+    """`vec`, a dict index -> scalar with a nonzero entry, times the positive
+    rational that makes its coefficients integers with gcd 1.
+
+    Rational entries are coerced into the field of its cyclotomic entries, if
+    it has any; the coefficients are then those of every entry in zeta.
+    """
+    values = vec.values()
+    try:
+        g = gcd(*values)  # ints only: a Fraction or a CycElt raises TypeError
+    except TypeError:
+        pass
+    else:
+        return vec if g == 1 else {i: v // g for i, v in vec.items()}
+    field = common_backend(values)
+    if field is None:
+        coeffs = values
+    else:
+        vec = {i: coerce(v, field) for i, v in vec.items()}
+        coeffs = [c for v in vec.values() for c in v.coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    g = gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
+    if den == 1 and g == 1:
+        return vec
+
+    def scaled(c):
+        return c.numerator * (den // c.denominator) // g
+
+    if field is None:
+        return {i: scaled(v) for i, v in vec.items()}
+    return {i: CycElt(field, tuple(map(scaled, v.coeffs))) for i, v in vec.items()}
 
 
 def coerce(x, field):

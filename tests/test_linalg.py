@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loophh import linalg, scalars
 from loophh.linalg import (
     EchelonReducer,
     NotAComplex,
@@ -19,7 +20,7 @@ from loophh.linalg import (
     rank_of_vectors,
     rref,
 )
-from loophh.scalars import BackendMismatch, CyclotomicField, exact_div
+from loophh.scalars import BackendMismatch, CycElt, CyclotomicField, coerce, exact_div
 
 
 def test_rank_trivial_examples():
@@ -209,12 +210,44 @@ def test_every_entry_point_rejects_mixed_conductors():
 
 def test_echelon_reducer_pivots_and_dependence():
     red = EchelonReducer()
-    assert red.add({1: Fraction(2), 2: Fraction(4)}) == 1
-    assert red.rows[1] == {1: Fraction(1), 2: Fraction(2)}
-    assert red.add({1: Fraction(-1), 2: Fraction(-2)}) is None
-    assert red.add({1: Fraction(1), 2: Fraction(3)}) == 2
+    assert red.add({1: 2, 2: 3}) == 1
+    assert red.rows[1] == {1: 2, 2: 3}  # kept whole, not divided by its pivot
+    assert red.add({1: Fraction(-1), 2: Fraction(-3, 2)}) is None
+    assert red.add({1: Fraction(1, 2), 2: Fraction(4), 3: Fraction(13, 2)}) == 2
+    assert red.rows[2] == {2: 1, 3: 2}  # 2 * (1, 8, 13) - (2, 3, 0), over 13
+    assert red.add({0: Fraction(2, 3), 2: Fraction(1, 3)}) == 0
+    assert red.rows[0] == {0: 2, 2: 1}
+    assert all(type(v) is int for row in red.rows.values() for v in row.values())
     assert red.add({}) is None
     assert red.add({3: Fraction(0)}) is None  # explicit zeros are not entries
+    pivots, rows = red.reduced()
+    assert pivots == [0, 1, 2]
+    assert rows == [{0: 1, 3: -1}, {1: 1, 3: -3}, {2: 1, 3: 2}]
+    assert red.rows[0] == {0: 2, 2: 1}  # reduced() leaves the rows as they were
+
+
+def test_column_leads_and_rank_never_divide_over_a_cyclotomic_field(monkeypatch):
+    F = CyclotomicField(3)
+    z = F.zeta()
+    M = SparseMatrix.from_rows([[2 + z, 3, z, 0],
+                                [1, Fraction(1, 2), 2 * z, z * z],
+                                [3 + 3 * z, 3 + Fraction(3, 2) * z, 0, 5]])
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "exact_div", counted("exact_div", scalars.exact_div))
+    monkeypatch.setattr(scalars, "exact_div", counted("exact_div", scalars.exact_div))
+    monkeypatch.setattr(CycElt, "inverse", counted("inverse", CycElt.inverse))
+    assert rank(M) == 3
+    assert column_leads(M) == ((0,), (0, 1, 2))
+    assert calls == []
+    # the pivot-1 rows of the RREF are where the divisions are
+    assert rref(M)[0] == [0, 1, 2] and calls
 
 
 _Q3 = CyclotomicField(3)
@@ -280,7 +313,9 @@ def test_lead_set_difference_equals_quotient_pivots(data):
 
 
 def _exact(values):
-    return all(type(v) is int or type(v) is Fraction for v in values)
+    """Ints, Fractions, or CycElts with such coefficients."""
+    return all(type(v) is int or type(v) is Fraction or (type(v) is CycElt and _exact(v.coeffs))
+               for v in values)
 
 
 def _undo_row_scale(vec, r):
@@ -303,6 +338,15 @@ def test_int_and_fraction_entries_give_the_same_linear_algebra(data):
         [[Fraction(v) for v in row] for row in rows],
         [[Fraction(v, 3) if i == r else v for v in row] for i, row in enumerate(rows)],
     ]
+    # over Q(zeta3): entries v/d + w*zeta, those with w = 0 given as an int,
+    # a Fraction or a CycElt, against every entry coerced into the field
+    zetas = [[data.draw(st.integers(-2, 2)) for _ in range(ncols)] for _ in range(nrows)]
+    dens = [[data.draw(st.sampled_from([1, 2])) for _ in range(ncols)] for _ in range(nrows)]
+    mixed = [[_Q3.from_rational(Fraction(v, d)) + w * _Q3.zeta() if w
+              else data.draw(st.sampled_from([v // d if v % d == 0 else Fraction(v, d),
+                                              Fraction(v, d), _Q3.from_rational(Fraction(v, d))]))
+              for v, w, d in zip(*cells)] for cells in zip(rows, zetas, dens)]
+    forms += [mixed, [[coerce(v, _Q3) for v in row] for row in mixed]]
     results = []
     for form in forms:
         M = SparseMatrix.from_rows(form)
@@ -316,3 +360,4 @@ def test_int_and_fraction_entries_give_the_same_linear_algebra(data):
     # kernel; the image is the old one with coordinate r scaled
     assert results[2][:4] == results[0][:4]
     assert [_undo_row_scale(v, r) for v in results[2][4]] == results[0][4]
+    assert results[3] == results[4]

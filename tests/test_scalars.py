@@ -14,6 +14,7 @@ from loophh.scalars import (
     common_backend,
     cyclotomic_polynomial,
     exact_div,
+    primitive,
     rational,
 )
 
@@ -146,6 +147,31 @@ def test_exact_div_keeps_ints_and_fractions_exact():
     assert exact_div(1, z) == z.inverse()
     with pytest.raises(ZeroDivisionError):
         exact_div(1, 0)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_a_rational_valued_element_hashes_like_its_rational(m):
+    F = CyclotomicField(m)
+    for q in (0, 1, -2, 7, Fraction(1, 2), Fraction(-7, 3)):
+        x = F.from_rational(q)
+        assert x == q and hash(x) == hash(q)
+        assert len({x, q}) == 1
+        assert {x: "a"}.get(q) == "a" and {q: "a"}.get(x) == "a"
+    assert hash(F.one()) == hash(1) == hash(Fraction(1))
+    assert F.zeta() != 1 and len({F.zeta(), F.one(), 1}) == 2
+
+
+def test_primitive_scales_to_coprime_integral_coefficients():
+    assert primitive({0: 2, 3: 3}) == {0: 2, 3: 3}
+    assert primitive({0: -4, 3: 6}) == {0: -2, 3: 3}  # a positive factor keeps the sign
+    v = primitive({0: Fraction(2, 3), 1: 4, 2: Fraction(-1, 6)})
+    assert v == {0: 4, 1: 24, 2: -1} and all(type(c) is int for c in v.values())
+    F = CyclotomicField(3)
+    z = F.zeta()
+    v = primitive({0: Fraction(1, 2), 1: Fraction(3, 4) * z, 2: 2 * z - 1})
+    assert v == {0: 2, 1: 3 * z, 2: 8 * z - 4}
+    assert all(type(x) is CycElt and all(type(c) is int for c in x.coeffs) for x in v.values())
+    assert primitive({0: 6 * z + 4, 1: F.from_rational(2)}) == {0: 3 * z + 2, 1: 1}
 
 
 def test_rational_is_an_int_when_integral():
