@@ -214,45 +214,53 @@ def main(argv=None):
             return EXIT_PARSE
 
     key = cache_key(args.verb, text, args)
-    if args.cache_dir:
-        hit = cache_read(args.cache_dir, key)
-        if hit is not None:
-            report, code = hit
-            print("cache hit", file=sys.stderr)
-            sys.stdout.write(report)
-            if args.report:
-                _write_report(args.report, report)
-            return code
-
-    try:
-        report, code = run_verb(args.verb, args, text)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError, NotImplementedError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except BackendMismatch as e:
-        print(f"backend mismatch: {e}", file=sys.stderr)
-        return EXIT_BACKEND
-    except NotAComplex as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAIL
+    hit = cache_read(args.cache_dir, key) if args.cache_dir else None
+    if hit is not None:
+        report, code = hit
+        print("cache hit", file=sys.stderr)
+    else:
+        try:
+            report, code = run_verb(args.verb, args, text)
+        except ParseError as e:
+            print(f"parse error: {e}", file=sys.stderr)
+            return EXIT_PARSE
+        except (ValueError, NotImplementedError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_PARSE
+        except BackendMismatch as e:
+            print(f"backend mismatch: {e}", file=sys.stderr)
+            return EXIT_BACKEND
+        except NotAComplex as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_FAIL
 
     sys.stdout.write(report)
     if args.report:
-        _write_report(args.report, report)
-    if args.cache_dir:
-        cache_write(args.cache_dir, key, report, code)
+        try:
+            _write_report(args.report, report)
+        except OSError as e:
+            print(f"error: cannot write the report to {args.report}: {e.strerror or e}",
+                  file=sys.stderr)
+            return EXIT_PARSE
+    if args.cache_dir and hit is None:
+        try:
+            cache_write(args.cache_dir, key, report, code)
+        except OSError as e:
+            print(f"warning: cannot write a cache entry in {args.cache_dir}: {e.strerror or e}",
+                  file=sys.stderr)
     return code
 
 
 def _write_report(path, report):
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d)
-    with os.fdopen(fd, "w") as fh:
-        fh.write(report)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(report)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 if __name__ == "__main__":

@@ -4,17 +4,24 @@ Independent oracle for Hochschild homology and its circle action (Loday,
 *Cyclic Homology*, 1.1 and 2.1).  For a monomial-relation presentation A and
 diagonalizable G, level n holds (A^{(x) n+1} (x) k[G])^G.
 
-Elements are plain tuples (`BarElement`, a NamedTuple of monomials and mu).
-The aux degree and weight of each monomial of A are tabulated once per
-complex, and products of monomials are memoized.  Each level is numbered
-once, in bin order.  The structure maps are defined once each, per level, on
-the (monos, mu) pairs of that level: d_i multiplies slots i, i + 1; the last
-face is twisted, d_n(a_0...a_n (x) w^mu) = (a_n a_0) (x) ... (x)
-w^{mu + wt(a_n)}; t rotates a_n to the front and its weight into the group
-monomial (validated by t^{n+1} = id on invariants); s_j inserts a unit after
-slot j.  Their images are looked up as plain tuples and stored as tables of
-target numbers (`faces[n][i]`, `t[n]`, `s[n][j]`): None where a product hits
-a relation, CAPPED where mu leaves the box |mu| <= mu_cap.
+Each monomial of A up to aux_max is coded by its index in the sorted
+`A_basis`; the coding preserves order, so lex order on codes is lex order on
+exponents.  The aux degree and weight of each code are tabulated once, and so
+is the product table `prod[a][b]` (a code, or None where the product hits a
+relation) over the pairs inside the aux window.  An element of level n is a
+tuple (codes, mu) of n + 1 codes and a group exponent mu.  The tuple builder
+carries each tuple's aux and weight, so the elements come out binned and in
+lex order; each level is numbered once, in bin order.  Exponent tuples are
+decoded only for the normalized labels of `connes_B`.
+
+The structure maps are defined once each, per level, on the (codes, mu)
+pairs of that level: d_i multiplies slots i, i + 1; the last face is twisted,
+d_n(a_0...a_n (x) w^mu) = (a_n a_0) (x) ... (x) w^{mu + wt(a_n)}; t rotates
+a_n to the front and its weight into the group monomial (validated by
+t^{n+1} = id on invariants); s_j inserts a unit after slot j.  Their images
+are looked up and stored as tables of target numbers (`faces[n][i]`, `t[n]`,
+`s[n][j]`): None where a product hits a relation, CAPPED where mu leaves the
+box |mu| <= mu_cap.
 
 Everything else is index arithmetic on these tables.  The simplicial
 identities compose whole table rows.  b = sum (-1)^i d_i is read off the
@@ -33,7 +40,6 @@ of auxiliary degree a is final once N >= a; deeper bins are edge-flagged.
 from __future__ import annotations
 
 from operator import add
-from typing import NamedTuple
 
 from .complexes import GradedComplex
 from .grading import Multidegree, Window
@@ -42,15 +48,7 @@ from .mixed import MixedComplex
 from .models import AlgebraPresentation, TorusData
 
 CAPPED = "capped"  # a face or t whose group exponent leaves the mu box
-
-
-class BarElement(NamedTuple):
-    monos: tuple  # tuple of A-monomial exponent tuples, length n+1
-    mu: tuple  # group-coordinate exponent, () when not equivariant
-
-    @property
-    def level(self):
-        return len(self.monos) - 1
+UNIT = 0  # code of the unit monomial, the least exponent tuple
 
 
 class CyclicLevels:
@@ -68,18 +66,14 @@ class CyclicLevels:
         if self.equivariant and T.rank != P.rank:
             raise ValueError("torus rank mismatch")
         self.gens = P.generators
-        self.unit = (0,) * len(self.gens)
         self.relation_monos = self._relation_monomials()
-        self._products = {}  # (a, b) -> mono_mul(a, b)
-        self.A_basis = self._a_basis()
-        self.mono_aux = {
-            m: sum(e * g.aux for e, g in zip(m, self.gens)) for m in self.A_basis
-        }
-        self.mono_weight = {
-            m: tuple(sum(e * g.weight[k] for e, g in zip(m, self.gens))
-                     for k in range(self.rank))
+        self.A_basis = self._a_basis()  # code c is the monomial A_basis[c]
+        self.mono_aux = [sum(e * g.aux for e, g in zip(m, self.gens)) for m in self.A_basis]
+        self.mono_weight = [
+            tuple(sum(e * g.weight[k] for e, g in zip(m, self.gens)) for k in range(self.rank))
             for m in self.A_basis
-        }
+        ]
+        self.prod = self._product_table()
         self._build_levels()
         self._build_tables()
 
@@ -90,7 +84,7 @@ class CyclicLevels:
         return [next(iter(rel.terms)) for rel in self.P.relations]
 
     def _a_basis(self):
-        """Monomials of A up to aux_max (quotient by monomial relations)."""
+        """Monomials of A up to aux_max (quotient by monomial relations), sorted."""
         level = [((), 0)]  # exponents of the first generators, their aux
         for g in self.gens:
             longer = []
@@ -100,55 +94,71 @@ class CyclicLevels:
                     longer.append((m + (e,), aux + e * g.aux))
                     e += 1
             level = longer
-        return sorted(m for m, _ in level if self.mono_mul(m, self.unit) is not None)
+        rels = self.relation_monos
+        return sorted(m for m, _ in level
+                      if not any(all(e >= r for e, r in zip(m, rel)) for rel in rels))
 
-    def total_weight(self, monos):
-        return tuple(map(sum, zip(*map(self.mono_weight.__getitem__, monos))))
+    def _product_table(self):
+        """prod[a][b]: the code of the product of codes a and b, for aux(a) +
+        aux(b) <= aux_max; None where it hits a relation, which inside the
+        window is exactly where the product is missing from A_basis."""
+        code = {m: c for c, m in enumerate(self.A_basis)}
+        aux = self.mono_aux
+        return [{b: code.get(tuple(map(add, x, y)))
+                 for b, y in enumerate(self.A_basis) if aux[a] + aux[b] <= self.aux_max}
+                for a, x in enumerate(self.A_basis)]
 
-    def mono_mul(self, a, b):
-        """Product in A: None if it hits a monomial relation."""
-        m = self._products.get((a, b), False)
-        if m is False:
-            m = tuple(x + y for x, y in zip(a, b))
-            if any(all(e >= r for e, r in zip(m, rel)) for rel in self.relation_monos):
-                m = None
-            self._products[a, b] = m
-        return m
+    def decode(self, el):
+        """(exponent tuples, mu) of the element (codes, mu)."""
+        return tuple(map(self.A_basis.__getitem__, el[0])), el[1]
 
     # -- level bases -----------------------------------------------------------
     def _build_levels(self):
-        self.levels: list[dict[Multidegree, list]] = []
-        self.elements: list[list[BarElement]] = []  # level n in bin order
-        self.number: list[dict[BarElement, int]] = []  # position in elements[n]
+        self.levels: list[dict[Multidegree, list]] = []  # bins of level n, in lex order
+        self.elements: list[list[tuple]] = []  # level n in bin order
+        self.number: list[dict[tuple, int]] = []  # position in elements[n]
         self.mu_preserved = True
-        built = []  # binned only once mu_preserved is final
-        box = self._mu_box()
-        for level in self._tensor_tuples():
-            elems = []
-            for monos in level:
-                if self.equivariant:
-                    if any(self.total_weight(monos)):
-                        continue
-                    if any(any(self.mono_weight[m]) for m in monos):
-                        self.mu_preserved = False
-                    elems += [BarElement(monos, mu) for mu in box]
-                else:
-                    elems.append(BarElement(monos, ()))
-            built.append(elems)
-        for elems in built:
-            self._add_level(elems)
+        built = list(self._tensor_tuples())  # binned only once mu_preserved is final
+        zero = (0,) * self.rank
+        if self.equivariant:
+            built = [[(codes, a) for codes, a, w in level if w == zero] for level in built]
+            weighty = {c for c, w in enumerate(self.mono_weight) if any(w)}
+            self.mu_preserved = not any(weighty.intersection(codes)
+                                        for level in built for codes, _ in level)
+            box = self._mu_box()
+        for n, level in enumerate(built):
+            bins = {}  # (weight, aux) -> elements, each in lex order
+            if not self.equivariant:
+                for codes, a, w in level:
+                    bins.setdefault((w, a), []).append((codes, ()))
+            elif self.mu_preserved:
+                for codes, a in level:
+                    for mu in box:
+                        bins.setdefault((mu, a), []).append((codes, mu))
+            else:
+                for codes, a in level:
+                    bins.setdefault((zero, a), []).extend((codes, mu) for mu in box)
+            self.levels.append({Multidegree(-n, w, a, 0): ls for (w, a), ls in bins.items()})
+            flat = [el for ls in bins.values() for el in ls]
+            self.elements.append(flat)
+            self.number.append({el: e for e, el in enumerate(flat)})
 
-    def _add_level(self, elems):
-        """Bin one level's elements by degree and number them in bin order."""
-        bins: dict[Multidegree, list] = {}
-        for el in elems:
-            bins.setdefault(self._degree(el), []).append(el)
-        for ls in bins.values():
-            ls.sort()
-        self.levels.append(bins)
-        flat = [el for ls in bins.values() for el in ls]
-        self.elements.append(flat)
-        self.number.append({el: e for e, el in enumerate(flat)})
+    def _tensor_tuples(self):
+        """Per level n, the (n+1)-tuples of codes of total aux <= aux_max in
+        lex order, as (codes, aux, weight); each level extends the one below."""
+        basis = list(zip(range(len(self.A_basis)), self.mono_aux, self.mono_weight))
+        level = [((), 0, (0,) * self.rank)]
+        for _ in range(self.N + 1):
+            level = [(t + (c,), a + b, tuple(map(add, w, v)))
+                     for t, a, w in level for c, b, v in basis if a + b <= self.aux_max]
+            yield level
+
+    def _bin(self, n, e):
+        """The bin of element e of level n, for error messages."""
+        for mdeg, ls in self.levels[n].items():
+            if e < len(ls):
+                return mdeg
+            e -= len(ls)
 
     def _build_tables(self):
         """faces[n][i], t[n] and s[n][j]: the number of the image of each
@@ -159,40 +169,25 @@ class CyclicLevels:
         for n, elems in enumerate(self.elements):
             if n:
                 self.faces.append([
-                    self._numbered(n - 1, elems, self._face(n, i, elems), f"d_{i}")
+                    self._numbered(n, n - 1, self._face(n, i, elems), f"d_{i}")
                     for i in range(n + 1)
                 ])
-            self.t.append(self._numbered(n, elems, self._rotation(n, elems), "t"))
+            self.t.append(self._numbered(n, n, self._rotation(n, elems), "t"))
             if n < self.N:
                 self.s.append([
-                    self._numbered(n + 1, elems, self._degeneracy(j, elems), f"s_{j}")
+                    self._numbered(n, n + 1, self._degeneracy(j, elems), f"s_{j}")
                     for j in range(n + 1)
                 ])
 
-    def _numbered(self, level, elems, images, name):
-        """Number in `level` of each image (a (monos, mu) tuple); None and
-        CAPPED stay."""
+    def _numbered(self, n, level, images, name):
+        """Number in `level` of each image (a (codes, mu) tuple) of the
+        elements of level n; None and CAPPED stay."""
         number = self.number[level]
         out = [number.get(im, im) if im.__class__ is tuple else im for im in images]
         e = next((e for e, im in enumerate(out) if im.__class__ is tuple), None)
         if e is not None:  # an image that is not numbered
-            raise NotAComplex(self._degree(elems[e]), f"{name} leaves level {level}")
+            raise NotAComplex(self._bin(n, e), f"{name} leaves level {level}")
         return out
-
-    def _tensor_tuples(self):
-        """Per level n, the (n+1)-tuples of A-monomials of total aux <= aux_max
-        in lex order; each level extends the tuples of the level below."""
-        basis = [(m, self.mono_aux[m]) for m in self.A_basis]
-        tuples, auxes = [()], [0]
-        for _ in range(self.N + 1):
-            longer, longer_aux = [], []
-            for t, a in zip(tuples, auxes):
-                for m, b in basis:
-                    if a + b <= self.aux_max:
-                        longer.append(t + (m,))
-                        longer_aux.append(a + b)
-            tuples, auxes = longer, longer_aux
-            yield tuples
 
     def _mu_box(self):
         box = [()]
@@ -200,28 +195,20 @@ class CyclicLevels:
             box = [b + (k,) for b in box for k in range(-self.mu_cap, self.mu_cap + 1)]
         return box
 
-    def _degree(self, el: BarElement) -> Multidegree:
-        aux = sum(map(self.mono_aux.__getitem__, el.monos))
-        if self.equivariant:
-            w = el.mu if self.mu_preserved else (0,) * self.rank
-        else:
-            w = self.total_weight(el.monos)
-        return Multidegree(-el.level, w, aux, 0)
-
     # -- structure maps, one level at a time --------------------------------------
-    # Each takes the (monos, mu) pairs of level n and yields their images as
-    # (monos, mu) tuples, None where a product hits a relation, or CAPPED.
+    # Each takes the (codes, mu) pairs of level n and yields their images as
+    # (codes, mu) tuples, None where a product hits a relation, or CAPPED.
     def _face(self, n, i, elems):
         """d_i multiplies slots i, i + 1; the last face d_n is twisted:
         a_n a_0 (x) a_1 ... a_{n-1} (x) w^{mu + wt(a_n)}."""
-        mul = self.mono_mul
+        prod = self.prod
         if i < n:
             for m, mu in elems:
-                p = mul(m[i], m[i + 1])
+                p = prod[m[i]][m[i + 1]]
                 yield None if p is None else (m[:i] + (p,) + m[i + 2:], mu)
             return
         for m, mu in elems:
-            p = mul(m[n], m[0])
+            p = prod[m[n]][m[0]]
             if p is None:
                 yield None
                 continue
@@ -236,8 +223,7 @@ class CyclicLevels:
 
     def _degeneracy(self, j, elems):
         """s_j inserts the unit after slot j."""
-        unit = (self.unit,)
-        return ((m[:j + 1] + unit + m[j + 1:], mu) for m, mu in elems)
+        return ((m[:j + 1] + (UNIT,) + m[j + 1:], mu) for m, mu in elems)
 
     def _shifted(self, mu, a):
         """mu + wt(a) when equivariant, CAPPED outside the box |mu| <= mu_cap."""
@@ -246,8 +232,8 @@ class CyclicLevels:
         mu = tuple(map(add, mu, self.mono_weight[a]))
         return CAPPED if any(abs(x) > self.mu_cap for x in mu) else mu
 
-    def is_degenerate(self, el: BarElement) -> bool:
-        return self.unit in el.monos[1:]
+    def is_degenerate(self, el) -> bool:
+        return UNIT in el[0][1:]
 
     # -- columns ---------------------------------------------------------------------
     def _b(self, n, combo, out=None):
@@ -312,15 +298,14 @@ class CyclicLevels:
                         bad.append((e, j, i))
             if bad:
                 e, j, i = min(bad)
-                raise NotAComplex(self._degree(self.elements[n][e]),
-                                  f"d_{i} d_{j} != d_{j-1} d_{i}")
+                raise NotAComplex(self._bin(n, e), f"d_{i} d_{j} != d_{j-1} d_{i}")
         for n, t in enumerate(self.t):
             ks = ident = list(range(len(t)))
             for _ in range(n + 1):
                 ks = _compose(t, ks)
             e = _first_difference(ks, ident)
             if e is not None:
-                raise NotAComplex(self._degree(self.elements[n][e]), "t^{n+1} != id")
+                raise NotAComplex(self._bin(n, e), "t^{n+1} != id")
         for n, s in enumerate(self.s):
             d = self.faces[n + 1]
             ident = list(range(len(self.elements[n])))
@@ -332,7 +317,7 @@ class CyclicLevels:
                         bad.append((next(e for e, k in enumerate(row) if k != e), j))
             if bad:
                 e, j = min(bad)
-                raise NotAComplex(self._degree(self.elements[n][e]), f"d s_{j} != id")
+                raise NotAComplex(self._bin(n, e), f"d s_{j} != id")
         return True
 
     def check_bar_laws(self):
@@ -347,22 +332,22 @@ class CyclicLevels:
             for m in range(max(n - 1, 0), min(n + 1, self.N - 1) + 1):
                 if m not in B_cols:
                     B_cols[m] = [self._B_column(m, e) for e in range(len(self.elements[m]))]
-            for e, el in enumerate(self.elements[n]):
+            for e in range(len(self.elements[n])):
                 b1, cb = self._b_column(n, e)  # empty on level 0
                 bb, cbb = self._b(n - 1, b1)
                 if any(bb.values()) and not (cb or cbb):
-                    raise NotAComplex(self._degree(el), "b^2 != 0")
+                    raise NotAComplex(self._bin(n, e), "b^2 != 0")
                 if n + 1 > self.N:
                     continue
                 B1, cB = B_cols[n][e]
                 if n + 2 <= self.N:
                     BB, cBB = _image(B1, B_cols[n + 1])
                     if any(BB.values()) and not (cB or cBB):
-                        raise NotAComplex(self._degree(el), "B^2 != 0")
+                        raise NotAComplex(self._bin(n, e), "B^2 != 0")
                 tot, cbB = self._b(n + 1, B1)
                 tot, cBb = _image(b1, B_cols.get(n - 1), tot)
                 if any(tot.values()) and not (cB or cb or cbB or cBb):
-                    raise NotAComplex(self._degree(el), "bB + Bb != 0")
+                    raise NotAComplex(self._bin(n, e), "bB + Bb != 0")
         return True
 
 
@@ -421,7 +406,7 @@ def connes_B(L: CyclicLevels) -> MixedComplex:
                     place[n].append(None)
                 else:
                     place[n].append((mdeg, len(basis)))
-                    basis.append((el.monos, el.mu))
+                    basis.append(L.decode(el))
             if basis:
                 bins[mdeg] = basis
 
@@ -467,7 +452,7 @@ def connes_B(L: CyclicLevels) -> MixedComplex:
     # mu-cap shield for the collapsed equivariant case
     if L.equivariant and not L.mu_preserved:
         s_real = max(
-            (abs(x) for w in L.mono_weight.values() for x in w), default=0
+            (abs(x) for w in L.mono_weight for x in w), default=0
         )
         for mdeg, basis in bins.items():
             if any(abs(x) > L.mu_cap - s_real for _, mu in basis for x in mu):

@@ -330,6 +330,39 @@ def test_report_file_written(tmp_path, capsys):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("where", ["missing directory", "existing directory"])
+def test_unwritable_report_is_one_error_line(where, tmp_path, capsys):
+    # the report is printed, then one line says why the file was not written;
+    # no temp file is left beside the target
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM)
+    (tmp_path / "dir").mkdir()
+    target = tmp_path / ("no/such/dir/r.txt" if where == "missing directory" else "dir")
+    before = sorted(os.listdir(tmp_path))
+    code, out, err = run_cli(["hh", str(f), "--report", str(target)], capsys)
+    assert code == 2
+    assert "HH table" in out
+    assert err.startswith("error: cannot write the report") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before and os.listdir(tmp_path / "dir") == []
+
+
+@pytest.mark.parametrize("args, verdict_code", [
+    (["hh"], 0), (["localize", "--aux-max", "0"], 1),
+])
+def test_unwritable_cache_is_one_warning_line(args, verdict_code, tmp_path, capsys):
+    # a cache directory that cannot be made (a file is in the way) costs the
+    # cache, not the verdict: one warning line and the verdict's exit code
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for cdir in (blocker, blocker / "cache"):
+        code, out, err = run_cli([args[0], str(f), *args[1:], "--cache-dir", str(cdir)], capsys)
+        assert code == verdict_code
+        assert out.startswith("loophh report")
+        assert err.startswith("warning: cannot write a cache entry") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "name",
     [

@@ -14,7 +14,7 @@ from loophh.models import (
 )
 from loophh.cyclic import (
     CAPPED,
-    BarElement,
+    UNIT,
     CyclicLevels,
     connes_B,
     cyclic_bar,
@@ -235,7 +235,7 @@ def test_identity_checks_catch_a_wrong_face(monkeypatch):
 
     def face_wrong_pair(self, n, i, elems):
         if n == 3 and i == 1:  # multiplies slots 2, 3 instead of 1, 2
-            return [None if (p := self.mono_mul(m[2], m[3])) is None else (m[:2] + (p,), mu)
+            return [None if (p := self.prod[m[2]][m[3]]) is None else (m[:2] + (p,), mu)
                     for m, mu in elems]
         return face(self, n, i, elems)
 
@@ -264,7 +264,7 @@ def test_identity_checks_catch_a_wrong_cyclic_operator(monkeypatch):
 
 def test_tables_reject_an_image_outside_the_level(monkeypatch):
     def s_inserting_two_units(self, j, elems):
-        return [(m[:j + 1] + (self.unit, self.unit) + m[j + 1:], mu) for m, mu in elems]
+        return [(m[:j + 1] + (UNIT, UNIT) + m[j + 1:], mu) for m, mu in elems]
 
     monkeypatch.setattr(CyclicLevels, "_degeneracy", s_inserting_two_units)
     with pytest.raises(NotAComplex, match="s_0 leaves level 1") as err:
@@ -277,8 +277,8 @@ def test_bar_laws_catch_a_corrupt_face_entry():
     # slot, so no B column and no bB + Bb check below level 3 reads it
     L = cyclic_bar(kx(), N=4, aux_max=4)
     assert L.check_bar_laws()
-    x = (1,)
-    e = L.number[3][BarElement((x, x, x, x), ())]
+    x = L.A_basis.index((1,))
+    e = L.number[3][((x, x, x, x), ())]
     L.faces[3][2][e] = L.faces[3][0][e]
     with pytest.raises(NotAComplex, match=r"b\^2 != 0"):
         L.check_bar_laws()
@@ -312,9 +312,32 @@ def test_oracle_tables_pinned(build, digest):
 
 
 # -- reference: Loday's element-level definitions ----------------------------------
-# Each acts on one (monos, mu) element and returns an element, None (a product
-# hits a relation) or CAPPED (mu leaves the box).  B uses the extra degeneracy
-# as the unit in front, not through t s_n.
+# Each acts on one (exponent tuples, mu) element and returns an element, None (a
+# product hits a relation) or CAPPED (mu leaves the box).  B uses the extra
+# degeneracy as the unit in front, not through t s_n.  Elements of the tables
+# are (codes, mu), a code being a monomial's index in the sorted A_basis.
+
+def _decode(L, el):
+    return tuple(L.A_basis[c] for c in el[0]), el[1]
+
+
+def _ref_number(L, level, image):
+    if image is None or image is CAPPED:
+        return image
+    return L.number[level][(tuple(L.A_basis.index(m) for m in image[0]), image[1])]
+
+
+def _ref_unit(L):
+    return (0,) * len(L.gens)
+
+
+def _ref_aux(L, a):
+    return sum(e * g.aux for e, g in zip(a, L.gens))
+
+
+def _ref_weight(L, a):
+    return tuple(sum(e * g.weight[k] for e, g in zip(a, L.gens)) for k in range(L.rank))
+
 
 def _ref_mul(L, a, b):
     m = tuple(x + y for x, y in zip(a, b))
@@ -324,7 +347,7 @@ def _ref_mul(L, a, b):
 def _ref_shift(L, mu, a):
     if not L.equivariant:
         return mu
-    mu = tuple(x + w for x, w in zip(mu, L.mono_weight[a]))
+    mu = tuple(x + w for x, w in zip(mu, _ref_weight(L, a)))
     return CAPPED if any(abs(x) > L.mu_cap for x in mu) else mu
 
 
@@ -349,7 +372,7 @@ def _ref_t(L, el):
 
 def _ref_degeneracy(L, el, j):
     monos, mu = el
-    return (monos[:j + 1] + (L.unit,) + monos[j + 1:], mu)
+    return (monos[:j + 1] + (_ref_unit(L),) + monos[j + 1:], mu)
 
 
 def _ref_B(L, el):
@@ -358,7 +381,7 @@ def _ref_B(L, el):
     sign_n = (-1) ** n
     out, capped, sign = {}, False, 1
     for _ in range(n + 1):
-        front = ((L.unit,) + el[0], el[1])
+        front = ((_ref_unit(L),) + el[0], el[1])
         out[front] = out.get(front, 0) + sign
         rotated = _ref_t(L, front)
         if rotated is CAPPED:
@@ -373,13 +396,28 @@ def _ref_B(L, el):
     return {k: v for k, v in out.items() if v}, capped
 
 
-def _ref_number(L, level, image):
-    return image if image is None or image is CAPPED else L.number[level][image]
+def _ref_level(L, n):
+    """Every element of level n with its bin, from the exponent tuples."""
+    out = {}
+    tuples = [()]
+    for _ in range(n + 1):
+        tuples = [t + (m,) for t in tuples for m in L.A_basis
+                  if sum(_ref_aux(L, a) for a in t + (m,)) <= L.aux_max]
+    for monos in tuples:
+        aux = sum(_ref_aux(L, a) for a in monos)
+        weight = tuple(map(sum, zip(*(_ref_weight(L, a) for a in monos))))
+        if not L.equivariant:
+            out[(monos, ())] = Multidegree(-n, weight, aux, 0)
+        elif not any(weight):
+            for mu in L._mu_box():
+                w = mu if L.mu_preserved else (0,) * L.rank
+                out[(monos, mu)] = Multidegree(-n, w, aux, 0)
+    return out
 
 
 # `caps`: whether some face, t or B column leaves the mu box, so the CAPPED
 # rule is compared too
-@pytest.mark.parametrize("build, caps", [
+_TABLE_CASES = pytest.mark.parametrize("build, caps", [
     (lambda: cyclic_bar(_plane(), N=4, aux_max=3), False),
     (lambda: cyclic_bar(_dual_numbers(), N=6, aux_max=6), False),
     (lambda: equivariant_cyclic_bar(kx(), TorusData(1), N=4, aux_max=3, mu_cap=4), False),
@@ -388,10 +426,14 @@ def _ref_number(L, level, image):
         TorusData(1), N=3, aux_max=2, mu_cap=2), True),
 ], ids=["plane N4 aux3", "k[x]/(x^2) N6 aux6", "equivariant k[x] N4 aux3 mu4",
         "x weight 1, y weight -1 mu2"])
+
+
+@_TABLE_CASES
 def test_tables_equal_the_element_level_definitions(build, caps):
     L = build()
     capped = False
     for n, elems in enumerate(L.elements):
+        elems = [_decode(L, el) for el in elems]
         for i in range(n + 1 if n else 0):
             assert L.faces[n][i] == [_ref_number(L, n - 1, _ref_face(L, el, i)) for el in elems]
             capped |= CAPPED in L.faces[n][i]
@@ -400,10 +442,28 @@ def test_tables_equal_the_element_level_definitions(build, caps):
         if n == L.N:
             continue
         for j in range(n + 1):
-            assert L.s[n][j] == [L.number[n + 1][_ref_degeneracy(L, el, j)] for el in elems]
+            assert L.s[n][j] == [_ref_number(L, n + 1, _ref_degeneracy(L, el, j)) for el in elems]
         for e, el in enumerate(elems):
             col, cap = _ref_B(L, el)
-            assert L._B_column(n, e) == ({L.number[n + 1][k]: v for k, v in col.items()}, cap)
+            assert L._B_column(n, e) == ({_ref_number(L, n + 1, k): v for k, v in col.items()}, cap)
             capped |= cap
     assert capped == caps
     assert L.mu_preserved == (not caps)
+
+
+@_TABLE_CASES
+def test_bins_hold_their_elements_sorted_and_connes_labels_are_the_elements(build, caps):
+    # the tuple builder emits each bin in lex order without a sort; decoded,
+    # every bin is sorted, and connes_B labels its bins with the non-degenerate
+    # elements in that order
+    L = build()
+    V = connes_B(L)
+    for n, bins in enumerate(L.levels):
+        ref = _ref_level(L, n)
+        assert sorted(_decode(L, el) for el in L.elements[n]) == sorted(ref)
+        for mdeg, ls in bins.items():
+            decoded = [_decode(L, el) for el in ls]
+            assert decoded == sorted(decoded)
+            assert all(ref[el] == mdeg for el in decoded)
+            labels = [el for el in decoded if _ref_unit(L) not in el[0][1:]]
+            assert V.base.labels(mdeg) == labels
