@@ -23,14 +23,14 @@ are looked up and stored as tables of target numbers (`faces[n][i]`, `t[n]`,
 `s[n][j]`): None where a product hits a relation, CAPPED where mu leaves the
 box |mu| <= mu_cap.
 
-Everything else is index arithmetic on these tables.  The simplicial
-identities compose whole table rows.  b = sum (-1)^i d_i is read off the
-face tables.  B = (1 - lambda) s_{-1} N, with lambda = (-1)^n t, takes the
-extra degeneracy s_{-1} = t_{n+1} s_n (the unit in front) of the cyclic set.
-b^2 = B^2 = bB + Bb = 0 are checked column by column, and skipped for an
-element when one of its own columns, or the column of a term that survives
-cancellation in its image, hit the cap.  `connes_B` pushes the same columns
-to the normalized complex.
+Everything else is index arithmetic on these tables.  The simplicial and
+cyclic identities compose whole table rows, CAPPED entries skipped; by
+Loday's argument (2.1) they give b^2 = B^2 = bB + Bb = 0, so the laws are
+not re-checked column by column.  b = sum (-1)^i d_i is read off the face
+tables.  B = (1 - lambda) s_{-1} N, with lambda = (-1)^n t, takes the extra
+degeneracy s_{-1} = t_{n+1} s_n (the unit in front) of the cyclic set.
+`connes_B` pushes these columns to the normalized complex and edge-flags the
+bins of columns that hit the cap.
 
 Simplicial truncation at depth N is exact on low weights: the normalized
 level n only touches aux >= n (every inner slot carries aux >= 1), so a bin
@@ -54,8 +54,9 @@ UNIT = 0  # code of the unit monomial, the least exponent tuple
 class CyclicLevels:
     def __init__(self, P: AlgebraPresentation, T: TorusData | None, N: int,
                  aux_max: int, mu_cap: int = 0):
-        if N < 0:
-            raise ValueError("depth must be >= 0")
+        for name, value in (("N", N), ("aux_max", aux_max), ("mu_cap", mu_cap)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         self.P = P
         self.T = T
         self.N = N
@@ -236,24 +237,19 @@ class CyclicLevels:
         return UNIT in el[0][1:]
 
     # -- columns ---------------------------------------------------------------------
-    def _b(self, n, combo, out=None):
-        """b of a combination {number: coefficient} on level n, read off
-        faces[n] and added into `out`: (out, whether a face hit the cap)."""
-        out = {} if out is None else out
-        capped = False
-        for k, c in combo.items():
-            for d in self.faces[n]:  # d_i with sign (-1)^i
-                t = d[k]
-                if t is CAPPED:
-                    capped = True
-                elif t is not None:
-                    out[t] = out.get(t, 0) + c
-                c = -c
-        return out, capped
-
     def _b_column(self, n, e):
-        """b of element e of level n: ({number: coefficient}, hit the cap)."""
-        col, capped = self._b(n, {e: 1})
+        """b = sum (-1)^i d_i of element e of level n, read off faces[n]:
+        ({number: coefficient}, whether a face hit the cap)."""
+        col = {}
+        capped = False
+        c = 1
+        for d in self.faces[n]:  # d_i with sign (-1)^i
+            k = d[e]
+            if k is CAPPED:
+                capped = True
+            elif k is not None:
+                col[k] = col.get(k, 0) + c
+            c = -c
         return {k: v for k, v in col.items() if v}, capped
 
     def _B_column(self, n, e):
@@ -280,32 +276,22 @@ class CyclicLevels:
             sign *= sign_n
         return {k: v for k, v in col.items() if v}, capped
 
-    # -- law checks -----------------------------------------------------------------
+    # -- identities -----------------------------------------------------------------
+    # Each identity composes whole table rows; a violation is reported at the
+    # first element, in level order, where one fails.
     def check_simplicial_identities(self):
-        """Face-face, cyclic and face-degeneracy identities on every level.
-
-        Each identity composes whole table rows; a violation is reported at
-        the first element, in level order, where one fails.
-        """
+        """Face-face, t^{n+1} = id, d_j s_j = d_{j+1} s_j = id and, for
+        k < n, d_k s_n = s_{n-1} d_k on every level."""
         for n in range(2, self.N + 1):
             d, below = self.faces[n], self.faces[n - 1]
-            bad = []  # (element, j, i) of the first failure of each pair
-            for j in range(1, n + 1):
-                for i in range(j):
-                    e = _first_difference(_compose(below[i], d[j]),
-                                          _compose(below[j - 1], d[i]))
-                    if e is not None:
-                        bad.append((e, j, i))
-            if bad:
-                e, j, i = min(bad)
-                raise NotAComplex(self._bin(n, e), f"d_{i} d_{j} != d_{j-1} d_{i}")
+            self._check(n, ((f"d_{i} d_{j} != d_{j-1} d_{i}",
+                             _compose(below[i], d[j]), _compose(below[j - 1], d[i]))
+                            for j in range(1, n + 1) for i in range(j)))
         for n, t in enumerate(self.t):
             ks = ident = list(range(len(t)))
             for _ in range(n + 1):
                 ks = _compose(t, ks)
-            e = _first_difference(ks, ident)
-            if e is not None:
-                raise NotAComplex(self._bin(n, e), "t^{n+1} != id")
+            self._check(n, [("t^{n+1} != id", ks, ident)])
         for n, s in enumerate(self.s):
             d = self.faces[n + 1]
             ident = list(range(len(self.elements[n])))
@@ -318,37 +304,39 @@ class CyclicLevels:
             if bad:
                 e, j = min(bad)
                 raise NotAComplex(self._bin(n, e), f"d s_{j} != id")
+            self._check(n, ((f"d_{k} s_{n} != s_{n-1} d_{k}", _compose(d[k], s[n]),
+                             _compose(self.s[n - 1][n - 1], self.faces[n][k]))
+                            for k in range(n)))
         return True
 
     def check_bar_laws(self):
-        """b^2 = 0, B^2 = 0, bB + Bb = 0 on the unnormalized levels.
+        """The cyclic identities d_0 t = d_n and d_i t = t d_{i-1}, 1 <= i <= n.
 
-        b is read off the face tables for each check; B columns are kept for
-        the levels n - 1, n, n + 1 in use.
+        With the simplicial identities they give the laws of the mixed
+        complex (Loday, 2.1.1 and 2.1.4).  b^2 = 0 follows from face-face.
+        These two identities give (1 - lambda) b' = b (1 - lambda) and
+        b' N = N b, with b' = sum_{i<n} (-1)^i d_i.  With d_{n+1} s_n = id
+        and d_k s_n = s_{n-1} d_k (k < n) they give d_0 s_{-1} = id and
+        d_i s_{-1} = s_{-1} d_{i-1}, so b' s_{-1} + s_{-1} b' = id and
+        bB + Bb = (1 - lambda)(b' s_{-1} + s_{-1} b') N = (1 - lambda) N = 0.
+        B^2 = 0 because N (1 - lambda) = 0, which is t^{n+1} = id.
         """
-        B_cols = {}
-        for n in range(self.N + 1):
-            B_cols.pop(n - 2, None)
-            for m in range(max(n - 1, 0), min(n + 1, self.N - 1) + 1):
-                if m not in B_cols:
-                    B_cols[m] = [self._B_column(m, e) for e in range(len(self.elements[m]))]
-            for e in range(len(self.elements[n])):
-                b1, cb = self._b_column(n, e)  # empty on level 0
-                bb, cbb = self._b(n - 1, b1)
-                if any(bb.values()) and not (cb or cbb):
-                    raise NotAComplex(self._bin(n, e), "b^2 != 0")
-                if n + 1 > self.N:
-                    continue
-                B1, cB = B_cols[n][e]
-                if n + 2 <= self.N:
-                    BB, cBB = _image(B1, B_cols[n + 1])
-                    if any(BB.values()) and not (cB or cBB):
-                        raise NotAComplex(self._bin(n, e), "B^2 != 0")
-                tot, cbB = self._b(n + 1, B1)
-                tot, cBb = _image(b1, B_cols.get(n - 1), tot)
-                if any(tot.values()) and not (cB or cb or cbB or cBb):
-                    raise NotAComplex(self._bin(n, e), "bB + Bb != 0")
+        for n in range(1, self.N + 1):
+            d, t = self.faces[n], self.t[n]
+            self._check(n, [(f"d_0 t != d_{n}", _compose(d[0], t), d[n])] + [
+                (f"d_{i} t != t d_{i-1}", _compose(d[i], t), _compose(self.t[n - 1], d[i - 1]))
+                for i in range(1, n + 1)])
         return True
+
+    def _check(self, n, identities):
+        """Raise at the first element of level n where the two rows of an
+        identity (message, lhs, rhs) differ; of the identities failing
+        there, the first listed names the violation."""
+        bad = [(e, k, msg) for k, (msg, lhs, rhs) in enumerate(identities)
+               if (e := _first_difference(lhs, rhs)) is not None]
+        if bad:
+            e, _, msg = min(bad)
+            raise NotAComplex(self._bin(n, e), msg)
 
 
 def _compose(table, row):
@@ -364,19 +352,6 @@ def _first_difference(a, b):
         return None
     return next((e for e, (x, y) in enumerate(zip(a, b))
                  if x != y and x is not CAPPED and y is not CAPPED), None)
-
-
-def _image(combo, columns, out=None):
-    """Sum of c * columns[k] over the terms k: c of combo, added into `out`,
-    and whether one of those columns hit the cap."""
-    out = {} if out is None else out
-    capped = False
-    for k, c in combo.items():
-        col, cap = columns[k]
-        capped |= cap
-        for t, v in col.items():
-            out[t] = out.get(t, 0) + c * v
-    return out, capped
 
 
 def cyclic_bar(P: AlgebraPresentation, N: int, aux_max: int) -> CyclicLevels:

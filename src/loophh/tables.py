@@ -8,6 +8,8 @@ outside the window nothing is known.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .grading import Multidegree, Window
 
 
@@ -58,36 +60,31 @@ class HilbertTable:
     def shear_aux_into_upow(self) -> "HilbertTable":
         """Reindex along tu = s: a bin (i, w, a, q) contributes to (i, w, 0, q+a).
 
-        A sheared bin is known only if every potential source bin across the
-        aux window is known; otherwise it is marked edge.
+        A sheared bin (i, w, 0, p) is known only if every potential source bin
+        (i, w, a, p - a) across the aux window is known: (i, w) lies in the
+        window, so does p - a for every a, that is u_lo + a_hi <= p <=
+        u_hi + a_lo, and no source is edge.  Otherwise it is marked edge.
         """
         if self.window is None:
             raise ValueError("shear needs a window to reason about sources")
+        win = self.window
+        (a_lo, a_hi), (u_lo, u_hi) = win.aux, win.upow
         vals: dict[Multidegree, int] = {}
-        edge: set[Multidegree] = set()
-        lo_a, hi_a = self.window.aux
-        targets = set()
-        for m in list(self.values) + list(self.edge):
-            targets.add((m.cohdeg, m.weight, m.upow + m.aux))
-        # also sweep all upow targets in the window so zero rows get marked
-        for p in range(self.window.upow[0], self.window.upow[1] + 1):
-            for m in self.values:
-                targets.add((m.cohdeg, m.weight, p))
-        for (i, w, p) in sorted(targets):
-            key = Multidegree(i, w, 0, p)
-            total = 0
-            ok = True
-            for a in range(lo_a, hi_a + 1):
-                src = Multidegree(i, w, a, p - a)
-                if not self.known(src):
-                    ok = False
-                total += self.dim(src)
-            if total:
-                vals[key] = total
-            if not ok:
-                edge.add(key)
-        win = Window(self.window.cohdeg, self.window.weight, (0, 0), self.window.upow)
-        return HilbertTable(vals, edge, win)
+        for m, v in self.values.items():
+            if a_lo <= m.aux <= a_hi:
+                key = Multidegree(m.cohdeg, m.weight, 0, m.upow + m.aux)
+                vals[key] = vals.get(key, 0) + v
+        edge = {Multidegree(m.cohdeg, m.weight, 0, m.upow + m.aux)
+                for m in self.edge if a_lo <= m.aux <= a_hi}
+        # every target of a bin, and every upow in the window for a nonzero
+        # (i, w), is edge when a source leaves the window
+        targets = {(m.cohdeg, m.weight, m.upow + m.aux) for m in chain(self.values, self.edge)}
+        for i, w in {(m.cohdeg, m.weight) for m in self.values}:
+            targets.update((i, w, p) for p in range(u_lo, u_hi + 1))
+        for i, w, p in targets:
+            if not (u_lo + a_hi <= p <= u_hi + a_lo and win.contains(Multidegree(i, w, a_lo, u_lo))):
+                edge.add(Multidegree(i, w, 0, p))
+        return HilbertTable(vals, edge, Window(win.cohdeg, win.weight, (0, 0), win.upow))
 
     # -- comparison -----------------------------------------------------------
     def compare(self, other: "HilbertTable"):

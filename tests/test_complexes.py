@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -5,9 +6,13 @@ import pytest
 from loophh.cli import _weight_zero_mixed
 from loophh.complexes import ChainMap, GradedComplex, Relabelling
 from loophh.instancefile import parse_instance
-from loophh.grading import Window, md
+from loophh.grading import Multidegree, Window, md
+from loophh.harness import LocalizationInstance
 from loophh.linalg import NotAComplex, SparseMatrix
+from loophh.mixed import tate
+from loophh.models import cartan_model
 from loophh.tables import HilbertTable
+from loophh.towers import cartan_augmentation_tower
 
 WIN = Window((-4, 4), ((-4, 4),), (0, 4))
 
@@ -140,3 +145,52 @@ def test_rank_path_dims_equal_basis_dims(path):
     for m in gc.all_bins():
         ker, im = gc.cohomology_data(m)
         assert gc.h_dim(m) == len(ker) - len(im)
+
+
+def _reference_shear(t):
+    """The sweep `shear_aux_into_upow` replaced: each target sums its sources
+    across the aux window, and is edge if one of them is not known."""
+    vals, edge = {}, set()
+    lo_a, hi_a = t.window.aux
+    targets = {(m.cohdeg, m.weight, m.upow + m.aux) for m in list(t.values) + list(t.edge)}
+    for p in range(t.window.upow[0], t.window.upow[1] + 1):
+        targets.update((m.cohdeg, m.weight, p) for m in t.values)
+    for i, w, p in sorted(targets):
+        srcs = [Multidegree(i, w, a, p - a) for a in range(lo_a, hi_a + 1)]
+        total = sum(t.dim(src) for src in srcs)
+        if total:
+            vals[Multidegree(i, w, 0, p)] = total
+        if not all(t.known(src) for src in srcs):
+            edge.add(Multidegree(i, w, 0, p))
+    return vals, edge
+
+
+def _assert_shear_equals_reference(t):
+    sheared = t.shear_aux_into_upow()
+    assert (sheared.values, sheared.edge) == _reference_shear(t)
+    assert sheared.window == Window(t.window.cohdeg, t.window.weight, (0, 0), t.window.upow)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_shear_equals_the_sweep_on_the_cartan_tables(path):
+    # the tables hp-completion shears: Tate of each Cartan tower level
+    inst = LocalizationInstance(*parse_instance(path.read_text()))
+    tr = inst.truncation
+    rhs = cartan_augmentation_tower(cartan_model(inst.fixed, inst.T), tr.tower_levels, tr.aux_max)
+    for n in range(1, tr.tower_levels + 1):
+        t = tate(rhs.level(n), tr.u_window).cohomology()
+        assert t.edge and t.values
+        _assert_shear_equals_reference(t)
+
+
+def test_shear_equals_the_sweep_on_random_tables():
+    rng = random.Random(0)
+    for _ in range(300):
+        win = Window((-2, 1), ((-1, 1),), (rng.randint(0, 1), rng.randint(1, 3)),
+                     (rng.randint(-2, 0), rng.randint(0, 3)))
+        # bins a little beyond the window on every side, values, edges or both
+        bins = [Multidegree(rng.randint(-3, 2), (rng.randint(-2, 2),), rng.randint(0, 4),
+                            rng.randint(-3, 4)) for _ in range(rng.randint(0, 12))]
+        t = HilbertTable({m: rng.randint(0, 3) for m in bins if rng.random() < 0.8},
+                         {m for m in bins if rng.random() < 0.3}, win)
+        _assert_shear_equals_reference(t)

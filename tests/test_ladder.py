@@ -52,3 +52,31 @@ def test_ladder_slice_schema_and_compare(tmp_path, monkeypatch, capsys):
     assert ladder.main(["--compare", str(out), str(other)]) == 1
     assert ("changed stdout_sha256: hh instances/01_line_gm_z2.loop --aux-max 0"
             in capsys.readouterr().out)
+
+
+def _entry(argv, times):
+    return {"argv": argv, "code": 0, "traceback": False, "stdout_sha256": "0" * 64,
+            "stderr_sha256": "0" * 64, "wall_ref_s": times, "peak_rss_mb": [20.0] * len(times)}
+
+
+def _ladder_file(path, entries):
+    path.write_text(json.dumps({"schema": "loophh-ladder/1", "repeat": 3, "entries": entries}))
+    return str(path)
+
+
+def test_compare_divides_out_the_median_time_ratio(tmp_path):
+    ladder = load_ladder()
+    base = [_entry(["hh", f"f{k}.loop"], [1.0, 1.01, 1.02]) for k in range(5)]
+    a = _ladder_file(tmp_path / "a.json", base)
+    # a host 10% slower on every entry: nothing moved
+    slower = [_entry(e["argv"], [round(t * 1.1, 4) for t in e["wall_ref_s"]]) for e in base]
+    lines, changed = ladder.compare(a, _ladder_file(tmp_path / "b.json", slower))
+    assert not changed
+    assert lines == ["5 common entries; outcomes all equal; 0 times moved beyond the noise; "
+                     "median time ratio B/A 1.100"]
+    # ... except one entry that also doubled, read at the host speed of A
+    slower[2]["wall_ref_s"] = [2.2, 2.222, 2.244]
+    lines, changed = ladder.compare(a, _ladder_file(tmp_path / "c.json", slower))
+    assert not changed
+    assert lines[0] == "time moved: hh f2.loop: 1.010 -> 2.020 s (noise 0.060)"
+    assert lines[1].endswith("1 times moved beyond the noise; median time ratio B/A 1.100")

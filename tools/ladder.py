@@ -23,7 +23,10 @@ after it writes the file, exits 1 if there was one.
 hash differs between two files, and every entry whose median scaled wall
 time moved by more than the noise: the sum of the two entries' spreads
 (max - min over their runs; entries with one run have no spread and their
-times are not compared).  It exits 1 when an outcome changed.
+times are not compared).  B's times are first divided by the median ratio
+B/A of the common entries' median times, which it prints, so a host that
+runs a session uniformly faster or slower flags no entry.  It exits 1 when
+an outcome changed.
 """
 
 from __future__ import annotations
@@ -133,25 +136,26 @@ def compare(a_path, b_path):
              for p, mine, other in ((a_path, a, b), (b_path, b, a))
              for k in mine if k not in other]
     changed = bool(lines)
-    moved = 0
-    for key in (k for k in a if k in b):
-        ea, eb = a[key], b[key]
-        name = " ".join(key)
+    common = [k for k in a if k in b]
+    for key in common:
         for field in OUTCOME:
-            if ea[field] != eb[field]:
+            if a[key][field] != b[key][field]:
                 changed = True
-                lines.append(f"changed {field}: {name}: {ea[field]} -> {eb[field]}")
-        ta, tb = ea["wall_ref_s"], eb["wall_ref_s"]
-        if min(len(ta), len(tb)) < 2:  # one run has no spread to call noise
-            continue
-        noise = (max(ta) - min(ta)) + (max(tb) - min(tb))
-        ma, mb = statistics.median(ta), statistics.median(tb)
-        if abs(mb - ma) > noise:
+                lines.append(f"changed {field}: {' '.join(key)}: {a[key][field]} -> {b[key][field]}")
+    # entries with a spread on both sides, and their median times
+    timed = [(key, a[key]["wall_ref_s"], b[key]["wall_ref_s"]) for key in common]
+    timed = [(key, ta, tb, statistics.median(ta), statistics.median(tb))
+             for key, ta, tb in timed if min(len(ta), len(tb)) >= 2]
+    ratio = statistics.median(mb / ma for *_, ma, mb in timed) if timed else 1.0
+    moved = 0
+    for key, ta, tb, ma, mb in timed:
+        noise = (max(ta) - min(ta)) + (max(tb) - min(tb)) / ratio
+        if abs(mb / ratio - ma) > noise:
             moved += 1
-            lines.append(f"time moved: {name}: {ma:.3f} -> {mb:.3f} s (noise {noise:.3f})")
-    common = sum(k in b for k in a)
-    lines.append(f"{common} common entries; outcomes {'changed' if changed else 'all equal'}; "
-                 f"{moved} times moved beyond the noise")
+            lines.append(f"time moved: {' '.join(key)}: {ma:.3f} -> {mb / ratio:.3f} s "
+                         f"(noise {noise:.3f})")
+    lines.append(f"{len(common)} common entries; outcomes {'changed' if changed else 'all equal'}; "
+                 f"{moved} times moved beyond the noise; median time ratio B/A {ratio:.3f}")
     return lines, changed
 
 
