@@ -10,7 +10,8 @@ generators and extended by the graded Leibniz rule with Koszul signs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 
 from .grading import Multidegree
 from .scalars import is_zero
@@ -196,53 +197,70 @@ class Polynomial:
 
 
 class Derivation:
-    """Odd derivation determined by images of generators (graded Leibniz)."""
+    """Odd derivation determined by images of generators (graded Leibniz).
+
+    It is compiled once into a term table: for each generator position j
+    with an image, the terms (m, c) of D(x_j), each with the odd positions
+    k != j set in m.
+    """
 
     def __init__(self, alg: FreeAlgebra, images: dict):
         self.alg = alg
         self.images = {name: p for name, p in images.items() if p is not None and not p.is_zero()}
+        for name, p in self.images.items():
+            for m in p.terms:
+                if any(m[k] > 1 for k in alg.odd_idx) or any(m[i] < 0 for i in alg.nonnegative_idx):
+                    raise ValueError(f"D({name}) has a term outside the algebra: {m}")
+        self._odd = tuple(int(g.odd) for g in alg.gens)
+        self._table = tuple(
+            (j, tuple((m, c, tuple(k for k in alg.odd_idx if m[k] and k != j))
+                      for m, c in self.images[g.name].terms.items()))
+            for j, g in enumerate(alg.gens) if g.name in self.images
+        )
 
     def __repr__(self):
         return f"Derivation({self.images!r})"
 
-    def apply_monomial(self, exps) -> Polynomial:
-        """D(x^exps) = sum_j ±e_j (x^left * D(x_j) * x^right), where left holds
-        the exponents before j and x_j^(e_j - 1), right those after j, and the
-        sign is the parity of the odd factors passed."""
-        alg = self.alg
-        mul = alg.mul_monomials
-        exps = tuple(exps)
-        n = len(exps)
+    def image_terms(self, exps) -> dict:
+        """The terms of D(x^exps) = sum_j ±e_j x^(exps - δ_j) D(x_j), as a dict
+        (the power rule holds for any integer e_j).
+
+        A term m of D(x_j) is dropped where its product vanishes: an odd
+        position of m is already set in exps - δ_j.  No non-Laurent exponent
+        can go negative, as neither exps nor m has one.  The sign counts the
+        odd factors of x^exps before j, which x_j passes, and for each odd
+        k != j in m those strictly between k and j, which that factor passes;
+        `prefix[i]` counts the odd factors before position i.
+        """
         out = {}
-        prefix_parity = 0
-        for j, (e, g) in enumerate(zip(exps, alg.gens)):
+        prefix = [0, *accumulate(map(mul, exps, self._odd))]
+        for j, terms in self._table:
+            e = exps[j]
             if not e:
                 continue
-            img = self.images.get(g.name)
-            if img is not None:
-                # power rule, valid for any integer e
-                left = exps[:j] + (e - 1,) + (0,) * (n - j - 1)
-                right = (0,) * (j + 1) + exps[j + 1:]
-                mult = -e if prefix_parity % 2 else e
-                for m, c in img.terms.items():
-                    r = mul(left, m)
-                    if r is None:
-                        continue
-                    s1, m = r
-                    r = mul(m, right)
-                    if r is None:
-                        continue
-                    s2, m = r
-                    coef = mult * s1 * s2
-                    _add_term(out, m, c if coef == 1 else -c if coef == -1 else c * coef)
-            if g.odd and e % 2:
-                prefix_parity += 1
-        return Polynomial(alg, out)
+            lead = (*exps[:j], e - 1, *exps[j + 1:])
+            pj, pj1 = prefix[j], prefix[j + 1]
+            for m, c, odd in terms:
+                flips = pj
+                for k in odd:
+                    if lead[k]:
+                        break
+                    # a difference of counts, taken mod 2 as a sum
+                    flips += pj + prefix[k + 1] if k < j else prefix[k] + pj1
+                else:
+                    coef = -e if flips % 2 else e
+                    _add_term(out, tuple([*map(add, lead, m)]),  # a list, as in mul_monomials
+                              c if coef == 1 else -c if coef == -1 else c * coef)
+        return out
+
+    def apply_monomial(self, exps) -> Polynomial:
+        """D(x^exps) as a Polynomial."""
+        return Polynomial(self.alg, self.image_terms(exps))
 
     def apply(self, poly: Polynomial) -> Polynomial:
         out = {}
         for m, c in poly.terms.items():
-            for tm, tc in self.apply_monomial(m).terms.items():
+            for tm, tc in self.image_terms(m).items():
                 _add_term(out, tm, c * tc)
         return Polynomial(self.alg, out)
 

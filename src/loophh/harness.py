@@ -55,7 +55,8 @@ class Truncation:
     def __post_init__(self):
         # an empty window would leave the checks nothing to compare (and PASS)
         # or the tables nothing to print
-        for name, low in (("tower_levels", 1), ("u_window", 1), ("aux_max", 0), ("laurent_cap", 0)):
+        for name, low in (("tower_levels", 1), ("u_window", 1), ("aux_max", 0), ("laurent_cap", 0),
+                          ("bar_depth", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.cohdeg_min > self.cohdeg_max:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .algebra import Derivation, FreeAlgebra, Generator, Polynomial, enumerate_monomials
 from .grading import Multidegree, Window
 from .linalg import SparseMatrix
-from .scalars import BackendMismatch, coerce, exact_div, is_zero
+from .scalars import BackendMismatch, coerce, exact_div
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +354,7 @@ class SemifreeModel:
                 touched = False
                 depth = None
                 for j, mono in enumerate(labels):
-                    img = deriv.apply_monomial(mono)
-                    for tm, c in img.terms.items():
+                    for tm, c in deriv.image_terms(mono).items():
                         ti = tgt_pos.get(tm)
                         if edge_depths is not None:
                             # Depth rule.  t is closed, so the terms of
@@ -378,7 +377,7 @@ class SemifreeModel:
                         if ti is None:
                             touched = True
                             continue
-                        ent[(ti, j)] = ent.get((ti, j), 0) + c
+                        ent[(ti, j)] = c
                 if touched:
                     edge.add(mdeg)
                     edge.add(tgt)
@@ -386,10 +385,7 @@ class SemifreeModel:
                     for b in (mdeg, tgt):
                         edge_depths[b] = min(edge_depths.get(b, depth), depth)
                 if ent:
-                    mats[mdeg] = SparseMatrix(
-                        len(bins.get(tgt, ())), len(labels),
-                        {k: v for k, v in ent.items() if not is_zero(v)},
-                    )
+                    mats[mdeg] = SparseMatrix(len(bins.get(tgt, ())), len(labels), ent)
             return mats
 
         diffs = assemble(self.d, 1, self.aux_shift_d)

@@ -4,6 +4,7 @@ import gc
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophh.algebra import Derivation, FreeAlgebra, Generator, Polynomial, enumerate_monomials
@@ -258,3 +259,42 @@ def test_apply_monomial_examples():
     Dz = Derivation(alg, {"x": e.scaled(z)})
     assert Dz.apply_monomial((2, 0, 0, 0)).terms == {(1, 1, 0, 0): z * 2}
     assert Dz.apply(w * x + x).terms == {(0, 1, 0, 1): z, (0, 1, 0, 0): z}
+
+
+def test_apply_monomial_sign_cases():
+    # p, q, r, s odd, x even, w Laurent, in this order.  D(x) = p + s has odd
+    # factors before and after x, D(r) = r s has one at r itself.
+    alg = FreeAlgebra([Generator("p", -1, (), 1), Generator("q", -1, (), 1),
+                       Generator("x", 0, (), 1), Generator("r", -1, (), 1),
+                       Generator("s", -1, (), 1), Generator("w", 0, (), 0, laurent=True)], 0)
+    p, q, r, s, w = (alg.poly_gen(n) for n in "pqrsw")
+    D = Derivation(alg, {"x": p + s, "r": r * s, "w": w * q})
+    cases = {
+        # D(q x) = -q p - q s = p q - q s: p moves back past q
+        (0, 1, 1, 0, 0, 0): {(1, 1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0): -1},
+        # D(x r) = p r + s r + x r s = p r - r s + x r s: s passes r
+        (0, 0, 1, 1, 0, 0): {(1, 0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 1, 0): -1,
+                             (0, 0, 1, 1, 1, 0): 1},
+        # D(q r) = -q r s: r of D(r) stands in r's own place and passes nothing
+        (0, 1, 0, 1, 0, 0): {(0, 1, 0, 1, 1, 0): -1},
+        # D(p x) = -p p - p s = -p s: the term p meets the p of x^e
+        (1, 0, 1, 0, 0, 0): {(1, 0, 0, 0, 1, 0): -1},
+        # D(x s) = p s + s s = p s: the term s meets the s of x^e
+        (0, 0, 1, 0, 1, 0): {(1, 0, 0, 0, 1, 0): 1},
+        # D(x^3 r) = 3 x^2 (p + s) r + x^3 r s = 3 p x^2 r - 3 x^2 r s + x^3 r s
+        (0, 0, 3, 1, 0, 0): {(1, 0, 2, 1, 0, 0): 3, (0, 0, 2, 1, 1, 0): -3,
+                             (0, 0, 3, 1, 1, 0): 1},
+        # D(p w^-2) = -p (-2 w^-3)(w q) = 2 p q w^-2
+        (1, 0, 0, 0, 0, -2): {(1, 1, 0, 0, 0, -2): 2},
+    }
+    for exps, want in cases.items():
+        assert D.apply_monomial(exps).terms == want, exps
+        assert reference_apply_monomial(D, exps).terms == want, exps
+
+
+def test_derivation_rejects_a_term_outside_the_algebra():
+    # the term tables assume images are products of the algebra
+    alg = FreeAlgebra([Generator("x", 0, (), 1), Generator("e", -1, (), 1)], 0)
+    for m in ((0, 2), (-1, 1)):
+        with pytest.raises(ValueError, match="outside the algebra"):
+            Derivation(alg, {"x": Polynomial(alg, {m: 1})})

@@ -250,6 +250,7 @@ EMPTY_WINDOWS = [
     ("aux_max", {"aux_max": -1}),
     ("laurent_cap", {"laurent_cap": -1}),
     ("cohdeg_min", {"cohdeg_min": 3, "cohdeg_max": -3}),
+    ("bar_depth", {"bar_depth": -3}),
 ]
 
 
@@ -279,7 +280,7 @@ def test_smallest_windows_accepted(tmp_path, capsys):
     f = tmp_path / "line.loop"
     f.write_text(LINE_GM)
     code, out, _ = run_cli(["hh", str(f), "--aux-max", "0", "--laurent-cap", "0",
-                            "--cohdeg-min", "0", "--cohdeg-max", "0"], capsys)
+                            "--bar-depth", "0", "--cohdeg-min", "0", "--cohdeg-max", "0"], capsys)
     assert code == 0 and "HH table" in out
 
 

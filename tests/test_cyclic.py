@@ -276,8 +276,8 @@ def test_tables_reject_an_image_outside_the_level(monkeypatch):
 
 
 def test_bar_laws_catch_a_corrupt_face_entry():
-    # d_2 of x(x)x(x)x(x)x redirected to d_0's target: the element has no unit
-    # slot, so no B column and no bB + Bb check below level 3 reads it
+    # d_2 of x(x)x(x)x(x)x redirected to d_0's target x^2(x)x(x)x: t fixes the
+    # element and t d_1 sends it to x(x)x(x)x^2, so d_2 t = t d_1 fails at level 3
     L = cyclic_bar(kx(), N=4, aux_max=4)
     assert L.check_bar_laws()
     x = L.A_basis.index((1,))

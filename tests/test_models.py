@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import loophh
 
+from loophh.algebra import Derivation
 from loophh.grading import md
 from loophh.instancefile import parse_instance
 from loophh.models import (
@@ -22,12 +23,13 @@ from loophh.models import (
     identity_point,
     localization_open_set,
     loop_model,
+    odd_tangent_model,
     point_in_open_set,
     reduce_linear_relations,
     regrade_by_group_exponent,
     stabilizer_subgroups,
 )
-from loophh.scalars import CyclotomicField, coerce, exact_div, is_zero
+from loophh.scalars import CycElt, CyclotomicField, coerce, exact_div, is_zero
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -225,6 +227,51 @@ def test_base_change_matches_repeated_multiplication(path):
             for name, poly in old.images.items():
                 got = new.images[name].terms if name in new.images else {}
                 assert got == _reference_image(poly, p, zj, n, one), (name, n)
+
+
+def _instantiations(path):
+    """(name, complex, edge depths) of every model the engine instantiates for
+    an instance: the loop, Cartan and odd-tangent models at its window, and,
+    for 01 and for cyc3 (a zeta(3) point), the loop model over k[t]/(t^3)."""
+    P, T, z, tr = parse_instance(path.read_text())
+    wf = (0,) * T.rank
+    out = [
+        ("loop", loop_model(P, T).instantiate(
+            tr.aux_max, laurent_cap=tr.laurent_cap if T.rank else None, weight_filter=wf), None),
+        ("cartan", cartan_model(P, T).instantiate(tr.aux_max, weight_filter=wf), None),
+        ("odd tangent", odd_tangent_model(P).instantiate(tr.aux_max), None),
+    ]
+    if path.stem in ("01_line_gm_z2", "cyc3"):
+        backend = None if z.conductor() == 1 else CyclotomicField(z.conductor())
+        depths = {}
+        mc = loop_model(P, T).at_torus_point_level(z, 3, backend=backend).instantiate(
+            tr.aux_max, weight_filter=wf, edge_depths=depths)
+        out.append(("level 3", mc, depths))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "instances").glob("*.loop"))
+                         + [ROOT / "perfbench" / "instances" / "cyc3.loop"], ids=lambda p: p.stem)
+def test_instantiate_equals_the_triple_product_assembly(path, monkeypatch):
+    # the compiled term tables against D(x^e) as a Polynomial triple product
+    from test_algebra import reference_apply_monomial
+
+    shipped = _instantiations(path)
+    monkeypatch.setattr(Derivation, "image_terms",
+                        lambda D, exps: reference_apply_monomial(D, exps).terms)
+    def entries(mats):
+        return {m: a.entries for m, a in mats.items()}
+
+    for (name, got, got_depths), (_, want, want_depths) in zip(shipped, _instantiations(path)):
+        assert got.base.bins == want.base.bins, name
+        assert entries(got.base.diffs) == entries(want.base.diffs), name
+        assert entries(got.eps) == entries(want.eps), name
+        assert got.base.edge == want.base.edge, name
+        assert got_depths == want_depths, name
+    if path.stem == "cyc3":  # the zeta(3) level has edge depths and cyclotomic entries
+        _, mc, depths = shipped[-1]
+        assert depths and any(isinstance(c, CycElt) for a in mc.base.diffs.values()
+                              for c in a.entries.values())
 
 
 # -- stabilizers ------------------------------------------------------------------

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Defs that only tests call, kept on purpose as test helpers.
 KEPT_FOR_TESTS = {
+    "apply_monomial",     # algebra: D(x^e) as a Polynomial, the Leibniz-rule tests
     "euler_consistent",   # complexes: Euler characteristic of a test complex
     "from_rows",          # linalg: SparseMatrix literal in tests
     "hstack",             # linalg: block matrices in the linalg tests
