@@ -83,7 +83,7 @@ class MixedComplex:
     def strips(self):
         """The u-series strip index, (weight, aux) -> `_Strip`: each strip with
         a bin or an edge degree, built on first u-series use (laws checked, any
-        cohdeg floor declared), and the empty ones `USeriesComplex._shapes` adds."""
+        cohdeg floor declared)."""
         if self._strips is None:
             dims, edge = {}, {}
             for m, labels in self.base.bins.items():
@@ -115,10 +115,11 @@ class USeriesComplex:
     """Windowed (V[[u]]-style, d + u*eps) complex of a declared flavor.
 
     Construction raises NotAComplex unless d^2 = 0 on every bin, edge or not,
-    and the mixed laws hold.  A u-series complex keeps only the shape of each
-    column; what a shape determines (its reduction, its classes) is kept on
-    the strips of the mixed complex (`_Strip`), so every flavor and window
-    over one mixed complex shares it.
+    and the mixed laws hold.  A u-series complex keeps no column: each pass
+    walks the strips of the mixed complex (`_Strip.walk`), which yield the
+    shape of each column; what a shape determines (its reduction, its
+    classes) is kept on the strips, so every flavor and window over one mixed
+    complex shares it.
     """
 
     def __init__(self, mixed: MixedComplex, flavor: str, p_range: tuple):
@@ -135,51 +136,22 @@ class USeriesComplex:
         self.mixed = mixed
         self.flavor = flavor
         self.p_lo, self.p_hi = p_range
-        self._columns = None
 
     # -- cells ---------------------------------------------------------------
     def columns(self):
-        """Total columns keyed (tau, weight, aux), sorted, each -> `_shapes`."""
-        if self._columns is None:
-            lo, hi = self.p_lo, self.p_hi
-            cols = {}
-            for (w, a), strip in self.mixed.strips().items():
-                if strip.dims:
-                    taus = range(min(strip.dims) + 2 * lo - 1, max(strip.dims) + 2 * hi + 2)
-                    shape = {tau: strip.shape(tau, lo, hi) for tau in taus}
-                    for tau in taus[1:-1]:
-                        if shape[tau] is not None:
-                            cols[(tau, w, a)] = (strip, shape[tau - 1], shape[tau], shape[tau + 1])
-            self._columns = dict(sorted(cols.items()))
-        return self._columns
-
-    def _shapes(self, key):
-        """(strip, prv, src, nxt): the strip of column key and the shapes of
-        columns tau - 1, tau and tau + 1 on it."""
-        shapes = self.columns().get(key)
-        if shapes is not None:
-            return shapes
-        tau, w, a = key
-        strips, lo, hi = self.mixed.strips(), self.p_lo, self.p_hi
-        strip = strips.get((w, a))
-        if strip is None:  # a key of another complex: no bin, no edge degree
-            strip = strips[(w, a)] = _Strip(self.mixed, w, a, {}, frozenset())
-        return strip, strip.shape(tau - 1, lo, hi), None, strip.shape(tau + 1, lo, hi)
-
-    def _column_matrix(self, key):
-        """Total differential out of column key into key + e_tau."""
-        strip, _, src, nxt = self._shapes(key)
-        return strip.matrix(src, nxt)
-
-    def _column_key(self, key):
-        """The `_COLUMN_MEMO` key of `_column_matrix(key)`."""
-        strip, _, src, nxt = self._shapes(key)
-        return strip.column_key(src, nxt)
+        """Total columns keyed (tau, weight, aux), sorted, each ->
+        (strip, prv, src, nxt) as `_Strip.walk` yields them."""
+        cols = {}
+        for (w, a), strip in self.mixed.strips().items():
+            for tau, *shapes in strip.walk(self.p_lo, self.p_hi):
+                cols[(tau, w, a)] = (strip, *shapes)
+        return dict(sorted(cols.items()))
 
     # -- edge / validity ----------------------------------------------------------
-    def _column_is_edge(self, key) -> bool:
-        strip, _, src, _ = self._shapes(key)
-        return strip.has_edge(src) or self._cut(strip, key[0])
+    def _column_is_edge(self, strip, tau, src) -> bool:
+        """Column tau of the strip, of shape src, holds an edge cell or meets
+        an artifact of the p-window (`_cut`)."""
+        return strip.has_edge(src) or self._cut(strip, tau)
 
     def _cut(self, strip, tau) -> bool:
         """Column tau of the strip meets an artifact of the p-window.  d keeps
@@ -201,13 +173,18 @@ class USeriesComplex:
         cell of their echelon pivot (canonical in all split cases)."""
         vals: dict[Multidegree, int] = {}
         edge: set[Multidegree] = set()
-        for (tau, w, a), (strip, prv, src, nxt) in self.columns().items():
-            counts, has_edge = strip.classes_of(prv, src, nxt)
-            for i, n in counts:
-                vals[Multidegree(i, w, a, (tau - i) // 2)] = n
-            if has_edge or self._cut(strip, tau):
-                edge.update(Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src))
-        return HilbertTable(vals, edge, self.mixed.base.window.with_upow(self.p_lo, self.p_hi))
+        lo, hi = self.p_lo, self.p_hi
+        for (w, a), strip in self.mixed.strips().items():
+            classes = strip.classes
+            for tau, prv, src, nxt in strip.walk(lo, hi):
+                counts = classes.get((prv, src, nxt))
+                if counts is None:
+                    counts = strip.classes_of(prv, src, nxt)
+                for i, n in counts:
+                    vals[Multidegree(i, w, a, (tau - i) // 2)] = n
+                if self._column_is_edge(strip, tau, src):
+                    edge.update(Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src))
+        return HilbertTable(vals, edge, self.mixed.base.window.with_upow(lo, hi))
 
     # -- u multiplication ----------------------------------------------------------
     def u_map_bijective(self):
@@ -216,26 +193,29 @@ class USeriesComplex:
         Returns (ok, failures); failures name (tau, weight, aux) columns.
         """
         failures = []
-        for key, (strip, prv, src, nxt) in self.columns().items():
-            tau, w, a = key
-            tkey = (tau + 2, w, a)
-            if self._column_is_edge(key) or self._column_is_edge(tkey):
-                continue
-            # u sends cell i of column tau (p -> p+1) to cell i of column tau + 2;
-            # usable only if the image column retains every shifted cell.
-            _, tprv, tsrc, tnxt = self._shapes(tkey)
-            offset, _ = strip.offsets(src)
-            toffset, ttotal = strip.offsets(tsrc)
-            if any(i not in toffset for i in offset):
-                continue
-            hs, ht = strip.h_dim(prv, src, nxt), strip.h_dim(tprv, tsrc, tnxt)
-            im_t = strip.image(tprv, tsrc)
-            shift = [toffset[i] - offset[i] for i in offset for _ in range(strip.dims[i])]
-            kernel = strip.kernel(src, nxt)
-            shifted = [{idx + shift[idx]: v for idx, v in vec.items()} for vec in kernel]
-            r = quotient_rank(shifted, im_t, ttotal)
-            if not (hs == ht == r):
-                failures.append((key, hs, ht, r))
+        for (w, a), strip in self.mixed.strips().items():
+            cols = {tau: (prv, src, nxt) for tau, prv, src, nxt in strip.walk(self.p_lo, self.p_hi)}
+            for tau, (prv, src, nxt) in cols.items():
+                # u sends cell i of column tau (p -> p+1) to cell i of column tau + 2;
+                # usable only if the image column retains every shifted cell.
+                if tau + 2 not in cols:
+                    continue
+                tprv, tsrc, tnxt = cols[tau + 2]
+                if self._column_is_edge(strip, tau, src) or self._column_is_edge(strip, tau + 2, tsrc):
+                    continue
+                offset, _ = strip.offsets(src)
+                toffset, ttotal = strip.offsets(tsrc)
+                if any(i not in toffset for i in offset):
+                    continue
+                hs, ht = strip.h_dim(prv, src, nxt), strip.h_dim(tprv, tsrc, tnxt)
+                im_t = strip.image(tprv, tsrc)
+                shift = [toffset[i] - offset[i] for i in offset for _ in range(strip.dims[i])]
+                kernel = strip.kernel(src, nxt)
+                shifted = [{idx + shift[idx]: v for idx, v in vec.items()} for vec in kernel]
+                r = quotient_rank(shifted, im_t, ttotal)
+                if not (hs == ht == r):
+                    failures.append(((tau, w, a), hs, ht, r))
+        failures.sort()
         return (not failures, failures)
 
 
@@ -275,6 +255,20 @@ class _Strip:
         hi = bisect_right(self.degrees[par], tau - 2 * p_lo)
         return (par, lo, hi) if lo < hi else None
 
+    def walk(self, p_lo, p_hi):
+        """(tau, prv, src, nxt) of each nonempty column over the p-window
+        [p_lo, p_hi], in tau order: the shapes of columns tau - 1, tau and
+        tau + 1, each computed once as the walk slides along tau."""
+        if not self.dims:
+            return
+        first = min(self.dims) + 2 * p_lo
+        prv, src = None, self.shape(first, p_lo, p_hi)
+        for tau in range(first, max(self.dims) + 2 * p_hi + 1):
+            nxt = self.shape(tau + 1, p_lo, p_hi)
+            if src is not None:
+                yield tau, prv, src, nxt
+            prv, src = src, nxt
+
     def cells(self, shape):
         """The degrees of a shape's cells, descending."""
         if shape is None:
@@ -291,7 +285,7 @@ class _Strip:
         return offset, total
 
     def has_edge(self, shape) -> bool:
-        return not self.edge.isdisjoint(self.cells(shape))
+        return bool(self.edge) and not self.edge.isdisjoint(self.cells(shape))
 
     def certified_zero(self, i, mixed) -> bool:
         """The bin (i, w, a) of `mixed` is known to vanish: empty, not edge,
@@ -354,11 +348,11 @@ class _Strip:
         return record.image
 
     def h_dim(self, prv, src, nxt) -> int:
-        return sum(n for _, n in self.classes_of(prv, src, nxt)[0])
+        return sum(n for _, n in self.classes_of(prv, src, nxt))
 
     def classes_of(self, prv, src, nxt):
-        """(((degree, class count), ...) in descending degree, some cell is
-        edge) of shape src; a class is a lead of ker D not among im Dprev's."""
+        """((degree, class count), ...) of shape src in descending degree; a
+        class is a lead of ker D not among im Dprev's."""
         record = self.classes.get((prv, src, nxt))
         if record is None:
             image = self.column(prv, src).image_leads
@@ -367,7 +361,7 @@ class _Strip:
             for f in self.column(src, nxt).kernel_leads:
                 if f not in image:
                     counts[owner[f]] = counts.get(owner[f], 0) + 1
-            record = self.classes[(prv, src, nxt)] = (tuple(counts.items()), self.has_edge(src))
+            record = self.classes[(prv, src, nxt)] = tuple(counts.items())
         return record
 
 
@@ -386,8 +380,10 @@ class _Column:
 
 
 # Two levels of sharing.  Per mixed complex, each strip maps a shape pair
-# (src, nxt) to its `_Column` and a triple (prv, src, nxt) to its classes, so
-# a column costs a lookup once its shape was seen in any flavor or window.
+# (src, nxt) to its `_Column` and a triple (prv, src, nxt) to its classes.  A
+# u-series pass walks each strip's columns and reads their shapes off the
+# walk, storing no per-window list, so a column costs one shape and one
+# lookup once its shapes were seen in any flavor or window.
 # Across complexes, `_COLUMN_MEMO` maps a column key -- its dimensions and the
 # (row offset, col offset, token) of every block placed in it, a token naming
 # a block's exact content (`_content_key`) in `_BLOCK_TOKENS` -- to one
@@ -447,6 +443,9 @@ def tate(V: MixedComplex, u_window: int) -> USeriesComplex:
     return USeriesComplex(V, "tate", (-u_window, u_window))
 
 
+_EMPTY = (None, None, None)  # the shapes of a column with no cell
+
+
 def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
     """The u-linear extension of a chain map induces isomorphisms columnwise.
 
@@ -459,30 +458,40 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
         raise ValueError("flavor/window mismatch")
     failures = []
     ranks = {}  # (w, a, source shapes, target shapes) -> (hs, ht, rank)
-    for key in sorted(set(us_src.columns()) | set(us_tgt.columns())):
-        if us_src._column_is_edge(key) or us_tgt._column_is_edge(key):
-            continue
-        _, w, a = key
-        s_shapes, t_shapes = us_src._shapes(key), us_tgt._shapes(key)
-        shapes = (w, a, s_shapes[1:], t_shapes[1:])
-        if shapes not in ranks:
-            # F's blocks are per bin, so equal shapes give equal Fcol
-            (s_strip, _, s_src, s_nxt), (t_strip, t_prv, t_src, _) = s_shapes, t_shapes
-            s_off, s_total = s_strip.offsets(s_src)
-            t_off, t_total = t_strip.offsets(t_src)
-            ent = {}
-            for i, col in s_off.items():
-                blk = F.blocks.get(Multidegree(i, w, a))
-                if blk is not None and i in t_off:
-                    for (r, c), v in blk.entries.items():
-                        ent[(t_off[i] + r, col + c)] = v
-            Fcol = SparseMatrix(t_total, s_total, ent)
-            images = [apply_matrix(Fcol, v) for v in s_strip.kernel(s_src, s_nxt)]
-            rank = quotient_rank(images, t_strip.image(t_prv, t_src), t_total)
-            ranks[shapes] = (s_strip.h_dim(*s_shapes[1:]), t_strip.h_dim(*t_shapes[1:]), rank)
-        hs, ht, r = ranks[shapes]
-        if not (hs == ht == r):
-            failures.append((key, hs, ht, r))
+    lo, hi = us_src.p_lo, us_src.p_hi
+    s_strips, t_strips = us_src.mixed.strips(), us_tgt.mixed.strips()
+    for w, a in s_strips.keys() | t_strips.keys():
+        # a strip or column one side lacks is empty there: no cell, so no
+        # class and no image, whatever its neighbours hold
+        s_strip = s_strips.get((w, a)) or _Strip(us_src.mixed, w, a, {}, frozenset())
+        t_strip = t_strips.get((w, a)) or _Strip(us_tgt.mixed, w, a, {}, frozenset())
+        s_cols = {tau: (prv, src, nxt) for tau, prv, src, nxt in s_strip.walk(lo, hi)}
+        t_cols = {tau: (prv, src, nxt) for tau, prv, src, nxt in t_strip.walk(lo, hi)}
+        for tau in s_cols.keys() | t_cols.keys():
+            s_shapes, t_shapes = s_cols.get(tau, _EMPTY), t_cols.get(tau, _EMPTY)
+            if us_src._column_is_edge(s_strip, tau, s_shapes[1]) or \
+                    us_tgt._column_is_edge(t_strip, tau, t_shapes[1]):
+                continue
+            shapes = (w, a, s_shapes, t_shapes)
+            if shapes not in ranks:
+                # F's blocks are per bin, so equal shapes give equal Fcol
+                (_, s_src, s_nxt), (t_prv, t_src, _) = s_shapes, t_shapes
+                s_off, s_total = s_strip.offsets(s_src)
+                t_off, t_total = t_strip.offsets(t_src)
+                ent = {}
+                for i, col in s_off.items():
+                    blk = F.blocks.get(Multidegree(i, w, a))
+                    if blk is not None and i in t_off:
+                        for (r, c), v in blk.entries.items():
+                            ent[(t_off[i] + r, col + c)] = v
+                Fcol = SparseMatrix(t_total, s_total, ent)
+                images = [apply_matrix(Fcol, v) for v in s_strip.kernel(s_src, s_nxt)]
+                rank = quotient_rank(images, t_strip.image(t_prv, t_src), t_total)
+                ranks[shapes] = (s_strip.h_dim(*s_shapes), t_strip.h_dim(*t_shapes), rank)
+            hs, ht, r = ranks[shapes]
+            if not (hs == ht == r):
+                failures.append(((tau, w, a), hs, ht, r))
+    failures.sort()
     return (not failures, failures)
 
 

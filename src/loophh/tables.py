@@ -94,21 +94,23 @@ class HilbertTable:
         compared, and nonzero bins visible on one side but unknown on the
         other (evidence the window was too tight).
         """
-        keys = set(self.values) | set(other.values) | self.edge | other.edge
-        mismatches = []
-        comparable = []
-        masked = []
-        for k in sorted(keys):
-            a_known = self.known(k)
-            b_known = other.known(k)
+        mismatches, comparable, masked = [], [], []
+        a_vals, a_edge, a_win = self.values, self.edge, self.window
+        b_vals, b_edge, b_win = other.values, other.edge, other.window
+        for k in a_vals.keys() | b_vals.keys() | a_edge | b_edge:
+            a_known = k not in a_edge and (a_win is None or a_win.contains(k))
+            b_known = k not in b_edge and (b_win is None or b_win.contains(k))
+            a, b = a_vals.get(k, 0), b_vals.get(k, 0)
             if a_known and b_known:
                 comparable.append(k)
-                if self.dim(k) != other.dim(k):
-                    mismatches.append((k, self.dim(k), other.dim(k)))
-            elif a_known and self.dim(k):
+                if a != b:
+                    mismatches.append((k, a, b))
+            elif (a_known and a) or (b_known and b):
                 masked.append(k)
-            elif b_known and other.dim(k):
-                masked.append(k)
+        # bins are distinct, so each list sorts by bin
+        mismatches.sort()
+        comparable.sort()
+        masked.sort()
         return mismatches, comparable, masked
 
     # -- serialization ----------------------------------------------------------

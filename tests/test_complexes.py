@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loophh.cli import _weight_zero_mixed
 from loophh.complexes import ChainMap, GradedComplex, Relabelling
@@ -130,6 +131,54 @@ def test_table_compare_and_masking():
     d = HilbertTable({md(0, (0,), 0): 1}, edge={md(0, (0,), 0)}, window=WIN)
     mism, comp, masked = a.compare(d)
     assert not mism and masked == [md(0, (0,), 0)]
+
+
+def _reference_compare(a, b):
+    """The loop `compare` replaced: every key of both tables in sorted order,
+    knownness from `known`."""
+    mismatches, comparable, masked = [], [], []
+    for k in sorted(set(a.values) | set(b.values) | a.edge | b.edge):
+        a_known, b_known = a.known(k), b.known(k)
+        if a_known and b_known:
+            comparable.append(k)
+            if a.dim(k) != b.dim(k):
+                mismatches.append((k, a.dim(k), b.dim(k)))
+        elif a_known and a.dim(k):
+            masked.append(k)
+        elif b_known and b.dim(k):
+            masked.append(k)
+    return mismatches, comparable, masked
+
+
+_RANGES = st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(sorted).map(tuple)
+_WINDOWS = st.none() | st.builds(lambda c, w, a, u: Window(c, (w,), a, u),
+                                 _RANGES, _RANGES, _RANGES, _RANGES)
+
+
+@st.composite
+def _table_pairs(draw):
+    """Two tables over one small pool of bins, some beyond either window:
+    values (zero or not) and edge marks overlap, and each window is None,
+    the other side's, or its own."""
+    coordinate = st.integers(-2, 1)
+    pool = draw(st.lists(st.builds(md, coordinate, st.tuples(coordinate), coordinate, coordinate),
+                         min_size=3, max_size=10, unique=True))
+    bins = st.sampled_from(pool)
+
+    def table(window):
+        return HilbertTable(draw(st.dictionaries(bins, st.integers(0, 2), min_size=1)),
+                            draw(st.sets(bins)), window)
+
+    a = table(draw(_WINDOWS))
+    return a, table(draw(st.just(a.window) | _WINDOWS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_pairs())
+def test_compare_equals_the_sorted_loop(pair):
+    a, b = pair
+    assert a.compare(b) == _reference_compare(a, b)
+    assert b.compare(a) == _reference_compare(b, a)
 
 
 SHIPPED = sorted((Path(__file__).resolve().parents[1] / "instances").glob("*.loop"))

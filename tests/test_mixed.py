@@ -7,6 +7,7 @@ import pytest
 from loophh import mixed
 from loophh.cli import build_parser, run_verb
 from loophh.complexes import ChainMap, GradedComplex
+from loophh.cyclic import connes_B, cyclic_bar
 from loophh.grading import Multidegree, Window, md
 from loophh.linalg import (
     NotAComplex,
@@ -25,10 +26,15 @@ from loophh.mixed import (
     s1_invariants_level,
     tate,
 )
+from loophh.models import AlgebraPresentation
 from loophh.scalars import CyclotomicField
 from mixed_fixtures import direct_sum, random_mixed_complex
 
 WIN = Window((-6, 6), ((-6, 6),), (0, 6))
+
+
+def _plane():
+    return AlgebraPresentation([("x", (1,), 1), ("y", (2,), 1)], rank=1, asserted_smooth=True)
 
 
 def point_complex():
@@ -195,7 +201,7 @@ def test_column_memo_shares_results_between_equal_columns():
     assert second.cohomology().values == first.cohomology().values
     assert len(mixed._COLUMN_MEMO) == stored
     for key in _columns_and_predecessors(first):
-        (strip, _, src, nxt), (again, _, src2, nxt2) = first._shapes(key), second._shapes(key)
+        (strip, _, src, nxt), (again, _, src2, nxt2) = _shapes(first, key), _shapes(second, key)
         assert again.column(src2, nxt2) is strip.column(src, nxt)
 
 
@@ -307,6 +313,8 @@ def _key_check_complexes():
     return cases + _same_block_elsewhere() + [
         bga_polynomial_preset(4),
         bga_completed_preset(5, 3),
+        # a cohdeg floor with a zero certifier below it, for the cut rule
+        connes_B(cyclic_bar(_plane(), N=3, aux_max=2)),
     ]
 
 
@@ -316,6 +324,37 @@ def _all_flavors(V, windows=(1, 2)):
         yield mixed.USeriesComplex(V, "invariants", (0, u))
         yield mixed.USeriesComplex(V, "coinvariants", (-u, 0))
         yield mixed.USeriesComplex(V, "tate", (-u, u))
+
+
+def _shapes(us, key):
+    """(strip, prv, src, nxt) of column key, read off its strip one tau at
+    a time; a strip the complex lacks is empty."""
+    tau, w, a = key
+    strip = us.mixed.strips().get((w, a)) or mixed._Strip(us.mixed, w, a, {}, frozenset())
+    return (strip, *(strip.shape(t, us.p_lo, us.p_hi) for t in (tau - 1, tau, tau + 1)))
+
+
+def _column_matrix(us, key):
+    """Total differential out of column key into key + e_tau."""
+    strip, _, src, nxt = _shapes(us, key)
+    return strip.matrix(src, nxt)
+
+
+def _column_key(us, key):
+    """The `_COLUMN_MEMO` key of `_column_matrix(us, key)`."""
+    strip, _, src, nxt = _shapes(us, key)
+    return strip.column_key(src, nxt)
+
+
+def test_strip_walk_equals_shapes_tau_by_tau():
+    for V in _key_check_complexes():
+        for us in _all_flavors(V, (1, 2, 4)):
+            for strip in V.strips().values():
+                lo, hi = us.p_lo, us.p_hi
+                taus = range(-30, 31)
+                expected = [(tau, *(strip.shape(t, lo, hi) for t in (tau - 1, tau, tau + 1)))
+                            for tau in taus if strip.shape(tau, lo, hi) is not None]
+                assert list(strip.walk(lo, hi)) == expected
 
 
 def _columns_and_predecessors(us):
@@ -334,8 +373,8 @@ def test_structural_column_keys_are_sound():
     for V in _key_check_complexes():
         for us in _all_flavors(V):
             for key in _columns_and_predecessors(us):
-                content = mixed._content_key(us._column_matrix(key))
-                assert content_of.setdefault(us._column_key(key), content) == content
+                content = mixed._content_key(_column_matrix(us, key))
+                assert content_of.setdefault(_column_key(us, key), content) == content
                 checked += 1
     assert len(content_of) < checked  # keys recur, so the check has teeth
 
@@ -346,9 +385,9 @@ def test_column_h_equals_memo_free_recompute():
         for us in _all_flavors(V):
             for key in sorted(us.columns()):
                 tau, w, a = key
-                ker = kernel_basis(us._column_matrix(key))
-                im = image_basis(us._column_matrix((tau - 1, w, a)))
-                strip, prv, src, nxt = us._shapes(key)
+                ker = kernel_basis(_column_matrix(us, key))
+                im = image_basis(_column_matrix(us, (tau - 1, w, a)))
+                strip, prv, src, nxt = _shapes(us, key)
                 assert strip.h_dim(prv, src, nxt) == len(quotient_pivots(ker, im))
                 assert strip.kernel(src, nxt) == ker
                 assert strip.image(prv, src) == im
@@ -508,8 +547,54 @@ def test_induced_iso_lists_every_failing_column():
     ok, failures = mixed.useries_induced_iso(us_src, us_tgt, F)
     assert not ok
     assert failures == _CellReference(us_src).induced_iso_failures(_CellReference(us_tgt), F)
-    shapes = [us_src._shapes(key)[1:] for key, *_ in failures]
+    shapes = [_shapes(us_src, key)[1:] for key, *_ in failures]
     assert len(set(shapes)) < len(shapes)
+
+
+def _summand_pairs():
+    """(A, direct_sum(A, B)) pairs; each B holds a (weight, aux) strip A lacks."""
+    def lone_point(V, w, a):
+        return MixedComplex(GradedComplex({md(0, w, a): ["p"]}, {}, V.base.window), {})
+
+    pairs = []
+    for seed in range(4):
+        A = random_mixed_complex(seed)
+        B = direct_sum(random_mixed_complex(seed + 20), lone_point(A, (3,), 4))
+        pairs.append((A, direct_sum(A, B)))
+    A = bga_completed_preset(5, 3)
+    pairs.append((A, direct_sum(A, direct_sum(eps_pair(), lone_point(A, (1,), 2)))))
+    return pairs
+
+
+def _summand_maps(A, S):
+    """The inclusion of the summand A into S = direct_sum(A, B), and the
+    projection of S onto it: A's labels come first in every bin of S."""
+    def block(m, rows, cols):
+        return SparseMatrix(rows, cols, {(i, i): Fraction(1) for i in range(A.base.dim(m))})
+
+    inc = ChainMap(A.base, S.base, {m: block(m, S.base.dim(m), A.base.dim(m)) for m in A.base.bins})
+    proj = ChainMap(S.base, A.base, {m: block(m, A.base.dim(m), S.base.dim(m)) for m in A.base.bins})
+    inc.verify_chain_map(A, S)
+    proj.verify_chain_map(S, A)
+    return [(A, S, inc), (S, A, proj)]
+
+
+def test_induced_iso_equals_reference_between_different_complexes():
+    # the inclusion of a summand and the projection onto it, at every flavor
+    # and u-window; each pair has a strip on one side only
+    mixed.clear_column_memo()
+    failing = 0
+    for A, S in _summand_pairs():
+        assert not S.strips().keys() <= A.strips().keys()
+        for V, W, F in _summand_maps(A, S):
+            for us_src, us_tgt in zip(_all_flavors(V, (1, 2, 4)), _all_flavors(W, (1, 2, 4))):
+                ok, failures = mixed.useries_induced_iso(us_src, us_tgt, F)
+                assert failures == _CellReference(us_src).induced_iso_failures(_CellReference(us_tgt), F)
+                assert ok == (not failures)
+                failing += bool(failures)
+        # a strip one side lacks is not added to that side's index
+        assert not S.strips().keys() <= A.strips().keys()
+    assert failing
 
 
 def test_block_tokens_are_never_reissued():
@@ -532,8 +617,8 @@ def test_block_tokens_are_never_reissued():
     new = tate(bga_polynomial_preset(4), 2)
     assert new.cohomology().values == table.values
     keys = sorted(old.columns())
-    old_tokens = {t for k in keys for *_, t in old._column_key(k)[2]}
-    new_tokens = {t for k in keys for *_, t in new._column_key(k)[2]}
+    old_tokens = {t for k in keys for *_, t in _column_key(old, k)[2]}
+    new_tokens = {t for k in keys for *_, t in _column_key(new, k)[2]}
     assert old_tokens and new_tokens and not old_tokens & new_tokens
 
 
@@ -576,8 +661,11 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
             if record_reads:
                 us_src, us_tgt, _ = args
                 for key in set(us_src.columns()) | set(us_tgt.columns()):
-                    if not (us_src._column_is_edge(key) or us_tgt._column_is_edge(key)):
-                        read.add(mixed._content_key(us_src._column_matrix(key)))
+                    sides = [(us, *_shapes(us, key)) for us in (us_src, us_tgt)]
+                    if not any(us._column_is_edge(strip, key[0], src) for us, strip, _, src, _ in sides):
+                        # a column the source lacks is read as empty, neighbours and all
+                        _, strip, _, src, nxt = sides[0]
+                        read.add(mixed._content_key(strip.matrix(src, nxt if src else None)))
             open_checks[0] += 1
             try:
                 return fn(*args)

@@ -24,8 +24,6 @@ KEPT_FOR_TESTS = {
     "hstack",             # linalg: block matrices in the linalg tests
     "identity",           # linalg: identity matrix in the linalg tests
     "eps_induced_rank",   # mixed: rank of eps on cohomology, law tests
-    "_column_key",        # mixed: memo key of a u-series column by (tau, w, a)
-    "_column_matrix",     # mixed: matrix of a u-series column by (tau, w, a)
     "point_in_open_set",  # models: membership in the localization open set
     "is_edge",            # tables: per-bin edge query
 }
