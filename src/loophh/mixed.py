@@ -451,13 +451,17 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
 
     Both u-series complexes checked their laws when they were built.  F must
     commute with d and with eps; the caller checks that, with
-    `ChainMap.verify_chain_map` given both mixed complexes.  Columns that
-    are edge on either side are skipped.  Returns (ok, failures).
+    `ChainMap.verify_chain_map` given both mixed complexes.  Then Fcol
+    commutes with d + u eps, so its rank on a column's H is at most
+    min(hs, ht): a column where neither side has a class cannot fail and is
+    skipped before its edge test, and the rank is built only where both
+    sides have one (0 otherwise).  Columns that are edge on either side are
+    skipped.  Returns (ok, failures).
     """
     if (us_src.flavor, us_src.p_lo, us_src.p_hi) != (us_tgt.flavor, us_tgt.p_lo, us_tgt.p_hi):
         raise ValueError("flavor/window mismatch")
     failures = []
-    ranks = {}  # (w, a, source shapes, target shapes) -> (hs, ht, rank)
+    ranks = {}  # (w, a, source shapes, target shapes) -> [hs, ht, rank or None]
     lo, hi = us_src.p_lo, us_src.p_hi
     s_strips, t_strips = us_src.mixed.strips(), us_tgt.mixed.strips()
     for w, a in s_strips.keys() | t_strips.keys():
@@ -469,11 +473,17 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
         t_cols = {tau: (prv, src, nxt) for tau, prv, src, nxt in t_strip.walk(lo, hi)}
         for tau in s_cols.keys() | t_cols.keys():
             s_shapes, t_shapes = s_cols.get(tau, _EMPTY), t_cols.get(tau, _EMPTY)
-            if us_src._column_is_edge(s_strip, tau, s_shapes[1]) or \
+            shapes = (w, a, s_shapes, t_shapes)
+            record = ranks.get(shapes)
+            if record is None:
+                # class counts come from the strips' records, which tables fill
+                hs, ht = s_strip.h_dim(*s_shapes), t_strip.h_dim(*t_shapes)
+                record = ranks[shapes] = [hs, ht, None if hs and ht else 0]
+            hs, ht, r = record
+            if not (hs or ht) or us_src._column_is_edge(s_strip, tau, s_shapes[1]) or \
                     us_tgt._column_is_edge(t_strip, tau, t_shapes[1]):
                 continue
-            shapes = (w, a, s_shapes, t_shapes)
-            if shapes not in ranks:
+            if r is None:
                 # F's blocks are per bin, so equal shapes give equal Fcol
                 (_, s_src, s_nxt), (t_prv, t_src, _) = s_shapes, t_shapes
                 s_off, s_total = s_strip.offsets(s_src)
@@ -482,13 +492,11 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
                 for i, col in s_off.items():
                     blk = F.blocks.get(Multidegree(i, w, a))
                     if blk is not None and i in t_off:
-                        for (r, c), v in blk.entries.items():
-                            ent[(t_off[i] + r, col + c)] = v
+                        for (row, c), v in blk.entries.items():
+                            ent[(t_off[i] + row, col + c)] = v
                 Fcol = SparseMatrix(t_total, s_total, ent)
                 images = [apply_matrix(Fcol, v) for v in s_strip.kernel(s_src, s_nxt)]
-                rank = quotient_rank(images, t_strip.image(t_prv, t_src), t_total)
-                ranks[shapes] = (s_strip.h_dim(*s_shapes), t_strip.h_dim(*t_shapes), rank)
-            hs, ht, r = ranks[shapes]
+                r = record[2] = quotient_rank(images, t_strip.image(t_prv, t_src), t_total)
             if not (hs == ht == r):
                 failures.append(((tau, w, a), hs, ht, r))
     failures.sort()

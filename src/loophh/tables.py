@@ -92,12 +92,15 @@ class HilbertTable:
 
         Returns (mismatches, comparable, masked): mismatching bins, the bins
         compared, and nonzero bins visible on one side but unknown on the
-        other (evidence the window was too tight).
+        other (evidence the window was too tight).  Only bins holding a value
+        on either side are visited: a bin that is only edge is unknown to a
+        side that marks it and zero on the other, so it is neither compared
+        nor masked.
         """
         mismatches, comparable, masked = [], [], []
         a_vals, a_edge, a_win = self.values, self.edge, self.window
         b_vals, b_edge, b_win = other.values, other.edge, other.window
-        for k in a_vals.keys() | b_vals.keys() | a_edge | b_edge:
+        for k in a_vals.keys() | b_vals.keys():
             a_known = k not in a_edge and (a_win is None or a_win.contains(k))
             b_known = k not in b_edge and (b_win is None or b_win.contains(k))
             a, b = a_vals.get(k, 0), b_vals.get(k, 0)

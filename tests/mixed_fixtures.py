@@ -3,21 +3,39 @@
 `random_mixed_complex` builds a small random mixed complex from
 law-preserving blocks, joined by `direct_sum`, under a random change of
 basis; `tests/test_mixed.py` and `tests/test_acceptance.py` check the
-mixed-complex laws and the u-series functors on it.
+mixed-complex laws and the u-series functors on it.  `summand_maps` gives
+the inclusion of a summand of a direct sum and the projection onto it.
 
 `torsion_cone_levels` builds the derived (x)-adic completion tower of the
 torsion module k[x, x^-1]/k[x] by Koszul cones; `tests/test_towers.py` and
 `tests/test_acceptance.py` read its [1]-shift off the kappa sector.
+
+`localization_instance` builds what `localize` builds for an instance
+file (`LOCALIZE_CASES` lists the files and windows), and `zeroed_at_a_class` corrupts its top restriction map;
+`tests/test_complexes.py` and `tests/test_mixed.py` check the induced-map
+checks on both.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
-from loophh.complexes import GradedComplex
+from loophh.complexes import ChainMap, GradedComplex
 from loophh.grading import Multidegree, Window
+from loophh.harness import LocalizationInstance
+from loophh.instancefile import parse_instance
 from loophh.linalg import SparseMatrix, rank as mat_rank, rref
 from loophh.mixed import MixedComplex
 from loophh.towers import BinOperator, koszul_cone
+
+_ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted((_ROOT / "instances").glob("*.loop"))
+# the shipped instances and the benchmark's two scale inputs, each at its
+# own window and at the smallest one
+LOCALIZE_CASES = [(path, small) for path in SHIPPED + [_ROOT / "perfbench" / "instances" / name
+                                                       for name in ("big3.loop", "cyc3.loop")]
+                  for small in (False, True)]
 
 
 def direct_sum(a: MixedComplex, b: MixedComplex) -> MixedComplex:
@@ -98,6 +116,20 @@ def random_mixed_complex(seed: int, rank: int = 1) -> MixedComplex:
     return _random_basis_change(total, rng)
 
 
+def summand_maps(A: MixedComplex, S: MixedComplex):
+    """[(A, S, inclusion), (S, A, projection)] for the summand A of
+    S = direct_sum(A, B), both maps checked against d and eps: A's labels
+    come first in every bin of S."""
+    def block(m, rows, cols):
+        return SparseMatrix(rows, cols, {(i, i): Fraction(1) for i in range(A.base.dim(m))})
+
+    inc = ChainMap(A.base, S.base, {m: block(m, S.base.dim(m), A.base.dim(m)) for m in A.base.bins})
+    proj = ChainMap(S.base, A.base, {m: block(m, A.base.dim(m), S.base.dim(m)) for m in A.base.bins})
+    inc.verify_chain_map(A, S)
+    proj.verify_chain_map(S, A)
+    return [(A, S, inc), (S, A, proj)]
+
+
 def _random_basis_change(V: MixedComplex, rng) -> MixedComplex:
     S = {}
     Sinv = {}
@@ -162,3 +194,27 @@ def torsion_cone_levels(cap: int, N: int) -> list[MixedComplex]:
         lv.base.check_complex()
         levels.append(lv)
     return levels
+
+
+def localization_instance(path: Path, small: bool = False) -> LocalizationInstance:
+    """The instance `localize` checks for an instance file, at the file's
+    own window or, if small, at `--aux-max 0 --tower-levels 1 --u-window 1`."""
+    P, T, z, tr = parse_instance(path.read_text())
+    if small:
+        tr = replace(tr, aux_max=0, tower_levels=1, u_window=1)
+    return LocalizationInstance(P, T, z, tr)
+
+
+def zeroed_at_a_class(inst: LocalizationInstance) -> ChainMap:
+    """The top restriction map of `inst` with its block zeroed at the first
+    bin, edge on neither side, where both sides hold a class; it is checked
+    to be a chain map that commutes with eps still."""
+    F = inst.maps[-1]
+    m = next(m for m in sorted(F.blocks)
+             if F.source.h_dim(m) and F.target.h_dim(m)
+             and m not in F.source.edge and m not in F.target.edge)
+    blocks = dict(F.blocks)
+    blocks[m] = SparseMatrix.zero(F.blocks[m].nrows, F.blocks[m].ncols)
+    G = ChainMap(F.source, F.target, blocks)
+    G.verify_chain_map(inst.lhs.levels[-1], inst.rhs.levels[-1])
+    return G

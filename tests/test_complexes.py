@@ -1,5 +1,4 @@
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +13,15 @@ from loophh.mixed import tate
 from loophh.models import cartan_model
 from loophh.tables import HilbertTable
 from loophh.towers import cartan_augmentation_tower
+from mixed_fixtures import (
+    LOCALIZE_CASES,
+    SHIPPED,
+    direct_sum,
+    localization_instance,
+    random_mixed_complex,
+    summand_maps,
+    zeroed_at_a_class,
+)
 
 WIN = Window((-4, 4), ((-4, 4),), (0, 4))
 
@@ -71,6 +79,52 @@ def test_chain_map_verification_and_induced():
     ok, failures = F.induced_iso_everywhere()
     assert ok
     assert F.induced_rank(m0) == 1
+
+
+def _rank_every_bin(F):
+    """`induced_iso_everywhere` by the plain rule: rank the induced map on
+    every bin that is edge on neither side."""
+    failures = []
+    for m in sorted(set(F.source.bins) | set(F.target.bins)):
+        if m in F.source.edge or m in F.target.edge:
+            continue
+        hs, ht, r = F.source.h_dim(m), F.target.h_dim(m), F.induced_rank(m)
+        if not (hs == ht == r):
+            failures.append((m, hs, ht, r))
+    return (not failures, failures)
+
+
+def test_induced_iso_equals_rank_everywhere_reference():
+    # every level's restriction map that `localize` checks; bins where a
+    # side has no class must occur for the check to have teeth
+    skipped = 0
+    for path, small in LOCALIZE_CASES:
+        for F in localization_instance(path, small).maps:
+            assert F.induced_iso_everywhere() == _rank_every_bin(F), (path.stem, small)
+            skipped += sum(1 for m in set(F.source.bins) | set(F.target.bins)
+                           if not (F.source.h_dim(m) and F.target.h_dim(m)))
+    assert skipped
+
+
+def test_induced_iso_equals_rank_everywhere_reference_on_summands():
+    # the inclusion of a summand A into S = A + B and the projection back fail
+    # where only B has a class, with rank 0 there
+    failing = []
+    for seed in range(4):
+        A = random_mixed_complex(seed)
+        for *_, F in summand_maps(A, direct_sum(A, random_mixed_complex(seed + 20))):
+            ok, failures = F.induced_iso_everywhere()
+            assert (ok, failures) == _rank_every_bin(F)
+            failing += failures
+    assert any(not (hs and ht) for _, hs, ht, _ in failing)
+
+
+def test_zeroed_restriction_block_fails_like_the_reference():
+    G = zeroed_at_a_class(localization_instance(SHIPPED[0]))
+    ok, failures = G.induced_iso_everywhere()
+    assert not ok and failures
+    assert (ok, failures) == _rank_every_bin(G)
+    assert all(hs and ht and r == 0 for _, hs, ht, r in failures)
 
 
 def test_chain_map_detects_non_chain():
@@ -181,7 +235,30 @@ def test_compare_equals_the_sorted_loop(pair):
     assert b.compare(a) == _reference_compare(b, a)
 
 
-SHIPPED = sorted((Path(__file__).resolve().parents[1] / "instances").glob("*.loop"))
+def test_compare_visits_only_bins_that_hold_a_value(monkeypatch):
+    # 1,000 edge-only bins, most of them inside the window, and six valued
+    # bins: known to both, edge on one side, or beyond the window
+    win = Window((-4, 4), ((-4, 4),), (0, 4))
+    edge = {md(i, (w,), a) for i in range(-5, 5) for w in range(-5, 5) for a in range(10)}
+    a = HilbertTable({md(0, (0,), 0): 1, md(1, (0,), 0): 2, md(2, (1,), 1): 1, md(5, (0,), 0): 3},
+                     edge - {md(0, (0,), 0), md(1, (0,), 0), md(2, (1,), 1)}, win)
+    b = HilbertTable({md(0, (0,), 0): 1, md(1, (0,), 0): 1, md(3, (2,), 2): 4},
+                     {md(2, (1,), 1), md(4, (0,), 0)}, win)
+    assert len(a.edge) == 997
+    expected = _reference_compare(a, b), _reference_compare(b, a)
+    assert all(expected[0])  # a mismatch, compared bins and masked bins
+
+    calls = [0]
+    contains = Window.contains
+
+    def counting(self, m):
+        calls[0] += 1
+        return contains(self, m)
+
+    monkeypatch.setattr(Window, "contains", counting)
+    assert (a.compare(b), b.compare(a)) == expected
+    valued = len(a.values.keys() | b.values.keys())
+    assert calls[0] <= 2 * 2 * valued  # two comparisons, each at most twice per valued bin
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

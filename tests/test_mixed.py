@@ -28,7 +28,15 @@ from loophh.mixed import (
 )
 from loophh.models import AlgebraPresentation
 from loophh.scalars import CyclotomicField
-from mixed_fixtures import direct_sum, random_mixed_complex
+from mixed_fixtures import (
+    LOCALIZE_CASES,
+    SHIPPED,
+    direct_sum,
+    localization_instance,
+    random_mixed_complex,
+    summand_maps,
+    zeroed_at_a_class,
+)
 
 WIN = Window((-6, 6), ((-6, 6),), (0, 6))
 
@@ -566,19 +574,6 @@ def _summand_pairs():
     return pairs
 
 
-def _summand_maps(A, S):
-    """The inclusion of the summand A into S = direct_sum(A, B), and the
-    projection of S onto it: A's labels come first in every bin of S."""
-    def block(m, rows, cols):
-        return SparseMatrix(rows, cols, {(i, i): Fraction(1) for i in range(A.base.dim(m))})
-
-    inc = ChainMap(A.base, S.base, {m: block(m, S.base.dim(m), A.base.dim(m)) for m in A.base.bins})
-    proj = ChainMap(S.base, A.base, {m: block(m, A.base.dim(m), S.base.dim(m)) for m in A.base.bins})
-    inc.verify_chain_map(A, S)
-    proj.verify_chain_map(S, A)
-    return [(A, S, inc), (S, A, proj)]
-
-
 def test_induced_iso_equals_reference_between_different_complexes():
     # the inclusion of a summand and the projection onto it, at every flavor
     # and u-window; each pair has a strip on one side only
@@ -586,7 +581,7 @@ def test_induced_iso_equals_reference_between_different_complexes():
     failing = 0
     for A, S in _summand_pairs():
         assert not S.strips().keys() <= A.strips().keys()
-        for V, W, F in _summand_maps(A, S):
+        for V, W, F in summand_maps(A, S):
             for us_src, us_tgt in zip(_all_flavors(V, (1, 2, 4)), _all_flavors(W, (1, 2, 4))):
                 ok, failures = mixed.useries_induced_iso(us_src, us_tgt, F)
                 assert failures == _CellReference(us_src).induced_iso_failures(_CellReference(us_tgt), F)
@@ -595,6 +590,49 @@ def test_induced_iso_equals_reference_between_different_complexes():
         # a strip one side lacks is not added to that side's index
         assert not S.strips().keys() <= A.strips().keys()
     assert failing
+
+
+def _localize_flavors(V, u):
+    """HN, HC and HP at u-window u, as `check_hc_variants` builds them."""
+    return [s1_invariants_level(V, u), coinvariants(V, u), tate(V, u)]
+
+
+def _assert_induced_iso_equals_reference(L, R, F, u):
+    """The HN, HC and HP checks of F: L -> R at u-window u equal
+    `_CellReference`'s, which ranks every column edge on neither side.
+    Returns the number of those columns where a side has no class."""
+    without_a_class = 0
+    for us_src, us_tgt in zip(_localize_flavors(L, u), _localize_flavors(R, u)):
+        ok, failures = mixed.useries_induced_iso(us_src, us_tgt, F)
+        src, tgt = _CellReference(us_src), _CellReference(us_tgt)
+        assert failures == src.induced_iso_failures(tgt, F)
+        assert ok == (not failures)
+        without_a_class += sum(
+            1 for key in set(src.cols) | set(tgt.cols)
+            if not (src.is_edge(key) or tgt.is_edge(key)) and not (src.pivots(key) and tgt.pivots(key)))
+    return without_a_class
+
+
+def test_localize_induced_iso_equals_rank_everywhere_reference():
+    # every level's restriction map that `localize` checks; columns where a
+    # side has no class must occur for the check to have teeth
+    without_a_class = 0
+    for path, small in LOCALIZE_CASES:
+        mixed.clear_column_memo()
+        inst = localization_instance(path, small)
+        for L, R, F in zip(inst.lhs.levels, inst.rhs.levels, inst.maps):
+            without_a_class += _assert_induced_iso_equals_reference(L, R, F, inst.truncation.u_window)
+    assert without_a_class
+
+
+def test_zeroed_restriction_block_fails_columnwise_like_the_reference():
+    mixed.clear_column_memo()
+    inst = localization_instance(SHIPPED[0])
+    L, R, u = inst.lhs.levels[-1], inst.rhs.levels[-1], inst.truncation.u_window
+    G = zeroed_at_a_class(inst)
+    ok, failures = mixed.useries_induced_iso(tate(L, u), tate(R, u), G)
+    assert not ok and all(hs and ht and r == 0 for _, hs, ht, r in failures)
+    _assert_induced_iso_equals_reference(L, R, G, u)
 
 
 def test_block_tokens_are_never_reissued():
@@ -624,18 +662,19 @@ def test_block_tokens_are_never_reissued():
 
 
 def _record_basis_calls(monkeypatch):
-    """Record (module, function, matrix, open checks) of every kernel_basis and
-    image_basis call the engine makes.  Returns the record and a one-element
-    counter of open induced-map checks, for the caller's wrappers to keep."""
+    """Record (module, function, first argument, open checks) of every
+    kernel_basis, image_basis and quotient_rank call the engine makes.
+    Returns the record and a one-element counter of open induced-map checks,
+    for the caller's wrappers to keep."""
     from loophh import complexes
 
     calls, open_checks = [], [0]
     for module in (mixed, complexes):
-        for name in ("kernel_basis", "image_basis"):
+        for name in ("kernel_basis", "image_basis", "quotient_rank"):
 
-            def recording(M, _fn=getattr(module, name), _at=(module.__name__, name)):
+            def recording(M, *rest, _fn=getattr(module, name), _at=(module.__name__, name)):
                 calls.append((*_at, M, open_checks[0]))
-                return _fn(M)
+                return _fn(M, *rest)
 
             monkeypatch.setattr(module, name, recording)
     return calls, open_checks
@@ -651,21 +690,47 @@ def test_tables_build_no_bases(monkeypatch):
 
 
 def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
+    # and builds bases and ranks only where both sides hold a class: elsewhere
+    # the induced rank of a chain map is 0
     from loophh.complexes import ChainMap
 
     calls, open_checks = _record_basis_calls(monkeypatch)
+    content = mixed._content_key
     read = set()  # contents of the source columns useries_induced_iso reads
+    # per module, contents of the matrices whose kernels and images the
+    # induced rank of a column or bin with a class on both sides reads
+    kernels_allowed = {"loophh.mixed": set(), "loophh.complexes": set()}
+    images_allowed = {"loophh.mixed": set(), "loophh.complexes": set()}
+    ranks_allowed = [0]  # one rank per such column shape key or bin
 
-    def check(fn, record_reads=False):
+    def useries_reads(us_src, us_tgt, _):
+        keys = set()
+        for key in set(us_src.columns()) | set(us_tgt.columns()):
+            sides = [(us, *_shapes(us, key)) for us in (us_src, us_tgt)]
+            if not any(us._column_is_edge(strip, key[0], src) for us, strip, _, src, _ in sides):
+                # a column the source lacks is read as empty, neighbours and all
+                _, strip, _, src, nxt = sides[0]
+                read.add(content(strip.matrix(src, nxt if src else None)))
+                if all(src and strip.h_dim(prv, src, nxt) for _, strip, prv, src, nxt in sides):
+                    (_, s_strip, _, s_src, s_nxt), (_, t_strip, t_prv, t_src, _) = sides
+                    kernels_allowed["loophh.mixed"].add(content(s_strip.matrix(s_src, s_nxt)))
+                    images_allowed["loophh.mixed"].add(content(t_strip.matrix(t_prv, t_src)))
+                    keys.add((key[1:], tuple(side[2:] for side in sides)))
+        ranks_allowed[0] += len(keys)
+
+    def graded_reads(F):
+        for m in set(F.source.bins) | set(F.target.bins):
+            if m in F.source.edge or m in F.target.edge:
+                continue
+            if F.source.h_dim(m) and F.target.h_dim(m):
+                for gc in (F.source, F.target):
+                    kernels_allowed["loophh.complexes"].add(content(gc.diff_from(m)))
+                    images_allowed["loophh.complexes"].add(content(gc.diff_from(gc.d_source(m))))
+                ranks_allowed[0] += 1
+
+    def check(fn, reads):
         def wrapper(*args):
-            if record_reads:
-                us_src, us_tgt, _ = args
-                for key in set(us_src.columns()) | set(us_tgt.columns()):
-                    sides = [(us, *_shapes(us, key)) for us in (us_src, us_tgt)]
-                    if not any(us._column_is_edge(strip, key[0], src) for us, strip, _, src, _ in sides):
-                        # a column the source lacks is read as empty, neighbours and all
-                        _, strip, _, src, nxt = sides[0]
-                        read.add(mixed._content_key(strip.matrix(src, nxt if src else None)))
+            reads(*args)
             open_checks[0] += 1
             try:
                 return fn(*args)
@@ -674,15 +739,23 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(mixed, "useries_induced_iso",
-                        check(mixed.useries_induced_iso, record_reads=True))
+    monkeypatch.setattr(mixed, "useries_induced_iso", check(mixed.useries_induced_iso, useries_reads))
     monkeypatch.setattr(ChainMap, "induced_iso_everywhere",
-                        check(ChainMap.induced_iso_everywhere))
-    path = Path(__file__).resolve().parents[1] / "instances" / "01_line_gm_z2.loop"
-    args = build_parser().parse_args(["localize", str(path)])
-    _, code = run_verb("localize", args, path.read_text())
-    assert code == 0
+                        check(ChainMap.induced_iso_everywhere, graded_reads))
+    # at 05's window, some columns and bins have a class on one side only
+    # or on none, and are not edge
+    for name in ("01_line_gm_z2", "05_plane_opposite_z3"):
+        path = Path(__file__).resolve().parents[1] / "instances" / f"{name}.loop"
+        args = build_parser().parse_args(["localize", str(path)])
+        _, code = run_verb("localize", args, path.read_text())
+        assert code == 0
     kernels = [M for module, name, M, _ in calls if (module, name) == ("loophh.mixed", "kernel_basis")]
     assert kernels and read
-    assert {mixed._content_key(M) for M in kernels} <= read
+    assert {content(M) for M in kernels} <= read
     assert all(depth for *_, depth in calls)
+    for module, name, M, _ in calls:
+        if name != "quotient_rank":
+            allowed = kernels_allowed if name == "kernel_basis" else images_allowed
+            assert content(M) in allowed[module], (module, name)
+    ranks = sum(name == "quotient_rank" for _, name, _, _ in calls)
+    assert 0 < ranks <= ranks_allowed[0]
