@@ -207,10 +207,14 @@ def main(argv=None):
             print("error: this verb needs an instance file", file=sys.stderr)
             return EXIT_PARSE
         try:
-            with open(args.instance) as fh:
+            with open(args.instance, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
+            return EXIT_PARSE
+        except UnicodeDecodeError as e:
+            print(f"error: {args.instance} is not UTF-8 text: {e.reason} at byte {e.start}",
+                  file=sys.stderr)
             return EXIT_PARSE
 
     key = cache_key(args.verb, text, args)

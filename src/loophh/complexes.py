@@ -38,7 +38,8 @@ class GradedComplex:
         self.edge: set[Multidegree] = set(edge) if edge else set()
         self.aux_shift = aux_shift
         self._ranks: dict[Multidegree, int] = {}  # source bin -> rank of its d
-        self._bases: dict[Multidegree, tuple] = {}
+        self._kernels: dict[Multidegree, list] = {}  # bin -> kernel basis of d out of it
+        self._images: dict[Multidegree, list] = {}  # bin -> image basis of d into it
         self._d2_faults: list[Multidegree] | None = d2_faults
 
     # -- bin structure -------------------------------------------------------
@@ -100,16 +101,21 @@ class GradedComplex:
         """dim H at bin m: dim(m) - rank(d out of m) - rank(d into m)."""
         return self.dim(m) - self._rank(m) - self._rank(self.d_source(m))
 
-    def cohomology_data(self, m: Multidegree):
-        """(kernel basis of d_out, image basis of d_in) at bin m, for the
-        induced-map checks; dimensions come from `h_dim`."""
-        data = self._bases.get(m)
-        if data is None:
+    def kernel(self, m: Multidegree):
+        """Kernel basis of d out of bin m, built once, for the induced-map
+        checks; dimensions come from `h_dim`."""
+        ker = self._kernels.get(m)
+        if ker is None:
+            ker = self._kernels[m] = kernel_basis(self.diff_from(m))
+        return ker
+
+    def image(self, m: Multidegree):
+        """Image basis of d into bin m, kept like `kernel`."""
+        im = self._images.get(m)
+        if im is None:
             d_in = self.diff_from(self.d_source(m))
-            ker = kernel_basis(self.diff_from(m))
-            im = image_basis(d_in) if not d_in.is_zero_matrix() else []
-            data = self._bases[m] = (ker, im)
-        return data
+            im = self._images[m] = image_basis(d_in) if not d_in.is_zero_matrix() else []
+        return im
 
     def cohomology(self) -> HilbertTable:
         self.check_complex()
@@ -233,11 +239,9 @@ class ChainMap:
 
     def induced_rank(self, m: Multidegree) -> int:
         """Rank of the induced map H(source) -> H(target) at bin m."""
-        ker_s, _ = self.source.cohomology_data(m)
-        _, im_t = self.target.cohomology_data(m)
         F = self.block(m)
-        images = [apply_matrix(F, v) for v in ker_s]
-        return quotient_rank(images, im_t, self.target.dim(m))
+        images = [apply_matrix(F, v) for v in self.source.kernel(m)]
+        return quotient_rank(images, self.target.image(m), self.target.dim(m))
 
     def induced_iso_everywhere(self):
         """(ok, failures): induced map is an isomorphism on every known bin.

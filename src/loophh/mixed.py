@@ -18,7 +18,6 @@ mixed-law check, each computed once per complex.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 
 from .complexes import GradedComplex, Relabelling
@@ -99,12 +98,10 @@ class MixedComplex:
     # -- induced mixed map on cohomology ---------------------------------------
     def eps_induced_rank(self, m: Multidegree) -> int:
         """Rank of the map induced by eps on cohomology H(m) -> H(m - e1)."""
-        ker_s, _ = self.base.cohomology_data(m)
         tgt = self.eps_target(m)
-        _, im_t = self.base.cohomology_data(tgt)
         E = self.eps_from(m)
-        images = [apply_matrix(E, v) for v in ker_s]
-        return quotient_rank(images, im_t, self.base.dim(tgt))
+        images = [apply_matrix(E, v) for v in self.base.kernel(m)]
+        return quotient_rank(images, self.base.image(tgt), self.base.dim(tgt))
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +114,9 @@ class USeriesComplex:
     Construction raises NotAComplex unless d^2 = 0 on every bin, edge or not,
     and the mixed laws hold.  A u-series complex keeps no column: each pass
     walks the strips of the mixed complex (`_Strip.walk`), which yield the
-    shape of each column; what a shape determines (its reduction, its
-    classes) is kept on the strips, so every flavor and window over one mixed
-    complex shares it.
+    shape of each column.  What a shape determines (its reduction, its
+    classes) is kept in records that every strip of equal content shares.
+    So every flavor, window and complex of one memo lifetime shares them.
     """
 
     def __init__(self, mixed: MixedComplex, flavor: str, p_range: tuple):
@@ -228,7 +225,10 @@ class _Strip:
     cell i, d is placed exactly when i + 1 is a cell of column tau + 1, and
     eps exactly when i - 1 is.  So a column's matrix depends only on the
     shapes (src, nxt) of columns tau and tau + 1, and its classes only on
-    (prv, src, nxt); the strip keeps one record per pair and per triple."""
+    (prv, src, nxt).  Those records depend only on the strip's content: its
+    dimensions and its d- and eps-blocks by degree.  So all strips of equal
+    content share one `columns` dict (per pair) and one `classes` dict (per
+    triple), taken from `_STRIP_MEMO`."""
 
     __slots__ = ("w", "a", "degrees", "dims", "d", "eps", "edge", "inside", "columns", "classes")
 
@@ -236,18 +236,21 @@ class _Strip:
         base, win = mixed.base, mixed.base.window
         self.w, self.a, self.dims, self.edge = w, a, dims, edge
         self.degrees = tuple(tuple(sorted(i for i in dims if i & 1 == par)) for par in (0, 1))
-        # (token, block) of each bin's d- and eps-block; an aux-shifting d leaves the strip
+        # each bin's d- and eps-block by degree; an aux-shifting d leaves the strip
         self.d, self.eps = {}, {}
         d_blocks = {} if base.aux_shift else base.diffs
         for blocks, source in ((self.d, d_blocks), (self.eps, mixed.eps)):
             for i in dims:
                 block = source.get(Multidegree(i, w, a))
                 if block is not None:
-                    blocks[i] = (_block_token(block), block)
+                    blocks[i] = block
         self.inside = len(w) == len(win.weight) and win.aux[0] <= a <= win.aux[1] and all(
             lo <= x <= hi for x, (lo, hi) in zip(w, win.weight))
-        self.columns: dict[tuple, _Column] = {}  # (src, nxt) -> shared record
-        self.classes: dict[tuple, tuple] = {}  # (prv, src, nxt) -> classes_of
+        content = (tuple(sorted(dims.items())), *(
+            tuple((i, _content_key(block)) for i, block in sorted(blocks.items()))
+            for blocks in (self.d, self.eps)))
+        # (src, nxt) -> _Column, and (prv, src, nxt) -> classes_of
+        self.columns, self.classes = _STRIP_MEMO.setdefault(content, ({}, {}))
 
     def shape(self, tau, p_lo, p_hi):
         par = tau & 1
@@ -298,39 +301,26 @@ class _Strip:
             return bool(certify and certify(Multidegree(i, self.w, self.a)))
         return True
 
-    def _placements(self, src, nxt):
-        """(row offset, col offset, (token, block)) of each d- and eps-block
-        of the total differential out of shape src into shape nxt."""
-        offset, _ = self.offsets(src)
-        target, _ = self.offsets(nxt)
-        for i, col in offset.items():
-            if i in self.d and i + 1 in target:
-                yield target[i + 1], col, self.d[i]
-            if i in self.eps and i - 1 in target:
-                yield target[i - 1], col, self.eps[i]
-
     def matrix(self, src, nxt) -> SparseMatrix:
+        """The total differential out of shape src into shape nxt: from cell
+        i, d to cell i + 1 and eps to cell i - 1, where that cell exists."""
+        offset, total = self.offsets(src)
+        target, ttotal = self.offsets(nxt)
         ent = {}
-        for row, col, (_, block) in self._placements(src, nxt):
-            for (i, j), v in block.entries.items():
-                ent[(row + i, col + j)] = v
-        return SparseMatrix(self.offsets(nxt)[1], self.offsets(src)[1], ent)
-
-    def column_key(self, src, nxt) -> tuple:
-        """`_COLUMN_MEMO` key of `matrix(src, nxt)`: equal keys, equal matrices."""
-        placed = tuple((row, col, token) for row, col, (token, _) in self._placements(src, nxt))
-        return (self.offsets(nxt)[1], self.offsets(src)[1], placed)
+        for i, col in offset.items():
+            for block, j in ((self.d.get(i), i + 1), (self.eps.get(i), i - 1)):
+                if block is not None and j in target:
+                    row = target[j]
+                    for (r, c), v in block.entries.items():
+                        ent[(row + r, col + c)] = v
+        return SparseMatrix(ttotal, total, ent)
 
     def column(self, src, nxt):
-        """The shared `_Column` of `matrix(src, nxt)`: a memo miss reduces
-        the matrix, a hit builds nothing."""
+        """The shared `_Column` of `matrix(src, nxt)`: a miss reduces the
+        matrix, a hit builds nothing."""
         record = self.columns.get((src, nxt))
         if record is None:
-            key = self.column_key(src, nxt)
-            record = _COLUMN_MEMO.get(key)
-            if record is None:
-                record = _COLUMN_MEMO[key] = _Column(*column_leads(self.matrix(src, nxt)))
-            self.columns[(src, nxt)] = record
+            record = self.columns[(src, nxt)] = _Column(*column_leads(self.matrix(src, nxt)))
         return record
 
     def kernel(self, src, nxt):
@@ -379,32 +369,16 @@ class _Column:
         self.image = None
 
 
-# Two levels of sharing.  Per mixed complex, each strip maps a shape pair
-# (src, nxt) to its `_Column` and a triple (prv, src, nxt) to its classes.  A
-# u-series pass walks each strip's columns and reads their shapes off the
-# walk, storing no per-window list, so a column costs one shape and one
-# lookup once its shapes were seen in any flavor or window.
-# Across complexes, `_COLUMN_MEMO` maps a column key -- its dimensions and the
-# (row offset, col offset, token) of every block placed in it, a token naming
-# a block's exact content (`_content_key`) in `_BLOCK_TOKENS` -- to one
-# `_Column`: equal keys mean equal matrices, and columns recur across tower
-# levels and the two sides of each comparison.  A `_Column` holds its two lead
-# sets always (sorted tuples, far smaller than sets), its two bases only after
-# `_Strip.kernel` or `_Strip.image` built them.  So each column is reduced
-# once and each basis built at most once per memo lifetime, and only for a
-# column an induced-map check reads; no column matrix is kept.  No law is
-# checked here: a u-series complex checked its laws when it was built.
-# `cli.run_verb` clears both tables, so one CLI call is one memo lifetime;
-# tokens come from a counter that is never reset, so a token issued before a
-# clear never names other content after it.
-_COLUMN_MEMO: dict[tuple, _Column] = {}
-_BLOCK_TOKENS: dict[tuple, int] = {}
-_TOKEN_COUNTER = itertools.count()
+# strip content -> the (columns, classes) dicts that every strip of that
+# content shares.  `cli.run_verb` clears it, so one CLI call is one memo
+# lifetime.  In it, each shape pair of a strip content is reduced once, and its
+# bases are built at most once, only if an induced-map check reads them.  No
+# column matrix is kept.
+_STRIP_MEMO: dict[tuple, tuple] = {}
 
 
 def clear_column_memo():
-    _COLUMN_MEMO.clear()
-    _BLOCK_TOKENS.clear()
+    _STRIP_MEMO.clear()
 
 
 def _content_key(M: SparseMatrix) -> tuple:
@@ -413,15 +387,6 @@ def _content_key(M: SparseMatrix) -> tuple:
     backend = ("Q",) if field is None else (type(field).__name__, field.conductor)
     # positions are unique, so sorting never compares two scalars
     return (backend, M.nrows, M.ncols, tuple(sorted(M.entries.items())))
-
-
-def _block_token(M: SparseMatrix) -> int:
-    """The token of M's content, issued on first sight."""
-    ck = _content_key(M)
-    token = _BLOCK_TOKENS.get(ck)
-    if token is None:
-        token = _BLOCK_TOKENS[ck] = next(_TOKEN_COUNTER)
-    return token
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,15 @@ def test_window_too_small_inconclusive(tmp_path, capsys):
     assert "INCONCLUSIVE" in out
 
 
+def test_non_utf8_instance_is_an_error_line(tmp_path, capsys):
+    f = tmp_path / "bad.loop"
+    f.write_bytes(b"\xff\xfe[space]\n")
+    code, out, err = run_cli(["hh", str(f)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("levels", ["0", "-1"])
 def test_tower_levels_flag_below_one_rejected(levels, tmp_path, capsys):
     f = tmp_path / "line.loop"

@@ -269,8 +269,7 @@ def test_rank_path_dims_equal_basis_dims(path):
     gc = _weight_zero_mixed(P, T, tr).base
     assert gc.bins
     for m in gc.all_bins():
-        ker, im = gc.cohomology_data(m)
-        assert gc.h_dim(m) == len(ker) - len(im)
+        assert gc.h_dim(m) == len(gc.kernel(m)) - len(gc.image(m))
 
 
 def _reference_shear(t):

@@ -203,23 +203,35 @@ def test_column_memo_shares_results_between_equal_columns():
     V = bga_polynomial_preset(4)
     first = tate(V, 2)
     first.cohomology()
-    stored = len(mixed._COLUMN_MEMO)
-    assert stored
     second = tate(bga_polynomial_preset(4), 2)
     assert second.cohomology().values == first.cohomology().values
-    assert len(mixed._COLUMN_MEMO) == stored
     for key in _columns_and_predecessors(first):
         (strip, _, src, nxt), (again, _, src2, nxt2) = _shapes(first, key), _shapes(second, key)
         assert again.column(src2, nxt2) is strip.column(src, nxt)
 
 
-def test_one_memo_lifetime_reduces_each_column_content_once(monkeypatch):
-    reduced = []
+def _strip_content(strip):
+    """What a strip's column matrices and classes depend on: its dimensions
+    and the content of its d- and eps-blocks by degree."""
+    return (tuple(sorted(strip.dims.items())),
+            *(tuple((i, mixed._content_key(block)) for i, block in sorted(blocks.items()))
+              for blocks in (strip.d, strip.eps)))
+
+
+def test_one_memo_lifetime_reduces_each_strip_column_once(monkeypatch):
+    # strips of equal content recur across tower levels, both sides and the
+    # group exponents; each (strip content, shape pair) is reduced once
+    reduced, last = [], [None]
+
+    def matrix(self, src, nxt, _fn=mixed._Strip.matrix):
+        last[0] = (_strip_content(self), src, nxt)
+        return _fn(self, src, nxt)
 
     def recording(M, _fn=mixed.column_leads):
-        reduced.append(mixed._content_key(M))
+        reduced.append(last[0])
         return _fn(M)
 
+    monkeypatch.setattr(mixed._Strip, "matrix", matrix)
     monkeypatch.setattr(mixed, "column_leads", recording)
     path = Path(__file__).resolve().parents[1] / "instances" / "01_line_gm_z2.loop"
     args = build_parser().parse_args(["localize", str(path)])
@@ -348,12 +360,6 @@ def _column_matrix(us, key):
     return strip.matrix(src, nxt)
 
 
-def _column_key(us, key):
-    """The `_COLUMN_MEMO` key of `_column_matrix(us, key)`."""
-    strip, _, src, nxt = _shapes(us, key)
-    return strip.column_key(src, nxt)
-
-
 def test_strip_walk_equals_shapes_tau_by_tau():
     for V in _key_check_complexes():
         for us in _all_flavors(V, (1, 2, 4)):
@@ -372,19 +378,63 @@ def _columns_and_predecessors(us):
     return sorted(keys)
 
 
-def test_structural_column_keys_are_sound():
-    # one memo lifetime: equal keys must mean equal matrices across every
-    # complex, flavor and window, not only within one u-series complex
+def _localize_levels():
+    """(L, R, F, u-window) of every tower level `localize` checks on the
+    shipped instances and the benchmark's big3 and cyc3, each at its own
+    window."""
+    for path, small in LOCALIZE_CASES:
+        if not small:
+            inst = localization_instance(path)
+            for L, R, F in zip(inst.lhs.levels, inst.rhs.levels, inst.maps):
+                yield L, R, F, inst.truncation.u_window
+
+
+def test_strips_sharing_records_have_equal_matrices():
+    # one memo lifetime: strips that share their records must give equal
+    # matrices for every shape pair their walks yield, across every level,
+    # side and instance, and across the key-check complexes
     mixed.clear_column_memo()
-    content_of = {}
-    checked = 0
-    for V in _key_check_complexes():
-        for us in _all_flavors(V):
-            for key in _columns_and_predecessors(us):
-                content = mixed._content_key(_column_matrix(us, key))
-                assert content_of.setdefault(_column_key(us, key), content) == content
-                checked += 1
-    assert len(content_of) < checked  # keys recur, so the check has teeth
+    cases = [(V, u) for L, R, _, u in _localize_levels() for V in (L, R)]
+    cases += [(V, u) for V in _key_check_complexes() for u in (1, 2)]
+    groups = {}  # id of the shared columns dict -> [(strip, complex index, u-window)]
+    for n, (V, u) in enumerate(cases):
+        for strip in V.strips().values():
+            groups.setdefault(id(strip.columns), []).append((strip, n, u))
+    assert len(groups) < sum(map(len, groups.values()))  # shared, so the check has teeth
+    assert any(len({n for _, n, _ in group}) > 1 for group in groups.values())
+    for group in groups.values():
+        pairs = set()
+        for strip, _, u in group:
+            # HN, HC and HP p-windows, as `_localize_flavors` builds them
+            for lo, hi in ((0, u - 1), (-u, 0), (-u, u)):
+                for _, prv, src, nxt in strip.walk(lo, hi):
+                    pairs |= {(prv, src), (src, nxt)}
+        first = group[0][0]
+        expected = {pair: mixed._content_key(first.matrix(*pair)) for pair in pairs}
+        for strip, _, _ in group[1:]:
+            assert strip.dims == first.dims
+            assert {pair: mixed._content_key(strip.matrix(*pair)) for pair in pairs} == expected
+
+
+def _level_results(L, R, F, u):
+    """HN, HC and HP tables of both sides at u-window u, and the induced-map
+    check of F on each flavor."""
+    tables = [(t.values, t.edge) for V in (L, R)
+              for t in (us.cohomology() for us in _localize_flavors(V, u))]
+    checks = [mixed.useries_induced_iso(us_src, us_tgt, F)
+              for us_src, us_tgt in zip(_localize_flavors(L, u), _localize_flavors(R, u))]
+    return tables, checks
+
+
+def test_warm_memo_equals_cold_level_by_level():
+    # one memo lifetime over every level, side and instance, against each
+    # level recomputed on fresh strips right after a clear
+    mixed.clear_column_memo()
+    warm = [(L, R, F, u, _level_results(L, R, F, u)) for L, R, F, u in _localize_levels()]
+    for L, R, F, u, results in warm:
+        mixed.clear_column_memo()
+        fresh = [MixedComplex(V.base, V.eps, laws_ok=True) for V in (L, R)]
+        assert _level_results(*fresh, F, u) == results
 
 
 def test_column_h_equals_memo_free_recompute():
@@ -399,30 +449,6 @@ def test_column_h_equals_memo_free_recompute():
                 assert strip.h_dim(prv, src, nxt) == len(quotient_pivots(ker, im))
                 assert strip.kernel(src, nxt) == ker
                 assert strip.image(prv, src) == im
-
-
-def test_each_column_key_is_built_once_per_complex(monkeypatch):
-    # column tau's key is also the key of Dprev for column tau + 1, and the
-    # shapes of HN, HC and HP at two windows recur over one mixed complex
-    built = []
-    column_key = mixed._Strip.column_key
-
-    def recording(self, src, nxt):
-        built.append((id(self), src, nxt))
-        return column_key(self, src, nxt)
-
-    monkeypatch.setattr(mixed._Strip, "column_key", recording)
-    mixed.clear_column_memo()
-    complexes = []
-    for V in _key_check_complexes():
-        complexes.append(V)  # alive, so no strip id is reused
-        columns = 0
-        for us in _all_flavors(V):
-            us.cohomology()
-            columns += len(us.columns())
-        records = sum(len(strip.classes) for strip in V.strips().values())
-        assert records < columns
-    assert built and len(set(built)) == len(built)
 
 
 class _CellReference:
@@ -635,30 +661,20 @@ def test_zeroed_restriction_block_fails_columnwise_like_the_reference():
     _assert_induced_iso_equals_reference(L, R, G, u)
 
 
-def test_block_tokens_are_never_reissued():
+def test_clear_column_memo_empties_the_memo():
     mixed.clear_column_memo()
-    block = SparseMatrix(1, 1, {(0, 0): Fraction(2)})
-    before = mixed._block_token(block)
-    assert mixed._block_token(SparseMatrix(1, 1, {(0, 0): Fraction(2)})) == before
-    F = CyclotomicField(3)
-    assert mixed._block_token(SparseMatrix(1, 1, {(0, 0): F.from_rational(2)})) != before
-
     old = tate(bga_polynomial_preset(4), 2)
     table = old.cohomology()
-    assert mixed._COLUMN_MEMO and mixed._BLOCK_TOKENS
+    assert mixed._STRIP_MEMO
     mixed.clear_column_memo()
-    assert not mixed._COLUMN_MEMO and not mixed._BLOCK_TOKENS
-    assert mixed._block_token(block) != before
+    assert not mixed._STRIP_MEMO
 
-    # the same content after a clear gets fresh tokens, so keys built from
-    # tokens issued before it cannot name the new columns
+    # the same content after a clear gets fresh records
     new = tate(bga_polynomial_preset(4), 2)
     assert new.cohomology().values == table.values
-    keys = sorted(old.columns())
-    old_tokens = {t for k in keys for *_, t in _column_key(old, k)[2]}
-    new_tokens = {t for k in keys for *_, t in _column_key(new, k)[2]}
-    assert old_tokens and new_tokens and not old_tokens & new_tokens
-
+    old_strips, new_strips = old.mixed.strips(), new.mixed.strips()
+    assert old_strips.keys() == new_strips.keys()
+    assert all(new_strips[k].columns is not old_strips[k].columns for k in old_strips)
 
 
 def _record_basis_calls(monkeypatch):
@@ -692,6 +708,7 @@ def test_tables_build_no_bases(monkeypatch):
 def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
     # and builds bases and ranks only where both sides hold a class: elsewhere
     # the induced rank of a chain map is 0
+    from loophh import complexes
     from loophh.complexes import ChainMap
 
     calls, open_checks = _record_basis_calls(monkeypatch)
@@ -702,6 +719,20 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
     kernels_allowed = {"loophh.mixed": set(), "loophh.complexes": set()}
     images_allowed = {"loophh.mixed": set(), "loophh.complexes": set()}
     ranks_allowed = [0]  # one rank per such column shape key or bin
+    targets = []  # the target complexes of the graded checks
+    kernel_owners = []  # the complex whose d-out each graded kernel_basis call reads
+    last = [None]  # the complex of the latest diff_from, which kernel_basis reads
+
+    def diff_from(self, m, _fn=GradedComplex.diff_from):
+        last[0] = self
+        return _fn(self, m)
+
+    def owned_kernel(M, _fn=complexes.kernel_basis):
+        kernel_owners.append(last[0])
+        return _fn(M)
+
+    monkeypatch.setattr(GradedComplex, "diff_from", diff_from)
+    monkeypatch.setattr(complexes, "kernel_basis", owned_kernel)
 
     def useries_reads(us_src, us_tgt, _):
         keys = set()
@@ -723,9 +754,10 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
             if m in F.source.edge or m in F.target.edge:
                 continue
             if F.source.h_dim(m) and F.target.h_dim(m):
-                for gc in (F.source, F.target):
-                    kernels_allowed["loophh.complexes"].add(content(gc.diff_from(m)))
-                    images_allowed["loophh.complexes"].add(content(gc.diff_from(gc.d_source(m))))
+                # the source's kernel and the target's image only
+                kernels_allowed["loophh.complexes"].add(content(F.source.diff_from(m)))
+                images_allowed["loophh.complexes"].add(content(F.target.diff_from(F.target.d_source(m))))
+                targets.append(F.target)
                 ranks_allowed[0] += 1
 
     def check(fn, reads):
@@ -759,3 +791,6 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
             assert content(M) in allowed[module], (module, name)
     ranks = sum(name == "quotient_rank" for _, name, _, _ in calls)
     assert 0 < ranks <= ranks_allowed[0]
+    # the graded check reads no target-side kernel, so builds none
+    assert targets and kernel_owners
+    assert not any(owner is T for owner in kernel_owners for T in targets)
