@@ -14,15 +14,7 @@ derived map is built through it.
 from __future__ import annotations
 
 from .grading import Multidegree, Window
-from .linalg import (
-    NotAComplex,
-    SparseMatrix,
-    apply_matrix,
-    image_basis,
-    kernel_basis,
-    quotient_rank,
-    rank,
-)
+from .linalg import NotAComplex, SparseMatrix, rank
 from .tables import HilbertTable
 
 
@@ -38,8 +30,6 @@ class GradedComplex:
         self.edge: set[Multidegree] = set(edge) if edge else set()
         self.aux_shift = aux_shift
         self._ranks: dict[Multidegree, int] = {}  # source bin -> rank of its d
-        self._kernels: dict[Multidegree, list] = {}  # bin -> kernel basis of d out of it
-        self._images: dict[Multidegree, list] = {}  # bin -> image basis of d into it
         self._d2_faults: list[Multidegree] | None = d2_faults
 
     # -- bin structure -------------------------------------------------------
@@ -100,22 +90,6 @@ class GradedComplex:
     def h_dim(self, m: Multidegree) -> int:
         """dim H at bin m: dim(m) - rank(d out of m) - rank(d into m)."""
         return self.dim(m) - self._rank(m) - self._rank(self.d_source(m))
-
-    def kernel(self, m: Multidegree):
-        """Kernel basis of d out of bin m, built once, for the induced-map
-        checks; dimensions come from `h_dim`."""
-        ker = self._kernels.get(m)
-        if ker is None:
-            ker = self._kernels[m] = kernel_basis(self.diff_from(m))
-        return ker
-
-    def image(self, m: Multidegree):
-        """Image basis of d into bin m, kept like `kernel`."""
-        im = self._images.get(m)
-        if im is None:
-            d_in = self.diff_from(self.d_source(m))
-            im = self._images[m] = image_basis(d_in) if not d_in.is_zero_matrix() else []
-        return im
 
     def cohomology(self) -> HilbertTable:
         self.check_complex()
@@ -204,60 +178,43 @@ class Relabelling:
 
 
 class ChainMap:
-    """Degree-zero map of graded complexes, given per-bin."""
+    """Degree-zero map of mixed complexes, given per bin of their bases."""
 
-    def __init__(self, source: GradedComplex, target: GradedComplex, blocks):
-        self.source = source
-        self.target = target
+    def __init__(self, source, target, blocks):
+        self.source = source  # MixedComplex
+        self.target = target  # MixedComplex
         self.blocks: dict[Multidegree, SparseMatrix] = dict(blocks)
 
     def block(self, m: Multidegree) -> SparseMatrix:
         b = self.blocks.get(m)
         if b is not None:
             return b
-        return SparseMatrix.zero(self.target.dim(m), self.source.dim(m))
+        return SparseMatrix.zero(self.target.base.dim(m), self.source.base.dim(m))
 
-    def verify_chain_map(self, *mixed):
-        """F d = d F on every bin.  Given the mixed complexes (source, target)
-        whose bases F maps between, also F eps = eps F."""
-        if self.source.aux_shift != self.target.aux_shift:
+    def verify_chain_map(self):
+        """F d = d F and F eps = eps F on every bin."""
+        src, tgt = self.source, self.target
+        if src.base.aux_shift != tgt.base.aux_shift:
             raise NotAComplex("?", "aux shift mismatch between sides")
-        bins = set(self.source.bins) | set(self.blocks)
-        for m in bins:
-            tgt = self.source.d_target(m)
-            lhs = self.block(tgt) @ self.source.diff_from(m)
-            rhs = self.target.diff_from(m) @ self.block(m)
-            if lhs != rhs:
+        for m in set(src.base.bins) | set(self.blocks):
+            F = self.block(m)
+            if self.block(src.base.d_target(m)) @ src.base.diff_from(m) != tgt.base.diff_from(m) @ F:
                 raise NotAComplex(m, "comparison map is not a chain map")
-        if mixed:
-            src, tgt = mixed
-            for m in bins:
-                lhs = self.block(m.shift(cohdeg=-1)) @ src.eps_from(m)
-                if lhs != tgt.eps_from(m) @ self.block(m):
-                    raise NotAComplex(m, "chain map does not commute with eps")
+            if self.block(src.eps_target(m)) @ src.eps_from(m) != tgt.eps_from(m) @ F:
+                raise NotAComplex(m, "chain map does not commute with eps")
         return True
 
-    def induced_rank(self, m: Multidegree) -> int:
-        """Rank of the induced map H(source) -> H(target) at bin m."""
-        F = self.block(m)
-        images = [apply_matrix(F, v) for v in self.source.kernel(m)]
-        return quotient_rank(images, self.target.image(m), self.target.dim(m))
-
     def induced_iso_everywhere(self):
-        """(ok, failures): induced map is an isomorphism on every known bin.
+        """(ok, failures): the induced map on H(V, d) is an isomorphism on
+        every bin edge on neither side.  H(V, d) is HN level 1, (V[u]/u,
+        d + u eps): its columns are single bins, and an invariants level cuts
+        no column, so this is `useries_induced_iso` there, with each failing
+        column (i, w, a) named by its bin.  A bin is edge on a side only if
+        it holds a label there.  The map must be a chain map
+        (`verify_chain_map`, or inherited from one checked where it was
+        built)."""
+        from .mixed import s1_invariants_level, useries_induced_iso
 
-        The map must be a chain map (`verify_chain_map`, or inherited from
-        one checked where it was built): it then sends cycles to cycles and
-        boundaries to boundaries, so its rank on H is at most min(hs, ht) and
-        is 0, not computed, where either side has no class."""
-        failures = []
-        bins = set(self.source.bins) | set(self.target.bins)
-        for m in sorted(bins):
-            if m in self.source.edge or m in self.target.edge:
-                continue
-            hs = self.source.h_dim(m)
-            ht = self.target.h_dim(m)
-            r = self.induced_rank(m) if hs and ht else 0
-            if not (hs == ht == r):
-                failures.append((m, hs, ht, r))
-        return (not failures, failures)
+        ok, failures = useries_induced_iso(
+            s1_invariants_level(self.source, 1), s1_invariants_level(self.target, 1), self)
+        return ok, [(Multidegree(*key), hs, ht, r) for key, hs, ht, r in failures]

@@ -113,18 +113,19 @@ class LocalizationInstance:
 
     @cached_property
     def maps(self) -> list[ChainMap]:
-        """Restriction maps lhs level n -> rhs level n, for n = 1..N.  The top
-        one is built and checked against d and eps.  It sends each label to a
-        label with the same t-exponent, or to zero, so it carries the
-        dg-ideal each lower level quotients by into the other side's; its
-        restriction along the towers' placements is then again a chain map
-        that commutes with eps, and is not checked again."""
+        """Restriction maps lhs level n -> rhs level n, for n = 1..N, each a
+        `ChainMap` between the two mixed levels.  The top one is built and
+        checked against d and eps.  It sends each label to a label with the
+        same t-exponent, or to zero, so it carries the dg-ideal each lower
+        level quotients by into the other side's; its restriction along the
+        towers' placements is then again a chain map that commutes with eps,
+        and is not checked again.  HH's induced-map check is HN level 1's, so
+        both read the same strips of each level."""
         lhs, rhs = self.lhs, self.rhs
-        top_l, top_r = lhs.levels[-1], rhs.levels[-1]
-        F = _restriction_map(top_l, top_r, lhs.gen_names, rhs.gen_names)
-        F.verify_chain_map(top_l, top_r)
+        F = _restriction_map(lhs.levels[-1], rhs.levels[-1], lhs.gen_names, rhs.gen_names)
+        F.verify_chain_map()
         maps = [
-            ChainMap(s.base, t.base, p.blocks(F.blocks, lambda m: m, q))
+            ChainMap(s, t, p.blocks(F.blocks, lambda m: m, q))
             for s, t, p, q in zip(lhs.levels, rhs.levels, lhs.placements, rhs.placements)
         ]
         maps.append(F)
@@ -205,7 +206,7 @@ def _restriction_map(src: MixedComplex, tgt: MixedComplex, src_names, tgt_names)
                 ent[(i, j)] = 1
         if ent:
             blocks[m] = SparseMatrix(tgt.base.dim(m), len(ls), ent)
-    return ChainMap(src.base, tgt.base, blocks)
+    return ChainMap(src, tgt, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,10 @@ def parse_polynomial(s: str, P: AlgebraPresentation) -> Polynomial:
             return inner
         if re.fullmatch(r"\d+(/\d+)?", t):
             i += 1
-            return alg.poly_scalar(rational(t))
+            try:
+                return alg.poly_scalar(rational(t))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in coefficient {t!r}") from None
         if t in alg.index:
             i += 1
             return alg.poly_gen(t)

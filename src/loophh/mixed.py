@@ -98,10 +98,9 @@ class MixedComplex:
     # -- induced mixed map on cohomology ---------------------------------------
     def eps_induced_rank(self, m: Multidegree) -> int:
         """Rank of the map induced by eps on cohomology H(m) -> H(m - e1)."""
-        tgt = self.eps_target(m)
-        E = self.eps_from(m)
-        images = [apply_matrix(E, v) for v in self.base.kernel(m)]
-        return quotient_rank(images, self.base.image(tgt), self.base.dim(tgt))
+        gc, tgt = self.base, self.eps_target(m)
+        images = [apply_matrix(self.eps_from(m), v) for v in kernel_basis(gc.diff_from(m))]
+        return quotient_rank(images, image_basis(gc.diff_from(gc.d_source(tgt))), gc.dim(tgt))
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +413,14 @@ _EMPTY = (None, None, None)  # the shapes of a column with no cell
 def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
     """The u-linear extension of a chain map induces isomorphisms columnwise.
 
-    Both u-series complexes checked their laws when they were built.  F must
-    commute with d and with eps; the caller checks that, with
-    `ChainMap.verify_chain_map` given both mixed complexes.  Then Fcol
-    commutes with d + u eps, so its rank on a column's H is at most
-    min(hs, ht): a column where neither side has a class cannot fail and is
-    skipped before its edge test, and the rank is built only where both
-    sides have one (0 otherwise).  Columns that are edge on either side are
-    skipped.  Returns (ok, failures).
+    Both u-series complexes checked their laws when they were built.  F is
+    a `ChainMap` between their mixed complexes, which must commute with d
+    and eps (`ChainMap.verify_chain_map`).  Then Fcol commutes with d + u eps,
+    so its rank on a column's H is at most min(hs, ht).  Columns that are
+    edge on either side are skipped first.  The class counts are read next,
+    and the rank is built only where both sides have a class (0 otherwise).
+    HH's check, `ChainMap.induced_iso_everywhere`, is the HN level 1 case.
+    Returns (ok, failures).
     """
     if (us_src.flavor, us_src.p_lo, us_src.p_hi) != (us_tgt.flavor, us_tgt.p_lo, us_tgt.p_hi):
         raise ValueError("flavor/window mismatch")
@@ -438,6 +437,9 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
         t_cols = {tau: (prv, src, nxt) for tau, prv, src, nxt in t_strip.walk(lo, hi)}
         for tau in s_cols.keys() | t_cols.keys():
             s_shapes, t_shapes = s_cols.get(tau, _EMPTY), t_cols.get(tau, _EMPTY)
+            if us_src._column_is_edge(s_strip, tau, s_shapes[1]) or \
+                    us_tgt._column_is_edge(t_strip, tau, t_shapes[1]):
+                continue
             shapes = (w, a, s_shapes, t_shapes)
             record = ranks.get(shapes)
             if record is None:
@@ -445,9 +447,6 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
                 hs, ht = s_strip.h_dim(*s_shapes), t_strip.h_dim(*t_shapes)
                 record = ranks[shapes] = [hs, ht, None if hs and ht else 0]
             hs, ht, r = record
-            if not (hs or ht) or us_src._column_is_edge(s_strip, tau, s_shapes[1]) or \
-                    us_tgt._column_is_edge(t_strip, tau, t_shapes[1]):
-                continue
             if r is None:
                 # F's blocks are per bin, so equal shapes give equal Fcol
                 (_, s_src, s_nxt), (t_prv, t_src, _) = s_shapes, t_shapes

@@ -123,10 +123,10 @@ def summand_maps(A: MixedComplex, S: MixedComplex):
     def block(m, rows, cols):
         return SparseMatrix(rows, cols, {(i, i): Fraction(1) for i in range(A.base.dim(m))})
 
-    inc = ChainMap(A.base, S.base, {m: block(m, S.base.dim(m), A.base.dim(m)) for m in A.base.bins})
-    proj = ChainMap(S.base, A.base, {m: block(m, A.base.dim(m), S.base.dim(m)) for m in A.base.bins})
-    inc.verify_chain_map(A, S)
-    proj.verify_chain_map(S, A)
+    inc = ChainMap(A, S, {m: block(m, S.base.dim(m), A.base.dim(m)) for m in A.base.bins})
+    proj = ChainMap(S, A, {m: block(m, A.base.dim(m), S.base.dim(m)) for m in A.base.bins})
+    inc.verify_chain_map()
+    proj.verify_chain_map()
     return [(A, S, inc), (S, A, proj)]
 
 
@@ -210,11 +210,11 @@ def zeroed_at_a_class(inst: LocalizationInstance) -> ChainMap:
     bin, edge on neither side, where both sides hold a class; it is checked
     to be a chain map that commutes with eps still."""
     F = inst.maps[-1]
+    s, t = F.source.base, F.target.base
     m = next(m for m in sorted(F.blocks)
-             if F.source.h_dim(m) and F.target.h_dim(m)
-             and m not in F.source.edge and m not in F.target.edge)
+             if s.h_dim(m) and t.h_dim(m) and m not in s.edge and m not in t.edge)
     blocks = dict(F.blocks)
     blocks[m] = SparseMatrix.zero(F.blocks[m].nrows, F.blocks[m].ncols)
     G = ChainMap(F.source, F.target, blocks)
-    G.verify_chain_map(inst.lhs.levels[-1], inst.rhs.levels[-1])
+    G.verify_chain_map()
     return G

@@ -204,6 +204,15 @@ def test_inhomogeneous_relation_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("coeff", ["2/0", "1/00"])
+def test_zero_denominator_relation_coefficient_rejected(coeff, tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM.replace("[group]", f"relation {coeff}*x\n[group]"))
+    code, out, err = run_cli(["hh", str(f)], capsys)
+    assert code == 2
+    assert err.startswith("parse error") and repr(coeff) in err and "table" not in out
+
+
 def test_backend_mismatch_exit_3(tmp_path, capsys):
     f = tmp_path / "zeta.loop"
     f.write_text(

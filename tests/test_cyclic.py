@@ -20,6 +20,7 @@ from loophh.cyclic import (
     cyclic_bar,
     equivariant_cyclic_bar,
 )
+from mixed_fixtures import LOCALIZE_CASES, localization_instance
 
 
 def kx(weight=1):
@@ -175,14 +176,33 @@ def test_bar_plane_matches_odd_tangent():
     assert md(-1, (3,), 2) in comp  # a genuinely 2-form-adjacent bin
 
 
+def _nonzero_blocks(mats):
+    return {m: (b.nrows, b.ncols, b.entries) for m, b in mats.items() if b.entries}
+
+
 def test_loop_model_trivial_group_matches_odd_tangent_plane():
-    P = AlgebraPresentation(
-        [("x", (), 1), ("y", (), 1)], rank=0, asserted_smooth=True
-    )
-    lm = loop_model(P, TorusData(0)).instantiate(3).cohomology()
-    ot = odd_tangent_model(P).instantiate(3).cohomology()
-    mism, comp, _ = lm.compare(ot)
-    assert not mism and comp
+    # on the plane and on the fixed locus of every instance `localize` is
+    # checked on, as derived-fixed-fiber builds it (its generators under the
+    # trivial group), the two models instantiate to one mixed complex; so
+    # that check's "fiber vs L(fixed)" and "fiber vs HKR" lines compare the
+    # fiber with one table twice
+    plane = AlgebraPresentation([("x", (), 1), ("y", (), 1)], rank=0, asserted_smooth=True)
+    cases = [(plane, 3)]
+    for path in sorted({path for path, _ in LOCALIZE_CASES}):
+        inst = localization_instance(path)
+        fixed = AlgebraPresentation([(g.name, (), g.aux) for g in inst.fixed.generators],
+                                    rank=0, asserted_smooth=True)
+        cases.append((fixed, inst.truncation.aux_max))
+    for P, aux_max in cases:
+        lm = loop_model(P, TorusData(0)).instantiate(aux_max)
+        ot = odd_tangent_model(P).instantiate(aux_max)
+        assert lm.base.bins == ot.base.bins  # bins and label order
+        assert _nonzero_blocks(lm.base.diffs) == _nonzero_blocks(ot.base.diffs)
+        assert _nonzero_blocks(lm.eps) == _nonzero_blocks(ot.eps)
+        assert (lm.base.edge, lm.base.window, lm.base.aux_shift) == \
+            (ot.base.edge, ot.base.window, ot.base.aux_shift)
+        mism, comp, _ = lm.cohomology().compare(ot.cohomology())
+        assert not mism and comp
 
 
 def test_unnormalized_vs_normalized_ranks():

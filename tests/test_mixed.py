@@ -576,7 +576,7 @@ def test_induced_iso_lists_every_failing_column():
     V = bga_polynomial_preset(5)
     blocks = {m: SparseMatrix.identity(V.base.dim(m)) for m in V.base.bins}
     blocks[md(0, (0,), 0)] = SparseMatrix.zero(1, 1)
-    F = ChainMap(V.base, V.base, blocks)
+    F = ChainMap(V, V, blocks)
     us_src, us_tgt = tate(V, 4), tate(V, 4)
     ok, failures = mixed.useries_induced_iso(us_src, us_tgt, F)
     assert not ok
@@ -678,21 +678,18 @@ def test_clear_column_memo_empties_the_memo():
 
 
 def _record_basis_calls(monkeypatch):
-    """Record (module, function, first argument, open checks) of every
-    kernel_basis, image_basis and quotient_rank call the engine makes.
-    Returns the record and a one-element counter of open induced-map checks,
-    for the caller's wrappers to keep."""
-    from loophh import complexes
-
+    """Record (function, first argument, open checks) of every kernel_basis,
+    image_basis and quotient_rank call the engine makes; `loophh.mixed` is
+    the only module that calls them.  Returns the record and a one-element
+    counter of open induced-map checks, for the caller's wrappers to keep."""
     calls, open_checks = [], [0]
-    for module in (mixed, complexes):
-        for name in ("kernel_basis", "image_basis", "quotient_rank"):
+    for name in ("kernel_basis", "image_basis", "quotient_rank"):
 
-            def recording(M, *rest, _fn=getattr(module, name), _at=(module.__name__, name)):
-                calls.append((*_at, M, open_checks[0]))
-                return _fn(M, *rest)
+        def recording(M, *rest, _fn=getattr(mixed, name), _name=name):
+            calls.append((_name, M, open_checks[0]))
+            return _fn(M, *rest)
 
-            monkeypatch.setattr(module, name, recording)
+        monkeypatch.setattr(mixed, name, recording)
     return calls, open_checks
 
 
@@ -707,34 +704,19 @@ def test_tables_build_no_bases(monkeypatch):
 
 def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
     # and builds bases and ranks only where both sides hold a class: elsewhere
-    # the induced rank of a chain map is 0
-    from loophh import complexes
-    from loophh.complexes import ChainMap
-
+    # the induced rank of a chain map is 0.  HH's restriction check is the HN
+    # level 1 case, so it runs through the same function.
     calls, open_checks = _record_basis_calls(monkeypatch)
     content = mixed._content_key
     read = set()  # contents of the source columns useries_induced_iso reads
-    # per module, contents of the matrices whose kernels and images the
-    # induced rank of a column or bin with a class on both sides reads
-    kernels_allowed = {"loophh.mixed": set(), "loophh.complexes": set()}
-    images_allowed = {"loophh.mixed": set(), "loophh.complexes": set()}
-    ranks_allowed = [0]  # one rank per such column shape key or bin
-    targets = []  # the target complexes of the graded checks
-    kernel_owners = []  # the complex whose d-out each graded kernel_basis call reads
-    last = [None]  # the complex of the latest diff_from, which kernel_basis reads
-
-    def diff_from(self, m, _fn=GradedComplex.diff_from):
-        last[0] = self
-        return _fn(self, m)
-
-    def owned_kernel(M, _fn=complexes.kernel_basis):
-        kernel_owners.append(last[0])
-        return _fn(M)
-
-    monkeypatch.setattr(GradedComplex, "diff_from", diff_from)
-    monkeypatch.setattr(complexes, "kernel_basis", owned_kernel)
+    # contents of the matrices whose kernels and images the induced rank of
+    # a column with a class on both sides reads
+    kernels_allowed, images_allowed = set(), set()
+    ranks_allowed = [0]  # one rank per such column shape key
+    level_one = [0]  # checks at HN level 1, as HH's check makes them
 
     def useries_reads(us_src, us_tgt, _):
+        level_one[0] += (us_src.flavor, us_src.p_lo, us_src.p_hi) == ("invariants", 0, 0)
         keys = set()
         for key in set(us_src.columns()) | set(us_tgt.columns()):
             sides = [(us, *_shapes(us, key)) for us in (us_src, us_tgt)]
@@ -744,53 +726,34 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
                 read.add(content(strip.matrix(src, nxt if src else None)))
                 if all(src and strip.h_dim(prv, src, nxt) for _, strip, prv, src, nxt in sides):
                     (_, s_strip, _, s_src, s_nxt), (_, t_strip, t_prv, t_src, _) = sides
-                    kernels_allowed["loophh.mixed"].add(content(s_strip.matrix(s_src, s_nxt)))
-                    images_allowed["loophh.mixed"].add(content(t_strip.matrix(t_prv, t_src)))
+                    kernels_allowed.add(content(s_strip.matrix(s_src, s_nxt)))
+                    images_allowed.add(content(t_strip.matrix(t_prv, t_src)))
                     keys.add((key[1:], tuple(side[2:] for side in sides)))
         ranks_allowed[0] += len(keys)
 
-    def graded_reads(F):
-        for m in set(F.source.bins) | set(F.target.bins):
-            if m in F.source.edge or m in F.target.edge:
-                continue
-            if F.source.h_dim(m) and F.target.h_dim(m):
-                # the source's kernel and the target's image only
-                kernels_allowed["loophh.complexes"].add(content(F.source.diff_from(m)))
-                images_allowed["loophh.complexes"].add(content(F.target.diff_from(F.target.d_source(m))))
-                targets.append(F.target)
-                ranks_allowed[0] += 1
+    def check(*args, _fn=mixed.useries_induced_iso):
+        useries_reads(*args)
+        open_checks[0] += 1
+        try:
+            return _fn(*args)
+        finally:
+            open_checks[0] -= 1
 
-    def check(fn, reads):
-        def wrapper(*args):
-            reads(*args)
-            open_checks[0] += 1
-            try:
-                return fn(*args)
-            finally:
-                open_checks[0] -= 1
-
-        return wrapper
-
-    monkeypatch.setattr(mixed, "useries_induced_iso", check(mixed.useries_induced_iso, useries_reads))
-    monkeypatch.setattr(ChainMap, "induced_iso_everywhere",
-                        check(ChainMap.induced_iso_everywhere, graded_reads))
-    # at 05's window, some columns and bins have a class on one side only
-    # or on none, and are not edge
+    monkeypatch.setattr(mixed, "useries_induced_iso", check)
+    # at 05's window, some columns have a class on one side only or on
+    # none, and are not edge
     for name in ("01_line_gm_z2", "05_plane_opposite_z3"):
         path = Path(__file__).resolve().parents[1] / "instances" / f"{name}.loop"
         args = build_parser().parse_args(["localize", str(path)])
         _, code = run_verb("localize", args, path.read_text())
         assert code == 0
-    kernels = [M for module, name, M, _ in calls if (module, name) == ("loophh.mixed", "kernel_basis")]
+    assert level_one[0]
+    kernels = [M for name, M, _ in calls if name == "kernel_basis"]
     assert kernels and read
     assert {content(M) for M in kernels} <= read
     assert all(depth for *_, depth in calls)
-    for module, name, M, _ in calls:
+    for name, M, _ in calls:
         if name != "quotient_rank":
-            allowed = kernels_allowed if name == "kernel_basis" else images_allowed
-            assert content(M) in allowed[module], (module, name)
-    ranks = sum(name == "quotient_rank" for _, name, _, _ in calls)
+            assert content(M) in (kernels_allowed if name == "kernel_basis" else images_allowed), name
+    ranks = sum(name == "quotient_rank" for name, _, _ in calls)
     assert 0 < ranks <= ranks_allowed[0]
-    # the graded check reads no target-side kernel, so builds none
-    assert targets and kernel_owners
-    assert not any(owner is T for owner in kernel_owners for T in targets)

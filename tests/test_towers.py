@@ -80,7 +80,7 @@ def _label_quotient(src, tgt):
         ent = {(tpos[lbl], j): 1 for j, lbl in enumerate(labels) if lbl in tpos}
         if ent:
             blocks[m] = SparseMatrix(tgt.base.dim(m), len(labels), ent)
-    return ChainMap(src.base, tgt.base, blocks)
+    return ChainMap(src, tgt, blocks)
 
 
 def assert_tower_matches_per_level_build(model, z, N, aux_max, backend=None):
@@ -103,7 +103,7 @@ def assert_tower_matches_per_level_build(model, z, N, aux_max, backend=None):
     for n in range(1, N):
         src, tgt = tower.level(n + 1), tower.level(n)
         F = _label_quotient(src, tgt)
-        F.verify_chain_map(src, tgt)
+        F.verify_chain_map()
     return tower
 
 
