@@ -1,4 +1,4 @@
-"""Sparse exact linear algebra: rank, kernel bases, lead sets.
+"""Sparse exact linear algebra: rank, lead sets, induced ranks.
 
 Matrices act on column vectors; an (r x c) matrix maps k^c -> k^r.  Entries
 are scalars from a single backend, and both backends are fields: rationals
@@ -10,11 +10,12 @@ reaches a new pivot.  Reduction is fraction-free, as in Bareiss's
 integer-preserving elimination: a kept row is a primitive vector over Z or
 Z[zeta_m], integral coefficients with gcd 1, and a step replaces v by
 a*v - b*row, with a the row's pivot and b v's entry there, so it never
-divides.  Rank, the lead sets and quotient rank read the pivots
-alone; only `reduced()`, behind RREF, kernel and image bases, scales rows to
-pivot 1 and back-substitutes.
-Kernel bases are echelonized and normalized so the first nonzero coordinate
-is 1, making every output canonical and reproducible.
+divides.  Rank, the lead sets, quotient rank and induced rank read the
+pivots alone.  No verb needs more: RREF, kernel and image bases, which
+`reduced()` builds by scaling rows to pivot 1 and back-substituting, are
+the tests' reference.  Kernel bases are echelonized and normalized so the
+first nonzero coordinate is 1, making every output canonical and
+reproducible.
 
 The lead set of a subspace is {lowest index of v : v != 0 in it}.  It depends
 only on the subspace, and an echelon basis has one vector per lead, so for
@@ -353,6 +354,25 @@ def quotient_pivots(vectors, subspace):
 def quotient_rank(vectors, subspace, dim) -> int:
     """Rank of the images of `vectors` in k^dim / span(subspace)."""
     return len(quotient_pivots(vectors, subspace))
+
+
+def induced_rank(D: SparseMatrix, F: SparseMatrix, B: SparseMatrix) -> int:
+    """Rank of the map F induces from ker D to coker B, by one reduction.
+
+    The columns of [[D, 0], [F, B]] whose D-part vanishes span
+    F(ker D) + im B, and their leads are the column space's leads at or
+    after D.nrows.  Seeded with B's columns, the reducer keeps rank B of
+    those; each further one is a class of the image.  F need not be a
+    chain map.
+    """
+    if F.ncols != D.ncols or F.nrows != B.nrows:
+        raise ValueError(f"shape mismatch: D {D!r}, F {F!r}, B {B!r}")
+    n = D.nrows
+    cols = D.columns()
+    for j, col in enumerate(F.columns()):
+        cols[j].update((n + i, v) for i, v in col.items())
+    im_b = [{n + i: v for i, v in col.items()} for col in B.columns()]
+    return sum(p >= n for p in quotient_pivots(cols, im_b))
 
 
 def cohomology_dims(d_in: SparseMatrix, d_out: SparseMatrix, bin_name="?") -> int:

@@ -22,15 +22,7 @@ from bisect import bisect_left, bisect_right
 
 from .complexes import GradedComplex, Relabelling
 from .grading import Multidegree
-from .linalg import (
-    NotAComplex,
-    SparseMatrix,
-    apply_matrix,
-    column_leads,
-    image_basis,
-    kernel_basis,
-    quotient_rank,
-)
+from .linalg import NotAComplex, SparseMatrix, column_leads, induced_rank
 from .tables import HilbertTable
 
 FLAVORS = ("invariants", "coinvariants", "tate")
@@ -98,9 +90,9 @@ class MixedComplex:
     # -- induced mixed map on cohomology ---------------------------------------
     def eps_induced_rank(self, m: Multidegree) -> int:
         """Rank of the map induced by eps on cohomology H(m) -> H(m - e1)."""
-        gc, tgt = self.base, self.eps_target(m)
-        images = [apply_matrix(self.eps_from(m), v) for v in kernel_basis(gc.diff_from(m))]
-        return quotient_rank(images, image_basis(gc.diff_from(gc.d_source(tgt))), gc.dim(tgt))
+        gc = self.base
+        return induced_rank(gc.diff_from(m), self.eps_from(m),
+                            gc.diff_from(gc.d_source(self.eps_target(m))))
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +191,15 @@ class USeriesComplex:
                 tprv, tsrc, tnxt = cols[tau + 2]
                 if self._column_is_edge(strip, tau, src) or self._column_is_edge(strip, tau + 2, tsrc):
                     continue
-                offset, _ = strip.offsets(src)
+                offset, total = strip.offsets(src)
                 toffset, ttotal = strip.offsets(tsrc)
                 if any(i not in toffset for i in offset):
                     continue
                 hs, ht = strip.h_dim(prv, src, nxt), strip.h_dim(tprv, tsrc, tnxt)
-                im_t = strip.image(tprv, tsrc)
-                shift = [toffset[i] - offset[i] for i in offset for _ in range(strip.dims[i])]
-                kernel = strip.kernel(src, nxt)
-                shifted = [{idx + shift[idx]: v for idx, v in vec.items()} for vec in kernel]
-                r = quotient_rank(shifted, im_t, ttotal)
+                # u embeds each cell's basis into the same cell of column tau + 2
+                shift = SparseMatrix(ttotal, total, {
+                    (toffset[i] + k, offset[i] + k): 1 for i in offset for k in range(strip.dims[i])})
+                r = induced_rank(strip.matrix(src, nxt), shift, strip.matrix(tprv, tsrc))
                 if not (hs == ht == r):
                     failures.append(((tau, w, a), hs, ht, r))
         failures.sort()
@@ -224,10 +215,13 @@ class _Strip:
     cell i, d is placed exactly when i + 1 is a cell of column tau + 1, and
     eps exactly when i - 1 is.  So a column's matrix depends only on the
     shapes (src, nxt) of columns tau and tau + 1, and its classes only on
-    (prv, src, nxt).  Those records depend only on the strip's content: its
-    dimensions and its d- and eps-blocks by degree.  So all strips of equal
-    content share one `columns` dict (per pair) and one `classes` dict (per
-    triple), taken from `_STRIP_MEMO`."""
+    (prv, src, nxt).  A pair's record is the lead sets of its matrix's kernel
+    and image; a triple's is its class counts.  Those records depend only on
+    the strip's content: its dimensions and its d- and eps-blocks by degree.
+    So all strips of equal content share one `columns` dict (per pair) and
+    one `classes` dict (per triple), taken from `_STRIP_MEMO`.  The
+    induced-map checks keep no record here: each reduces the column
+    matrices it ranks (`linalg.induced_rank`)."""
 
     __slots__ = ("w", "a", "degrees", "dims", "d", "eps", "edge", "inside", "columns", "classes")
 
@@ -248,7 +242,7 @@ class _Strip:
         content = (tuple(sorted(dims.items())), *(
             tuple((i, _content_key(block)) for i, block in sorted(blocks.items()))
             for blocks in (self.d, self.eps)))
-        # (src, nxt) -> _Column, and (prv, src, nxt) -> classes_of
+        # (src, nxt) -> column leads, and (prv, src, nxt) -> classes_of
         self.columns, self.classes = _STRIP_MEMO.setdefault(content, ({}, {}))
 
     def shape(self, tau, p_lo, p_hi):
@@ -315,26 +309,13 @@ class _Strip:
         return SparseMatrix(ttotal, total, ent)
 
     def column(self, src, nxt):
-        """The shared `_Column` of `matrix(src, nxt)`: a miss reduces the
-        matrix, a hit builds nothing."""
+        """The shared (kernel leads, image leads) of `matrix(src, nxt)`, as
+        `column_leads` gives them: a miss reduces the matrix, a hit builds
+        nothing."""
         record = self.columns.get((src, nxt))
         if record is None:
-            record = self.columns[(src, nxt)] = _Column(*column_leads(self.matrix(src, nxt)))
+            record = self.columns[(src, nxt)] = column_leads(self.matrix(src, nxt))
         return record
-
-    def kernel(self, src, nxt):
-        """Kernel basis of `matrix(src, nxt)`, built once, kept on its `_Column`."""
-        record = self.column(src, nxt)
-        if record.kernel is None:
-            record.kernel = kernel_basis(self.matrix(src, nxt))
-        return record.kernel
-
-    def image(self, src, nxt):
-        """Image basis of `matrix(src, nxt)`, kept like `kernel`."""
-        record = self.column(src, nxt)
-        if record.image is None:
-            record.image = image_basis(self.matrix(src, nxt))
-        return record.image
 
     def h_dim(self, prv, src, nxt) -> int:
         return sum(n for _, n in self.classes_of(prv, src, nxt))
@@ -344,34 +325,19 @@ class _Strip:
         class is a lead of ker D not among im Dprev's."""
         record = self.classes.get((prv, src, nxt))
         if record is None:
-            image = self.column(prv, src).image_leads
+            image = self.column(prv, src)[1]
             owner = [i for i in self.cells(src) for _ in range(self.dims[i])]
             counts = {}
-            for f in self.column(src, nxt).kernel_leads:
+            for f in self.column(src, nxt)[0]:
                 if f not in image:
                     counts[owner[f]] = counts.get(owner[f], 0) + 1
             record = self.classes[(prv, src, nxt)] = tuple(counts.items())
         return record
 
 
-class _Column:
-    """One column's memoized result: the lead sets of ker D and im D, read off
-    one reduction, and the kernel and image bases of D once an induced-map
-    check has asked for them."""
-
-    __slots__ = ("kernel_leads", "image_leads", "kernel", "image")
-
-    def __init__(self, kernel_leads, image_leads):
-        self.kernel_leads = kernel_leads
-        self.image_leads = image_leads
-        self.kernel = None
-        self.image = None
-
-
 # strip content -> the (columns, classes) dicts that every strip of that
 # content shares.  `cli.run_verb` clears it, so one CLI call is one memo
-# lifetime.  In it, each shape pair of a strip content is reduced once, and its
-# bases are built at most once, only if an induced-map check reads them.  No
+# lifetime.  In it, each shape pair of a strip content is reduced once.  No
 # column matrix is kept.
 _STRIP_MEMO: dict[tuple, tuple] = {}
 
@@ -418,8 +384,10 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
     and eps (`ChainMap.verify_chain_map`).  Then Fcol commutes with d + u eps,
     so its rank on a column's H is at most min(hs, ht).  Columns that are
     edge on either side are skipped first.  The class counts are read next,
-    and the rank is built only where both sides have a class (0 otherwise).
-    HH's check, `ChainMap.induced_iso_everywhere`, is the HN level 1 case.
+    and the rank is computed only where both sides have a class (0
+    otherwise), once per (w, a, shapes): one `induced_rank` of the source
+    column's matrix, Fcol and the target's previous column matrix.  HH's
+    check, `ChainMap.induced_iso_everywhere`, is the HN level 1 case.
     Returns (ok, failures).
     """
     if (us_src.flavor, us_src.p_lo, us_src.p_hi) != (us_tgt.flavor, us_tgt.p_lo, us_tgt.p_hi):
@@ -459,8 +427,8 @@ def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
                         for (row, c), v in blk.entries.items():
                             ent[(t_off[i] + row, col + c)] = v
                 Fcol = SparseMatrix(t_total, s_total, ent)
-                images = [apply_matrix(Fcol, v) for v in s_strip.kernel(s_src, s_nxt)]
-                r = record[2] = quotient_rank(images, t_strip.image(t_prv, t_src), t_total)
+                r = record[2] = induced_rank(s_strip.matrix(s_src, s_nxt), Fcol,
+                                             t_strip.matrix(t_prv, t_src))
             if not (hs == ht == r):
                 failures.append(((tau, w, a), hs, ht, r))
     failures.sort()

@@ -251,8 +251,8 @@ def reduce_linear_relations(P: AlgebraPresentation) -> AlgebraPresentation:
 # semifree models
 # ---------------------------------------------------------------------------
 
-GROUP_COORD = "w{}"
-LIE_COORD = "xi{}"
+GROUP_COORD = "w:{}"
+LIE_COORD = "xi:{}"
 
 
 class SemifreeModel:
@@ -457,7 +457,7 @@ class SemifreeModel:
             raise ValueError("torus point rank mismatch with group coordinates")
         new_alg = FreeAlgebra(
             [
-                Generator(f"t{lnames.index(g.name)}", 0, (0,) * self.alg.rank, 0,
+                Generator(f"t:{lnames.index(g.name)}", 0, (0,) * self.alg.rank, 0,
                           exp_range=(0, n - 1))
                 if g.name in lnames else g
                 for g in self.alg.gens
@@ -524,10 +524,10 @@ def loop_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
     if T.rank != P.rank:
         raise ValueError("torus rank mismatch")
     gens = [Generator(g.name, 0, g.weight, g.aux) for g in P.generators]
-    gens += [Generator(f"eps_{g.name}", -1, g.weight, g.aux) for g in P.generators]
+    gens += [Generator(f"eps:{g.name}", -1, g.weight, g.aux) for g in P.generators]
     for j, rel in enumerate(P.relations):
         deg = rel.homogeneous_degree()
-        gens.append(Generator(f"eta{j}", -1, deg.weight, deg.aux))
+        gens.append(Generator(f"eta:{j}", -1, deg.weight, deg.aux))
     wnames = [GROUP_COORD.format(l) for l in range(T.rank)]
     gens += [Generator(n, 0, (0,) * P.rank, 0, laurent=True) for n in wnames]
     alg = FreeAlgebra(gens, P.rank)
@@ -539,9 +539,9 @@ def loop_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
         for l, wl in enumerate(lam):
             wmono[alg.index[wnames[l]]] = wl
         coeff = Polynomial(alg, {tuple(wmono): 1}) - alg.poly_scalar(1)
-        d_images[f"eps_{g.name}"] = coeff * alg.poly_gen(g.name)
+        d_images[f"eps:{g.name}"] = coeff * alg.poly_gen(g.name)
     for j, rel in enumerate(P.relations):
-        d_images[f"eta{j}"] = lift_poly(rel, alg)
+        d_images[f"eta:{j}"] = lift_poly(rel, alg)
 
     model = SemifreeModel(alg, d_images, laurent_names=wnames)
     _attach_de_rham(model, P)
@@ -559,9 +559,9 @@ def _attach_de_rham(model: SemifreeModel, P: AlgebraPresentation):
     """
     related = P.relation_support()
     model.eps = Derivation(model.alg, {
-        name: model.alg.poly_gen(f"eps_{name}")
+        name: model.alg.poly_gen(f"eps:{name}")
         for name in sorted(g.name for g in P.generators)
-        if name not in related and f"eps_{name}" not in model.d.images
+        if name not in related and f"eps:{name}" not in model.d.images
     })
 
 
@@ -586,9 +586,9 @@ def odd_tangent_model(P: AlgebraPresentation) -> SemifreeModel:
     if P.relations:
         raise ValueError("odd_tangent_model requires a smooth (relation-free) presentation")
     gens = [Generator(g.name, 0, g.weight, g.aux) for g in P.generators]
-    gens += [Generator(f"d{g.name}", -1, g.weight, g.aux) for g in P.generators]
+    gens += [Generator(f"d:{g.name}", -1, g.weight, g.aux) for g in P.generators]
     alg = FreeAlgebra(gens, P.rank)
-    eps_images = {g.name: alg.poly_gen(f"d{g.name}") for g in P.generators}
+    eps_images = {g.name: alg.poly_gen(f"d:{g.name}") for g in P.generators}
     return SemifreeModel(alg, {}, eps_images)
 
 
@@ -607,7 +607,7 @@ def cartan_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
     if P.relations:
         raise ValueError("cartan_model requires a smooth (relation-free) presentation")
     gens = [Generator(g.name, 0, g.weight, g.aux) for g in P.generators]
-    gens += [Generator(f"d{g.name}", -1, g.weight, g.aux) for g in P.generators]
+    gens += [Generator(f"d:{g.name}", -1, g.weight, g.aux) for g in P.generators]
     xnames = [LIE_COORD.format(l) for l in range(T.rank)]
     gens += [Generator(n, 0, (0,) * P.rank, 1) for n in xnames]
     alg = FreeAlgebra(gens, P.rank)
@@ -618,8 +618,8 @@ def cartan_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
             if wl:
                 acc = acc + (alg.poly_gen(xnames[l]) * alg.poly_gen(g.name)).scaled(wl)
         if not acc.is_zero():
-            d_images[f"d{g.name}"] = acc
-    eps_images = {g.name: alg.poly_gen(f"d{g.name}") for g in P.generators}
+            d_images[f"d:{g.name}"] = acc
+    eps_images = {g.name: alg.poly_gen(f"d:{g.name}") for g in P.generators}
     return SemifreeModel(
         alg, d_images, eps_images,
         aux_shift_d=1 if T.rank else 0,

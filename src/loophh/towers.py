@@ -28,7 +28,7 @@ from .complexes import GradedComplex, Relabelling
 from .grading import Multidegree, Window
 from .linalg import NotAComplex, SparseMatrix
 from .mixed import MixedComplex
-from .models import SemifreeModel, TorusPoint
+from .models import LIE_COORD, SemifreeModel, TorusPoint
 from .scalars import is_zero
 
 
@@ -249,7 +249,8 @@ def cartan_augmentation_tower(cart_model: SemifreeModel, N: int, aux_max: int) -
     for n in range(1, N + 1):
         lv = inv
         for l in range(r):
-            lv = koszul_cone(lv, multiplication_operator(alg, inv.base, alg.poly_gen(f"xi{l}", n)))
+            xi_n = alg.poly_gen(LIE_COORD.format(l), n)
+            lv = koszul_cone(lv, multiplication_operator(alg, inv.base, xi_n))
         lv.base.check_complex()
         lv.check_mixed_laws()
         levels.append(lv)

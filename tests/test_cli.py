@@ -565,3 +565,37 @@ def test_verbs_store_no_float(monkeypatch, name, point):
         run_verb(verb, args, text)
     assert seen["matrix"] and seen["row"]
     assert bool(seen["cyc"]) == bool(point)
+
+
+def _body(report):
+    """A report after its instance echo and truncation line."""
+    return report.split("\ntruncation:", 1)[1].split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("verb", ["hh", "hp", "localize", "fixed-fiber"])
+def test_generator_names_of_derived_generators_are_free(verb):
+    # the models adjoin eps, eta, d, w, xi and t generators; none of their
+    # names is a word, so an instance may use any word as a generator name
+    def report(name):
+        text = ("[space]\ngenerator x weight=1 aux=1\n"
+                f"generator {name} weight=2 aux=1\n[group]\nrank 1\n[point]\nz 1\n"
+                "[assert]\nsmooth true\n")
+        out, code = run_verb(verb, build_parser().parse_args([verb, "-"]), text)
+        assert code == 0, (name, out)
+        return _body(out)
+
+    expected = report("y")
+    for name in ("dx", "eps_x", "w0", "xi0", "t0"):
+        assert report(name) == expected, name
+
+
+@pytest.mark.parametrize("verb", ["hh", "hp", "hn", "hc", "localize", "fixed-fiber"])
+@pytest.mark.parametrize("name", ["01_line_gm_z2", "06_weight2_zeta2"])
+def test_verbs_eliminate_fraction_free(monkeypatch, verb, name):
+    # only `EchelonReducer.reduced` divides rows by their pivots
+    def refuse(self):
+        raise AssertionError("a verb scaled rows to pivot 1")
+
+    monkeypatch.setattr(EchelonReducer, "reduced", refuse)
+    report, code = run_verb(verb, build_parser().parse_args([verb, name]), _shipped(name))
+    assert code == 0, report

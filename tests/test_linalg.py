@@ -13,6 +13,7 @@ from loophh.linalg import (
     cohomology_dims,
     column_leads,
     image_basis,
+    induced_rank,
     kernel_basis,
     quotient_pivots,
     quotient_rank,
@@ -206,6 +207,9 @@ def test_every_entry_point_rejects_mixed_conductors():
         rank_of_vectors([{0: a}, {1: b}], 2)
     with pytest.raises(BackendMismatch):
         quotient_rank([{0: a}], [{1: b}], 2)
+    with pytest.raises(BackendMismatch):
+        induced_rank(SparseMatrix.zero(0, 1), SparseMatrix(1, 1, {(0, 0): a}),
+                     SparseMatrix(1, 1, {(0, 0): b}))
 
 
 def test_echelon_reducer_pivots_and_dependence():
@@ -260,11 +264,11 @@ def _scalar(backend, a, b):
 
 
 @st.composite
-def _sparse_matrices(draw, backend=None, nrows=None):
+def _sparse_matrices(draw, backend=None, nrows=None, ncols=None):
     """Random sparse matrices over Q or Q(zeta3), zero and empty shapes included."""
     backend = backend or draw(st.sampled_from(["Q", "Q(zeta3)"]))
     nrows = draw(st.integers(0, 6)) if nrows is None else nrows
-    ncols = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6)) if ncols is None else ncols
     cells = [(i, j) for i in range(nrows) for j in range(ncols)]
     chosen = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
     ent = {c: _scalar(backend, draw(st.integers(-3, 3)), draw(st.integers(-2, 2)))
@@ -361,3 +365,25 @@ def test_int_and_fraction_entries_give_the_same_linear_algebra(data):
     assert results[2][:4] == results[0][:4]
     assert [_undo_row_scale(v, r) for v in results[2][4]] == results[0][4]
     assert results[3] == results[4]
+
+
+def _kernel_matrix(M):
+    """A matrix whose columns are `kernel_basis(M)`."""
+    ker = kernel_basis(M)
+    return SparseMatrix(M.ncols, len(ker), {(i, k): v for k, vec in enumerate(ker) for i, v in vec.items()})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_induced_rank_equals_the_basis_reference(data):
+    # F is any matrix, not a chain map; half the time im B also holds part
+    # of F(ker D), so the quotient is a real one
+    D = data.draw(_sparse_matrices())
+    backend = "Q" if D.backend() is None else "Q(zeta3)"
+    F = data.draw(_sparse_matrices(backend=backend, ncols=D.ncols))
+    B = data.draw(_sparse_matrices(backend=backend, nrows=F.nrows))
+    if data.draw(st.booleans()):
+        K = _kernel_matrix(D)
+        B = B.hstack(F @ K @ data.draw(_sparse_matrices(backend=backend, nrows=K.ncols)))
+    images = [apply_matrix(F, v) for v in kernel_basis(D)]
+    assert induced_rank(D, F, B) == quotient_rank(images, image_basis(B), F.nrows)

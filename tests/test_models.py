@@ -221,7 +221,7 @@ def test_base_change_matches_repeated_multiplication(path):
     zj, one = z.coordinate_scalar(0, backend), coerce(1, backend)
     for n in range(1, 5):
         based = model.at_torus_point_level(z, n, backend=backend)
-        assert based.t_index == p and based.alg.gens[p].name == "t0"
+        assert based.t_index == p and based.alg.gens[p].name == "t:0"
         for old, new in ((model.d, based.d), (model.eps, based.eps)):
             assert set(new.images) <= set(old.images)
             for name, poly in old.images.items():

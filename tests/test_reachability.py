@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Defs that only tests call, kept on purpose as test helpers.
 KEPT_FOR_TESTS = {
     "apply_monomial",     # algebra: D(x^e) as a Polynomial, the Leibniz-rule tests
+    "apply_matrix",       # linalg: M v, a helper of the kernel-basis reference
     "euler_consistent",   # complexes: Euler characteristic of a test complex
     "from_rows",          # linalg: SparseMatrix literal in tests
     "hstack",             # linalg: block matrices in the linalg tests
