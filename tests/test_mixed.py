@@ -676,22 +676,20 @@ def test_clear_column_memo_empties_the_memo():
 
 
 def _record_induced_ranks(monkeypatch):
-    """Record (D, B, open checks) of every `induced_rank` call the engine
-    makes; `loophh.mixed` is the only module that calls it.  Returns the
-    record and a one-element counter of open induced-map checks, for the
-    caller's wrappers to keep."""
-    calls, open_checks = [], [0]
+    """Record (D, B) of every `induced_rank` call the engine makes;
+    `loophh.mixed` is the only module that calls it."""
+    calls = []
 
     def recording(D, F, B, _fn=mixed.induced_rank):
-        calls.append((D, B, open_checks[0]))
+        calls.append((D, B))
         return _fn(D, F, B)
 
     monkeypatch.setattr(mixed, "induced_rank", recording)
-    return calls, open_checks
+    return calls
 
 
 def test_tables_build_no_bases(monkeypatch):
-    calls, _ = _record_induced_ranks(monkeypatch)
+    calls = _record_induced_ranks(monkeypatch)
     mixed.clear_column_memo()
     V = bga_polynomial_preset(5)
     assert tate(V, 3).cohomology().values
@@ -704,10 +702,10 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
     # neither side and hold a class on both: elsewhere the induced rank of a
     # chain map is 0.  HH's restriction check is the HN level 1 case, so it
     # runs through the same function.
-    calls, open_checks = _record_induced_ranks(monkeypatch)
+    calls = _record_induced_ranks(monkeypatch)
     content = mixed._content_key
     level_one = [0]  # checks at HN level 1, as HH's check makes them
-    ranked = [0]
+    ranked = [0]  # calls made inside a check
 
     def expected_ranks(us_src, us_tgt):
         """(source D, target B) contents, one per key the check must rank."""
@@ -726,14 +724,11 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
         level_one[0] += (us_src.flavor, us_src.p_lo, us_src.p_hi) == ("invariants", 0, 0)
         expected = expected_ranks(us_src, us_tgt)
         first = len(calls)
-        open_checks[0] += 1
-        try:
-            return _fn(us_src, us_tgt, F)
-        finally:
-            open_checks[0] -= 1
-            made = sorted((content(D), content(B)) for D, B, _ in calls[first:])
-            assert made == expected
-            ranked[0] += len(made)
+        result = _fn(us_src, us_tgt, F)
+        made = sorted((content(D), content(B)) for D, B in calls[first:])
+        assert made == expected
+        ranked[0] += len(made)
+        return result
 
     monkeypatch.setattr(mixed, "useries_induced_iso", check)
     # at 05's window, some columns have a class on one side only or on
@@ -745,4 +740,3 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
         assert code == 0
     assert level_one[0]
     assert ranked[0] and ranked[0] == len(calls)
-    assert all(depth for *_, depth in calls)
