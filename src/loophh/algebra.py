@@ -9,7 +9,7 @@ generators and extended by the graded Leibniz rule with Koszul signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul
 
@@ -270,8 +270,6 @@ class Enumeration:
     """Monomial enumeration of an algebra within finite bounds."""
 
     bins: dict  # Multidegree -> sorted list of exponent tuples
-    aux_max: int
-    laurent_caps: dict = field(default_factory=dict)  # name -> cap L used
 
 
 def enumerate_monomials(
@@ -287,7 +285,6 @@ def enumerate_monomials(
     since differentials preserve weight).
     """
     gens = alg.gens
-    caps = {}
     ranges = []
     for g in gens:
         if g.exp_range is not None:
@@ -298,7 +295,6 @@ def enumerate_monomials(
             if laurent_cap is None:
                 raise ValueError(f"laurent generator {g.name} needs a cap")
             ranges.append((-laurent_cap, laurent_cap))
-            caps[g.name] = laurent_cap
         else:
             ranges.append((0, aux_max // g.aux if g.aux else 0))
     n = len(gens)
@@ -348,4 +344,4 @@ def enumerate_monomials(
     if reachable(0, (0,) * alg.rank):
         rec(0, 0, (0,) * alg.rank, 0)
     del rec  # rec holds itself through its cell: break the cycle
-    return Enumeration(out, aux_max, caps)
+    return Enumeration(out)

@@ -186,11 +186,17 @@ def cache_write(cache_dir, key, report, code):
     os.makedirs(cache_dir, exist_ok=True)
     payload = report.encode()
     head = f"loophh-cache:{code}:{hashlib.sha256(payload).hexdigest()}\n".encode()
-    fd, tmp = tempfile.mkstemp(dir=cache_dir)
+    _write_atomically(os.path.join(cache_dir, key + ".cache"), head + payload)
+
+
+def _write_atomically(path, data: bytes):
+    """Write `data` to `path` through a temporary file in the same directory,
+    so a reader sees the old file or the whole new one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(head + payload)
-        os.replace(tmp, os.path.join(cache_dir, key + ".cache"))
+            fh.write(data)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -241,7 +247,7 @@ def main(argv=None):
     sys.stdout.write(report)
     if args.report:
         try:
-            _write_report(args.report, report)
+            _write_atomically(args.report, report.encode())
         except OSError as e:
             print(f"error: cannot write the report to {args.report}: {e.strerror or e}",
                   file=sys.stderr)
@@ -253,18 +259,6 @@ def main(argv=None):
             print(f"warning: cannot write a cache entry in {args.cache_dir}: {e.strerror or e}",
                   file=sys.stderr)
     return code
-
-
-def _write_report(path, report):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(report)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .mixed import (
     coinvariants,
     s1_invariants_level,
     tate,
+    useries_induced_iso,
 )
 from .models import (
     AlgebraPresentation,
@@ -237,8 +238,6 @@ def check_hc_variants(inst: LocalizationInstance) -> Report:
     """Same comparison for HN (invariants levels), HC (coinvariants) and HP
     (Tate), mixed structure from the de Rham operator on each side; the
     restriction map must induce isomorphisms columnwise as well."""
-    from .mixed import useries_induced_iso
-
     report = Report("hc-variants", PASS)
     tr = inst.truncation
     verdicts = []
@@ -307,14 +306,18 @@ def check_derived_fixed_fiber(inst: LocalizationInstance) -> Report:
     return report
 
 
-def check_unipotent_formal_tate(aux_max: int = 6, truncation: int = 5,
-                                u_window: int = 3) -> Report:
+# the unipotent check's window: aux bound, truncation of the completed
+# preset, and u-window of the Tate tables
+UNIPOTENT_AUX_MAX, UNIPOTENT_TRUNCATION, UNIPOTENT_U_WINDOW = 6, 5, 3
+
+
+def check_unipotent_formal_tate() -> Report:
     """Unipotent vs formal loops of the additive classifying stack: the
     global tables differ, the homogeneous parts agree at every weight in the
     window, and the Tate tables both collapse to the k((u)) pattern."""
     report = Report("unipotent-formal-tate", PASS)
-    A = bga_polynomial_preset(aux_max)
-    B = bga_completed_preset(aux_max, truncation)
+    A = bga_polynomial_preset(UNIPOTENT_AUX_MAX)
+    B = bga_completed_preset(UNIPOTENT_AUX_MAX, UNIPOTENT_TRUNCATION)
     tA = A.cohomology()
     tB = B.cohomology()
     verdicts = []
@@ -333,21 +336,21 @@ def check_unipotent_formal_tate(aux_max: int = 6, truncation: int = 5,
         verdicts.append(INCONCLUSIVE)
 
     bad = []
-    for w in [(-m,) for m in range(truncation - 1)]:
+    for w in [(-m,) for m in range(UNIPOTENT_TRUNCATION - 1)]:
         mism, comp, _ = tA.at_weight(w).compare(tB.at_weight(w))
         if mism or not comp:
             bad.append(w)
     if not bad:
-        report.add(f"  homogeneous parts equal at weights 0..-{truncation - 2}")
+        report.add(f"  homogeneous parts equal at weights 0..-{UNIPOTENT_TRUNCATION - 2}")
         verdicts.append(PASS)
     else:
         report.add(f"  homogeneous-part failure at {bad}")
         verdicts.append(FAIL)
 
-    tateA = tate(A, u_window).cohomology()
-    tateB = tate(B, u_window).cohomology()
+    tateA = tate(A, UNIPOTENT_U_WINDOW).cohomology()
+    tateB = tate(B, UNIPOTENT_U_WINDOW).cohomology()
     expected = HilbertTable(
-        {Multidegree(0, (0,), 0, p): 1 for p in range(-u_window, u_window + 1)},
+        {Multidegree(0, (0,), 0, p): 1 for p in range(-UNIPOTENT_U_WINDOW, UNIPOTENT_U_WINDOW + 1)},
         window=tateA.window,
     )
     verdicts.append(_compare_tables("Tate(polynomial) = k((u))", tateA, expected, report))

@@ -117,33 +117,22 @@ def identity_point(rank: int) -> TorusPoint:
 # presentations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AmbientGenerator:
-    name: str
-    weight: tuple
-    aux: int
-
-
 class AlgebraPresentation:
     """Weight-graded affine presentation: ambient generators plus relations."""
 
     def __init__(self, generators, relations=(), rank=None, asserted_smooth=False):
-        self.generators = [
-            AmbientGenerator(n, tuple(w), a) for (n, w, a) in generators
-        ]
+        gens = [Generator(n, 0, tuple(w), a) for (n, w, a) in generators]
         if rank is None:
-            rank = len(self.generators[0].weight) if self.generators else 0
+            rank = len(gens[0].weight) if gens else 0
         self.rank = rank
-        for g in self.generators:
+        for g in gens:
             if len(g.weight) != rank:
                 raise ValueError(f"generator {g.name}: weight length != rank {rank}")
             if g.aux < 1:
                 raise ValueError(f"generator {g.name}: ambient aux must be >= 1")
         self.asserted_smooth = asserted_smooth
-        self.ambient = FreeAlgebra(
-            [Generator(g.name, 0, g.weight, g.aux) for g in self.generators],
-            rank,
-        )
+        self.ambient = FreeAlgebra(gens, rank)
+        self.generators = self.ambient.gens
         self.relations: list[Polynomial] = []
         for rel in relations:
             self.add_relation(rel)
@@ -211,11 +200,9 @@ def fixed_points(P: AlgebraPresentation, z: TorusPoint) -> AlgebraPresentation:
     if z.rank != P.rank:
         raise ValueError("torus point rank mismatch")
     Q = AlgebraPresentation(
-        [(g.name, g.weight, g.aux) for g in P.generators],
+        [(g.name, g.weight, g.aux) for g in P.generators], P.relations,
         rank=P.rank, asserted_smooth=P.asserted_smooth,
     )
-    for rel in P.relations:
-        Q.add_relation(lift_poly(rel, Q.ambient))
     existing_bare = Q.bare_relation_names()
     for g in P.generators:
         if not z.character_is_one(g.weight) and g.name not in existing_bare:
@@ -235,15 +222,9 @@ def reduce_linear_relations(P: AlgebraPresentation) -> AlgebraPresentation:
     Q = AlgebraPresentation(keep, rank=P.rank, asserted_smooth=P.asserted_smooth)
     killed_idx = {P.ambient.index[n] for n in killed}
     for rel in P.relations:
-        terms = {}
-        for m, c in rel.terms.items():
-            if any(m[i] for i in killed_idx):
-                continue
-            terms[m] = c
-        red = Polynomial(P.ambient, terms)
-        if red.is_zero():
-            continue
-        Q.add_relation(lift_poly(red, Q.ambient))
+        Q.add_relation(Polynomial(P.ambient, {
+            m: c for m, c in rel.terms.items() if not any(m[i] for i in killed_idx)
+        }))
     return Q
 
 
@@ -282,25 +263,21 @@ class SemifreeModel:
 
     # -- symbolic validation ---------------------------------------------------
     def check_symbolic(self):
-        for name, img in self.d.images.items():
-            g = self.alg.gens[self.alg.index[name]]
-            deg = img.homogeneous_degree()
-            if deg is None:
-                raise ValueError(f"d({name}) not homogeneous")
-            want = Multidegree(g.cohdeg + 1, g.weight, g.aux + self.aux_shift_d, 0)
-            if deg != want:
-                raise ValueError(f"d({name}) has degree {deg}, expected {want}")
-            if not self.d.apply(img).is_zero():
-                raise ValueError(f"d^2 != 0 on generator {name}")
-        if self.eps is not None:
-            for name, img in self.eps.images.items():
+        for label, D, cohshift, auxshift in (("d", self.d, 1, self.aux_shift_d),
+                                             ("eps", self.eps, -1, 0)):
+            if D is None:
+                continue
+            for name, img in D.images.items():
                 g = self.alg.gens[self.alg.index[name]]
                 deg = img.homogeneous_degree()
-                want = Multidegree(g.cohdeg - 1, g.weight, g.aux, 0)
+                if deg is None:
+                    raise ValueError(f"{label}({name}) not homogeneous")
+                want = Multidegree(g.cohdeg + cohshift, g.weight, g.aux + auxshift, 0)
                 if deg != want:
-                    raise ValueError(f"eps({name}) has degree {deg}, expected {want}")
-                if not self.eps.apply(img).is_zero():
-                    raise ValueError(f"eps^2 != 0 on generator {name}")
+                    raise ValueError(f"{label}({name}) has degree {deg}, expected {want}")
+                if not D.apply(img).is_zero():
+                    raise ValueError(f"{label}^2 != 0 on generator {name}")
+        if self.eps is not None:
             self._check_anticommute()
         return True
 
@@ -337,10 +314,9 @@ class SemifreeModel:
         """
         from .mixed import MixedComplex
 
-        enum = enumerate_monomials(
+        bins = enumerate_monomials(
             self.alg, aux_max, laurent_cap=laurent_cap, weight_filter=weight_filter
-        )
-        bins = enum.bins
+        ).bins
         pos = {m: {lbl: i for i, lbl in enumerate(ls)} for m, ls in bins.items()}
         edge: set[Multidegree] = set()
         tp = self.t_index
@@ -395,7 +371,7 @@ class SemifreeModel:
         # maps from beyond the cap.  Laurent generators are d-closed, so the
         # exponent-shift pattern is translation invariant and the realized
         # shifts of the assembled matrices bound the unseen ones.
-        if enum.laurent_caps:
+        if laurent_cap is not None:
             idxs = [self.alg.index[n] for n in self.laurent_names]
             s_real = 0
             for mats, cshift, ashift in (
@@ -409,10 +385,9 @@ class SemifreeModel:
                         for k in idxs:
                             s_real = max(s_real, abs(tgt[i][k] - src[j][k]))
             if s_real:
-                cap = min(enum.laurent_caps.values())
                 for mdeg, labels in bins.items():
                     for mono in labels:
-                        if any(abs(mono[i]) > cap - s_real for i in idxs):
+                        if any(abs(mono[i]) > laurent_cap - s_real for i in idxs):
                             edge.add(mdeg)
                             break
 
@@ -523,7 +498,7 @@ def loop_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
     """
     if T.rank != P.rank:
         raise ValueError("torus rank mismatch")
-    gens = [Generator(g.name, 0, g.weight, g.aux) for g in P.generators]
+    gens = list(P.generators)
     gens += [Generator(f"eps:{g.name}", -1, g.weight, g.aux) for g in P.generators]
     for j, rel in enumerate(P.relations):
         deg = rel.homogeneous_degree()
@@ -575,6 +550,24 @@ def derived_fiber_model(P: AlgebraPresentation, T: TorusData, z: TorusPoint,
     return fiber
 
 
+def _forms(P: AlgebraPresentation, who: str, lie=()):
+    """Forms on a smooth presentation: (P, algebra, de Rham eps images).
+
+    Bare linear relations are reduced first; any other relation is rejected
+    (smoothness hypothesis).  The algebra holds the ambient x_i, the forms
+    d:x_i in cohdeg -1 with the weight/aux of x_i, and the Lie coordinates
+    named in `lie` in cohdeg 0, weight 0, aux 1; eps is x_i -> d:x_i.
+    """
+    P = reduce_linear_relations(P)
+    if P.relations:
+        raise ValueError(f"{who} requires a smooth (relation-free) presentation")
+    gens = list(P.generators)
+    gens += [Generator(f"d:{g.name}", -1, g.weight, g.aux) for g in P.generators]
+    gens += [Generator(n, 0, (0,) * P.rank, 1) for n in lie]
+    alg = FreeAlgebra(gens, P.rank)
+    return P, alg, {g.name: alg.poly_gen(f"d:{g.name}") for g in P.generators}
+
+
 def odd_tangent_model(P: AlgebraPresentation) -> SemifreeModel:
     """Forms on X placed in negative degrees (HKR), keeping the weight lattice.
 
@@ -582,35 +575,20 @@ def odd_tangent_model(P: AlgebraPresentation) -> SemifreeModel:
     This is the plain odd tangent bundle oracle for fixed loci and bar
     comparisons.
     """
-    P = reduce_linear_relations(P)
-    if P.relations:
-        raise ValueError("odd_tangent_model requires a smooth (relation-free) presentation")
-    gens = [Generator(g.name, 0, g.weight, g.aux) for g in P.generators]
-    gens += [Generator(f"d:{g.name}", -1, g.weight, g.aux) for g in P.generators]
-    alg = FreeAlgebra(gens, P.rank)
-    eps_images = {g.name: alg.poly_gen(f"d:{g.name}") for g in P.generators}
+    _, alg, eps_images = _forms(P, "odd_tangent_model")
     return SemifreeModel(alg, {}, eps_images)
 
 
 def cartan_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
     """Cartan / odd-tangent model (Sym g^* (x) forms, Cartan differential).
 
-    Forms dx_i sit in cohdeg -1 with the weight/aux of x_i; Lie coordinates
-    xi_l sit in cohdeg 0, weight 0, aux 1.  d(dx_i) = <lambda_i, xi> x_i; the
-    mixed differential is de Rham x_i -> dx_i.  Presentations are reduced
-    along bare linear relations first; other relations are not supported
-    (smoothness hypothesis).
+    The forms of `_forms` plus Lie coordinates xi_l, with
+    d(dx_i) = <lambda_i, xi> x_i.
     """
     if T.rank != P.rank:
         raise ValueError("torus rank mismatch")
-    P = reduce_linear_relations(P)
-    if P.relations:
-        raise ValueError("cartan_model requires a smooth (relation-free) presentation")
-    gens = [Generator(g.name, 0, g.weight, g.aux) for g in P.generators]
-    gens += [Generator(f"d:{g.name}", -1, g.weight, g.aux) for g in P.generators]
     xnames = [LIE_COORD.format(l) for l in range(T.rank)]
-    gens += [Generator(n, 0, (0,) * P.rank, 1) for n in xnames]
-    alg = FreeAlgebra(gens, P.rank)
+    P, alg, eps_images = _forms(P, "cartan_model", xnames)
     d_images = {}
     for g in P.generators:
         acc = alg.poly()
@@ -619,7 +597,6 @@ def cartan_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
                 acc = acc + (alg.poly_gen(xnames[l]) * alg.poly_gen(g.name)).scaled(wl)
         if not acc.is_zero():
             d_images[f"d:{g.name}"] = acc
-    eps_images = {g.name: alg.poly_gen(f"d:{g.name}") for g in P.generators}
     return SemifreeModel(
         alg, d_images, eps_images,
         aux_shift_d=1 if T.rank else 0,
@@ -697,17 +674,16 @@ class SubgroupDescriptor:
 def stabilizer_subgroups(T: TorusData, weights) -> list[SubgroupDescriptor]:
     """All subgroups arising as intersections of character kernels.
 
-    Enumerates subsets of the weight set (the possible pointwise stabilizers
-    of the linear action) and deduplicates by the lattice they generate.
+    These are cut out by the lattices that subsets of the weights generate
+    (the possible pointwise stabilizers of the linear action).  The lattices
+    are built one distinct weight at a time, each known lattice extended by
+    it, so the work grows with the number of lattices, not of subsets.
     """
-    weights = [tuple(w) for w in weights]
-    seen = {}
-    for mask in range(1 << len(weights)):
-        subset = [weights[i] for i in range(len(weights)) if mask >> i & 1]
-        hnf = _hermite_normal_form(subset, T.rank)
-        if hnf not in seen:
-            seen[hnf] = SubgroupDescriptor(T.rank, hnf)
-    return sorted(seen.values(), key=lambda s: (len(s.equations), s.equations))
+    lattices = {()}
+    for w in dict.fromkeys(tuple(w) for w in weights):
+        lattices |= {_hermite_normal_form([*hnf, w], T.rank) for hnf in lattices}
+    return sorted((SubgroupDescriptor(T.rank, hnf) for hnf in lattices),
+                  key=lambda s: (len(s.equations), s.equations))
 
 
 def localization_open_set(T: TorusData, weights, z: TorusPoint):

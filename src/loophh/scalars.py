@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, lcm
 
 
@@ -113,15 +114,7 @@ def _inverse_coeffs(conductor: int, coeffs: tuple) -> tuple:
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _poly_trim(
-            [
-                (s0[i] if i < len(s0) else 0)
-                - sum(
-                    q[j] * s1[i - j]
-                    for j in range(len(q))
-                    if 0 <= i - j < len(s1)
-                )
-                for i in range(max(len(s0), len(q) + len(s1) - 1))
-            ]
+            [a - b for a, b in zip_longest(s0, _poly_mul(q, s1), fillvalue=0)]
         )
     if len(r0) != 1:
         raise AssertionError("modulus not coprime to element")

@@ -142,7 +142,7 @@ def test_criterion_3_fixed_locus_jump():
 # -- criterion 4: unipotent vs formal Tate --------------------------------------------
 
 def test_criterion_4_unipotent_formal():
-    rep = check_unipotent_formal_tate(aux_max=6, truncation=5, u_window=3)
+    rep = check_unipotent_formal_tate()
     ok = rep.verdict == PASS
 
     A = bga_polynomial_preset(6)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loophh
+from loophh import models
 
 from loophh.algebra import Derivation
 from loophh.grading import md
@@ -116,6 +117,29 @@ def test_cartan_line_trivial_group():
     assert t.dim(md(0, (), 0)) == 1
     assert t.dim(md(-1, (), 3)) == 1
     assert mc.eps_induced_rank(md(0, (), 3)) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 2), st.booleans()), max_size=3),
+       st.integers(0, 4))
+def test_rank0_cartan_model_is_the_odd_tangent_model(gens, aux_max):
+    # with no torus, the Cartan model adds nothing to the forms: both models
+    # come from one builder, bare relations reduced first
+    P = AlgebraPresentation([(f"x{i}", (), a) for i, (a, _) in enumerate(gens)], rank=0)
+    for i, (_, bare) in enumerate(gens):
+        if bare:
+            P.add_relation(P.ambient.poly_gen(f"x{i}"))
+    hkr = odd_tangent_model(P).instantiate(aux_max)
+    cart = cartan_model(P, TorusData(0)).instantiate(aux_max)
+
+    def entries(mats):
+        return {m: a.entries for m, a in mats.items()}
+
+    assert cart.base.bins == hkr.base.bins
+    assert entries(cart.base.diffs) == entries(hkr.base.diffs)
+    assert entries(cart.eps) == entries(hkr.eps)
+    assert cart.base.edge == hkr.base.edge
+    assert cart.base.window == hkr.base.window
 
 
 def test_cartan_line_weight_one_invariants():
@@ -289,6 +313,42 @@ def test_stabilizers_weight_two():
 def test_stabilizers_mixed():
     subs = stabilizer_subgroups(TorusData(1), [(1,), (-1,)])
     assert [s.describe() for s in subs] == ["full torus", "trivial"]
+
+
+def _reference_stabilizer_subgroups(T, weights):
+    """One Hermite normal form per subset of the weights, as defined."""
+    seen = set()
+    for mask in range(1 << len(weights)):
+        subset = [tuple(w) for i, w in enumerate(weights) if mask >> i & 1]
+        seen.add(_hermite_normal_form(subset, T.rank))
+    return sorted(seen, key=lambda hnf: (len(hnf), hnf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.tuples(*[st.integers(-4, 4)] * r), max_size=7))))
+def test_stabilizers_equal_the_subset_definition(case):
+    r, weights = case
+    got = stabilizer_subgroups(TorusData(r), weights)
+    assert [s.equations for s in got] == _reference_stabilizer_subgroups(TorusData(r), weights)
+
+
+@pytest.mark.parametrize("weights, limit, want", [
+    ([(1,)] * 24, 64, ["full torus", "trivial"]),
+    ([(w,) for w in range(1, 25)], 400, ["full torus", "trivial"] + [f"mu_{d}" for d in range(2, 25)]),
+], ids=["repeated", "distinct"])
+def test_stabilizers_grow_with_lattices_not_subsets(weights, limit, want, monkeypatch):
+    # 2^24 subsets, but 2 and 25 lattices
+    calls = []
+
+    def counted(rows, r):
+        calls.append(rows)
+        if len(calls) > limit:
+            raise AssertionError("a Hermite normal form per subset")
+        return _hermite_normal_form(rows, r)
+
+    monkeypatch.setattr(models, "_hermite_normal_form", counted)
+    assert [s.describe() for s in stabilizer_subgroups(TorusData(1), weights)] == want
 
 
 def _reference_hnf(rows, r):
