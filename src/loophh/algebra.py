@@ -114,8 +114,6 @@ class FreeAlgebra:
         return Polynomial(self, terms or {})
 
     def poly_scalar(self, c) -> "Polynomial":
-        if is_zero(c):
-            return Polynomial(self, {})
         return Polynomial(self, {self.zero_exps(): c})
 
     def poly_gen(self, name, e=1) -> "Polynomial":
@@ -152,8 +150,6 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scaled(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -165,11 +161,7 @@ class Polynomial:
                 _add_term(out, m, -c if sign < 0 else c)
         return Polynomial(self.alg, out)
 
-    __rmul__ = __mul__
-
     def scaled(self, c):
-        if is_zero(c):
-            return Polynomial(self.alg, {})
         return Polynomial(self.alg, {m: c * v for m, v in self.terms.items()})
 
     def is_zero(self) -> bool:
@@ -332,9 +324,7 @@ def enumerate_monomials(
         for e in range(lo, hi + 1):
             cost = e * g.aux if e > 0 else 0
             if aux_used + cost > aux_max:
-                if e > 0:
-                    break
-                continue
+                break
             w = tuple([a + e * b for a, b in zip(weight, g.weight)])  # as in mul_monomials
             if reachable(i + 1, w):
                 exps[i] = e

@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import stat
 import sys
-import tempfile
 from dataclasses import fields, replace
 
 from . import ENGINE_VERSION
@@ -191,10 +191,19 @@ def cache_write(cache_dir, key, report, code):
 
 def _write_atomically(path, data: bytes):
     """Write `data` to `path` through a temporary file in the same directory,
-    so a reader sees the old file or the whole new one."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+    so a reader sees the old file or the whole new one.  A new file gets mode
+    0o666 less the umask, as `open` would give it; an existing one keeps its
+    mode."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

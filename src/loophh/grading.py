@@ -50,10 +50,6 @@ class Window:
             if lo > hi:
                 raise ValueError("empty window range")
 
-    @property
-    def rank(self):
-        return len(self.weight)
-
     def contains(self, m: Multidegree) -> bool:
         if not (self.cohdeg[0] <= m.cohdeg <= self.cohdeg[1]):
             return False

@@ -100,8 +100,7 @@ class LocalizationInstance:
     def _tower(self, P: AlgebraPresentation) -> Tower:
         tr = self.truncation
         return point_completion_tower(
-            loop_model(P, self.T), self.z, tr.tower_levels, tr.aux_max,
-            weight_filter=(0,) * self.T.rank, backend=self.backend(),
+            loop_model(P, self.T), self.z, tr.tower_levels, tr.aux_max, backend=self.backend(),
         )
 
     @cached_property
@@ -351,7 +350,7 @@ def check_unipotent_formal_tate() -> Report:
     tateB = tate(B, UNIPOTENT_U_WINDOW).cohomology()
     expected = HilbertTable(
         {Multidegree(0, (0,), 0, p): 1 for p in range(-UNIPOTENT_U_WINDOW, UNIPOTENT_U_WINDOW + 1)},
-        window=tateA.window,
+        set(), tateA.window,
     )
     verdicts.append(_compare_tables("Tate(polynomial) = k((u))", tateA, expected, report))
     verdicts.append(_compare_tables("Tate(completed) = k((u))", tateB, expected, report))

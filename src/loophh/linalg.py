@@ -98,9 +98,6 @@ class SparseMatrix:
     def is_zero_matrix(self):
         return not self.entries
 
-    def get(self, i, j):
-        return self.entries.get((i, j), 0)
-
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
@@ -128,18 +125,6 @@ class SparseMatrix:
             else:
                 out[k] = s
         return SparseMatrix(self.nrows, self.ncols, out)
-
-    def scaled(self, c):
-        c = _coerce_entry(c)
-        if is_zero(c):
-            return SparseMatrix.zero(self.nrows, self.ncols)
-        return SparseMatrix(self.nrows, self.ncols, {k: c * v for k, v in self.entries.items()})
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __eq__(self, other):
         return (

@@ -120,10 +120,8 @@ def identity_point(rank: int) -> TorusPoint:
 class AlgebraPresentation:
     """Weight-graded affine presentation: ambient generators plus relations."""
 
-    def __init__(self, generators, relations=(), rank=None, asserted_smooth=False):
+    def __init__(self, generators, relations=(), *, rank, asserted_smooth=False):
         gens = [Generator(n, 0, tuple(w), a) for (n, w, a) in generators]
-        if rank is None:
-            rank = len(gens[0].weight) if gens else 0
         self.rank = rank
         for g in gens:
             if len(g.weight) != rank:
@@ -398,22 +396,15 @@ class SemifreeModel:
         return MixedComplex(gc, eps_mats)
 
     def _window_for(self, bins, aux_max, weight_filter):
-        if bins:
-            cohs = [m.cohdeg for m in bins]
-            clo, chi = min(cohs) - 1, max(cohs) + 1
-        else:
-            clo, chi = -1, 1
-        r = self.alg.rank
+        cohs = [m.cohdeg for m in bins]
         if weight_filter is not None:
             wr = tuple((w, w) for w in weight_filter)
-        elif bins:
+        else:
             wr = tuple(
                 (min(m.weight[k] for m in bins), max(m.weight[k] for m in bins))
-                for k in range(r)
+                for k in range(self.alg.rank)
             )
-        else:
-            wr = ((0, 0),) * r
-        return Window((clo, chi), wr, (0, aux_max), (0, 0))
+        return Window((min(cohs) - 1, max(cohs) + 1), wr, (0, aux_max), (0, 0))
 
     # -- coefficient contexts -------------------------------------------------
     def at_torus_point_level(self, z: TorusPoint, n: int, backend=None) -> "SemifreeModel":
@@ -667,9 +658,6 @@ class SubgroupDescriptor:
             return "trivial"
         return f"dim {self.dimension} lattice {self.equations}"
 
-    def __str__(self):
-        return self.describe()
-
 
 def stabilizer_subgroups(T: TorusData, weights) -> list[SubgroupDescriptor]:
     """All subgroups arising as intersections of character kernels.
@@ -721,8 +709,6 @@ def regrade_by_group_exponent(mixed, model: SemifreeModel):
 
     gc = mixed.base
     idxs = [model.alg.index[n] for n in model.laurent_names]
-    if not idxs:
-        return None
 
     def move(m, lbl):
         return Multidegree(m.cohdeg, tuple(lbl[i] for i in idxs), m.aux, m.upow)
@@ -736,6 +722,6 @@ def regrade_by_group_exponent(mixed, model: SemifreeModel):
     # weight window: the realized exponent range per coordinate
     wr = [(min(e), max(e)) for e in zip(*(m.weight for m in regraded.bins))]
     win = gc.window
-    new_win = Window(win.cohdeg, tuple(wr) or ((0, 0),) * len(idxs), win.aux, win.upow)
+    new_win = Window(win.cohdeg, tuple(wr), win.aux, win.upow)
     out = GradedComplex(regraded.bins, diffs, new_win, edge, aux_shift=gc.aux_shift)
     return MixedComplex(out, eps)

@@ -147,9 +147,6 @@ class CyclotomicField:
             _, c = _poly_divmod(c, self.modulus)
         return CycElt(self, tuple(_poly_trim(list(c))))
 
-    def zero(self) -> "CycElt":
-        return CycElt(self, ())
-
     def one(self) -> "CycElt":
         return CycElt(self, (1,))
 

@@ -14,13 +14,9 @@ from .grading import Multidegree, Window
 
 
 class HilbertTable:
-    def __init__(self, values=None, edge=None, window: Window | None = None):
-        self.values: dict[Multidegree, int] = {}
-        if values:
-            for k, v in values.items():
-                if v:
-                    self.values[k] = v
-        self.edge: set[Multidegree] = set(edge) if edge else set()
+    def __init__(self, values, edge, window: Window):
+        self.values: dict[Multidegree, int] = {k: v for k, v in values.items() if v}
+        self.edge: set[Multidegree] = set(edge)
         self.window = window
 
     # -- queries ------------------------------------------------------------
@@ -32,11 +28,7 @@ class HilbertTable:
 
     def known(self, m: Multidegree) -> bool:
         """Bin value is exactly known: inside window and not edge."""
-        if m in self.edge:
-            return False
-        if self.window is not None and not self.window.contains(m):
-            return False
-        return True
+        return m not in self.edge and self.window.contains(m)
 
     # -- transforms -----------------------------------------------------------
     def at_weight(self, w) -> "HilbertTable":
@@ -52,10 +44,8 @@ class HilbertTable:
             vals[k] = vals.get(k, 0) + v
         for m in self.edge:
             edge.add(Multidegree(m.cohdeg, (), m.aux, m.upow))
-        win = None
-        if self.window is not None:
-            win = Window(self.window.cohdeg, (), self.window.aux, self.window.upow)
-        return HilbertTable(vals, edge, win)
+        win = self.window
+        return HilbertTable(vals, edge, Window(win.cohdeg, (), win.aux, win.upow))
 
     def shear_aux_into_upow(self) -> "HilbertTable":
         """Reindex along tu = s: a bin (i, w, a, q) contributes to (i, w, 0, q+a).
@@ -65,8 +55,6 @@ class HilbertTable:
         window, so does p - a for every a, that is u_lo + a_hi <= p <=
         u_hi + a_lo, and no source is edge.  Otherwise it is marked edge.
         """
-        if self.window is None:
-            raise ValueError("shear needs a window to reason about sources")
         win = self.window
         (a_lo, a_hi), (u_lo, u_hi) = win.aux, win.upow
         vals: dict[Multidegree, int] = {}
@@ -101,8 +89,8 @@ class HilbertTable:
         a_vals, a_edge, a_win = self.values, self.edge, self.window
         b_vals, b_edge, b_win = other.values, other.edge, other.window
         for k in a_vals.keys() | b_vals.keys():
-            a_known = k not in a_edge and (a_win is None or a_win.contains(k))
-            b_known = k not in b_edge and (b_win is None or b_win.contains(k))
+            a_known = k not in a_edge and a_win.contains(k)
+            b_known = k not in b_edge and b_win.contains(k)
             a, b = a_vals.get(k, 0), b_vals.get(k, 0)
             if a_known and b_known:
                 comparable.append(k)

@@ -55,21 +55,19 @@ def point_completion_tower(
     z: TorusPoint,
     N: int,
     aux_max: int,
-    weight_filter=None,
     backend=None,
 ) -> Tower:
-    """Levels k[t]/(t^n), n = 1..N, of the completion at z, from level N.
+    """Levels k[t]/(t^n), n = 1..N, of the completion at z, from level N;
+    each level is the weight-0 part.
 
     t has degree 0, so every level has the same bins and window; level n
     keeps, in each bin, the level-N labels with t-exponents < n, in order,
     and d and eps restricted to them.
     """
-    if N < 1:
-        return Tower([])
     top_model = model.at_torus_point_level(z, N, backend=backend)
     top_model.check_symbolic()
     depths = {}
-    top = top_model.instantiate(aux_max, weight_filter=weight_filter, edge_depths=depths)
+    top = top_model.instantiate(aux_max, weight_filter=(0,) * z.rank, edge_depths=depths)
     d2_ok = not top.base.d_squared_faults()
     try:
         laws_ok = top.check_mixed_laws()
@@ -149,18 +147,16 @@ def multiplication_operator(alg: FreeAlgebra, C: GradedComplex, poly: Polynomial
 
 
 def koszul_cone(M: MixedComplex, op: BinOperator) -> MixedComplex:
-    """Adjoin one odd Koszul generator kappa with d(kappa . v) = op(v) - kappa . dv.
+    """Adjoin one odd Koszul generator kappa with d(kappa . v) = op(v) to a
+    complex whose d vanishes.
 
     The mixed differential extends by eps(kappa . v) = -kappa . eps(v).
-    Requires op to commute with d and eps (verified by the mixed-law check
-    downstream).
+    Requires op to commute with eps (verified by the mixed-law check
+    downstream).  The cone's d shifts no aux, whatever the base's did.
     """
     base = M.base
-    if base.aux_shift:
-        if any(not d.is_zero_matrix() for d in base.diffs.values()):
-            raise NotImplementedError("koszul cone over an aux-shifting differential")
-        base = GradedComplex(base.bins, {}, base.window, base.edge, aux_shift=0)
-        M = MixedComplex(base, M.eps)
+    if any(not d.is_zero_matrix() for d in base.diffs.values()):
+        raise NotImplementedError("koszul cone over an aux-shifting differential")
     kdeg = Multidegree(op.deg.cohdeg - 1, op.deg.weight, op.deg.aux, op.deg.upow)
     bins = {}
     for m in sorted(base.bins):
@@ -180,16 +176,13 @@ def koszul_cone(M: MixedComplex, op: BinOperator) -> MixedComplex:
     diffs = {}
     eps = {}
     for m, ls in bins.items():
-        tgt = Multidegree(m.cohdeg + 1, m.weight, m.aux + base.aux_shift, m.upow)
+        tgt = m.shift(cohdeg=1)
         ent = {}
         et = m.shift(cohdeg=-1)
         eent = {}
         # base sector source
         src_b = m if m in base.bins else None
         if src_b is not None:
-            d = base.diff_from(m)
-            for (i, j), v in d.entries.items():
-                ent[(_emb(tgt, "b") + i, _emb(m, "b") + j)] = v
             e = M.eps_from(m)
             for (i, j), v in e.entries.items():
                 eent[(_emb(et, "b") + i, _emb(m, "b") + j)] = v
@@ -199,9 +192,6 @@ def koszul_cone(M: MixedComplex, op: BinOperator) -> MixedComplex:
             opb = op.block(base, vsrc)
             for (i, j), v in opb.entries.items():
                 ent[(_emb(tgt, "b") + i, _emb(m, "k") + j)] = v
-            d = base.diff_from(vsrc)
-            for (i, j), v in d.entries.items():
-                ent[(_emb(tgt, "k") + i, _emb(m, "k") + j)] = -v
             e = M.eps_from(vsrc)
             for (i, j), v in e.entries.items():
                 eent[(_emb(et, "k") + i, _emb(m, "k") + j)] = -v
@@ -223,7 +213,7 @@ def koszul_cone(M: MixedComplex, op: BinOperator) -> MixedComplex:
         # whose outgoing arrow was cut is m + kdeg
         edge.add(m.add(kdeg))
         edge.add(m.add(op.deg))
-    gc = GradedComplex(bins, diffs, win, edge, aux_shift=base.aux_shift)
+    gc = GradedComplex(bins, diffs, win, edge)
     return MixedComplex(gc, eps)
 
 

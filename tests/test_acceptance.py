@@ -90,7 +90,7 @@ def test_criterion_2_hp_completion():
     inst = LocalizationInstance(P, TorusData(1), z, tr)
 
     lhs_model = loop_model(P, TorusData(1))
-    lhs = point_completion_tower(lhs_model, z, 4, tr.aux_max, weight_filter=(0,))
+    lhs = point_completion_tower(lhs_model, z, 4, tr.aux_max)
     fixed = reduce_linear_relations(fixed_points(P, z))
     cart = cartan_model(fixed, TorusData(1))
     rhs = cartan_augmentation_tower(cart, 4, tr.aux_max)
@@ -224,7 +224,7 @@ def test_criterion_6_structural_laws():
     z = TorusPoint.make([2])
 
     objects = []
-    lhs = point_completion_tower(loop_model(P, TorusData(1)), z, 3, 3, weight_filter=(0,))
+    lhs = point_completion_tower(loop_model(P, TorusData(1)), z, 3, 3)
     objects += lhs.levels
     cart = cartan_model(AlgebraPresentation([], rank=1), TorusData(1))
     objects += cartan_augmentation_tower(cart, 3, 4).levels

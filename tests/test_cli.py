@@ -1,5 +1,6 @@
 import hashlib
 import os
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -347,6 +348,28 @@ def test_report_file_written(tmp_path, capsys):
     target = rpt / "report.txt"
     code, out, _ = run_cli(["hh", str(f), "--report", str(target)], capsys)
     assert target.read_text() == out
+
+
+def test_report_and_cache_entry_modes(tmp_path, capsys):
+    # a new report or cache entry gets 0o666 less the umask, as `open` gives
+    # a new file; an existing report keeps its mode
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM)
+    new, kept, cdir = tmp_path / "new.txt", tmp_path / "kept.txt", tmp_path / "cache"
+    kept.write_text("")
+    kept.chmod(0o640)
+    old = os.umask(0o022)
+    try:
+        for target in (new, kept):
+            code, out, _ = run_cli(["stabilizers", str(f), "--report", str(target),
+                                    "--cache-dir", str(cdir)], capsys)
+            assert code == 0 and target.read_text() == out
+    finally:
+        os.umask(old)
+    (entry,) = cdir.iterdir()
+    modes = [stat.S_IMODE(p.stat().st_mode) for p in (new, kept, entry)]
+    assert modes == [0o644, 0o640, 0o644]
+    assert sorted(os.listdir(tmp_path)) == ["cache", "kept.txt", "line.loop", "new.txt"]
 
 
 @pytest.mark.parametrize("where", ["missing directory", "existing directory"])

@@ -218,11 +218,11 @@ def test_table_serialization_format():
 
 
 def test_table_compare_and_masking():
-    a = HilbertTable({md(0, (0,), 0): 1}, window=WIN)
-    b = HilbertTable({md(0, (0,), 0): 1}, window=WIN)
+    a = HilbertTable({md(0, (0,), 0): 1}, set(), WIN)
+    b = HilbertTable({md(0, (0,), 0): 1}, set(), WIN)
     mism, comp, masked = a.compare(b)
     assert not mism and comp
-    c = HilbertTable({md(0, (0,), 0): 2}, window=WIN)
+    c = HilbertTable({md(0, (0,), 0): 2}, set(), WIN)
     mism, _, _ = a.compare(c)
     assert mism
     d = HilbertTable({md(0, (0,), 0): 1}, edge={md(0, (0,), 0)}, window=WIN)
@@ -248,15 +248,14 @@ def _reference_compare(a, b):
 
 
 _RANGES = st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(sorted).map(tuple)
-_WINDOWS = st.none() | st.builds(lambda c, w, a, u: Window(c, (w,), a, u),
-                                 _RANGES, _RANGES, _RANGES, _RANGES)
+_WINDOWS = st.builds(lambda c, w, a, u: Window(c, (w,), a, u), _RANGES, _RANGES, _RANGES, _RANGES)
 
 
 @st.composite
 def _table_pairs(draw):
     """Two tables over one small pool of bins, some beyond either window:
-    values (zero or not) and edge marks overlap, and each window is None,
-    the other side's, or its own."""
+    values (zero or not) and edge marks overlap, and each window is the
+    other side's or its own."""
     coordinate = st.integers(-2, 1)
     pool = draw(st.lists(st.builds(md, coordinate, st.tuples(coordinate), coordinate, coordinate),
                          min_size=3, max_size=10, unique=True))

@@ -20,6 +20,7 @@ from loophh.harness import (
 )
 from loophh.instancefile import parse_instance
 from loophh.models import AlgebraPresentation, TorusData, TorusPoint
+from mixed_fixtures import localization_instance, zeroed_at_a_class
 
 ROOT = Path(__file__).resolve().parents[1]
 # the shipped instances, and the benchmark's two larger ones (read only)
@@ -45,6 +46,19 @@ def plane_instance(w1, w2, z, **tr):
 def test_hh_localization_line_at_2():
     rep = check_hh_localization(line_instance(2))
     assert rep.verdict == PASS, rep.render()
+
+
+def test_a_restriction_map_zeroed_at_a_class_fails_both_induced_map_checks():
+    inst = localization_instance(INSTANCE_FILES[0])
+    inst.maps[-1] = zeroed_at_a_class(inst)
+    top = inst.truncation.tower_levels
+    rep = check_hh_localization(inst)
+    assert rep.verdict == FAIL
+    assert f"  level {top}: induced map not iso at " in rep.render()
+    rep = check_hc_variants(inst)
+    assert rep.verdict == FAIL
+    assert all(f"  {tag} level {top}: induced map not iso at " in rep.render()
+               for tag in ("HN", "HC", "HP"))
 
 
 def test_hh_localization_line_at_identity():

@@ -11,6 +11,7 @@ import loophh
 from loophh import models
 
 from loophh.algebra import Derivation
+from loophh.cli import main
 from loophh.grading import md
 from loophh.instancefile import parse_instance
 from loophh.models import (
@@ -96,6 +97,40 @@ def test_loop_model_mixed_weights():
     tf = fib.instantiate(2, weight_filter=(0,)).cohomology()
     assert tf.dim(md(0, (0,), 2)) == 1
     assert not tf.is_edge(md(0, (0,), 2))
+
+
+PLANE_XY = """\
+[space]
+generator x weight=1 aux=1
+generator y weight=-1 aux=1
+relation x*y
+[group]
+rank 1
+[point]
+z 3
+[truncation]
+aux_max 4
+[assert]
+smooth true
+"""
+
+
+def test_loop_model_of_a_relation(tmp_path, capsys):
+    # the Koszul generator of x*y sits in cohdeg -1 at the relation's weight
+    # and aux, d sends it to x*y, and eps is attached to neither x nor y,
+    # which the relation involves
+    P, T, _, _ = parse_instance(PLANE_XY)
+    assert P.relation_support() == {"x", "y"}
+    V = loop_model(P, T)
+    V.check_symbolic()
+    eta = V.alg.gens[V.alg.index["eta:0"]]
+    assert (eta.cohdeg, eta.weight, eta.aux) == (-1, (0,), 2)
+    assert V.d.images["eta:0"].terms == (V.alg.poly_gen("x") * V.alg.poly_gen("y")).terms
+    assert not {"x", "y"} & V.eps.images.keys()
+    f = tmp_path / "plane_xy.loop"
+    f.write_text(PLANE_XY)
+    assert main(["hh", str(f)]) == 0
+    assert "HH table" in capsys.readouterr().out
 
 
 # -- cartan models ------------------------------------------------------------

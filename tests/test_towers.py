@@ -23,6 +23,7 @@ from loophh.models import (
     reduce_linear_relations,
 )
 from loophh.algebra import FreeAlgebra, Generator
+from loophh.cli import main
 from loophh.complexes import ChainMap, GradedComplex
 from loophh.instancefile import parse_instance
 from loophh.linalg import SparseMatrix
@@ -40,7 +41,7 @@ def laurent_line_model():
 def test_point_tower_laurent_ring():
     V = laurent_line_model()
     z = TorusPoint.make([2])
-    tower = point_completion_tower(V, z, 4, aux_max=2, weight_filter=(0,))
+    tower = point_completion_tower(V, z, 4, aux_max=2)
     for n in range(1, 5):
         t = tower.level(n).cohomology()
         assert t.values == {md(0, (0,), 0): n}
@@ -50,7 +51,7 @@ def test_point_tower_laurent_ring():
 def test_point_tower_h0_nondecreasing():
     V = laurent_line_model()
     z = TorusPoint.make([3])
-    tower = point_completion_tower(V, z, 4, aux_max=1, weight_filter=(0,))
+    tower = point_completion_tower(V, z, 4, aux_max=1)
     dims = [tower.level(n).cohomology().dim(md(0, (0,), 0)) for n in range(1, 5)]
     assert dims == sorted(dims)
     assert all(b - a == 1 for a, b in zip(dims, dims[1:]))  # locally free of rank 1
@@ -62,9 +63,9 @@ def test_point_tower_root_of_unity_needs_cyclotomic():
     V = laurent_line_model()
     z = TorusPoint.make([(1, Fraction(1, 3))])
     with pytest.raises(BackendMismatch):
-        point_completion_tower(V, z, 2, aux_max=1, weight_filter=(0,))
+        point_completion_tower(V, z, 2, aux_max=1)
     F = CyclotomicField(3)
-    tower = point_completion_tower(V, z, 2, aux_max=1, weight_filter=(0,), backend=F)
+    tower = point_completion_tower(V, z, 2, aux_max=1, backend=F)
     assert tower.level(2).cohomology().dim(md(0, (0,), 0)) == 2
 
 
@@ -87,7 +88,7 @@ def assert_tower_matches_per_level_build(model, z, N, aux_max, backend=None):
     """Every derived level equals the level instantiated on its own, and the
     label quotients between levels are chain maps commuting with eps."""
     wf = (0,) * z.rank
-    tower = point_completion_tower(model, z, N, aux_max, weight_filter=wf, backend=backend)
+    tower = point_completion_tower(model, z, N, aux_max, backend=backend)
     assert len(tower.levels) == N
     for n in range(1, N + 1):
         got = tower.level(n)
@@ -125,7 +126,7 @@ def test_point_tower_levels_inherit_the_top_law_record(path):
     backend = CyclotomicField(z.conductor()) if z.conductor() > 1 else None
     for side in (P, reduce_linear_relations(fixed_points(P, z))):
         tower = point_completion_tower(loop_model(side, T), z, tr.tower_levels, tr.aux_max,
-                                       weight_filter=(0,) * z.rank, backend=backend)
+                                       backend=backend)
         for level in tower.levels[:-1]:
             # every shipped top level has d^2 = 0 and the mixed laws, so each
             # level starts with both records, before any check has run
@@ -222,6 +223,37 @@ def test_cartan_tower_stabilization():
         assert known == {md(0, (0,), a, p): 1 for a in range(n) for p in range(-3, 4)}
 
 
+WEIGHT_ZERO_COORDINATE = """\
+[space]
+generator x weight=0 aux=1
+generator y weight=1 aux=1
+[group]
+rank 1
+[point]
+z 2
+[assert]
+smooth true
+"""
+
+
+def test_cartan_tower_cones_carry_eps(tmp_path, capsys):
+    # the fixed locus at z = 2 keeps x, of weight 0, so eps: x -> d:x is
+    # nonzero on the weight-0 part; each cone level checks d^2 and the mixed
+    # laws as it is built, and has a kappa-sector source with an eps image
+    P, T, z, tr = parse_instance(WEIGHT_ZERO_COORDINATE)
+    fixed = reduce_linear_relations(fixed_points(P, z))
+    assert [g.name for g in fixed.generators] == ["x"]
+    tower = cartan_augmentation_tower(cartan_model(fixed, T), tr.tower_levels, tr.aux_max)
+    assert len(tower.levels) == tr.tower_levels
+    for lv in tower.levels:
+        assert any(lv.base.bins[m][j][0] == "k" for m, e in lv.eps.items() for _, j in e.entries)
+    f = tmp_path / "weight0.loop"
+    f.write_text(WEIGHT_ZERO_COORDINATE)
+    assert main(["localize", str(f)]) == 0
+    out, err = capsys.readouterr()
+    assert "== hp-completion: PASS" in out and err == ""
+
+
 def test_invariants_tower_levelwise_stabilization():
     # u-truncation towers stabilize per bin as the level grows
     V = bga_polynomial_preset(5)
@@ -235,7 +267,7 @@ def test_invariants_tower_levelwise_stabilization():
 
 def test_completion_tower_dispatcher_point():
     V = laurent_line_model()
-    tower = point_completion_tower(V, TorusPoint.make([2]), 3, aux_max=1, weight_filter=(0,))
+    tower = point_completion_tower(V, TorusPoint.make([2]), 3, aux_max=1)
     assert tower.level(3).cohomology().dim(md(0, (0,), 0)) == 3
 
 
