@@ -9,16 +9,15 @@ generators and extended by the graded Leibniz rule with Koszul signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul
+from typing import NamedTuple
 
 from .grading import Multidegree
 from .scalars import is_zero
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     cohdeg: int
     weight: tuple
@@ -257,8 +256,7 @@ class Derivation:
         return Polynomial(self.alg, out)
 
 
-@dataclass
-class Enumeration:
+class Enumeration(NamedTuple):
     """Monomial enumeration of an algebra within finite bounds."""
 
     bins: dict  # Multidegree -> sorted list of exponent tuples

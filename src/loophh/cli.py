@@ -16,7 +16,6 @@ import hashlib
 import os
 import stat
 import sys
-from dataclasses import fields, replace
 
 from . import ENGINE_VERSION
 from .harness import (
@@ -48,7 +47,7 @@ REPORT_HEADER = f"loophh report v1 (engine {ENGINE_VERSION})"
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_BACKEND, EXIT_INCONCLUSIVE = 0, 1, 2, 3, 4
 VERDICT_EXIT = {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
-_WINDOW_FLAGS = tuple(f.name for f in fields(Truncation))
+_WINDOW_FLAGS = Truncation._fields
 
 
 def build_parser():
@@ -57,7 +56,7 @@ def build_parser():
         "hh", "hp", "hn", "hc", "localize", "fixed-fiber",
         "unipotent-check", "stabilizers",
     ])
-    p.add_argument("instance", nargs="?", help="instance file (not needed for unipotent-check)")
+    p.add_argument("instance", nargs="?", help="instance file (none for unipotent-check)")
     p.add_argument("--report", help="also write the report to this path")
     p.add_argument("--cache-dir", default=os.environ.get("LOOPHH_CACHE_DIR"))
     for flag in _WINDOW_FLAGS:
@@ -95,8 +94,8 @@ def run_verb(verb, args, text):
         return "\n".join(lines) + "\n", VERDICT_EXIT[rep.verdict]
 
     P, T, z, tr = parse_instance(text)
-    overrides = {f: getattr(args, f) for f in _WINDOW_FLAGS}
-    tr = replace(tr, **{f: v for f, v in overrides.items() if v is not None})
+    flags = (getattr(args, f) for f in _WINDOW_FLAGS)
+    tr = Truncation(*(v if flag is None else flag for v, flag in zip(tr, flags)))
     lines.append("instance:")
     lines += ["  " + ln for ln in canonical_content(text).splitlines()]
     lines.append(f"truncation: {tr}")
@@ -217,6 +216,9 @@ def _write_atomically(path, data: bytes):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     text = None
+    if args.verb == "unipotent-check" and args.instance:
+        print("error: unipotent-check takes no instance file", file=sys.stderr)
+        return EXIT_PARSE
     if args.verb != "unipotent-check":
         if not args.instance:
             print("error: this verb needs an instance file", file=sys.stderr)

@@ -8,7 +8,7 @@ parameter u (zero outside u-series complexes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 
@@ -36,19 +36,18 @@ def md(cohdeg, weight=(), aux=0, upow=0) -> Multidegree:
     return Multidegree(cohdeg, tuple(weight), aux, upow)
 
 
-@dataclass(frozen=True)
-class Window:
-    """Finite truncation window; all ranges inclusive."""
+class Window(namedtuple("Window", "cohdeg weight aux upow", defaults=((0, 0),))):
+    """Finite truncation window; all ranges inclusive: cohdeg (lo, hi), weight
+    one (lo, hi) per coordinate, aux (0, D), upow (lo, hi)."""
 
-    cohdeg: tuple  # (lo, hi)
-    weight: tuple  # per-coordinate (lo, hi), length r
-    aux: tuple  # (0, D)
-    upow: tuple = (0, 0)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for lo, hi in (self.cohdeg, self.aux, self.upow, *self.weight):
             if lo > hi:
                 raise ValueError("empty window range")
+        return self
 
     def contains(self, m: Multidegree) -> bool:
         if not (self.cohdeg[0] <= m.cohdeg <= self.cohdeg[1]):

@@ -10,7 +10,7 @@ windows leave nothing to compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .complexes import ChainMap
@@ -43,17 +43,16 @@ from .towers import Tower, cartan_augmentation_tower, point_completion_tower
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class Truncation:
-    aux_max: int = 4
-    tower_levels: int = 4
-    bar_depth: int = 5
-    u_window: int = 4
-    cohdeg_min: int = -6
-    cohdeg_max: int = 6
-    laurent_cap: int = 6
+# the window fields and their defaults
+_TRUNCATION = dict(aux_max=4, tower_levels=4, bar_depth=5, u_window=4, cohdeg_min=-6,
+                   cohdeg_max=6, laurent_cap=6)
 
-    def __post_init__(self):
+
+class Truncation(namedtuple("Truncation", _TRUNCATION, defaults=_TRUNCATION.values())):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # an empty window would leave the checks nothing to compare (and PASS)
         # or the tables nothing to print
         for name, low in (("tower_levels", 1), ("u_window", 1), ("aux_max", 0), ("laurent_cap", 0),
@@ -64,9 +63,9 @@ class Truncation:
             raise ValueError(
                 f"cohdeg_min must be <= cohdeg_max, got {self.cohdeg_min} > {self.cohdeg_max}"
             )
+        return self
 
 
-@dataclass(frozen=True)
 class LocalizationInstance:
     """One instance of the localization theorems, and what its checks share,
     each built once: the z-fixed locus (`fixed`), the completed weight-0 loop
@@ -78,16 +77,16 @@ class LocalizationInstance:
     generators for its bare relations would add spurious negative classes.
     """
 
-    P: AlgebraPresentation
-    T: TorusData
-    z: TorusPoint
-    truncation: Truncation = field(default_factory=Truncation)
-
-    def __post_init__(self):
-        if not self.P.asserted_smooth:
+    def __init__(self, P: AlgebraPresentation, T: TorusData, z: TorusPoint,
+                 truncation: Truncation = Truncation()):
+        if not P.asserted_smooth:
             raise ValueError("theorem checks require asserted_smooth")
-        if self.T.rank != self.P.rank or self.z.rank != self.T.rank:
+        if T.rank != P.rank or z.rank != T.rank:
             raise ValueError("rank mismatch in instance")
+        vars(self).update(P=P, T=T, z=z, truncation=truncation)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def backend(self):
         m = self.z.conductor()
@@ -137,11 +136,9 @@ class LocalizationInstance:
         return [tate(L, self.truncation.u_window).cohomology() for L in self.lhs.levels]
 
 
-@dataclass
 class Report:
-    name: str
-    verdict: str
-    lines: list = field(default_factory=list)
+    def __init__(self, name: str, verdict: str, lines=()):
+        self.name, self.verdict, self.lines = name, verdict, list(lines)
 
     def add(self, text):
         self.lines.append(text)

@@ -22,7 +22,6 @@ Relations must be weight/aux homogeneous; violations are parse errors.
 from __future__ import annotations
 
 import re
-from dataclasses import fields
 from fractions import Fraction
 
 from .algebra import Polynomial
@@ -70,10 +69,7 @@ def parse_instance(text: str):
             raise ParseError(f"unknown section [{name}]")
 
     rank = 1
-    for ln in sections.get("group", []):
-        key, _, val = ln.partition(" ")
-        if key != "rank":
-            raise ParseError(f"unknown group field {key!r}")
+    for key, val in _fields(sections, "group", ("rank",)):
         rank = _int_field(key, val)
 
     gens = []
@@ -96,10 +92,7 @@ def parse_instance(text: str):
 
     # `regular_sequence` is accepted and read by nothing
     flags = {"smooth": False, "regular_sequence": False}
-    for ln in sections.get("assert", []):
-        key, _, val = ln.partition(" ")
-        if key not in flags:
-            raise ParseError(f"unknown assert field {key!r}")
+    for key, val in _fields(sections, "assert", flags):
         flags[key] = val.strip().lower() in ("true", "1", "yes")
 
     P = AlgebraPresentation(gens, rank=rank, asserted_smooth=flags["smooth"])
@@ -110,10 +103,7 @@ def parse_instance(text: str):
             raise ParseError(str(e)) from e
 
     point = None
-    for ln in sections.get("point", []):
-        key, _, val = ln.partition(" ")
-        if key != "z":
-            raise ParseError(f"unknown point field {key!r}")
+    for _, val in _fields(sections, "point", ("z",)):
         coords = [parse_coordinate(tok.strip()) for tok in val.split(",")] if val.strip() else []
         if len(coords) != rank:
             raise ParseError(f"point has {len(coords)} coordinates, rank is {rank}")
@@ -121,19 +111,28 @@ def parse_instance(text: str):
     if point is None:
         point = identity_point(rank)
 
-    known = {f.name for f in fields(Truncation)}
-    overrides = {}
-    for ln in sections.get("truncation", []):
-        key, _, val = ln.partition(" ")
-        if key not in known:
-            raise ParseError(f"unknown truncation field {key!r}")
-        overrides[key] = _int_field(key, val)
+    overrides = {key: _int_field(key, val)
+                 for key, val in _fields(sections, "truncation", Truncation._fields)}
 
     try:
         truncation = Truncation(**overrides)
     except ValueError as e:
         raise ParseError(str(e)) from e
     return P, TorusData(rank), point, truncation
+
+
+def _fields(sections, section: str, known):
+    """(key, value) of each line of a section of `key value` lines, in which
+    each known key may appear once."""
+    seen = set()
+    for ln in sections.get(section, []):
+        key, _, val = ln.partition(" ")
+        if key not in known:
+            raise ParseError(f"unknown {section} field {key!r}")
+        if key in seen:
+            raise ParseError(f"repeated {section} field {key!r}")
+        seen.add(key)
+        yield key, val
 
 
 def _int_field(key: str, val: str) -> int:

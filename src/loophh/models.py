@@ -20,8 +20,9 @@ Conventions fixed here once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Derivation, FreeAlgebra, Generator, Polynomial, enumerate_monomials
 from .grading import Multidegree, Window
@@ -33,17 +34,16 @@ from .scalars import BackendMismatch, coerce, exact_div
 # torus data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TorusData:
-    rank: int
+class TorusData(namedtuple("TorusData", "rank")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __new__(cls, rank):
+        if rank < 0:
             raise ValueError("rank must be >= 0")
+        return super().__new__(cls, rank)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(NamedTuple):
     """Point of G_m^r with coordinates q_j * exp(2 pi i theta_j), exact.
 
     Stored as pairs (q_j, theta_j) with q_j a nonzero rational and theta_j a
@@ -627,8 +627,7 @@ def _hermite_normal_form(rows, r):
     return tuple(tuple(row) for row in out)
 
 
-@dataclass(frozen=True)
-class SubgroupDescriptor:
+class SubgroupDescriptor(NamedTuple):
     """Solution set of character equations {w^lambda = 1 : lambda in lattice}.
 
     Canonicalized by the Hermite normal form of the character sublattice, so

@@ -17,13 +17,12 @@ checks on both.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from loophh.complexes import ChainMap, GradedComplex
 from loophh.grading import Multidegree, Window
-from loophh.harness import LocalizationInstance
+from loophh.harness import LocalizationInstance, Truncation
 from loophh.instancefile import parse_instance
 from loophh.linalg import SparseMatrix, rank as mat_rank, rref
 from loophh.mixed import MixedComplex
@@ -201,7 +200,7 @@ def localization_instance(path: Path, small: bool = False) -> LocalizationInstan
     own window or, if small, at `--aux-max 0 --tower-levels 1 --u-window 1`."""
     P, T, z, tr = parse_instance(path.read_text())
     if small:
-        tr = replace(tr, aux_max=0, tower_levels=1, u_window=1)
+        tr = Truncation(**{**tr._asdict(), "aux_max": 0, "tower_levels": 1, "u_window": 1})
     return LocalizationInstance(P, T, z, tr)
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from loophh.cli import build_parser, main, run_verb
 from loophh.complexes import ChainMap
+from loophh.instancefile import parse_instance
 from loophh.linalg import EchelonReducer, SparseMatrix
 from loophh.models import SemifreeModel
 from loophh.scalars import CycElt
@@ -144,6 +145,13 @@ def test_fixed_fiber(tmp_path, capsys):
     f.write_text(LINE_GM)
     code, out, _ = run_cli(["fixed-fiber", str(f)], capsys)
     assert code == 0, out
+
+
+@pytest.mark.parametrize("path", ["/nonexistent/file.loop", "line.loop"])
+def test_unipotent_check_refuses_an_instance_file(path, tmp_path, capsys):
+    (tmp_path / "line.loop").write_text(LINE_GM)
+    assert run_cli(["unipotent-check", str(tmp_path / path)], capsys) == (
+        2, "", "error: unipotent-check takes no instance file\n")
 
 
 def test_unipotent_check(capsys):
@@ -287,12 +295,56 @@ def test_empty_window_flag_rejected(verb, field, values, tmp_path, capsys):
 @pytest.mark.parametrize("field,values", EMPTY_WINDOWS)
 def test_empty_window_line_rejected(field, values, tmp_path, capsys):
     f = tmp_path / "line.loop"
-    # a later line of the section overrides an earlier one
+    # each line replaces the file's own line for its field, if it has one
+    kept = [ln for ln in LINE_GM.splitlines(keepends=True) if ln.split(" ")[0] not in values]
     lines = "".join(f"{k} {v}\n" for k, v in values.items())
-    f.write_text(LINE_GM.replace("[assert]", lines + "[assert]"))
+    f.write_text("".join(kept).replace("[assert]", lines + "[assert]"))
     code, out, err = run_cli(["hh", str(f)], capsys)
     assert code == 2
-    assert field in err and "table" not in out
+    assert field in err and "repeated" not in err and "table" not in out
+
+
+# the validating constructor's message for each window, read through the flags
+FLAG_MESSAGES = [
+    (["--tower-levels", "0"], "tower_levels must be >= 1, got 0"),
+    (["--u-window", "-2"], "u_window must be >= 1, got -2"),
+    (["--aux-max", "-1"], "aux_max must be >= 0, got -1"),
+    (["--laurent-cap", "-1"], "laurent_cap must be >= 0, got -1"),
+    (["--bar-depth", "-3"], "bar_depth must be >= 0, got -3"),
+    (["--cohdeg-min", "3", "--cohdeg-max", "-3"], "cohdeg_min must be <= cohdeg_max, got 3 > -3"),
+    (["--cohdeg-min", "7"], "cohdeg_min must be <= cohdeg_max, got 7 > 6"),
+]
+
+
+@pytest.mark.parametrize("flags,message", FLAG_MESSAGES)
+def test_window_flag_messages(flags, message, tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM)
+    assert run_cli(["localize", str(f), *flags], capsys) == (2, "", f"error: {message}\n")
+
+
+# a field given twice, in each section whose fields are single
+REPEATED = [
+    ("group", "rank", ("rank 1", "rank 1\nrank 1")),
+    ("point", "z", ("z 2", "z 2\nz 3")),
+    ("truncation", "u_window", ("u_window 3", "u_window 3\nu_window 2")),
+    ("truncation", "aux_max", ("[assert]", "[truncation]\naux_max 2\n[assert]")),
+    ("assert", "smooth", ("smooth true", "smooth true\nsmooth false")),
+]
+
+
+@pytest.mark.parametrize("section,field,edit", REPEATED)
+def test_repeated_field_rejected(section, field, edit, tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM.replace(*edit))
+    assert run_cli(["localize", str(f)], capsys) == (
+        2, "", f"parse error: repeated {section} field {field!r}\n")
+
+
+def test_no_instance_file_repeats_a_field():
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted(root.glob("instances/*.loop")) + sorted(root.glob("perfbench/instances/*.loop")):
+        parse_instance(path.read_text())
 
 
 def test_smallest_windows_accepted(tmp_path, capsys):

@@ -1,10 +1,11 @@
-import dataclasses
 import gc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from loophh.grading import Window
 from loophh.harness import (
     FAIL,
     INCONCLUSIVE,
@@ -19,7 +20,13 @@ from loophh.harness import (
     check_unipotent_formal_tate,
 )
 from loophh.instancefile import parse_instance
-from loophh.models import AlgebraPresentation, TorusData, TorusPoint
+from loophh.models import (
+    AlgebraPresentation,
+    SubgroupDescriptor,
+    TorusData,
+    TorusPoint,
+    stabilizer_subgroups,
+)
 from mixed_fixtures import localization_instance, zeroed_at_a_class
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,10 +113,57 @@ def test_hp_completion_independent_of_check_order():
 
 def test_truncation_is_frozen():
     inst = line_instance(2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         inst.truncation.u_window = 9
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         inst.truncation = Truncation(u_window=9)
+
+
+def test_truncation_repr_is_the_report_line():
+    assert repr(Truncation()) == ("Truncation(aux_max=4, tower_levels=4, bar_depth=5, u_window=4, "
+                                  "cohdeg_min=-6, cohdeg_max=6, laurent_cap=6)")
+    assert repr(Truncation(3, u_window=2)) == (
+        "Truncation(aux_max=3, tower_levels=4, bar_depth=5, u_window=2, "
+        "cohdeg_min=-6, cohdeg_max=6, laurent_cap=6)")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Truncation(tower_levels=0), "tower_levels must be >= 1, got 0"),
+    (lambda: Truncation(4, -1), "tower_levels must be >= 1, got -1"),
+    (lambda: Truncation(u_window=0), "u_window must be >= 1, got 0"),
+    (lambda: Truncation(aux_max=-1), "aux_max must be >= 0, got -1"),
+    (lambda: Truncation(laurent_cap=-1), "laurent_cap must be >= 0, got -1"),
+    (lambda: Truncation(bar_depth=-3), "bar_depth must be >= 0, got -3"),
+    (lambda: Truncation(cohdeg_min=3, cohdeg_max=-3), "cohdeg_min must be <= cohdeg_max, got 3 > -3"),
+    (lambda: Window((1, 0), (), (0, 0)), "empty window range"),
+    (lambda: Window((0, 0), ((0, 0), (2, 1)), (0, 0)), "empty window range"),
+    (lambda: Window((0, 0), (), (0, 0), upow=(1, -1)), "empty window range"),
+    (lambda: TorusData(-1), "rank must be >= 0"),
+    (lambda: TorusData(rank=-2), "rank must be >= 0"),
+])
+def test_record_validation_messages(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_immutable_records_refuse_assignment():
+    inst = line_instance(2)
+    records = [inst.truncation, inst, Window((0, 0), (), (0, 0)), inst.P.generators[0]]
+    for record, field in zip(records, ("u_window", "truncation", "aux", "name")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.note = 1
+    assert inst.lhs is inst.lhs  # the cached properties still cache
+
+
+def test_points_and_subgroups_compare_by_value():
+    assert TorusPoint.make([2]) == TorusPoint.make([Fraction(4, 2)])
+    assert hash(TorusPoint.make([(2, 1)])) == hash(TorusPoint.make([2]))
+    subs = stabilizer_subgroups(TorusData(1), [(2,), (-2,), (4,)])
+    assert [s.describe() for s in subs] == ["full torus", "mu_2", "mu_4"]
+    assert len(set(subs) | {SubgroupDescriptor(1, ((2,),))}) == 3
 
 
 def test_hp_completion_line_at_identity():

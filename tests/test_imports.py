@@ -1,4 +1,5 @@
-"""Every name that `src/loophh/*.py` and `tests/*.py` import is used.
+"""Every name that `src/loophh/*.py` and `tests/*.py` import is used, and
+importing the engine loads no module that only introspection needs.
 
 The scan is by name, per file: an import binds its alias, or the name it
 imports (the top package for `import a.b`), and the name is used when the
@@ -7,6 +8,8 @@ included.  `from __future__` imports bind nothing.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +40,16 @@ def test_the_scan_sees_an_unused_import():
     source = ("from __future__ import annotations\nimport os.path\nimport sys as system\n"
               "from fractions import Fraction\nfrom typing import Any as A\nprint(os.sep, A)\n")
     assert unused_imports(source) == [(3, "system"), (4, "Fraction")]
+
+
+# `dataclasses` imports `inspect`, which imports the rest; each verb runs in
+# a fresh interpreter, so every module here would add to its start-up
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_the_engine_imports_no_introspection_module():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import loophh.cli, loophh.cyclic; "
+            "print(*sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src"), *INTROSPECTION],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []

@@ -54,9 +54,9 @@ def test_ladder_slice_schema_and_compare(tmp_path, monkeypatch, capsys):
             in capsys.readouterr().out)
 
 
-def _entry(argv, times):
+def _entry(argv, times, rss=20.0):
     return {"argv": argv, "code": 0, "traceback": False, "stdout_sha256": "0" * 64,
-            "stderr_sha256": "0" * 64, "wall_ref_s": times, "peak_rss_mb": [20.0] * len(times)}
+            "stderr_sha256": "0" * 64, "wall_ref_s": times, "peak_rss_mb": [rss] * len(times)}
 
 
 def _ladder_file(path, entries):
@@ -72,11 +72,26 @@ def test_compare_divides_out_the_median_time_ratio(tmp_path):
     slower = [_entry(e["argv"], [round(t * 1.1, 4) for t in e["wall_ref_s"]]) for e in base]
     lines, changed = ladder.compare(a, _ladder_file(tmp_path / "b.json", slower))
     assert not changed
-    assert lines == ["5 common entries; outcomes all equal; 0 times moved beyond the noise; "
+    assert lines == ["median peak RSS ratio B/A 1.000",
+                     "5 common entries; outcomes all equal; 0 times moved beyond the noise; "
                      "median time ratio B/A 1.100"]
     # ... except one entry that also doubled, read at the host speed of A
     slower[2]["wall_ref_s"] = [2.2, 2.222, 2.244]
     lines, changed = ladder.compare(a, _ladder_file(tmp_path / "c.json", slower))
     assert not changed
     assert lines[0] == "time moved: hh f2.loop: 1.010 -> 2.020 s (noise 0.060)"
-    assert lines[1].endswith("1 times moved beyond the noise; median time ratio B/A 1.100")
+    assert lines[1] == "median peak RSS ratio B/A 1.000"
+    assert lines[2].endswith("1 times moved beyond the noise; median time ratio B/A 1.100")
+
+
+def test_compare_prints_the_median_peak_rss_ratio(tmp_path):
+    ladder = load_ladder()
+    base = [_entry(["hh", f"f{k}.loop"], [1.0, 1.01, 1.02]) for k in range(3)]
+    a = _ladder_file(tmp_path / "a.json", base)
+    # two of three entries 5% lighter, one 10% heavier: the median ratio is 0.95
+    b = [_entry(e["argv"], e["wall_ref_s"], rss) for e, rss in zip(base, (19.0, 22.0, 19.0))]
+    lines, changed = ladder.compare(a, _ladder_file(tmp_path / "b.json", b))
+    assert not changed
+    assert lines == ["median peak RSS ratio B/A 0.950",
+                     "3 common entries; outcomes all equal; 0 times moved beyond the noise; "
+                     "median time ratio B/A 1.000"]

@@ -25,8 +25,9 @@ time moved by more than the noise: the sum of the two entries' spreads
 (max - min over their runs; entries with one run have no spread and their
 times are not compared).  B's times are first divided by the median ratio
 B/A of the common entries' median times, which it prints, so a host that
-runs a session uniformly faster or slower flags no entry.  It exits 1 when
-an outcome changed.
+runs a session uniformly faster or slower flags no entry.  It also prints
+the median over the common entries of the ratio B/A of their median peak
+RSS.  It exits 1 when an outcome changed.
 """
 
 from __future__ import annotations
@@ -154,6 +155,9 @@ def compare(a_path, b_path):
             moved += 1
             lines.append(f"time moved: {' '.join(key)}: {ma:.3f} -> {mb / ratio:.3f} s "
                          f"(noise {noise:.3f})")
+    peaks = [[statistics.median(x[key]["peak_rss_mb"]) for x in (a, b)] for key in common]
+    rss = statistics.median(pb / pa for pa, pb in peaks) if peaks else 1.0
+    lines.append(f"median peak RSS ratio B/A {rss:.3f}")
     lines.append(f"{len(common)} common entries; outcomes {'changed' if changed else 'all equal'}; "
                  f"{moved} times moved beyond the noise; median time ratio B/A {ratio:.3f}")
     return lines, changed
