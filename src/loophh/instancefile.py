@@ -77,11 +77,12 @@ def parse_instance(text: str):
     for ln in sections.get("space", []):
         head, _, rest = ln.partition(" ")
         if head == "generator":
-            m = re.match(r"(\w+)\s+weight=([-\d,]+)\s+aux=(\d+)$", rest.strip())
+            # a weight list holds `rank` integers: `weight=` is the rank-0 form
+            m = re.match(r"(\w+)\s+weight=((?:-?\d+(?:,-?\d+)*)?)\s+aux=(\d+)$", rest.strip())
             if not m:
                 raise ParseError(f"bad generator line: {ln!r}")
             name, wstr, astr = m.groups()
-            weight = tuple(int(x) for x in wstr.split(",")) if rank else ()
+            weight = tuple(int(x) for x in wstr.split(",")) if wstr else ()
             if len(weight) != rank:
                 raise ParseError(f"generator {name}: weight length != rank {rank}")
             gens.append((name, weight, int(astr)))

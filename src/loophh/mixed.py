@@ -44,8 +44,8 @@ class MixedComplex:
             return e
         return SparseMatrix.zero(self.base.dim(self.eps_target(m)), self.base.dim(m))
 
-    def cohomology(self) -> HilbertTable:
-        return self.base.cohomology()
+    def cohomology(self, known_only=False) -> HilbertTable:
+        return self.base.cohomology(known_only)
 
     # -- laws ---------------------------------------------------------------------
     def check_mixed_laws(self):
@@ -156,22 +156,26 @@ class USeriesComplex:
         return self.flavor == "tate" and not strip.certified_zero(tau - 2 * hi - 1, mixed)
 
     # -- cohomology ------------------------------------------------------------
-    def cohomology(self) -> HilbertTable:
+    def cohomology(self, known_only=False) -> HilbertTable:
         """Table keyed (i, w, a, p); homology classes are attributed to the
-        cell of their echelon pivot (canonical in all split cases)."""
+        cell of their echelon pivot (canonical in all split cases).  With
+        `known_only` (see `GradedComplex.cohomology`) an edge column gets no
+        value and no class record; `_content_key` scanned its blocks' backend."""
         vals: dict[Multidegree, int] = {}
         edge: set[Multidegree] = set()
         lo, hi = self.p_lo, self.p_hi
         for (w, a), strip in self.mixed.strips().items():
             classes = strip.classes
             for tau, prv, src, nxt in strip.walk(lo, hi):
+                if self._column_is_edge(strip, tau, src):
+                    edge.update(Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src))
+                    if known_only:
+                        continue
                 counts = classes.get((prv, src, nxt))
                 if counts is None:
                     counts = strip.classes_of(prv, src, nxt)
                 for i, n in counts:
                     vals[Multidegree(i, w, a, (tau - i) // 2)] = n
-                if self._column_is_edge(strip, tau, src):
-                    edge.update(Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src))
         return HilbertTable(vals, edge, self.mixed.base.window.with_upow(lo, hi))
 
     # -- u multiplication ----------------------------------------------------------

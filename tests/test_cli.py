@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from loophh.cli import build_parser, main, run_verb
-from loophh.complexes import ChainMap
+from loophh.complexes import ChainMap, GradedComplex
 from loophh.instancefile import parse_instance
 from loophh.linalg import EchelonReducer, SparseMatrix
+from loophh.mixed import USeriesComplex
 from loophh.models import SemifreeModel
 from loophh.scalars import CycElt
 
@@ -173,6 +175,38 @@ def test_parse_error_exit_2(tmp_path, capsys):
     f.write_text("[space]\ngenerator x weight=1,2 aux=1\n[group]\nrank 1\n")
     code, _, err = run_cli(["hh", str(f)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("weight", ["1,,2", "-", "1,", ",1", "1-"])
+def test_malformed_weight_list_names_its_line(weight, tmp_path, capsys):
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM.replace("weight=1", f"weight={weight}"))
+    code, out, err = run_cli(["hh", str(f)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: bad generator line: 'generator x weight={weight} aux=1'\n"
+
+
+def test_rank_zero_refuses_a_listed_weight(tmp_path, capsys):
+    f = tmp_path / "pt.loop"
+    f.write_text(POINT_TRIVIAL.replace("[space]", "[space]\ngenerator x weight=5 aux=1"))
+    code, out, err = run_cli(["hh", str(f)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "parse error: generator x: weight length != rank 0\n"
+
+
+def test_rank_zero_accepts_an_empty_weight_list(tmp_path, capsys):
+    # a weight list holds exactly `rank` integers, so rank 0's is empty
+    f = tmp_path / "pt.loop"
+    f.write_text(POINT_TRIVIAL.replace("[space]", "[space]\ngenerator x weight= aux=1"))
+    code, out, err = run_cli(["hh", str(f)], capsys)
+    assert (code, err) == (0, "")
+    assert "0;;1;0 -> 1" in out.splitlines()
+    P, *_ = parse_instance(f.read_text())
+    assert [tuple(g.weight) for g in P.generators] == [()]
+    # at rank 1 an empty list is one weight short
+    f.write_text(LINE_GM.replace("weight=1", "weight="))
+    assert run_cli(["hh", str(f)], capsys) == (
+        2, "", "parse error: generator x: weight length != rank 1\n")
 
 
 @pytest.mark.parametrize("coord", ["zeta(0)", "1/0", "2*zeta(0)", "1/0*zeta(3)"])
@@ -490,6 +524,27 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "unipotent-formal-tate: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("verb", ["hh", "hp", "hn", "hc"])
+def test_table_verbs_print_values_on_edge_bins(verb, monkeypatch, tmp_path, capsys):
+    # a table verb prints every bin with its value, so it asks for full
+    # tables; hh on 05, and hp and hc on a plane with a weight-0 coordinate,
+    # print a nonzero value on an edge bin
+    asked = []
+    for cls in (GradedComplex, USeriesComplex):
+        def recording(self, known_only=False, cohomology=cls.cohomology):
+            asked.append(known_only)
+            return cohomology(self, known_only)
+
+        monkeypatch.setattr(cls, "cohomology", recording)
+    f = tmp_path / "instance.loop"
+    f.write_text(_shipped("05_plane_opposite_z3") if verb == "hh" else
+                 LINE_GM.replace("[group]", "generator y weight=0 aux=1\n[group]"))
+    code, out, _ = run_cli([verb, str(f)], capsys)
+    assert code == 0 and asked and not any(asked)
+    edge_values = re.findall(r"^\S+ -> [1-9]\d* \[edge\]$", out, re.M)
+    assert bool(edge_values) == (verb != "hn"), edge_values
 
 
 def test_law_violation_exit_1_without_traceback():

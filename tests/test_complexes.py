@@ -180,6 +180,23 @@ def test_chain_map_that_commutes_with_d_only_fails_on_eps():
         F.verify_chain_map()
 
 
+def test_known_only_level_tables_keep_the_edge_and_the_known_values():
+    # each tower level `localize` compares, known-only first so that it
+    # takes its own ranks: the full table's edge set, and its values off it;
+    # the full table then ranks the differentials only edge bins need
+    skipped = 0
+    for path, small in LOCALIZE_CASES:
+        inst = localization_instance(path, small)
+        for V in inst.lhs.levels + inst.rhs.levels:
+            known = V.cohomology(known_only=True)
+            ranked = len(V.base._ranks)
+            full = V.cohomology()
+            assert known.edge == full.edge and known.window == full.window
+            assert known.values == _known_only(full).values, (path.stem, small)
+            skipped += len(V.base._ranks) - ranked
+    assert skipped
+
+
 def test_relabelling_moves_drops_and_refuses_to_leave_the_target_bin():
     a, b = md(0, (0,), 0), md(1, (0,), 0)
     bins = {a: ["x", "y", "z"], b: ["p", "q"]}
@@ -277,6 +294,26 @@ def test_compare_equals_the_sorted_loop(pair):
     assert b.compare(a) == _reference_compare(b, a)
 
 
+def _known_only(t):
+    """`t` without the values on its edge bins."""
+    return HilbertTable({m: v for m, v in t.values.items() if m not in t.edge}, t.edge, t.window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_pairs(), st.integers(-2, 1))
+def test_edge_values_reach_no_comparison(pair, w):
+    # why the theorem checks may compare known-only tables
+    a, b = pair
+
+    def results(x, y):
+        return (x.compare(y), y.compare(x), x.at_weight((w,)).compare(y.at_weight((w,))),
+                x.forget_weight().compare(y.forget_weight()))
+
+    expected = results(a, b)
+    for x, y in ((_known_only(a), b), (a, _known_only(b)), (_known_only(a), _known_only(b))):
+        assert results(x, y) == expected
+
+
 def test_compare_visits_only_bins_that_hold_a_value(monkeypatch):
     # 1,000 edge-only bins, most of them inside the window, and six valued
     # bins: known to both, edge on one side, or beyond the window
@@ -349,6 +386,20 @@ def test_shear_equals_the_sweep_on_the_cartan_tables(path):
         t = tate(rhs.level(n), tr.u_window).cohomology()
         assert t.edge and t.values
         _assert_shear_equals_reference(t)
+
+
+def test_shear_reads_a_value_on_an_edge_bin():
+    # the row (0, (0,)) holds a value only at the edge bin (0, (0,), 1, 0):
+    # with it, the shear marks the row's p = 0, whose source at aux 1 lies
+    # below the u-window, edge; without it, that p is not a target at all.
+    # So check_hp_completion shears a full Cartan table, not a known-only one
+    win = Window((-2, 2), ((-2, 2),), (0, 1), (0, 2))
+    edge_bin = md(0, (0,), 1, 0)
+    full = HilbertTable({edge_bin: 1}, {edge_bin}, win)
+    row_p0 = md(0, (0,), 0, 0)
+    assert row_p0 in full.shear_aux_into_upow().edge
+    assert row_p0 not in _known_only(full).shear_aux_into_upow().edge
+    assert _known_only(full).shear_aux_into_upow().known(row_p0)
 
 
 def test_shear_equals_the_sweep_on_random_tables():
