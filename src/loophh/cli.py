@@ -2,8 +2,8 @@
 
 Verbs: hh, hp, hn, hc, localize, fixed-fiber, unipotent-check, stabilizers.
 Reports are line-oriented, byte-deterministic, and cached content-addressed
-(the hash covers the comment-stripped instance, the effective truncation,
-the verb, and the engine version).
+under --cache-dir (the hash covers the comment-stripped instance, the
+effective truncation, the verb, the engine version and the engine's source).
 
 Exit codes: 0 ok/PASS, 1 FAIL or a law violation, 2 parse or homogeneity
 error, 3 backend mismatch, 4 INCONCLUSIVE.
@@ -12,7 +12,6 @@ error, 3 backend mismatch, 4 INCONCLUSIVE.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import stat
 import sys
@@ -151,14 +150,27 @@ def run_verb(verb, args, text):
 # cache
 # ---------------------------------------------------------------------------
 
-def cache_key(verb, text, args):
+def _sha256(*parts: bytes) -> str:
+    import hashlib  # loads OpenSSL's libcrypto, which only a cached run needs
+
     h = hashlib.sha256()
-    h.update(ENGINE_VERSION.encode())
-    h.update(verb.encode())
-    h.update(canonical_content(text or "").encode())
-    for flag in _WINDOW_FLAGS:
-        h.update(f"{flag}={getattr(args, flag)};".encode())
+    for part in parts:
+        h.update(part)
     return h.hexdigest()
+
+
+def cache_key(verb, text, args):
+    """Also keyed by the engine's own source, so an entry written by other
+    code misses although ENGINE_VERSION is unchanged."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    source = []
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                source.append(f"{name}:{_sha256(fh.read())};".encode())
+    flags = (f"{flag}={getattr(args, flag)};".encode() for flag in _WINDOW_FLAGS)
+    return _sha256(ENGINE_VERSION.encode(), *source, verb.encode(),
+                   canonical_content(text or "").encode(), *flags)
 
 
 def cache_read(cache_dir, key):
@@ -172,7 +184,7 @@ def cache_read(cache_dir, key):
         code_s, _, digest = digest.partition(":")
         if tag != "loophh-cache":
             return None
-        if hashlib.sha256(payload).hexdigest() != digest:
+        if _sha256(payload) != digest:
             print("warning: corrupt cache entry, recomputing", file=sys.stderr)
             return None
         return payload.decode(), int(code_s)
@@ -184,7 +196,7 @@ def cache_read(cache_dir, key):
 def cache_write(cache_dir, key, report, code):
     os.makedirs(cache_dir, exist_ok=True)
     payload = report.encode()
-    head = f"loophh-cache:{code}:{hashlib.sha256(payload).hexdigest()}\n".encode()
+    head = f"loophh-cache:{code}:{_sha256(payload)}\n".encode()
     _write_atomically(os.path.join(cache_dir, key + ".cache"), head + payload)
 
 
@@ -234,8 +246,10 @@ def main(argv=None):
                   file=sys.stderr)
             return EXIT_PARSE
 
-    key = cache_key(args.verb, text, args)
-    hit = cache_read(args.cache_dir, key) if args.cache_dir else None
+    hit = None
+    if args.cache_dir:
+        key = cache_key(args.verb, text, args)
+        hit = cache_read(args.cache_dir, key)
     if hit is not None:
         report, code = hit
         print("cache hit", file=sys.stderr)

@@ -11,10 +11,11 @@ Two completion routes, chosen by the shape of the ideal:
   so the quotient maps are chain maps by construction, and each level
   inherits d^2 = 0 and the mixed laws when the top level has them.
 
-* homogeneous ideals (generators of positive aux or nonzero weight degree):
-  literal Koszul adjunction at complex level, one odd generator kappa^(n)
-  with d(kappa^(n)) = g^n per ideal generator.  Bins stay finite because the
-  grading shifts.  Each level checks its laws when it is built.
+* the augmentation ideal (xi) of a rank-1 Cartan model: level n is one
+  Koszul cone, an odd kappa with d(kappa) = xi^n, adjoined to the weight-0
+  part, whose d vanishes.  Bins stay finite because the grading shifts.
+  The laws are checked once on that part, and every level inherits them by
+  the argument in `koszul_cone`.  Rank 0 has a zero ideal; rank > 1 raises.
 
 A point tower also keeps, per level, where each label of its top level lands
 (`Tower.placements`): a map built and checked on the top level restricts to
@@ -23,13 +24,11 @@ every lower level along them.  No check reads a map between levels.
 
 from __future__ import annotations
 
-from .algebra import FreeAlgebra, Polynomial
 from .complexes import GradedComplex, Relabelling
 from .grading import Multidegree, Window
 from .linalg import NotAComplex, SparseMatrix
 from .mixed import MixedComplex
 from .models import LIE_COORD, SemifreeModel, TorusPoint
-from .scalars import is_zero
 
 
 class Tower:
@@ -97,106 +96,58 @@ def _quotient_level(top: MixedComplex, placement: Relabelling, edge, d2_ok, laws
 
 
 # ---------------------------------------------------------------------------
-# homogeneous (Koszul cone) route
+# augmentation-ideal (Koszul cone) route
 # ---------------------------------------------------------------------------
 
-class BinOperator:
-    """Degree-homogeneous operator on a complex: blocks md -> md + deg."""
+def koszul_cone(M: MixedComplex, deg: Multidegree, image) -> MixedComplex:
+    """Adjoin one odd kappa with d(kappa . v) = g . v to a complex M whose d
+    vanishes, for an even g of degree `deg` that commutes with eps.
+    `image(label)` is the label of g . label, or None where that product is
+    zero.  A product label missing from its target bin left the window; both
+    ends of that arrow are edge.
 
-    def __init__(self, deg: Multidegree, blocks, truncated=()):
-        self.deg = deg
-        self.blocks: dict[Multidegree, SparseMatrix] = dict(blocks)
-        self.truncated: set[Multidegree] = set(truncated)
-
-    def block(self, C: GradedComplex, m: Multidegree) -> SparseMatrix:
-        b = self.blocks.get(m)
-        if b is not None:
-            return b
-        return SparseMatrix.zero(C.dim(m.add(self.deg)), C.dim(m))
-
-
-def multiplication_operator(alg: FreeAlgebra, C: GradedComplex, poly: Polynomial) -> BinOperator:
-    """Multiplication by a homogeneous polynomial on a model-instantiated complex.
-
-    Source bins whose products leave the enumerated window are recorded in
-    `truncated` so downstream constructions can edge-flag them.
-    """
-    deg = poly.homogeneous_degree()
-    if deg is None:
-        raise ValueError("multiplication operator needs a homogeneous polynomial")
-    pos = {m: {lbl: i for i, lbl in enumerate(ls)} for m, ls in C.bins.items()}
-    blocks = {}
-    truncated = set()
-    for m, labels in C.bins.items():
-        tgt = m.add(deg)
-        tp = pos.get(tgt, {})
-        ent = {}
-        for j, mono in enumerate(labels):
-            prod = Polynomial(alg, {mono: 1}) * poly
-            for tm, c in prod.terms.items():
-                i = tp.get(tm)
-                if i is None:
-                    truncated.add(m)
-                    continue
-                ent[(i, j)] = ent.get((i, j), 0) + c
-        if ent:
-            blocks[m] = SparseMatrix(
-                C.dim(tgt), len(labels), {k: v for k, v in ent.items() if not is_zero(v)}
-            )
-    return BinOperator(deg, blocks, truncated)
-
-
-def koszul_cone(M: MixedComplex, op: BinOperator) -> MixedComplex:
-    """Adjoin one odd Koszul generator kappa with d(kappa . v) = op(v) to a
-    complex whose d vanishes.
-
-    The mixed differential extends by eps(kappa . v) = -kappa . eps(v).
-    Requires op to commute with eps (verified by the mixed-law check
-    downstream).  The cone's d shifts no aux, whatever the base's did.
+    Each bin lists its base labels ("b", l), then its kappa labels ("k", l).
+    eps extends by eps(kappa . v) = -kappa . eps(v).  The cone inherits its
+    laws, checked on M once (memoized there):
+    * d^2 = 0: d lands in the base sector, where d vanishes;
+    * eps^2 = 0 and d eps + eps d = 0 on kappa . v: the terms are
+      -kappa . eps^2(v) and -g . eps(v) + eps(g . v), and g . eps(v) =
+      eps(g . v) holds in the window too when eps preserves aux, as the
+      models' eps does: g . eps(v) leaves the window exactly when g . v does.
     """
     base = M.base
     if any(not d.is_zero_matrix() for d in base.diffs.values()):
         raise NotImplementedError("koszul cone over an aux-shifting differential")
-    kdeg = Multidegree(op.deg.cohdeg - 1, op.deg.weight, op.deg.aux, op.deg.upow)
-    bins = {}
-    for m in sorted(base.bins):
-        bins.setdefault(m, []).extend(("b", l) for l in base.bins[m])
-    for m in sorted(base.bins):
-        km = m.add(kdeg)
-        bins.setdefault(km, []).extend(("k", l) for l in base.bins[m])
-    bins = {m: ls for m, ls in bins.items() if ls}
-    offs = {}
+    M.check_mixed_laws()
+    kdeg = deg.shift(cohdeg=-1)
+    bins = {m: [("b", l) for l in ls] for m, ls in sorted(base.bins.items())}
+    under = {m.add(kdeg): m for m in sorted(base.bins)}  # kappa-sector bin -> base bin of v
+    for k, v in under.items():
+        bins.setdefault(k, []).extend(("k", l) for l in base.bins[v])
+    edge = base.edge | {m.add(kdeg) for m in base.edge}
+    diffs, eps = {}, {}
     for m, ls in bins.items():
-        nb = sum(1 for tag, _ in ls if tag == "b")
-        offs[m] = nb  # kappa-sector starts after the base sector
-
-    def _emb(m, sector):
-        return 0 if sector == "b" else offs[m]
-
-    diffs = {}
-    eps = {}
-    for m, ls in bins.items():
-        tgt = m.shift(cohdeg=1)
-        ent = {}
         et = m.shift(cohdeg=-1)
-        eent = {}
-        # base sector source
-        src_b = m if m in base.bins else None
-        if src_b is not None:
-            e = M.eps_from(m)
-            for (i, j), v in e.entries.items():
-                eent[(_emb(et, "b") + i, _emb(m, "b") + j)] = v
-        # kappa sector source: kappa . v with v in base bin m - kdeg
-        vsrc = Multidegree(m.cohdeg - kdeg.cohdeg, _wsub(m.weight, kdeg.weight), m.aux - kdeg.aux, m.upow - kdeg.upow)
-        if vsrc in base.bins:
-            opb = op.block(base, vsrc)
-            for (i, j), v in opb.entries.items():
-                ent[(_emb(tgt, "b") + i, _emb(m, "k") + j)] = v
-            e = M.eps_from(vsrc)
-            for (i, j), v in e.entries.items():
-                eent[(_emb(et, "k") + i, _emb(m, "k") + j)] = -v
+        eent = dict(M.eps_from(m).entries) if m in base.bins else {}
+        ent = {}
+        v = under.get(m)
+        if v is not None:
+            k0, tgt = base.dim(m), v.add(deg)  # kappa labels follow the base labels
+            tpos = {l: i for i, l in enumerate(base.labels(tgt))}
+            for j, l in enumerate(base.bins[v]):
+                g = image(l)
+                if g is None:
+                    continue
+                i = tpos.get(g)
+                if i is None:
+                    edge |= {m, tgt}
+                else:
+                    ent[(i, k0 + j)] = 1
+            ke = base.dim(et)
+            for (i, j), c in M.eps_from(v).entries.items():
+                eent[(ke + i, k0 + j)] = -c
         if ent:
-            diffs[m] = SparseMatrix(len(bins.get(tgt, ())), len(ls), ent)
+            diffs[m] = SparseMatrix(len(bins.get(m.shift(cohdeg=1), ())), len(ls), ent)
         if eent:
             eps[m] = SparseMatrix(len(bins.get(et, ())), len(ls), eent)
     win = base.window.combine(
@@ -204,44 +155,24 @@ def koszul_cone(M: MixedComplex, op: BinOperator) -> MixedComplex:
                tuple((min(wk, 0), max(wk, 0)) for wk in kdeg.weight),
                (min(kdeg.aux, 0), max(kdeg.aux, 0)))
     )
-    edge = set()
-    for m in base.edge:
-        edge.add(m)
-        edge.add(m.add(kdeg))
-    for m in op.truncated:
-        # the dropped products live beyond the window; the kappa-sector bin
-        # whose outgoing arrow was cut is m + kdeg
-        edge.add(m.add(kdeg))
-        edge.add(m.add(op.deg))
-    gc = GradedComplex(bins, diffs, win, edge)
-    return MixedComplex(gc, eps)
+    return MixedComplex(GradedComplex(bins, diffs, win, edge, d2_faults=[]), eps, laws_ok=True)
 
-
-def _wsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-# ---------------------------------------------------------------------------
-# standard tower builder
-# ---------------------------------------------------------------------------
 
 def cartan_augmentation_tower(cart_model: SemifreeModel, N: int, aux_max: int) -> Tower:
-    """Weight-0 Cartan model completed along the Lie-coordinate augmentation.
-
-    Koszul tower: level n adjoins kappa_l^(n) with d(kappa_l^(n)) = xi_l^n.
-    """
-    r = cart_model.alg.rank
-    inv = cart_model.instantiate(aux_max, weight_filter=(0,) * r)
-    if r == 0:
-        return Tower([inv] * N)  # trivial group: the completion ideal is zero
+    """Weight-0 Cartan model completed along the Lie-coordinate augmentation:
+    level n is the Koszul cone on xi^n, the xi-exponent shift l[x] += n.  xi
+    is even and eps-closed, so each product has coefficient 1 and commutes
+    with eps.  Rank <= 1."""
     alg = cart_model.alg
-    levels = []
-    for n in range(1, N + 1):
-        lv = inv
-        for l in range(r):
-            xi_n = alg.poly_gen(LIE_COORD.format(l), n)
-            lv = koszul_cone(lv, multiplication_operator(alg, inv.base, xi_n))
-        lv.base.check_complex()
-        lv.check_mixed_laws()
-        levels.append(lv)
-    return Tower(levels)
+    if alg.rank > 1:
+        raise NotImplementedError("torus rank > 1 completion points")
+    inv = cart_model.instantiate(aux_max, weight_filter=(0,) * alg.rank)
+    if alg.rank == 0:
+        return Tower([inv] * N)  # trivial group: the completion ideal is zero
+    xi = LIE_COORD.format(0)
+    x = alg.index[xi]
+    return Tower([
+        koszul_cone(inv, alg.monomial_degree(alg.gen_monomial(xi, n)),
+                    lambda l, n=n: l[:x] + (l[x] + n,) + l[x + 1:])
+        for n in range(1, N + 1)
+    ])

@@ -26,7 +26,7 @@ from loophh.harness import LocalizationInstance, Truncation
 from loophh.instancefile import parse_instance
 from loophh.linalg import SparseMatrix, rank as mat_rank, rref
 from loophh.mixed import MixedComplex
-from loophh.towers import BinOperator, koszul_cone
+from loophh.towers import koszul_cone
 
 _ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted((_ROOT / "instances").glob("*.loop"))
@@ -179,16 +179,14 @@ def torsion_cone_levels(cap: int, N: int) -> list[MixedComplex]:
     only the upper weight frontier is a truncation: at level n the inflow
     into weights > cap - n comes from beyond the cap, so those bins are edge.
     """
-    bins = {Multidegree(0, (a,), 0, 0): [f"x^-{a}"] for a in range(1, cap + 1)}
+    names = {a: f"x^-{a}" for a in range(1, cap + 1)}
+    power = {name: a for a, name in names.items()}
+    bins = {Multidegree(0, (a,), 0, 0): [name] for a, name in names.items()}
     M = MixedComplex(GradedComplex(bins, {}, Window((-2, 2), ((-cap, cap),), (0, 0))), {})
-    one = SparseMatrix(1, 1, {(0, 0): Fraction(1)})
     levels = []
     for n in range(1, N + 1):
-        x_n = BinOperator(
-            Multidegree(0, (-n,), 0, 0),
-            {Multidegree(0, (a,), 0, 0): one for a in range(n + 1, cap + 1)},
-        )
-        lv = koszul_cone(M, x_n)
+        # x^n . x^-a = x^-(a - n), which is zero in the quotient when a <= n
+        lv = koszul_cone(M, Multidegree(0, (-n,), 0, 0), lambda l, n=n: names.get(power[l] - n))
         lv.base.edge |= {m for m in lv.base.bins if m.weight[0] > cap - n}
         lv.base.check_complex()
         levels.append(lv)

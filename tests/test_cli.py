@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -424,6 +425,31 @@ def test_corrupt_cache_recomputed(tmp_path, capsys):
     code, out, err = run_cli(["hh", str(f), "--cache-dir", str(cdir)], capsys)
     assert code == 0
     assert "corrupt cache" in err
+
+
+def test_cache_misses_after_the_engine_source_changes(tmp_path):
+    # ENGINE_VERSION stays put across engine changes, so the key must also
+    # cover the source: cache a report with a copy of the engine, change one
+    # of the copy's modules, and the entry must miss
+    src = tmp_path / "src"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "loophh", src / "loophh",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM)
+
+    def stderr_of_hh():
+        proc = subprocess.run(
+            [sys.executable, "-m", "loophh", "hh", str(f), "--cache-dir", str(tmp_path / "cache")],
+            capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr
+
+    assert "cache hit" not in stderr_of_hh()
+    assert "cache hit" in stderr_of_hh()
+    with open(src / "loophh" / "towers.py", "a") as fh:
+        fh.write("# changed\n")
+    assert "cache hit" not in stderr_of_hh()
 
 
 def test_report_file_written(tmp_path, capsys):

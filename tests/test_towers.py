@@ -238,8 +238,8 @@ smooth true
 
 def test_cartan_tower_cones_carry_eps(tmp_path, capsys):
     # the fixed locus at z = 2 keeps x, of weight 0, so eps: x -> d:x is
-    # nonzero on the weight-0 part; each cone level checks d^2 and the mixed
-    # laws as it is built, and has a kappa-sector source with an eps image
+    # nonzero on the weight-0 part; each cone level has a kappa-sector source
+    # with an eps image
     P, T, z, tr = parse_instance(WEIGHT_ZERO_COORDINATE)
     fixed = reduce_linear_relations(fixed_points(P, z))
     assert [g.name for g in fixed.generators] == ["x"]
@@ -252,6 +252,38 @@ def test_cartan_tower_cones_carry_eps(tmp_path, capsys):
     assert main(["localize", str(f)]) == 0
     out, err = capsys.readouterr()
     assert "== hp-completion: PASS" in out and err == ""
+
+
+CARTAN_CASES = [(p.stem, p.read_text()) for p in SHIPPED] + [
+    (name, (SHIPPED[0].parents[1] / "perfbench" / "instances" / f"{name}.loop").read_text())
+    for name in ("big3", "cyc3")
+] + [("weight_zero_coordinate", WEIGHT_ZERO_COORDINATE)]
+
+
+@pytest.mark.parametrize("text", [t for _, t in CARTAN_CASES], ids=[n for n, _ in CARTAN_CASES])
+def test_cartan_tower_levels_inherit_the_law_record(text):
+    # the cone levels are built with both records; a record-free copy of each
+    # must earn them, so a wrong kappa-sector eps sign fails here (only the
+    # weight-zero-coordinate case has a kappa sector that carries eps)
+    P, T, z, tr = parse_instance(text)
+    fixed = reduce_linear_relations(fixed_points(P, z))
+    tower = cartan_augmentation_tower(cartan_model(fixed, T), tr.tower_levels, tr.aux_max)
+    assert len(tower.levels) == tr.tower_levels
+    for level in tower.levels:
+        gc = level.base
+        assert gc._d2_faults == [] and level._laws_ok
+        copy = MixedComplex(
+            GradedComplex(gc.bins, gc.diffs, gc.window, gc.edge, aux_shift=gc.aux_shift),
+            level.eps,
+        )
+        assert copy.base.d_squared_faults() == []
+        assert copy.check_mixed_laws()
+
+
+def test_cartan_tower_refuses_rank_2():
+    cart = cartan_model(AlgebraPresentation([], rank=2), TorusData(2))
+    with pytest.raises(NotImplementedError, match="torus rank > 1"):
+        cartan_augmentation_tower(cart, 2, 3)
 
 
 def test_invariants_tower_levelwise_stabilization():
