@@ -10,7 +10,7 @@ generators and extended by the graded Leibniz rule with Koszul signs.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .grading import Multidegree
@@ -208,6 +208,8 @@ class Derivation:
                       for m, c in self.images[g.name].terms.items()))
             for j, g in enumerate(alg.gens) if g.name in self.images
         )
+        self._active = tuple(int(g.odd or g.name in self.images) for g in alg.gens)
+        self._memo = {}  # x^exps, 0 off the active positions -> the shifts of D(x^exps)
 
     def __repr__(self):
         return f"Derivation({self.images!r})"
@@ -216,12 +218,25 @@ class Derivation:
         """The terms of D(x^exps) = sum_j ±e_j x^(exps - δ_j) D(x_j), as a dict
         (the power rule holds for any integer e_j).
 
-        A term m of D(x_j) is dropped where its product vanishes: an odd
-        position of m is already set in exps - δ_j.  No non-Laurent exponent
-        can go negative, as neither exps nor m has one.  The sign counts the
-        odd factors of x^exps before j, which x_j passes, and for each odd
-        k != j in m those strictly between k and j, which that factor passes;
-        `prefix[i]` counts the odd factors before position i.
+        A generator y that is even with D(y) = 0 (w, t, ξ, x under the loop d)
+        passes through, D(x^a y^b) = D(x^a) y^b, and signs, drops and e_j read
+        only the active rest: the shifts of its terms are memoized per active part.
+        """
+        rep = tuple([*map(mul, exps, self._active)])
+        shifts = self._memo.get(rep)
+        if shifts is None:
+            shifts = self._memo[rep] = [(tuple([*map(sub, m, rep)]), c)  # lists, as in mul_monomials
+                                        for m, c in self._leibniz(rep).items()]
+        return {tuple([*map(add, exps, s)]): c for s, c in shifts}
+
+    def _leibniz(self, exps) -> dict:
+        """D(x^exps) by the Leibniz rule.  A term m of D(x_j) is dropped
+        where its product vanishes: an odd position of m is already set in
+        exps - δ_j.  No non-Laurent exponent can go negative, as neither exps
+        nor m has one.  The sign counts the odd factors of x^exps before j,
+        which x_j passes, and for each odd k != j in m those strictly between
+        k and j, which that factor passes; `prefix[i]` counts the odd factors
+        before position i.
         """
         out = {}
         prefix = [0, *accumulate(map(mul, exps, self._odd))]
@@ -307,15 +322,17 @@ def enumerate_monomials(
             a <= t - x <= b for t, x, (a, b) in zip(target, weight, reach[i])
         )
 
-    out: dict[Multidegree, list] = {}
+    out: dict[tuple, list] = {}  # the fields of a Multidegree -> its labels
     exps = [0] * n
+    moves = [any(g.weight) for g in gens]
 
     # The partial degree of exps[:i] travels down the recursion, and a branch
-    # stops as soon as its weight can no longer reach the target.  Leaves
+    # stops as soon as its weight can no longer reach the target (a weight-0
+    # generator cannot move it: reach[i + 1] = reach[i] held at rec(i)).  Leaves
     # arrive in lexicographic order, so every bin comes out sorted.
     def rec(i, cohdeg, weight, aux_used):
         if i == n:
-            out.setdefault(Multidegree(cohdeg, weight, aux_used, 0), []).append(tuple(exps))
+            out.setdefault((cohdeg, weight, aux_used, 0), []).append(tuple(exps))
             return
         lo, hi = ranges[i]
         g = gens[i]
@@ -323,8 +340,8 @@ def enumerate_monomials(
             cost = e * g.aux if e > 0 else 0
             if aux_used + cost > aux_max:
                 break
-            w = tuple([a + e * b for a, b in zip(weight, g.weight)])  # as in mul_monomials
-            if reachable(i + 1, w):
+            w = tuple([a + e * b for a, b in zip(weight, g.weight)]) if moves[i] else weight
+            if not moves[i] or reachable(i + 1, w):
                 exps[i] = e
                 rec(i + 1, cohdeg + e * g.cohdeg, w, aux_used + cost)
         exps[i] = 0
@@ -332,4 +349,4 @@ def enumerate_monomials(
     if reachable(0, (0,) * alg.rank):
         rec(0, 0, (0,) * alg.rank, 0)
     del rec  # rec holds itself through its cell: break the cycle
-    return Enumeration(out)
+    return Enumeration({Multidegree(*m): labels for m, labels in out.items()})

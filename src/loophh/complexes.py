@@ -164,8 +164,8 @@ class Relabelling:
     def blocks(self, mats, target, onto=None):
         """Blocks m -> target(m), keyed by source bin, re-indexed along this
         move on the source side and along `onto` (by default this move) on
-        the target side.  An entry at a dropped label is dropped.  None when
-        an entry would land outside target(its new source bin)."""
+        the target side.  An entry at a dropped label is dropped.  An entry
+        that would land outside target(its new source bin) raises ValueError."""
         onto = onto or self
         ents, goal = {}, {}
         for m, mat in mats.items():
@@ -182,7 +182,7 @@ class Relabelling:
                     ent = ents[sb] = {}
                     goal[sb] = target(sb)
                 if t[0] != goal[sb]:
-                    return None
+                    raise ValueError(f"an entry of the block at {m} leaves the target of {sb}")
                 ent[(t[1], s[1])] = v
         return {
             sb: SparseMatrix(len(onto.bins.get(goal[sb], ())), len(self.bins[sb]), ent)

@@ -303,12 +303,13 @@ class SemifreeModel:
 
     # -- instantiation -----------------------------------------------------------
     def instantiate(self, aux_max, laurent_cap=None, weight_filter=None, edge_depths=None):
-        """Enumerate bins and assemble differential/mixed matrices.
-
-        Returns a MixedComplex (with zero eps when the model carries none).
-        For a model over k[t]/(t^N), a dict passed as `edge_depths` receives
-        a depth per edge bin: the bin is edge at the quotient level
-        k[t]/(t^n) exactly when its depth is < n.
+        """Enumerate bins and assemble differential/mixed matrices.  A column
+        is its label's image, which passes through every even generator that
+        the derivation kills (w, t, xi, and x under the loop d): see
+        `Derivation.image_terms`.  Returns a MixedComplex (with zero eps
+        when the model carries none).  For a model over k[t]/(t^N), a dict
+        passed as `edge_depths` receives a depth per edge bin: the bin is
+        edge at the quotient level k[t]/(t^n) exactly when its depth is < n.
         """
         from .mixed import MixedComplex
 
@@ -700,8 +701,8 @@ def regrade_by_group_exponent(mixed, model: SemifreeModel):
     Applies when every assembled differential/mixed matrix connects
     monomials of equal group exponents (e.g. the weight-0 part of a loop
     model with no surviving couplings).  The exponent vector is stored in
-    the weight slot, which is free after invariants.  Returns None when the
-    complex is not exponent-homogeneous.
+    the weight slot, which is free after invariants.  Returns None, moving
+    no label, when an entry joins labels of unequal group exponents.
     """
     from .complexes import GradedComplex, Relabelling
     from .mixed import MixedComplex
@@ -712,15 +713,17 @@ def regrade_by_group_exponent(mixed, model: SemifreeModel):
     def move(m, lbl):
         return Multidegree(m.cohdeg, tuple(lbl[i] for i in idxs), m.aux, m.upow)
 
+    for mats, target in ((gc.diffs, gc.d_target), (mixed.eps, mixed.eps_target)):
+        for m, mat in mats.items():
+            src, tgt = gc.labels(m), gc.labels(target(m))
+            if any(src[j][k] != tgt[i][k] for i, j in mat.entries for k in idxs):
+                return None
     regraded = Relabelling(gc.bins, move)
-    diffs = regraded.blocks(gc.diffs, gc.d_target)
-    eps = None if diffs is None else regraded.blocks(mixed.eps, mixed.eps_target)
-    if eps is None:
-        return None
     edge = {move(m, lbl) for m in gc.edge for lbl in gc.labels(m)}
     # weight window: the realized exponent range per coordinate
     wr = [(min(e), max(e)) for e in zip(*(m.weight for m in regraded.bins))]
     win = gc.window
     new_win = Window(win.cohdeg, tuple(wr), win.aux, win.upow)
-    out = GradedComplex(regraded.bins, diffs, new_win, edge, aux_shift=gc.aux_shift)
-    return MixedComplex(out, eps)
+    out = GradedComplex(regraded.bins, regraded.blocks(gc.diffs, gc.d_target), new_win, edge,
+                        aux_shift=gc.aux_shift)
+    return MixedComplex(out, regraded.blocks(mixed.eps, mixed.eps_target))

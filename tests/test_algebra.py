@@ -3,6 +3,7 @@
 import gc
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,18 @@ from hypothesis import given, settings, strategies as st
 from loophh.algebra import Derivation, FreeAlgebra, Generator, Polynomial, enumerate_monomials
 from loophh.cyclic import cyclic_bar
 from loophh.grading import Multidegree
-from loophh.models import AlgebraPresentation
+from loophh.instancefile import parse_instance
+from loophh.models import (
+    AlgebraPresentation,
+    TorusData,
+    TorusPoint,
+    cartan_model,
+    loop_model,
+    odd_tangent_model,
+)
 from loophh.scalars import CyclotomicField
 
+ROOT = Path(__file__).resolve().parents[1]
 Q_ZETA3 = CyclotomicField(3)
 
 
@@ -70,6 +80,39 @@ def test_enumeration_equals_filtered_box(data):
     target = data.draw(st.none() | st.tuples(*[st.integers(-3, 3)] * alg.rank))
     enum = enumerate_monomials(alg, aux_max, laurent_cap=cap, weight_filter=target)
     # label order within a bin and the order of the bins themselves
+    assert list(enum.bins.items()) == list(brute_force_bins(alg, aux_max, cap, target).items())
+
+
+@st.composite
+def flat_generators(draw, rank):
+    """Weight-0 generators: Laurent, explicit-range, and Lie-like (even, aux 1)."""
+    gens = []
+    for i in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("laurent", "range", "lie")))
+        if kind == "laurent":
+            gens.append(Generator(f"w{i}", 0, (0,) * rank, 0, laurent=True))
+        elif kind == "range":
+            lo = draw(st.integers(0, 1))
+            gens.append(Generator(f"t{i}", 0, (0,) * rank, 0,
+                                  exp_range=(lo, draw(st.integers(lo, lo + 2)))))
+        else:
+            gens.append(Generator(f"xi{i}", 0, (0,) * rank, 1))
+    return gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_enumeration_with_weight_zero_generators_equals_filtered_box(data):
+    # weight-0 generators skip the reachability test; the bins must not notice
+    alg = data.draw(algebras(max_gens=3))
+    gens = list(alg.gens)
+    for g in data.draw(flat_generators(alg.rank)):
+        gens.insert(data.draw(st.integers(0, len(gens))), g)
+    alg = FreeAlgebra(gens, alg.rank)
+    aux_max = data.draw(st.integers(0, 4))
+    cap = data.draw(st.integers(0, 2))
+    target = data.draw(st.tuples(*[st.integers(-3, 3)] * alg.rank))
+    enum = enumerate_monomials(alg, aux_max, laurent_cap=cap, weight_filter=target)
     assert list(enum.bins.items()) == list(brute_force_bins(alg, aux_max, cap, target).items())
 
 
@@ -288,6 +331,68 @@ def test_apply_monomial_sign_cases():
     for exps, want in cases.items():
         assert D.apply_monomial(exps).terms == want, exps
         assert reference_apply_monomial(D, exps).terms == want, exps
+
+
+def _model_monomials(alg):
+    """Exponent tuples inside each generator's range; Laurent ones go negative."""
+    def exp(g):
+        if g.odd:
+            return st.integers(0, 1)
+        if g.laurent:
+            return st.integers(-3, 3)
+        return st.integers(*g.exp_range) if g.exp_range else st.integers(0, 3)
+    return st.tuples(*[exp(g) for g in alg.gens])
+
+
+@st.composite
+def model_derivations(draw):
+    """d or eps of a loop, Cartan, point-level or odd-tangent model of a random
+    rank-1 presentation."""
+    gens = [(f"x{i}", (draw(st.integers(-2, 2)),), draw(st.integers(1, 2)))
+            for i in range(draw(st.integers(1, 3)))]
+    P = AlgebraPresentation(gens, rank=1, asserted_smooth=True)
+    kind = draw(st.sampled_from(("loop", "cartan", "point", "odd tangent")))
+    if kind in ("loop", "point") and draw(st.booleans()):
+        P.add_relation(P.ambient.poly_gen("x0", 2))
+    T = TorusData(1)
+    if kind == "loop":
+        model = loop_model(P, T)
+    elif kind == "cartan":
+        model = cartan_model(P, T)
+    elif kind == "point":
+        z, backend = draw(st.sampled_from(((2, None), (-1, None), ((1, Fraction(1, 3)), Q_ZETA3))))
+        model = loop_model(P, T).at_torus_point_level(
+            TorusPoint.make([z]), draw(st.integers(1, 3)), backend=backend)
+    else:
+        model = odd_tangent_model(P)
+    return draw(st.sampled_from([D for D in (model.d, model.eps) if D is not None]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_model_images_equal_the_triple_product(data):
+    # several monomials through one derivation, so later ones are translated
+    # from images that earlier ones left in its memo
+    D = data.draw(model_derivations())
+    for exps in data.draw(st.lists(_model_monomials(D.alg), min_size=1, max_size=8)):
+        assert D.image_terms(exps) == reference_apply_monomial(D, exps).terms, exps
+
+
+def test_big3_loop_d_images_are_computed_once_per_odd_part(monkeypatch):
+    # at aux 14 the weight-0 part holds 1,833 labels, but d acts on odd
+    # generators only (eps of x, y, v): 2^3 active parts
+    P, T, _, tr = parse_instance((ROOT / "perfbench" / "instances" / "big3.loop").read_text())
+    model = loop_model(P, T)
+    leibniz, calls = Derivation._leibniz, []
+
+    def counted(D, exps):
+        calls.append(D)
+        return leibniz(D, exps)
+
+    monkeypatch.setattr(Derivation, "_leibniz", counted)
+    mc = model.instantiate(14, laurent_cap=tr.laurent_cap, weight_filter=(0,))
+    assert sum(len(v) for v in mc.base.bins.values()) == 1833
+    assert 0 < sum(D is model.d for D in calls) <= 8
 
 
 def test_derivation_rejects_a_term_outside_the_algebra():

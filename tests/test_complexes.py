@@ -218,7 +218,8 @@ def test_relabelling_moves_drops_and_refuses_to_leave_the_target_bin():
     # z -> p would leave the target bin of z's new bin
     key["z"] = 2
     by_key = Relabelling(bins, lambda m, lbl: md(m.cohdeg, (key[lbl],), m.aux))
-    assert by_key.blocks(d, d_target) is None
+    with pytest.raises(ValueError, match=r"block at Multidegree\(cohdeg=0, weight=\(0,\)"):
+        by_key.blocks(d, d_target)
     # a map between two complexes re-indexes each side along its own move
     F = {a: SparseMatrix(2, 3, {(0, 0): 1, (1, 2): 1})}
     onto = Relabelling({a: ["u", "v"]}, lambda m, lbl: m if lbl == "v" else None)

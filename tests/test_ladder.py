@@ -35,12 +35,13 @@ def test_ladder_slice_schema_and_compare(tmp_path, monkeypatch, capsys):
     ]
     for e in doc["entries"]:
         assert set(e) == {"argv", "code", "traceback", "stdout_sha256", "stderr_sha256",
-                          "wall_ref_s", "peak_rss_mb"}
+                          "wall_ref_s", "engine_s", "peak_rss_mb"}
         assert e["code"] == 0 and e["traceback"] is False
         assert re.fullmatch("[0-9a-f]{64}", e["stdout_sha256"])
         assert re.fullmatch("[0-9a-f]{64}", e["stderr_sha256"])
-        assert len(e["wall_ref_s"]) == len(e["peak_rss_mb"]) == 2
-        assert all(isinstance(x, float) and x > 0 for x in e["wall_ref_s"] + e["peak_rss_mb"])
+        assert len(e["wall_ref_s"]) == len(e["engine_s"]) == len(e["peak_rss_mb"]) == 2
+        assert all(isinstance(x, float) and x > 0
+                   for x in e["wall_ref_s"] + e["engine_s"] + e["peak_rss_mb"])
 
     capsys.readouterr()
     assert ladder.main(["--compare", str(out), str(out)]) == 0
@@ -95,3 +96,61 @@ def test_compare_prints_the_median_peak_rss_ratio(tmp_path):
     assert lines == ["median peak RSS ratio B/A 0.950",
                      "3 common entries; outcomes all equal; 0 times moved beyond the noise; "
                      "median time ratio B/A 1.000"]
+
+
+def test_a_forked_run_that_differs_from_the_fresh_one_fails_the_ladder(tmp_path, monkeypatch,
+                                                                       capsys):
+    # module-level state that changes a verb's outcome shows only in the
+    # forked run, which calls cli.main in a child of the ladder
+    ladder = load_ladder()
+    entry = ["hh", "instances/01_line_gm_z2.loop", "--aux-max", "0"]
+    monkeypatch.setattr(ladder, "grid", lambda: [entry])
+    out = tmp_path / "ladder.json"
+    assert ladder.main(["--out", str(out), "--repeat", "1"]) == 0
+    assert "forked run differs" not in capsys.readouterr().err
+
+    from loophh import cli
+
+    main = cli.main
+    monkeypatch.setattr(cli, "main", lambda argv: main(argv) + 1)
+    assert ladder.main(["--out", str(out), "--repeat", "1"]) == 1
+    assert ("forked run differs: hh instances/01_line_gm_z2.loop --aux-max 0: exit code 0 -> 1, "
+            "stdout equal" in capsys.readouterr().err)
+    doc = json.loads(out.read_text())  # the file is written, with the fresh outcome
+    assert doc["entries"][0]["code"] == 0
+
+
+def test_fresh_runs_do_not_inherit_the_ladders_peak_rss(tmp_path, monkeypatch):
+    # a forked child's ru_maxrss starts at its parent's RSS; the launcher
+    # that forks the fresh runs is small, however large the ladder grows
+    ladder = load_ladder()
+    monkeypatch.setattr(ladder, "grid", lambda: [["hh", "instances/01_line_gm_z2.loop"]])
+    ballast = b"\1" * (96 << 20)  # written, so resident
+    out = tmp_path / "ladder.json"
+    assert ladder.main(["--out", str(out), "--repeat", "1"]) == 0
+    (peak,) = json.loads(out.read_text())["entries"][0]["peak_rss_mb"]
+    assert peak < 64 and len(ballast) == 96 << 20
+
+
+def test_compare_prints_the_median_engine_time_ratio(tmp_path):
+    ladder = load_ladder()
+    base = [_entry(["hh", f"f{k}.loop"], [1.0, 1.01, 1.02]) for k in range(3)]
+    old = _ladder_file(tmp_path / "old.json", base)
+    for e in base:
+        e["engine_s"] = [0.01, 0.0101, 0.0102]
+    a = _ladder_file(tmp_path / "a.json", base)
+    # the engine 20% faster on every entry but one, which doubled
+    b = [dict(e, engine_s=[round(t * 0.8, 5) for t in e["engine_s"]]) for e in base]
+    b[1]["engine_s"] = [0.02, 0.0202, 0.0204]
+    lines, changed = ladder.compare(a, _ladder_file(tmp_path / "b.json", b))
+    assert not changed
+    assert lines == ["median peak RSS ratio B/A 1.000",
+                     "engine time moved: hh f1.loop: 0.0101 -> 0.0252 s (noise 0.0007)",
+                     "median engine time ratio B/A 0.800 over 3 entries; "
+                     "1 engine times moved beyond the noise",
+                     "3 common entries; outcomes all equal; 0 times moved beyond the noise; "
+                     "median time ratio B/A 1.000"]
+    # a file written before engine_s was recorded has none to compare
+    lines, changed = ladder.compare(old, a)
+    assert not changed
+    assert lines[1] == "median engine time ratio B/A n/a: one file has no engine_s"

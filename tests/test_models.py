@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loophh
-from loophh import models
+from loophh import complexes, models
 
 from loophh.algebra import Derivation
 from loophh.cli import main
@@ -68,6 +68,23 @@ def test_loop_model_point_bg():
     reg = regrade_by_group_exponent(inv, V)
     t = reg.cohomology()
     assert {m for m in t.values} == {md(0, (mu,), 0) for mu in range(-3, 4)}
+
+
+@pytest.mark.parametrize("path", [ROOT / "instances" / "05_plane_opposite_z3.loop",
+                                  ROOT / "perfbench" / "instances" / "big3.loop"],
+                         ids=lambda p: p.stem)
+def test_regrading_refuses_before_it_moves_a_label(path, monkeypatch):
+    # their weight-0 loop complexes couple unequal group exponents: the
+    # entries decide that, and no label is moved first
+    P, T, _, tr = parse_instance(path.read_text())
+    V = loop_model(P, T)
+    inv = V.instantiate(tr.aux_max, laurent_cap=tr.laurent_cap, weight_filter=(0,))
+
+    def refuse(*args):
+        raise AssertionError("regrading built a Relabelling")
+
+    monkeypatch.setattr(complexes, "Relabelling", refuse)
+    assert regrade_by_group_exponent(inv, V) is None
 
 
 def test_loop_model_trivial_group_is_hkr():

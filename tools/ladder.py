@@ -11,13 +11,22 @@ Each entry runs ``python -m loophh`` on this checkout's ``src`` once per
 round, in ``--repeat`` rounds over the whole grid.  Per entry the file
 records the exit code, the sha256 of stdout and of stderr, whether stderr
 holds a traceback, the wall time of each run (interpreter start-up
-included) and the peak RSS.  Wall times are scaled to the reference host
+included) and the peak RSS.  The peak RSS is the child's ``ru_maxrss``,
+read from the rusage that ``os.wait4`` returns for that child alone.  A
+child's ``ru_maxrss`` starts at the RSS of the process that forked it, so
+the fresh runs are forked by a small launcher interpreter, started once.
+
+Each entry also runs once per round in a child forked from the ladder after
+it has imported ``loophh.cli`` and ``loophh.cyclic``: the child calls
+``cli.main(argv)`` with stdout and stderr in files of the run's temporary
+directory.  The wall time of that call, taken in the child, is the verb
+without interpreter start-up, import or fork: the entry's ``engine_s``.  The fresh run stays the outcome: a
+forked run whose exit code or stdout differs from it is a finding about
+module-level state.  Wall and engine times are scaled to the reference host
 speed by the benchmark's calibration bursts (``perfbench/calibrate.py``),
-run between stretches of entries.  The peak RSS is the child's
-``ru_maxrss``, read from the rusage that ``os.wait4`` returns for that
-child alone: the ``RUSAGE_CHILDREN`` total keeps the largest child seen so
-far.  The ladder prints the stderr of each run that ends in a traceback and,
-after it writes the file, exits 1 if there was one.
+run between stretches of entries.  The ladder prints the stderr of each run
+that ends in a traceback and each forked run that differs and, after it
+writes the file, exits 1 if there was one.
 
 ``--compare`` lists every entry whose exit code, traceback flag or output
 hash differs between two files, and every entry whose median scaled wall
@@ -27,7 +36,9 @@ times are not compared).  B's times are first divided by the median ratio
 B/A of the common entries' median times, which it prints, so a host that
 runs a session uniformly faster or slower flags no entry.  It also prints
 the median over the common entries of the ratio B/A of their median peak
-RSS.  It exits 1 when an outcome changed.
+RSS and, unless neither file has one, of their median ``engine_s`` (an older
+file without ``engine_s`` reads as n/a), with each engine time that moved
+beyond the noise in the same way.  It exits 1 when an outcome changed.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,24 +82,88 @@ def grid():
     return entries + [["unipotent-check"]]
 
 
-def run_once(argv, env):
-    """(exit code, stdout, stderr, raw wall seconds, peak RSS in MB) of one run."""
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "loophh", *argv], cwd=ROOT, env=env,
-                                stdin=subprocess.DEVNULL, stdout=out, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - t0
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        err.seek(0)
-        return proc.returncode, out.read(), err.read(), wall, usage.ru_maxrss / 1024
+# Forks each fresh run and reports "<exit code> <wall s> <ru_maxrss KB>".  It
+# runs under -S and imports only built-in modules, so that its own RSS, the
+# floor of each child's ru_maxrss, stays below that of any verb.
+LAUNCHER = """
+import os, sys, time
+for line in sys.stdin:
+    out, err, *argv = line[:-1].split("\\0")
+    t0 = time.perf_counter()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.dup2(os.open(os.devnull, os.O_RDONLY), 0)
+            os.dup2(os.open(out, os.O_WRONLY | os.O_TRUNC), 1)
+            os.dup2(os.open(err, os.O_WRONLY | os.O_TRUNC), 2)
+            os.execv(sys.executable, [sys.executable, "-m", "loophh", *argv])
+        finally:
+            os._exit(127)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - t0
+    print(os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss, flush=True)
+"""
+
+
+def run_once(argv, launcher, tmp):
+    """(exit code, stdout, stderr, raw wall seconds, peak RSS in MB) of one
+    fresh run, forked by `launcher`."""
+    out, err = tmp / "fresh.out", tmp / "fresh.err"
+    out.write_bytes(b"")
+    err.write_bytes(b"")
+    launcher.stdin.write("\0".join([str(out), str(err), *argv]) + "\n")
+    launcher.stdin.flush()
+    code, wall, peak_kb = launcher.stdout.readline().split()
+    return int(code), out.read_bytes(), err.read_bytes(), float(wall), int(peak_kb) / 1024
+
+
+def run_forked(argv, cli, tmp):
+    """(exit code, stdout, stderr, raw wall seconds) of `cli.main(argv)` in a
+    child forked from this process.  The child times itself, so the fork and
+    the wait, which grow with the ladder's own size, are not counted."""
+    out, err, wall = tmp / "forked.out", tmp / "forked.err", tmp / "forked.wall"
+    wall.write_text("")
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        t0, code = time.perf_counter(), 1
+        try:
+            os.chdir(ROOT)
+            os.environ.pop("LOOPHH_CACHE_DIR", None)  # as for the fresh runs
+            sys.stdin = open(os.devnull)
+            sys.stdout, sys.stderr = open(out, "w"), open(err, "w")
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse
+            code = 0 if e.code is None else e.code
+        except BaseException:  # the child must not return into the ladder
+            traceback.print_exc()
+        finally:
+            try:
+                sys.stdout.flush()
+                sys.stderr.flush()
+                wall.write_text(repr(time.perf_counter() - t0))
+            finally:
+                os._exit(code if isinstance(code, int) else 1)
+    _, status, _ = os.wait4(pid, 0)
+    return (os.waitstatus_to_exitcode(status), out.read_bytes(), err.read_bytes(),
+            float(wall.read_text()))
 
 
 def run_ladder(entries, repeat):
+    """The records of every entry, and whether a forked run differed."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from loophh import cli
+    import loophh.cyclic  # noqa: F401  (every engine module is loaded before a fork)
+
+    if Path(cli.__file__).resolve().parent != ROOT / "src" / "loophh":
+        raise SystemExit(f"error: imported loophh from {cli.__file__}, not {ROOT / 'src'}")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("LOOPHH_CACHE_DIR", None)  # every run computes its report
-    pending = []  # (record, raw wall) of the runs since the last burst
+    launcher = subprocess.Popen([sys.executable, "-S", "-c", LAUNCHER], cwd=ROOT, env=env,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    pending = []  # (record, raw wall, raw engine time) of the runs since the last burst
     stretch_s = 0.0
     speed_before = calibrate.speed()
 
@@ -95,35 +171,47 @@ def run_ladder(entries, repeat):
         nonlocal speed_before, stretch_s
         speed_after = calibrate.speed()
         speed = (speed_before + speed_after) / 2
-        for record, wall in pending:
+        for record, wall, engine in pending:
             record["wall_ref_s"].append(round(wall * speed, 4))
+            record["engine_s"].append(round(engine * speed, 5))
         pending.clear()
         speed_before, stretch_s = speed_after, 0.0
 
-    records = [{"argv": argv, "wall_ref_s": [], "peak_rss_mb": []} for argv in entries]
-    for run in range(repeat):  # whole rounds, so the spread of an entry includes drift
-        for record in records:
-            argv = record["argv"]
-            code, out, err, wall, peak = run_once(argv, env)
-            outcome = {
-                "code": code,
-                "traceback": b"Traceback" in err,
-                "stdout_sha256": hashlib.sha256(out).hexdigest(),
-                "stderr_sha256": hashlib.sha256(err).hexdigest(),
-            }
-            if run == 0 and outcome["traceback"]:
-                print(f"traceback: {' '.join(argv)}\n{err.decode()}", file=sys.stderr)
-            elif run and any(record[k] != outcome[k] for k in OUTCOME):
-                raise SystemExit(f"error: {' '.join(argv)}: runs differ in their output")
-            record.update(outcome)
-            record["peak_rss_mb"].append(round(peak, 2))
-            pending.append((record, wall))
-            stretch_s += wall
-            if stretch_s >= calibrate.STRETCH_S:
-                scale_pending()
+    records = [{"argv": argv, "wall_ref_s": [], "engine_s": [], "peak_rss_mb": []}
+               for argv in entries]
+    differs = False
+    with tempfile.TemporaryDirectory() as tmp, launcher:
+        tmp = Path(tmp)
+        for run in range(repeat):  # whole rounds, so the spread of an entry includes drift
+            for record in records:
+                argv = record["argv"]
+                code, out, err, wall, peak = run_once(argv, launcher, tmp)
+                outcome = {
+                    "code": code,
+                    "traceback": b"Traceback" in err,
+                    "stdout_sha256": hashlib.sha256(out).hexdigest(),
+                    "stderr_sha256": hashlib.sha256(err).hexdigest(),
+                }
+                if run == 0 and outcome["traceback"]:
+                    print(f"traceback: {' '.join(argv)}\n{err.decode()}", file=sys.stderr)
+                elif run and any(record[k] != outcome[k] for k in OUTCOME):
+                    raise SystemExit(f"error: {' '.join(argv)}: runs differ in their output")
+                record.update(outcome)
+                fcode, fout, ferr, engine = run_forked(argv, cli, tmp)
+                if fcode != code or fout != out:
+                    differs = True
+                    print(f"forked run differs: {' '.join(argv)}: exit code {code} -> {fcode}, "
+                          f"stdout {'equal' if fout == out else 'differs'}\n{ferr.decode()}",
+                          file=sys.stderr)
+                record["peak_rss_mb"].append(round(peak, 2))
+                pending.append((record, wall, engine))
+                stretch_s += wall + engine
+                if stretch_s >= calibrate.STRETCH_S:
+                    scale_pending()
+        launcher.stdin.close()
     if pending:
         scale_pending()
-    return records
+    return records, differs
 
 
 def compare(a_path, b_path):
@@ -143,8 +231,27 @@ def compare(a_path, b_path):
             if a[key][field] != b[key][field]:
                 changed = True
                 lines.append(f"changed {field}: {' '.join(key)}: {a[key][field]} -> {b[key][field]}")
+    ratio, moved = _moved_times(a, b, common, "wall_ref_s", "time moved", lines)
+    peaks = [[statistics.median(x[key]["peak_rss_mb"]) for x in (a, b)] for key in common]
+    rss = statistics.median(pb / pa for pa, pb in peaks) if peaks else 1.0
+    lines.append(f"median peak RSS ratio B/A {rss:.3f}")
+    engine = [k for k in common if a[k].get("engine_s") and b[k].get("engine_s")]
+    if engine:
+        eratio, emoved = _moved_times(a, b, engine, "engine_s", "engine time moved", lines, 4)
+        lines.append(f"median engine time ratio B/A {eratio:.3f} over {len(engine)} entries; "
+                     f"{emoved} engine times moved beyond the noise")
+    elif any(x[k].get("engine_s") for x in (a, b) for k in common):
+        lines.append("median engine time ratio B/A n/a: one file has no engine_s")
+    lines.append(f"{len(common)} common entries; outcomes {'changed' if changed else 'all equal'}; "
+                 f"{moved} times moved beyond the noise; median time ratio B/A {ratio:.3f}")
+    return lines, changed
+
+
+def _moved_times(a, b, keys, field, label, lines, digits=3):
+    """The median ratio B/A of the entries' median `field` times, and how
+    many moved beyond the noise, each named in `lines`."""
     # entries with a spread on both sides, and their median times
-    timed = [(key, a[key]["wall_ref_s"], b[key]["wall_ref_s"]) for key in common]
+    timed = [(key, a[key][field], b[key][field]) for key in keys]
     timed = [(key, ta, tb, statistics.median(ta), statistics.median(tb))
              for key, ta, tb in timed if min(len(ta), len(tb)) >= 2]
     ratio = statistics.median(mb / ma for *_, ma, mb in timed) if timed else 1.0
@@ -153,14 +260,9 @@ def compare(a_path, b_path):
         noise = (max(ta) - min(ta)) + (max(tb) - min(tb)) / ratio
         if abs(mb / ratio - ma) > noise:
             moved += 1
-            lines.append(f"time moved: {' '.join(key)}: {ma:.3f} -> {mb / ratio:.3f} s "
-                         f"(noise {noise:.3f})")
-    peaks = [[statistics.median(x[key]["peak_rss_mb"]) for x in (a, b)] for key in common]
-    rss = statistics.median(pb / pa for pa, pb in peaks) if peaks else 1.0
-    lines.append(f"median peak RSS ratio B/A {rss:.3f}")
-    lines.append(f"{len(common)} common entries; outcomes {'changed' if changed else 'all equal'}; "
-                 f"{moved} times moved beyond the noise; median time ratio B/A {ratio:.3f}")
-    return lines, changed
+            lines.append(f"{label}: {' '.join(key)}: {ma:.{digits}f} -> {mb / ratio:.{digits}f} s "
+                         f"(noise {noise:.{digits}f})")
+    return ratio, moved
 
 
 def main(argv=None):
@@ -177,12 +279,12 @@ def main(argv=None):
         p.error("--out or --compare is required")
     if args.repeat < 1:
         p.error("--repeat must be at least 1")
-    records = run_ladder(grid(), args.repeat)
+    records, differs = run_ladder(grid(), args.repeat)
     head = {"schema": SCHEMA, "python": sys.version.split()[0], "repeat": args.repeat}
     # one entry per line, so two files diff entry by entry
     body = ",\n".join(json.dumps(r) for r in records)
     Path(args.out).write_text(json.dumps(head)[:-1] + ', "entries": [\n' + body + "\n]}\n")
-    return 1 if any(r["traceback"] for r in records) else 0
+    return 1 if differs or any(r["traceback"] for r in records) else 0
 
 
 if __name__ == "__main__":
