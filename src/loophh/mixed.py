@@ -34,6 +34,7 @@ class MixedComplex:
         self.eps: dict[Multidegree, SparseMatrix] = dict(eps) if eps else {}
         self._laws_ok = laws_ok  # set once check_mixed_laws passes, or inherited
         self._strips = None  # see strips()
+        self._held = {}  # (flavor, p_lo, p_hi) -> the last table's USeriesComplex.held
 
     def eps_target(self, m: Multidegree) -> Multidegree:
         return m.shift(cohdeg=-1)
@@ -103,11 +104,10 @@ class USeriesComplex:
     """Windowed (V[[u]]-style, d + u*eps) complex of a declared flavor.
 
     Construction raises NotAComplex unless d^2 = 0 on every bin, edge or not,
-    and the mixed laws hold.  A u-series complex keeps no column: each pass
-    walks the strips of the mixed complex (`_Strip.walk`), which yield the
-    shape of each column.  What a shape determines (its reduction, its
-    classes) is kept in records that every strip of equal content shares.
-    So every flavor, window and complex of one memo lifetime shares them.
+    and the mixed laws hold.  A table walks the strips of the mixed complex
+    (`_Strip.walk`), which yield the shape of each column.  What a shape
+    determines (its reduction, its classes) is kept in records that every
+    strip of equal content shares, and `held` keeps the columns with a class.
     """
 
     def __init__(self, mixed: MixedComplex, flavor: str, p_range: tuple):
@@ -124,22 +124,22 @@ class USeriesComplex:
         self.mixed = mixed
         self.flavor = flavor
         self.p_lo, self.p_hi = p_range
+        self.key = (flavor, *p_range)  # what `held` is kept under
 
     # -- cells ---------------------------------------------------------------
     def columns(self):
         """Total columns keyed (tau, weight, aux), sorted, each ->
         (strip, prv, src, nxt) as `_Strip.walk` yields them."""
-        cols = {}
-        for (w, a), strip in self.mixed.strips().items():
-            for tau, *shapes in strip.walk(self.p_lo, self.p_hi):
-                cols[(tau, w, a)] = (strip, *shapes)
-        return dict(sorted(cols.items()))
+        return dict(sorted(  # keys are unique, so no two strips are compared
+            ((tau, w, a), (strip, *shapes)) for (w, a), strip in self.mixed.strips().items()
+            for tau, *shapes in strip.walk(self.p_lo, self.p_hi)))
 
     # -- edge / validity ----------------------------------------------------------
     def _column_is_edge(self, strip, tau, src) -> bool:
         """Column tau of the strip, of shape src, holds an edge cell or meets
         an artifact of the p-window (`_cut`)."""
-        return strip.has_edge(src) or self._cut(strip, tau)
+        edge = strip.edge
+        return bool(edge) and not edge.isdisjoint(strip.cells(src)) or self._cut(strip, tau)
 
     def _cut(self, strip, tau) -> bool:
         """Column tau of the strip meets an artifact of the p-window.  d keeps
@@ -161,22 +161,45 @@ class USeriesComplex:
         cell of their echelon pivot (canonical in all split cases).  With
         `known_only` (see `GradedComplex.cohomology`) an edge column gets no
         value and no class record; `_content_key` scanned its blocks' backend."""
-        vals: dict[Multidegree, int] = {}
-        edge: set[Multidegree] = set()
-        lo, hi = self.p_lo, self.p_hi
+        vals, edge = {}, set()
+        self.held(known_only, vals, edge)
+        return HilbertTable(vals, edge, self.mixed.base.window.with_upow(self.p_lo, self.p_hi))
+
+    def held(self, known_only=True, vals=None, edge=None) -> dict:
+        """{(w, a): {tau: `classes_of`}}: each strip's non-edge columns over
+        this window that hold a class.  A table's walk leaves it on the mixed
+        complex for the next check to take, and adds each edge column's cells
+        to `edge` and the counts of every (`known_only`: non-edge) column to
+        `vals`; a check that finds none walks for it.  Known-only, a strip of
+        edge bins walks no column: its cell (i, p) is in column i + 2p."""
+        held = self.mixed._held.pop(self.key, None)
+        if held is not None and edge is None:
+            return held
+        held, lo, hi = {}, self.p_lo, self.p_hi
         for (w, a), strip in self.mixed.strips().items():
-            classes = strip.classes
-            for tau, prv, src, nxt in strip.walk(lo, hi):
-                if self._column_is_edge(strip, tau, src):
-                    edge.update(Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src))
+            columns, all_edge = {}, known_only and strip.edge.issuperset(strip.dims)
+            if all_edge and edge is not None:
+                edge.update(Multidegree(i, w, a, p) for i in strip.dims for p in range(lo, hi + 1))
+            for tau, prv, src, nxt in () if all_edge else strip.walk(lo, hi):
+                at_edge = self._column_is_edge(strip, tau, src)
+                if at_edge:
+                    if edge is not None:
+                        edge.update(Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src))
                     if known_only:
                         continue
-                counts = classes.get((prv, src, nxt))
+                counts = strip.classes.get((prv, src, nxt))
                 if counts is None:
                     counts = strip.classes_of(prv, src, nxt)
-                for i, n in counts:
-                    vals[Multidegree(i, w, a, (tau - i) // 2)] = n
-        return HilbertTable(vals, edge, self.mixed.base.window.with_upow(lo, hi))
+                if counts and not at_edge:
+                    columns[tau] = counts  # the shared record, so nothing is built
+                if vals is not None:
+                    for i, n in counts:
+                        vals[Multidegree(i, w, a, (tau - i) // 2)] = n
+            if columns:
+                held[(w, a)] = columns
+        if edge is not None:
+            self.mixed._held[self.key] = held
+        return held
 
     # -- u multiplication ----------------------------------------------------------
     def u_map_bijective(self):
@@ -185,29 +208,27 @@ class USeriesComplex:
         Returns (ok, failures); failures name (tau, weight, aux) columns.
         """
         failures = []
-        for (w, a), strip in self.mixed.strips().items():
-            cols = {tau: (prv, src, nxt) for tau, prv, src, nxt in strip.walk(self.p_lo, self.p_hi)}
-            for tau, (prv, src, nxt) in cols.items():
-                # u sends cell i of column tau (p -> p+1) to cell i of column tau + 2;
-                # usable only if the image column retains every shifted cell.
-                if tau + 2 not in cols:
-                    continue
-                tprv, tsrc, tnxt = cols[tau + 2]
-                if self._column_is_edge(strip, tau, src) or self._column_is_edge(strip, tau + 2, tsrc):
-                    continue
-                offset, total = strip.offsets(src)
-                toffset, ttotal = strip.offsets(tsrc)
-                if any(i not in toffset for i in offset):
-                    continue
-                hs, ht = strip.h_dim(prv, src, nxt), strip.h_dim(tprv, tsrc, tnxt)
-                # u embeds each cell's basis into the same cell of column tau + 2
-                shift = SparseMatrix(ttotal, total, {
-                    (toffset[i] + k, offset[i] + k): 1 for i in offset for k in range(strip.dims[i])})
-                r = induced_rank(strip.matrix(src, nxt), shift, strip.matrix(tprv, tsrc))
-                if not (hs == ht == r):
-                    failures.append(((tau, w, a), hs, ht, r))
-        failures.sort()
-        return (not failures, failures)
+        cols = self.columns()
+        for (tau, w, a), (strip, prv, src, nxt) in cols.items():
+            # u sends cell i of column tau (p -> p+1) to cell i of column tau + 2;
+            # usable only if the image column retains every shifted cell.
+            if (tau + 2, w, a) not in cols:
+                continue
+            _, tprv, tsrc, tnxt = cols[(tau + 2, w, a)]
+            if self._column_is_edge(strip, tau, src) or self._column_is_edge(strip, tau + 2, tsrc):
+                continue
+            offset, total = strip.offsets(src)
+            toffset, ttotal = strip.offsets(tsrc)
+            if any(i not in toffset for i in offset):
+                continue
+            hs, ht = strip.h_dim(prv, src, nxt), strip.h_dim(tprv, tsrc, tnxt)
+            # u embeds each cell's basis into the same cell of column tau + 2
+            shift = SparseMatrix(ttotal, total, {
+                (toffset[i] + k, offset[i] + k): 1 for i in offset for k in range(strip.dims[i])})
+            r = induced_rank(strip.matrix(src, nxt), shift, strip.matrix(tprv, tsrc))
+            if not (hs == ht == r):
+                failures.append(((tau, w, a), hs, ht, r))
+        return (not failures, failures)  # in the columns' order, so sorted
 
 
 class _Strip:
@@ -223,9 +244,7 @@ class _Strip:
     and image; a triple's is its class counts.  Those records depend only on
     the strip's content: its dimensions and its d- and eps-blocks by degree.
     So all strips of equal content share one `columns` dict (per pair) and
-    one `classes` dict (per triple), taken from `_STRIP_MEMO`.  The
-    induced-map checks keep no record here: each reduces the column
-    matrices it ranks (`linalg.induced_rank`)."""
+    one `classes` dict (per triple), taken from `_STRIP_MEMO`."""
 
     __slots__ = ("w", "a", "degrees", "dims", "d", "eps", "edge", "inside", "columns", "classes")
 
@@ -284,9 +303,6 @@ class _Strip:
             total += self.dims[i]
         return offset, total
 
-    def has_edge(self, shape) -> bool:
-        return bool(self.edge) and not self.edge.isdisjoint(self.cells(shape))
-
     def certified_zero(self, i, mixed) -> bool:
         """The bin (i, w, a) of `mixed` is known to vanish: empty, not edge,
         inside the window, and above any declared cohdeg floor or vouched for
@@ -303,14 +319,10 @@ class _Strip:
         i, d to cell i + 1 and eps to cell i - 1, where that cell exists."""
         offset, total = self.offsets(src)
         target, ttotal = self.offsets(nxt)
-        ent = {}
-        for i, col in offset.items():
-            for block, j in ((self.d.get(i), i + 1), (self.eps.get(i), i - 1)):
-                if block is not None and j in target:
-                    row = target[j]
-                    for (r, c), v in block.entries.items():
-                        ent[(row + r, col + c)] = v
-        return SparseMatrix(ttotal, total, ent)
+        return SparseMatrix(ttotal, total, {
+            (target[j] + r, col + c): v for i, col in offset.items()
+            for block, j in ((self.d.get(i), i + 1), (self.eps.get(i), i - 1))
+            if block is not None and j in target for (r, c), v in block.entries.items()})
 
     def column(self, src, nxt):
         """The shared (kernel leads, image leads) of `matrix(src, nxt)`, as
@@ -377,62 +389,50 @@ def tate(V: MixedComplex, u_window: int) -> USeriesComplex:
     return USeriesComplex(V, "tate", (-u_window, u_window))
 
 
-_EMPTY = (None, None, None)  # the shapes of a column with no cell
-
-
 def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
     """The u-linear extension of a chain map induces isomorphisms columnwise.
 
     Both u-series complexes checked their laws when they were built.  F is
     a `ChainMap` between their mixed complexes, which must commute with d
     and eps (`ChainMap.verify_chain_map`).  Then Fcol commutes with d + u eps,
-    so its rank on a column's H is at most min(hs, ht).  Columns that are
-    edge on either side are skipped first.  The class counts are read next,
-    and the rank is computed only where both sides have a class (0
-    otherwise), once per (w, a, shapes): one `induced_rank` of the source
-    column's matrix, Fcol and the target's previous column matrix.  HH's
-    check, `ChainMap.induced_iso_everywhere`, is the HN level 1 case.
-    Returns (ok, failures).
+    so its rank on a column's H is at most min(hs, ht), and a column with no
+    class on either side passes: only the columns in either side's `held`
+    record are visited.  Where the other side has none, its column (empty
+    if it lacks the strip) is edge, and skipped, or holds no class.  Where
+    both have one, the rank is computed once per (w, a, shapes): one
+    `induced_rank` of the source column's matrix, Fcol and the target's
+    previous column matrix.  HH's check, `ChainMap.induced_iso_everywhere`,
+    is the HN level 1 case.  Returns (ok, failures).
     """
-    if (us_src.flavor, us_src.p_lo, us_src.p_hi) != (us_tgt.flavor, us_tgt.p_lo, us_tgt.p_hi):
+    if us_src.key != us_tgt.key:
         raise ValueError("flavor/window mismatch")
-    failures = []
-    ranks = {}  # (w, a, source shapes, target shapes) -> [hs, ht, rank or None]
+    failures, ranks = [], {}  # ranks: (w, a, source shapes, target shapes) -> rank
     lo, hi = us_src.p_lo, us_src.p_hi
     s_strips, t_strips = us_src.mixed.strips(), us_tgt.mixed.strips()
-    for w, a in s_strips.keys() | t_strips.keys():
-        # a strip or column one side lacks is empty there: no cell, so no
-        # class and no image, whatever its neighbours hold
-        s_strip = s_strips.get((w, a)) or _Strip(us_src.mixed, w, a, {}, frozenset())
-        t_strip = t_strips.get((w, a)) or _Strip(us_tgt.mixed, w, a, {}, frozenset())
-        s_cols = {tau: (prv, src, nxt) for tau, prv, src, nxt in s_strip.walk(lo, hi)}
-        t_cols = {tau: (prv, src, nxt) for tau, prv, src, nxt in t_strip.walk(lo, hi)}
-        for tau in s_cols.keys() | t_cols.keys():
-            s_shapes, t_shapes = s_cols.get(tau, _EMPTY), t_cols.get(tau, _EMPTY)
-            if us_src._column_is_edge(s_strip, tau, s_shapes[1]) or \
-                    us_tgt._column_is_edge(t_strip, tau, t_shapes[1]):
+    s_all, t_all = us_src.held(), us_tgt.held()
+    for w, a in s_all.keys() | t_all.keys():
+        s_strip, t_strip = s_strips.get((w, a)), t_strips.get((w, a))
+        s_held, t_held = s_all.get((w, a), {}), t_all.get((w, a), {})
+        for tau in s_held.keys() | t_held.keys():
+            hs, ht = (sum(n for _, n in held.get(tau, ())) for held in (s_held, t_held))
+            if not (hs and ht):
+                us, strip = (us_src, s_strip) if not hs else (us_tgt, t_strip)
+                strip = strip or _Strip(us.mixed, w, a, {}, frozenset())
+                if not us._column_is_edge(strip, tau, strip.shape(tau, lo, hi)):
+                    failures.append(((tau, w, a), hs, ht, 0))
                 continue
-            shapes = (w, a, s_shapes, t_shapes)
-            record = ranks.get(shapes)
-            if record is None:
-                # class counts come from the strips' records, which tables fill
-                hs, ht = s_strip.h_dim(*s_shapes), t_strip.h_dim(*t_shapes)
-                record = ranks[shapes] = [hs, ht, None if hs and ht else 0]
-            hs, ht, r = record
+            shapes = (w, a, *(strip.shape(x, lo, hi) for strip in (s_strip, t_strip)
+                              for x in (tau - 1, tau, tau + 1)))
+            r = ranks.get(shapes)
             if r is None:
                 # F's blocks are per bin, so equal shapes give equal Fcol
-                (_, s_src, s_nxt), (t_prv, t_src, _) = s_shapes, t_shapes
-                s_off, s_total = s_strip.offsets(s_src)
-                t_off, t_total = t_strip.offsets(t_src)
-                ent = {}
-                for i, col in s_off.items():
-                    blk = F.blocks.get(Multidegree(i, w, a))
-                    if blk is not None and i in t_off:
-                        for (row, c), v in blk.entries.items():
-                            ent[(t_off[i] + row, col + c)] = v
-                Fcol = SparseMatrix(t_total, s_total, ent)
-                r = record[2] = induced_rank(s_strip.matrix(s_src, s_nxt), Fcol,
-                                             t_strip.matrix(t_prv, t_src))
+                _, s_src, s_nxt, t_prv, t_src, _ = shapes[2:]
+                (s_off, s_total), (t_off, t_total) = s_strip.offsets(s_src), t_strip.offsets(t_src)
+                Fcol = SparseMatrix(t_total, s_total, {
+                    (t_off[i] + row, col + c): v for i, col in s_off.items() if i in t_off
+                    for (row, c), v in F.block(Multidegree(i, w, a)).entries.items()})
+                r = ranks[shapes] = induced_rank(s_strip.matrix(s_src, s_nxt), Fcol,
+                                                 t_strip.matrix(t_prv, t_src))
             if not (hs == ht == r):
                 failures.append(((tau, w, a), hs, ht, r))
     failures.sort()

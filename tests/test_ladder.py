@@ -22,7 +22,7 @@ def load_ladder():
 def test_ladder_slice_schema_and_compare(tmp_path, monkeypatch, capsys):
     ladder = load_ladder()
     entries = ladder.grid()
-    assert len(entries) == 8 * 7 * 3 + 1  # perfbench's copies of instances/ run once
+    assert len(entries) == 8 * 7 * 3 + 2  # perfbench's copies of instances/ run once
     monkeypatch.setattr(ladder, "grid", lambda: entries[:2])
     out = tmp_path / "ladder.json"
     assert ladder.main(["--out", str(out), "--repeat", "2"]) == 0
@@ -154,3 +154,33 @@ def test_compare_prints_the_median_engine_time_ratio(tmp_path):
     lines, changed = ladder.compare(old, a)
     assert not changed
     assert lines[1] == "median engine time ratio B/A n/a: one file has no engine_s"
+
+
+def test_the_heavy_rung_is_the_benchmarks_big3_localize():
+    # one entry whose engine time is several times the start-up, so that
+    # engine_s can resolve an engine change; the benchmark runs the same op
+    ladder = load_ladder()
+    heavy = ["localize", "perfbench/instances/big3.loop", "--aux-max", "8", "--u-window", "8",
+             "--tower-levels", "6"]
+    assert ladder.grid()[-1] == heavy
+    assert ladder.grid().count(heavy) == 1
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    op = " ".join(["localize", "big3", *heavy[2:]])
+    assert reference["localize"][op]["code"] == 0
+
+
+def test_compare_reads_an_entry_only_in_b_as_new(tmp_path):
+    # a ladder from before an entry was added compares on the common entries
+    ladder = load_ladder()
+    base = [_entry(["hh", f"f{k}.loop"], [1.0, 1.01, 1.02]) for k in range(3)]
+    a = _ladder_file(tmp_path / "a.json", base)
+    b = _ladder_file(tmp_path / "b.json", base + [_entry(["localize", "heavy.loop"], [2.0, 2.0])])
+    lines, changed = ladder.compare(a, b)
+    assert not changed
+    assert lines[0] == f"only in {b}: localize heavy.loop"
+    assert lines[-1].startswith("3 common entries; outcomes all equal;")
+    # ... but a ladder that lost an entry changed an outcome
+    lines, changed = ladder.compare(b, a)
+    assert changed
+    assert lines[0] == f"only in {b}: localize heavy.loop"
+    assert lines[-1].startswith("3 common entries; outcomes changed;")

@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loophh import harness, mixed
 from loophh.cli import build_parser, run_verb
@@ -759,3 +760,195 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
         assert code == 0
     assert level_one[0]
     assert ranked[0] and ranked[0] == len(calls)
+
+
+def _columnwise_induced_iso(us_src, us_tgt, F):
+    """`useries_induced_iso` as it was before `USeriesComplex.held` records,
+    kept as the reference of the equivalence property: it walks both sides'
+    strips and tests every column of either for edge."""
+    if (us_src.flavor, us_src.p_lo, us_src.p_hi) != (us_tgt.flavor, us_tgt.p_lo, us_tgt.p_hi):
+        raise ValueError("flavor/window mismatch")
+    empty = (None, None, None)  # the shapes of a column with no cell
+    failures = []
+    ranks = {}  # (w, a, source shapes, target shapes) -> [hs, ht, rank or None]
+    lo, hi = us_src.p_lo, us_src.p_hi
+    s_strips, t_strips = us_src.mixed.strips(), us_tgt.mixed.strips()
+    for w, a in s_strips.keys() | t_strips.keys():
+        # a strip or column one side lacks is empty there: no cell, so no
+        # class and no image, whatever its neighbours hold
+        s_strip = s_strips.get((w, a)) or mixed._Strip(us_src.mixed, w, a, {}, frozenset())
+        t_strip = t_strips.get((w, a)) or mixed._Strip(us_tgt.mixed, w, a, {}, frozenset())
+        s_cols = {tau: (prv, src, nxt) for tau, prv, src, nxt in s_strip.walk(lo, hi)}
+        t_cols = {tau: (prv, src, nxt) for tau, prv, src, nxt in t_strip.walk(lo, hi)}
+        for tau in s_cols.keys() | t_cols.keys():
+            s_shapes, t_shapes = s_cols.get(tau, empty), t_cols.get(tau, empty)
+            if us_src._column_is_edge(s_strip, tau, s_shapes[1]) or \
+                    us_tgt._column_is_edge(t_strip, tau, t_shapes[1]):
+                continue
+            shapes = (w, a, s_shapes, t_shapes)
+            record = ranks.get(shapes)
+            if record is None:
+                hs, ht = s_strip.h_dim(*s_shapes), t_strip.h_dim(*t_shapes)
+                record = ranks[shapes] = [hs, ht, None if hs and ht else 0]
+            hs, ht, r = record
+            if r is None:
+                (_, s_src, s_nxt), (t_prv, t_src, _) = s_shapes, t_shapes
+                s_off, s_total = s_strip.offsets(s_src)
+                t_off, t_total = t_strip.offsets(t_src)
+                ent = {}
+                for i, col in s_off.items():
+                    blk = F.blocks.get(Multidegree(i, w, a))
+                    if blk is not None and i in t_off:
+                        for (row, c), v in blk.entries.items():
+                            ent[(t_off[i] + row, col + c)] = v
+                Fcol = SparseMatrix(t_total, s_total, ent)
+                r = record[2] = mixed.induced_rank(s_strip.matrix(s_src, s_nxt), Fcol,
+                                                   t_strip.matrix(t_prv, t_src))
+            if not (hs == ht == r):
+                failures.append(((tau, w, a), hs, ht, r))
+    failures.sort()
+    return (not failures, failures)
+
+
+def _result_and_ranks(check, us_src, us_tgt, F):
+    """(check's (ok, failures), the contents of its `induced_rank` inputs,
+    sorted)."""
+    calls, real = [], mixed.induced_rank
+
+    def recording(D, Fcol, B):
+        calls.append(tuple(mixed._content_key(M) for M in (D, Fcol, B)))
+        return real(D, Fcol, B)
+
+    mixed.induced_rank = recording
+    try:
+        result = check(us_src, us_tgt, F)
+    finally:
+        mixed.induced_rank = real
+    return result, sorted(calls, key=repr)
+
+
+def _two_windows_each(V):
+    """Each flavor at two p-windows; HH's HN level 1 is the first."""
+    return [mixed.USeriesComplex(V, flavor, window) for flavor, window in (
+        ("invariants", (0, 0)), ("invariants", (0, 2)), ("coinvariants", (-1, 0)),
+        ("coinvariants", (-3, 0)), ("tate", (-1, 1)), ("tate", (-3, 3)))]
+
+
+def _assert_equals_the_columnwise_check(V, W, F):
+    """Returns how many of the six checks of F: V -> W failed and how many
+    ranks they took."""
+    failing = ranked = 0
+    for us_src, us_tgt in zip(_two_windows_each(V), _two_windows_each(W)):
+        (ok, failures), ranks = _result_and_ranks(mixed.useries_induced_iso, us_src, us_tgt, F)
+        assert ((ok, failures), ranks) == _result_and_ranks(_columnwise_induced_iso, us_src, us_tgt, F)
+        failing += not ok
+        ranked += len(ranks)
+    return failing, ranked
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 10_000))
+def test_induced_iso_equals_the_columnwise_check(seed_a, seed_b):
+    # the inclusion of a random summand and the projection onto it
+    mixed.clear_column_memo()
+    A = random_mixed_complex(seed_a)
+    for V, W, F in summand_maps(A, direct_sum(A, random_mixed_complex(seed_b))):
+        _assert_equals_the_columnwise_check(V, W, F)
+
+
+def _class_against_a_cut_column():
+    """A class in degree 0 and a lone bin in degree 1 of the same strip.  At
+    coinvariants u-window 1, column -2 holds the class's cell (0, -1) on the
+    first, and is empty on the second, where the eps-arrow into its bottom
+    cell comes from the bin in degree 1: cut, so edge."""
+    X, Y = (MixedComplex(GradedComplex({md(i, (0,), 0): ["v"]}, {}, WIN), {}) for i in (0, 1))
+    us_x, us_y = coinvariants(X, 1), coinvariants(Y, 1)
+    (strip_y,) = Y.strips().values()
+    assert us_x.held()[((0,), 0)][-2] == ((0, 1),) and strip_y.shape(-2, -1, 0) is None
+    assert us_y._column_is_edge(strip_y, -2, None) and not us_y._column_is_edge(strip_y, 0, None)
+    return X, Y
+
+
+def test_induced_iso_equals_the_columnwise_check_on_restriction_maps():
+    # the top restriction map of 01 and the same map zeroed at a class, and
+    # the zero maps between a class and a column of the other side that is
+    # empty and cut, in both directions
+    mixed.clear_column_memo()
+    inst = localization_instance(SHIPPED[0])
+    L, R = inst.lhs.levels[-1], inst.rhs.levels[-1]
+    assert _assert_equals_the_columnwise_check(L, R, inst.maps[-1])[1]
+    failing, ranked = _assert_equals_the_columnwise_check(L, R, zeroed_at_a_class(inst))
+    assert failing and ranked
+    X, Y = _class_against_a_cut_column()
+    for V, W in ((X, Y), (Y, X)):
+        assert _assert_equals_the_columnwise_check(V, W, ChainMap(V, W, {}))[0]
+
+
+def _walk_every_column(us):
+    """The known-only table of `us` (values, edge) and its `held` records
+    keyed (w, a, tau), from a walk of every column of every strip."""
+    vals, edge, held = {}, set(), {}
+    for (w, a), strip in us.mixed.strips().items():
+        for tau, prv, src, nxt in strip.walk(us.p_lo, us.p_hi):
+            cells = {i: Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src)}
+            if us._column_is_edge(strip, tau, src):
+                edge.update(cells.values())
+                continue
+            counts = strip.classes_of(prv, src, nxt)
+            vals.update((cells[i], n) for i, n in counts)
+            if counts:
+                held[(w, a, tau)] = counts
+    return vals, edge, held
+
+
+def test_known_only_tables_equal_a_walk_of_every_column():
+    # every level `localize` checks, at HN level 1 (no table: `held` walks
+    # for itself) and at the HN, HC and HP windows; strips whose bins are
+    # all edge must occur, or the shortcut goes untested
+    mixed.clear_column_memo()
+    all_edge = 0
+    for L, R, _, u in _localize_levels():
+        for V in (L, R):
+            for us in [s1_invariants_level(V, 1)] + _localize_flavors(V, u):
+                if us.key != ("invariants", 0, 0):
+                    table = us.cohomology(known_only=True)
+                    assert (table.values, table.edge) == _walk_every_column(us)[:2]
+                held = {(w, a, tau): counts for (w, a), columns in us.held().items()
+                        for tau, counts in columns.items()}
+                assert held == _walk_every_column(us)[2]
+            all_edge += sum(1 for s in V.strips().values() if s.dims and s.edge.issuperset(s.dims))
+    assert all_edge
+
+
+def test_localize_walks_each_strip_once_per_window(monkeypatch):
+    # the tables walk each strip once per flavor and window; the induced-map
+    # checks take what those walks left, and HH's check (HN level 1, where
+    # no table is taken) walks once for itself
+    walks, strips = {}, []
+
+    def walk(self, p_lo, p_hi, _fn=mixed._Strip.walk):
+        strips.append(self)  # kept alive, so no id is reused
+        walks[(id(self), p_lo, p_hi)] = walks.get((id(self), p_lo, p_hi), 0) + 1
+        return _fn(self, p_lo, p_hi)
+
+    monkeypatch.setattr(mixed._Strip, "walk", walk)
+    mixed.clear_column_memo()
+    path = SHIPPED[4]  # 05
+    _, code = run_verb("localize", build_parser().parse_args(["localize", str(path)]),
+                       path.read_text())
+    assert code == 0
+    assert any(key[1:] == (0, 0) for key in walks)
+    assert max(walks.values()) == 1
+
+
+def test_a_check_takes_the_record_its_table_left():
+    # a known-only table leaves its `held` record on the mixed complex; the
+    # induced-map check takes it, so nothing outlives the check
+    mixed.clear_column_memo()
+    V = bga_polynomial_preset(4)
+    us = tate(V, 2)
+    us.cohomology(known_only=True)
+    assert V._held[us.key]
+    identity = ChainMap(V, V, {m: SparseMatrix.identity(V.base.dim(m)) for m in V.base.bins})
+    assert mixed.useries_induced_iso(us, tate(V, 2), identity) == (True, [])
+    assert us.key not in V._held

@@ -6,7 +6,9 @@
 The grid is the seven table and theorem verbs on ``instances/*.loop`` and
 ``perfbench/instances/*.loop`` (a file whose bytes equal an earlier one runs
 once), each at three windows (the file's own, the smallest, and a u-window
-wider than every strip), plus ``unipotent-check``.
+wider than every strip), plus ``unipotent-check`` and one heavy rung: the
+benchmark's big3 ``localize``, whose engine time is several times the
+start-up, so that ``engine_s`` can resolve an engine change.
 Each entry runs ``python -m loophh`` on this checkout's ``src`` once per
 round, in ``--repeat`` rounds over the whole grid.  Per entry the file
 records the exit code, the sha256 of stdout and of stderr, whether stderr
@@ -29,16 +31,17 @@ that ends in a traceback and each forked run that differs and, after it
 writes the file, exits 1 if there was one.
 
 ``--compare`` lists every entry whose exit code, traceback flag or output
-hash differs between two files, and every entry whose median scaled wall
-time moved by more than the noise: the sum of the two entries' spreads
-(max - min over their runs; entries with one run have no spread and their
-times are not compared).  B's times are first divided by the median ratio
-B/A of the common entries' median times, which it prints, so a host that
-runs a session uniformly faster or slower flags no entry.  It also prints
-the median over the common entries of the ratio B/A of their median peak
-RSS and, unless neither file has one, of their median ``engine_s`` (an older
-file without ``engine_s`` reads as n/a), with each engine time that moved
-beyond the noise in the same way.  It exits 1 when an outcome changed.
+hash differs between two files, every entry only one of them has (one only
+in A is a changed outcome; one only in B is new, and is not), and every
+entry whose median scaled wall time moved by more than the noise: the sum
+of the two entries' spreads (max - min over their runs; entries with one
+run have no spread and their times are not compared).  B's times are first
+divided by the median ratio B/A of the common entries' median times, which
+it prints, so a host that runs a session uniformly faster or slower flags
+no entry.  It also prints the median over the common entries of the ratio
+B/A of their median peak RSS and, unless neither file has one, of their
+median ``engine_s`` (an older file without ``engine_s`` reads as n/a), with
+each engine time that moved beyond the noise in the same way.  It exits 1 when an outcome changed.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ WINDOWS = (
     ("--aux-max", "5", "--u-window", "8"),
 )
 OUTCOME = ("code", "traceback", "stdout_sha256", "stderr_sha256")
+# the first operation of the benchmark's localize workload
+HEAVY = ["localize", "perfbench/instances/big3.loop", "--aux-max", "8", "--u-window", "8",
+         "--tower-levels", "6"]
 
 
 def grid():
@@ -79,7 +85,7 @@ def grid():
             files.append(f)
     entries = [[verb, str(f.relative_to(ROOT)), *flags]
                for f in files for verb in VERBS for flags in WINDOWS]
-    return entries + [["unipotent-check"]]
+    return entries + [["unipotent-check"], HEAVY]
 
 
 # Forks each fresh run and reports "<exit code> <wall s> <ru_maxrss KB>".  It
@@ -221,10 +227,9 @@ def compare(a_path, b_path):
         {tuple(e["argv"]): e for e in json.loads(Path(p).read_text())["entries"]}
         for p in (a_path, b_path)
     )
-    lines = [f"only in {p}: {' '.join(k)}"
-             for p, mine, other in ((a_path, a, b), (b_path, b, a))
-             for k in mine if k not in other]
+    lines = [f"only in {a_path}: {' '.join(k)}" for k in a if k not in b]
     changed = bool(lines)
+    lines += [f"only in {b_path}: {' '.join(k)}" for k in b if k not in a]
     common = [k for k in a if k in b]
     for key in common:
         for field in OUTCOME:
