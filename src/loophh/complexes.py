@@ -221,13 +221,14 @@ class ChainMap:
         """(ok, failures): the induced map on H(V, d) is an isomorphism on
         every bin edge on neither side.  H(V, d) is HN level 1, (V[u]/u,
         d + u eps): its columns are single bins, and an invariants level cuts
-        no column, so this is `useries_induced_iso` there, with each failing
-        column (i, w, a) named by its bin.  A bin is edge on a side only if
-        it holds a label there.  The map must be a chain map
-        (`verify_chain_map`, or inherited from one checked where it was
-        built)."""
+        no column, so this is `useries_induced_iso` there, on both sides'
+        known-only HN level 1 tables, with each failing column (i, w, a)
+        named by its bin.  A bin is edge on a side only if it holds a label
+        there.  The map must be a chain map (`verify_chain_map`, or inherited
+        from one checked where it was built)."""
         from .mixed import s1_invariants_level, useries_induced_iso
 
-        ok, failures = useries_induced_iso(
-            s1_invariants_level(self.source, 1), s1_invariants_level(self.target, 1), self)
+        us_src, us_tgt = s1_invariants_level(self.source, 1), s1_invariants_level(self.target, 1)
+        ok, failures = useries_induced_iso(us_src, us_tgt, self, us_src.cohomology(known_only=True),
+                                           us_tgt.cohomology(known_only=True))
         return ok, [(Multidegree(*key), hs, ht, r) for key, hs, ht, r in failures]

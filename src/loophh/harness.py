@@ -234,7 +234,8 @@ def check_hh_localization(inst: LocalizationInstance) -> Report:
 def check_hc_variants(inst: LocalizationInstance) -> Report:
     """Same comparison for HN (invariants levels), HC (coinvariants) and HP
     (Tate), mixed structure from the de Rham operator on each side; the
-    restriction map must induce isomorphisms columnwise as well."""
+    restriction map must induce isomorphisms columnwise as well, which the
+    check reads off the two tables just compared."""
     report = Report("hc-variants", PASS)
     tr = inst.truncation
     verdicts = []
@@ -249,7 +250,7 @@ def check_hc_variants(inst: LocalizationInstance) -> Report:
             tl = inst.lhs_tate[n - 1] if tag == "HP" else us_l.cohomology(known_only=True)
             tr_ = us_r.cohomology(known_only=True)
             verdicts.append(_compare_tables(f"{tag} level {n}", tl, tr_, report))
-            ok, failures = useries_induced_iso(us_l, us_r, F_n)
+            ok, failures = useries_induced_iso(us_l, us_r, F_n, tl, tr_)
             if not ok:
                 for key, hs, ht, r in failures[:5]:
                     report.add(f"  {tag} level {n}: induced map not iso at {key}: {hs}/{ht}/rank {r}")

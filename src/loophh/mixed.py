@@ -19,6 +19,7 @@ mixed-law check, each computed once per complex.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 
 from .complexes import GradedComplex, Relabelling
 from .grading import Multidegree
@@ -34,7 +35,6 @@ class MixedComplex:
         self.eps: dict[Multidegree, SparseMatrix] = dict(eps) if eps else {}
         self._laws_ok = laws_ok  # set once check_mixed_laws passes, or inherited
         self._strips = None  # see strips()
-        self._held = {}  # (flavor, p_lo, p_hi) -> the last table's USeriesComplex.held
 
     def eps_target(self, m: Multidegree) -> Multidegree:
         return m.shift(cohdeg=-1)
@@ -107,7 +107,7 @@ class USeriesComplex:
     and the mixed laws hold.  A table walks the strips of the mixed complex
     (`_Strip.walk`), which yield the shape of each column.  What a shape
     determines (its reduction, its classes) is kept in records that every
-    strip of equal content shares, and `held` keeps the columns with a class.
+    strip of equal content shares; the mixed complex keeps its strips.
     """
 
     def __init__(self, mixed: MixedComplex, flavor: str, p_range: tuple):
@@ -124,7 +124,6 @@ class USeriesComplex:
         self.mixed = mixed
         self.flavor = flavor
         self.p_lo, self.p_hi = p_range
-        self.key = (flavor, *p_range)  # what `held` is kept under
 
     # -- cells ---------------------------------------------------------------
     def columns(self):
@@ -160,46 +159,26 @@ class USeriesComplex:
         """Table keyed (i, w, a, p); homology classes are attributed to the
         cell of their echelon pivot (canonical in all split cases).  With
         `known_only` (see `GradedComplex.cohomology`) an edge column gets no
-        value and no class record; `_content_key` scanned its blocks' backend."""
+        value, which `useries_induced_iso` relies on, and a strip of edge
+        bins walks no column (its cell (i, p) makes column i + 2p edge);
+        `_content_key` scanned its blocks' backend."""
         vals, edge = {}, set()
-        self.held(known_only, vals, edge)
-        return HilbertTable(vals, edge, self.mixed.base.window.with_upow(self.p_lo, self.p_hi))
-
-    def held(self, known_only=True, vals=None, edge=None) -> dict:
-        """{(w, a): {tau: `classes_of`}}: each strip's non-edge columns over
-        this window that hold a class.  A table's walk leaves it on the mixed
-        complex for the next check to take, and adds each edge column's cells
-        to `edge` and the counts of every (`known_only`: non-edge) column to
-        `vals`; a check that finds none walks for it.  Known-only, a strip of
-        edge bins walks no column: its cell (i, p) is in column i + 2p."""
-        held = self.mixed._held.pop(self.key, None)
-        if held is not None and edge is None:
-            return held
-        held, lo, hi = {}, self.p_lo, self.p_hi
+        lo, hi = self.p_lo, self.p_hi
         for (w, a), strip in self.mixed.strips().items():
-            columns, all_edge = {}, known_only and strip.edge.issuperset(strip.dims)
-            if all_edge and edge is not None:
+            if known_only and strip.edge.issuperset(strip.dims):
                 edge.update(Multidegree(i, w, a, p) for i in strip.dims for p in range(lo, hi + 1))
-            for tau, prv, src, nxt in () if all_edge else strip.walk(lo, hi):
-                at_edge = self._column_is_edge(strip, tau, src)
-                if at_edge:
-                    if edge is not None:
-                        edge.update(Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src))
+                continue
+            for tau, prv, src, nxt in strip.walk(lo, hi):
+                if self._column_is_edge(strip, tau, src):
+                    edge.update(Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src))
                     if known_only:
                         continue
                 counts = strip.classes.get((prv, src, nxt))
                 if counts is None:
                     counts = strip.classes_of(prv, src, nxt)
-                if counts and not at_edge:
-                    columns[tau] = counts  # the shared record, so nothing is built
-                if vals is not None:
-                    for i, n in counts:
-                        vals[Multidegree(i, w, a, (tau - i) // 2)] = n
-            if columns:
-                held[(w, a)] = columns
-        if edge is not None:
-            self.mixed._held[self.key] = held
-        return held
+                for i, n in counts:
+                    vals[Multidegree(i, w, a, (tau - i) // 2)] = n
+        return HilbertTable(vals, edge, self.mixed.base.window.with_upow(lo, hi))
 
     # -- u multiplication ----------------------------------------------------------
     def u_map_bijective(self):
@@ -389,52 +368,57 @@ def tate(V: MixedComplex, u_window: int) -> USeriesComplex:
     return USeriesComplex(V, "tate", (-u_window, u_window))
 
 
-def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F):
+def useries_induced_iso(us_src: USeriesComplex, us_tgt: USeriesComplex, F,
+                        t_src: HilbertTable, t_tgt: HilbertTable):
     """The u-linear extension of a chain map induces isomorphisms columnwise.
 
-    Both u-series complexes checked their laws when they were built.  F is
-    a `ChainMap` between their mixed complexes, which must commute with d
-    and eps (`ChainMap.verify_chain_map`).  Then Fcol commutes with d + u eps,
-    so its rank on a column's H is at most min(hs, ht), and a column with no
-    class on either side passes: only the columns in either side's `held`
-    record are visited.  Where the other side has none, its column (empty
-    if it lacks the strip) is edge, and skipped, or holds no class.  Where
-    both have one, the rank is computed once per (w, a, shapes): one
-    `induced_rank` of the source column's matrix, Fcol and the target's
-    previous column matrix.  HH's check, `ChainMap.induced_iso_everywhere`,
-    is the HN level 1 case.  Returns (ok, failures).
+    t_src and t_tgt are the known-only tables of us_src and us_tgt that the
+    caller compared (a table of another window raises ValueError), so a
+    column's class count is the sum of its cells' values, and 0 when it is
+    edge.  Both complexes checked their laws when built, and F is a
+    `ChainMap` that commutes with d and eps (`ChainMap.verify_chain_map`):
+    Fcol commutes with d + u eps, its rank on a column's H is at most
+    min(hs, ht), and a column with no class on either side passes.  Where
+    one side has none, its column (empty if it lacks the strip) must be
+    edge.  Where both have one, the rank is one `induced_rank` of the source
+    column's matrix, Fcol and the target's previous column matrix, once per
+    (w, a, shapes).  Returns (ok, failures); HH's check is the HN level 1 case.
     """
-    if us_src.key != us_tgt.key:
+    if (us_src.flavor, us_src.p_lo, us_src.p_hi) != (us_tgt.flavor, us_tgt.p_lo, us_tgt.p_hi):
         raise ValueError("flavor/window mismatch")
+    classes = []  # per side: (tau, w, a) -> class count
+    for us, table in ((us_src, t_src), (us_tgt, t_tgt)):
+        if table.window != us.mixed.base.window.with_upow(us.p_lo, us.p_hi):
+            raise ValueError("a table of another window")
+        classes.append(Counter())
+        for m, n in table.values.items():
+            classes[-1][m.cohdeg + 2 * m.upow, m.weight, m.aux] += n
     failures, ranks = [], {}  # ranks: (w, a, source shapes, target shapes) -> rank
     lo, hi = us_src.p_lo, us_src.p_hi
     s_strips, t_strips = us_src.mixed.strips(), us_tgt.mixed.strips()
-    s_all, t_all = us_src.held(), us_tgt.held()
-    for w, a in s_all.keys() | t_all.keys():
+    for key in classes[0].keys() | classes[1].keys():
+        (tau, w, a), hs, ht = key, classes[0][key], classes[1][key]
         s_strip, t_strip = s_strips.get((w, a)), t_strips.get((w, a))
-        s_held, t_held = s_all.get((w, a), {}), t_all.get((w, a), {})
-        for tau in s_held.keys() | t_held.keys():
-            hs, ht = (sum(n for _, n in held.get(tau, ())) for held in (s_held, t_held))
-            if not (hs and ht):
-                us, strip = (us_src, s_strip) if not hs else (us_tgt, t_strip)
-                strip = strip or _Strip(us.mixed, w, a, {}, frozenset())
-                if not us._column_is_edge(strip, tau, strip.shape(tau, lo, hi)):
-                    failures.append(((tau, w, a), hs, ht, 0))
-                continue
-            shapes = (w, a, *(strip.shape(x, lo, hi) for strip in (s_strip, t_strip)
-                              for x in (tau - 1, tau, tau + 1)))
-            r = ranks.get(shapes)
-            if r is None:
-                # F's blocks are per bin, so equal shapes give equal Fcol
-                _, s_src, s_nxt, t_prv, t_src, _ = shapes[2:]
-                (s_off, s_total), (t_off, t_total) = s_strip.offsets(s_src), t_strip.offsets(t_src)
-                Fcol = SparseMatrix(t_total, s_total, {
-                    (t_off[i] + row, col + c): v for i, col in s_off.items() if i in t_off
-                    for (row, c), v in F.block(Multidegree(i, w, a)).entries.items()})
-                r = ranks[shapes] = induced_rank(s_strip.matrix(s_src, s_nxt), Fcol,
-                                                 t_strip.matrix(t_prv, t_src))
-            if not (hs == ht == r):
-                failures.append(((tau, w, a), hs, ht, r))
+        if not (hs and ht):
+            us, strip = (us_src, s_strip) if not hs else (us_tgt, t_strip)
+            strip = strip or _Strip(us.mixed, w, a, {}, frozenset())
+            if not us._column_is_edge(strip, tau, strip.shape(tau, lo, hi)):
+                failures.append((key, hs, ht, 0))
+            continue
+        shapes = (w, a, *(strip.shape(x, lo, hi) for strip in (s_strip, t_strip)
+                          for x in (tau - 1, tau, tau + 1)))
+        r = ranks.get(shapes)
+        if r is None:
+            # F's blocks are per bin, so equal shapes give equal Fcol
+            _, s_own, s_nxt, t_prv, t_own, _ = shapes[2:]
+            (s_off, s_total), (t_off, t_total) = s_strip.offsets(s_own), t_strip.offsets(t_own)
+            Fcol = SparseMatrix(t_total, s_total, {
+                (t_off[i] + row, col + c): v for i, col in s_off.items() if i in t_off
+                for (row, c), v in F.block(Multidegree(i, w, a)).entries.items()})
+            r = ranks[shapes] = induced_rank(s_strip.matrix(s_own, s_nxt), Fcol,
+                                             t_strip.matrix(t_prv, t_own))
+        if not (hs == ht == r):
+            failures.append((key, hs, ht, r))
     failures.sort()
     return (not failures, failures)
 

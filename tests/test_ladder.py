@@ -80,7 +80,7 @@ def test_compare_divides_out_the_median_time_ratio(tmp_path):
     slower[2]["wall_ref_s"] = [2.2, 2.222, 2.244]
     lines, changed = ladder.compare(a, _ladder_file(tmp_path / "c.json", slower))
     assert not changed
-    assert lines[0] == "time moved: hh f2.loop: 1.010 -> 2.020 s (noise 0.060)"
+    assert lines[0] == "time moved: hh f2.loop: 1.010 -> 2.020 s (noise 0.030)"
     assert lines[1] == "median peak RSS ratio B/A 1.000"
     assert lines[2].endswith("1 times moved beyond the noise; median time ratio B/A 1.100")
 
@@ -145,7 +145,7 @@ def test_compare_prints_the_median_engine_time_ratio(tmp_path):
     lines, changed = ladder.compare(a, _ladder_file(tmp_path / "b.json", b))
     assert not changed
     assert lines == ["median peak RSS ratio B/A 1.000",
-                     "engine time moved: hh f1.loop: 0.0101 -> 0.0252 s (noise 0.0007)",
+                     "engine time moved: hh f1.loop: 0.0101 -> 0.0252 s (noise 0.0003)",
                      "median engine time ratio B/A 0.800 over 3 entries; "
                      "1 engine times moved beyond the noise",
                      "3 common entries; outcomes all equal; 0 times moved beyond the noise; "
@@ -184,3 +184,19 @@ def test_compare_reads_an_entry_only_in_b_as_new(tmp_path):
     assert changed
     assert lines[0] == f"only in {b}: localize heavy.loop"
     assert lines[-1].startswith("3 common entries; outcomes changed;")
+
+
+def test_one_slow_repeat_does_not_hide_a_moved_engine_time(tmp_path):
+    # the noise is the sum of the interquartile ranges: a 20% faster entry
+    # with one slow repeat among five still moved (max - min would read
+    # 0.024 s of noise and flag nothing)
+    ladder = load_ladder()
+    base = [dict(_entry(["hh", f"f{k}.loop"], [1.0, 1.01, 1.02]), engine_s=[0.01, 0.0101, 0.0102])
+            for k in range(3)]
+    heavy = dict(_entry(["localize", "big3.loop"], [1.0] * 5),
+                 engine_s=[0.030, 0.031, 0.052, 0.032, 0.031])
+    a = _ladder_file(tmp_path / "a.json", base + [heavy])
+    faster = dict(heavy, engine_s=[0.024, 0.025, 0.0245, 0.026, 0.025])
+    lines, changed = ladder.compare(a, _ladder_file(tmp_path / "b.json", base + [faster]))
+    assert not changed
+    assert "engine time moved: localize big3.loop: 0.0310 -> 0.0250 s (noise 0.0015)" in lines

@@ -417,12 +417,19 @@ def test_strips_sharing_records_have_equal_matrices():
             assert {pair: mixed._content_key(strip.matrix(*pair)) for pair in pairs} == expected
 
 
+def _induced_iso(us_src, us_tgt, F):
+    """`useries_induced_iso` of F on the known-only tables of both sides, the
+    tables a check compares before it runs."""
+    return mixed.useries_induced_iso(us_src, us_tgt, F, us_src.cohomology(known_only=True),
+                                     us_tgt.cohomology(known_only=True))
+
+
 def _level_results(L, R, F, u):
     """HN, HC and HP tables of both sides at u-window u, and the induced-map
     check of F on each flavor."""
     tables = [(t.values, t.edge) for V in (L, R)
               for t in (us.cohomology() for us in _localize_flavors(V, u))]
-    checks = [mixed.useries_induced_iso(us_src, us_tgt, F)
+    checks = [_induced_iso(us_src, us_tgt, F)
               for us_src, us_tgt in zip(_localize_flavors(L, u), _localize_flavors(R, u))]
     return tables, checks
 
@@ -594,7 +601,7 @@ def test_induced_iso_lists_every_failing_column():
     blocks[md(0, (0,), 0)] = SparseMatrix.zero(1, 1)
     F = ChainMap(V, V, blocks)
     us_src, us_tgt = tate(V, 4), tate(V, 4)
-    ok, failures = mixed.useries_induced_iso(us_src, us_tgt, F)
+    ok, failures = _induced_iso(us_src, us_tgt, F)
     assert not ok
     assert failures == _CellReference(us_src).induced_iso_failures(_CellReference(us_tgt), F)
     shapes = [_shapes(us_src, key)[1:] for key, *_ in failures]
@@ -625,7 +632,7 @@ def test_induced_iso_equals_reference_between_different_complexes():
         assert not S.strips().keys() <= A.strips().keys()
         for V, W, F in summand_maps(A, S):
             for us_src, us_tgt in zip(_all_flavors(V, (1, 2, 4)), _all_flavors(W, (1, 2, 4))):
-                ok, failures = mixed.useries_induced_iso(us_src, us_tgt, F)
+                ok, failures = _induced_iso(us_src, us_tgt, F)
                 assert failures == _CellReference(us_src).induced_iso_failures(_CellReference(us_tgt), F)
                 assert ok == (not failures)
                 failing += bool(failures)
@@ -645,7 +652,7 @@ def _assert_induced_iso_equals_reference(L, R, F, u):
     Returns the number of those columns where a side has no class."""
     without_a_class = 0
     for us_src, us_tgt in zip(_localize_flavors(L, u), _localize_flavors(R, u)):
-        ok, failures = mixed.useries_induced_iso(us_src, us_tgt, F)
+        ok, failures = _induced_iso(us_src, us_tgt, F)
         src, tgt = _CellReference(us_src), _CellReference(us_tgt)
         assert failures == src.induced_iso_failures(tgt, F)
         assert ok == (not failures)
@@ -672,7 +679,7 @@ def test_zeroed_restriction_block_fails_columnwise_like_the_reference():
     inst = localization_instance(SHIPPED[0])
     L, R, u = inst.lhs.levels[-1], inst.rhs.levels[-1], inst.truncation.u_window
     G = zeroed_at_a_class(inst)
-    ok, failures = mixed.useries_induced_iso(tate(L, u), tate(R, u), G)
+    ok, failures = _induced_iso(tate(L, u), tate(R, u), G)
     assert not ok and all(hs and ht and r == 0 for _, hs, ht, r in failures)
     _assert_induced_iso_equals_reference(L, R, G, u)
 
@@ -738,11 +745,11 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
                     content(s_strip.matrix(s_src, s_nxt)), content(t_strip.matrix(t_prv, t_src)))
         return sorted(keys.values())
 
-    def check(us_src, us_tgt, F, _fn=mixed.useries_induced_iso):
+    def check(us_src, us_tgt, F, t_src, t_tgt, _fn=mixed.useries_induced_iso):
         level_one[0] += (us_src.flavor, us_src.p_lo, us_src.p_hi) == ("invariants", 0, 0)
         expected = expected_ranks(us_src, us_tgt)
         first = len(calls)
-        result = _fn(us_src, us_tgt, F)
+        result = _fn(us_src, us_tgt, F, t_src, t_tgt)
         made = sorted((content(D), content(B)) for D, B in calls[first:])
         assert made == expected
         ranked[0] += len(made)
@@ -763,9 +770,10 @@ def test_localize_builds_kernels_only_for_induced_map_columns(monkeypatch):
 
 
 def _columnwise_induced_iso(us_src, us_tgt, F):
-    """`useries_induced_iso` as it was before `USeriesComplex.held` records,
-    kept as the reference of the equivalence property: it walks both sides'
-    strips and tests every column of either for edge."""
+    """`useries_induced_iso` as it was before it read class counts from the
+    compared tables, kept as the reference of the equivalence property: it
+    walks both sides' strips, tests every column of either for edge and
+    counts each column's classes itself."""
     if (us_src.flavor, us_src.p_lo, us_src.p_hi) != (us_tgt.flavor, us_tgt.p_lo, us_tgt.p_hi):
         raise ValueError("flavor/window mismatch")
     empty = (None, None, None)  # the shapes of a column with no cell
@@ -839,7 +847,7 @@ def _assert_equals_the_columnwise_check(V, W, F):
     ranks they took."""
     failing = ranked = 0
     for us_src, us_tgt in zip(_two_windows_each(V), _two_windows_each(W)):
-        (ok, failures), ranks = _result_and_ranks(mixed.useries_induced_iso, us_src, us_tgt, F)
+        (ok, failures), ranks = _result_and_ranks(_induced_iso, us_src, us_tgt, F)
         assert ((ok, failures), ranks) == _result_and_ranks(_columnwise_induced_iso, us_src, us_tgt, F)
         failing += not ok
         ranked += len(ranks)
@@ -864,7 +872,8 @@ def _class_against_a_cut_column():
     X, Y = (MixedComplex(GradedComplex({md(i, (0,), 0): ["v"]}, {}, WIN), {}) for i in (0, 1))
     us_x, us_y = coinvariants(X, 1), coinvariants(Y, 1)
     (strip_y,) = Y.strips().values()
-    assert us_x.held()[((0,), 0)][-2] == ((0, 1),) and strip_y.shape(-2, -1, 0) is None
+    assert us_x.cohomology(known_only=True).dim(md(0, (0,), 0, -1)) == 1
+    assert strip_y.shape(-2, -1, 0) is None
     assert us_y._column_is_edge(strip_y, -2, None) and not us_y._column_is_edge(strip_y, 0, None)
     return X, Y
 
@@ -872,7 +881,9 @@ def _class_against_a_cut_column():
 def test_induced_iso_equals_the_columnwise_check_on_restriction_maps():
     # the top restriction map of 01 and the same map zeroed at a class, and
     # the zero maps between a class and a column of the other side that is
-    # empty and cut, in both directions
+    # empty and cut, in both directions; and the identity of two lone bins
+    # in degrees 0 and 2, whose classes share column 2 of invariants (0, 2)
+    # in cells (2, 0) and (0, 1), so a column's count is a sum over cells
     mixed.clear_column_memo()
     inst = localization_instance(SHIPPED[0])
     L, R = inst.lhs.levels[-1], inst.rhs.levels[-1]
@@ -882,48 +893,45 @@ def test_induced_iso_equals_the_columnwise_check_on_restriction_maps():
     X, Y = _class_against_a_cut_column()
     for V, W in ((X, Y), (Y, X)):
         assert _assert_equals_the_columnwise_check(V, W, ChainMap(V, W, {}))[0]
+    Z = MixedComplex(GradedComplex({md(i, (0,), 0): ["v"] for i in (0, 2)}, {}, WIN), {})
+    identity = ChainMap(Z, Z, {m: SparseMatrix.identity(1) for m in Z.base.bins})
+    failing, ranked = _assert_equals_the_columnwise_check(Z, Z, identity)
+    assert not failing and ranked
 
 
 def _walk_every_column(us):
-    """The known-only table of `us` (values, edge) and its `held` records
-    keyed (w, a, tau), from a walk of every column of every strip."""
-    vals, edge, held = {}, set(), {}
+    """The known-only table of `us` (values, edge), from a walk of every
+    column of every strip."""
+    vals, edge = {}, set()
     for (w, a), strip in us.mixed.strips().items():
         for tau, prv, src, nxt in strip.walk(us.p_lo, us.p_hi):
             cells = {i: Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src)}
             if us._column_is_edge(strip, tau, src):
                 edge.update(cells.values())
                 continue
-            counts = strip.classes_of(prv, src, nxt)
-            vals.update((cells[i], n) for i, n in counts)
-            if counts:
-                held[(w, a, tau)] = counts
-    return vals, edge, held
+            vals.update((cells[i], n) for i, n in strip.classes_of(prv, src, nxt))
+    return vals, edge
 
 
 def test_known_only_tables_equal_a_walk_of_every_column():
-    # every level `localize` checks, at HN level 1 (no table: `held` walks
-    # for itself) and at the HN, HC and HP windows; strips whose bins are
-    # all edge must occur, or the shortcut goes untested
+    # every level `localize` checks, at HN level 1 (HH's check) and at the
+    # HN, HC and HP windows; strips whose bins are all edge must occur, or
+    # the shortcut goes untested
     mixed.clear_column_memo()
     all_edge = 0
     for L, R, _, u in _localize_levels():
         for V in (L, R):
             for us in [s1_invariants_level(V, 1)] + _localize_flavors(V, u):
-                if us.key != ("invariants", 0, 0):
-                    table = us.cohomology(known_only=True)
-                    assert (table.values, table.edge) == _walk_every_column(us)[:2]
-                held = {(w, a, tau): counts for (w, a), columns in us.held().items()
-                        for tau, counts in columns.items()}
-                assert held == _walk_every_column(us)[2]
+                table = us.cohomology(known_only=True)
+                assert (table.values, table.edge) == _walk_every_column(us)
             all_edge += sum(1 for s in V.strips().values() if s.dims and s.edge.issuperset(s.dims))
     assert all_edge
 
 
 def test_localize_walks_each_strip_once_per_window(monkeypatch):
-    # the tables walk each strip once per flavor and window; the induced-map
-    # checks take what those walks left, and HH's check (HN level 1, where
-    # no table is taken) walks once for itself
+    # the tables walk each strip once per flavor and window, and the
+    # induced-map checks walk nothing: they read the tables they follow
+    # (HH's check builds its HN level 1 tables)
     walks, strips = {}, []
 
     def walk(self, p_lo, p_hi, _fn=mixed._Strip.walk):
@@ -941,14 +949,41 @@ def test_localize_walks_each_strip_once_per_window(monkeypatch):
     assert max(walks.values()) == 1
 
 
-def test_a_check_takes_the_record_its_table_left():
-    # a known-only table leaves its `held` record on the mixed complex; the
-    # induced-map check takes it, so nothing outlives the check
+def test_u_series_tables_leave_nothing_on_the_mixed_complex():
+    # known-only tables, one that a check reads and one that no check
+    # follows (as hp-completion's), and HH's check keep nothing on the mixed
+    # complex but the strip index its first u-series use builds
     mixed.clear_column_memo()
     V = bga_polynomial_preset(4)
+    V.check_mixed_laws()
+
+    def state():  # copies of the dicts, which a record would fill in place
+        return {k: dict(v) if isinstance(v, dict) else v for k, v in vars(V).items()}
+
+    before = state()
     us = tate(V, 2)
-    us.cohomology(known_only=True)
-    assert V._held[us.key]
+    table = us.cohomology(known_only=True)
     identity = ChainMap(V, V, {m: SparseMatrix.identity(V.base.dim(m)) for m in V.base.bins})
-    assert mixed.useries_induced_iso(us, tate(V, 2), identity) == (True, [])
-    assert us.key not in V._held
+    assert mixed.useries_induced_iso(us, tate(V, 2), identity, table, table) == (True, [])
+    assert tate(V, 3).cohomology(known_only=True).values
+    assert identity.induced_iso_everywhere() == (True, [])
+    after = state()
+    assert before.pop("_strips") is None and after.pop("_strips")
+    assert after == before
+
+
+def test_induced_iso_rejects_a_table_of_another_window_or_flavor():
+    # of another flavor's p-window, u-window or aux window
+    mixed.clear_column_memo()
+    V = bga_polynomial_preset(4)
+    identity = ChainMap(V, V, {m: SparseMatrix.identity(V.base.dim(m)) for m in V.base.bins})
+    hn, hp = s1_invariants_level(V, 2), tate(V, 2)
+    t_hn, t_hp = (us.cohomology(known_only=True) for us in (hn, hp))
+    t_narrow = tate(V, 1).cohomology(known_only=True)
+    t_low = tate(bga_polynomial_preset(3), 2).cohomology(known_only=True)
+    assert mixed.useries_induced_iso(hp, hp, identity, t_hp, t_hp) == (True, [])
+    for tables in ((t_hn, t_hp), (t_hp, t_hn), (t_hp, t_narrow), (t_narrow, t_hp), (t_low, t_hp)):
+        with pytest.raises(ValueError):
+            mixed.useries_induced_iso(hp, hp, identity, *tables)
+    with pytest.raises(ValueError):
+        mixed.useries_induced_iso(hn, hp, identity, t_hn, t_hp)

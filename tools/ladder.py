@@ -34,14 +34,16 @@ writes the file, exits 1 if there was one.
 hash differs between two files, every entry only one of them has (one only
 in A is a changed outcome; one only in B is new, and is not), and every
 entry whose median scaled wall time moved by more than the noise: the sum
-of the two entries' spreads (max - min over their runs; entries with one
-run have no spread and their times are not compared).  B's times are first
-divided by the median ratio B/A of the common entries' median times, which
-it prints, so a host that runs a session uniformly faster or slower flags
-no entry.  It also prints the median over the common entries of the ratio
-B/A of their median peak RSS and, unless neither file has one, of their
-median ``engine_s`` (an older file without ``engine_s`` reads as n/a), with
-each engine time that moved beyond the noise in the same way.  It exits 1 when an outcome changed.
+of the two entries' interquartile ranges (inclusive quartiles of their
+runs: at 5 runs the second-smallest to the second-largest, so one slow run
+does not widen it; entries with one run have no spread and their times are
+not compared).  B's times are first divided by the median ratio B/A of the
+common entries' median times, which it prints, so a host that runs a
+session uniformly faster or slower flags no entry.  It also prints the
+median over the common entries of the ratio B/A of their median peak RSS
+and, unless neither file has one, of their median ``engine_s`` (an older
+file without ``engine_s`` reads as n/a), with each engine time that moved
+beyond the noise in the same way.  It exits 1 when an outcome changed.
 """
 
 from __future__ import annotations
@@ -262,12 +264,17 @@ def _moved_times(a, b, keys, field, label, lines, digits=3):
     ratio = statistics.median(mb / ma for *_, ma, mb in timed) if timed else 1.0
     moved = 0
     for key, ta, tb, ma, mb in timed:
-        noise = (max(ta) - min(ta)) + (max(tb) - min(tb)) / ratio
+        noise = _iqr(ta) + _iqr(tb) / ratio
         if abs(mb / ratio - ma) > noise:
             moved += 1
             lines.append(f"{label}: {' '.join(key)}: {ma:.{digits}f} -> {mb / ratio:.{digits}f} s "
                          f"(noise {noise:.{digits}f})")
     return ratio, moved
+
+
+def _iqr(ts):
+    q1, _, q3 = statistics.quantiles(ts, n=4, method="inclusive")
+    return q3 - q1
 
 
 def main(argv=None):
