@@ -14,14 +14,19 @@ carries each tuple's aux and weight, so the elements come out binned and in
 lex order; each level is numbered once, in bin order.  Exponent tuples are
 decoded only for the normalized labels of `connes_B`.
 
-The structure maps are defined once each, per level, on the (codes, mu)
-pairs of that level: d_i multiplies slots i, i + 1; the last face is twisted,
-d_n(a_0...a_n (x) w^mu) = (a_n a_0) (x) ... (x) w^{mu + wt(a_n)}; t rotates
-a_n to the front and its weight into the group monomial (validated by
-t^{n+1} = id on invariants); s_j inserts a unit after slot j.  Their images
-are looked up and stored as tables of target numbers (`faces[n][i]`, `t[n]`,
-`s[n][j]`): None where a product hits a relation, CAPPED where mu leaves the
-box |mu| <= mu_cap.
+The structure maps are Loday's: d_i multiplies slots i, i + 1; the last
+face is twisted, d_n(a_0...a_n (x) w^mu) = (a_n a_0) (x) ... (x) w^{mu + wt(a_n)};
+t rotates a_n to the front and its weight into the group monomial; s_j
+inserts a unit after slot j.  They are stored as tables of target numbers
+(`faces[n][i]`, `t[n]`, `s[n][j]`): None where a product hits a relation,
+CAPPED where mu leaves the box |mu| <= mu_cap.  No image tuple is built or
+hashed.  The tuples of level n that extend a tuple of level n - 1 form one
+block of the lex order, so a map on the first n slots moves whole blocks,
+and the last face and s_n are offsets inside a block.  t and d_n put a code
+c in front: the lex rank of (c,) + v is the count of tuples with a smaller
+head plus the rank of v among those of aux <= aux_max - aux(c).  One
+position list per level turns lex ranks into element numbers, with mu moved
+for d_n and t.
 
 Everything else is index arithmetic on these tables.  The simplicial and
 cyclic identities compose whole table rows, CAPPED entries skipped; by
@@ -39,6 +44,7 @@ of auxiliary degree a is final once N >= a; deeper bins are edge-flagged.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from operator import add
 
 from .complexes import GradedComplex
@@ -49,6 +55,7 @@ from .models import AlgebraPresentation, TorusData
 
 CAPPED = "capped"  # a face or t whose group exponent leaves the mu box
 UNIT = 0  # code of the unit monomial, the least exponent tuple
+_OUTSIDE = "outside"  # in place of the number of a (tuple, mu) that is no element
 
 
 class CyclicLevels:
@@ -115,44 +122,62 @@ class CyclicLevels:
 
     # -- level bases -----------------------------------------------------------
     def _build_levels(self):
+        """Levels 0..N, binned.  Level n's code tuples come out in lex order as
+        each tuple of level n - 1 followed in turn by every code its aux leaves
+        room for.  An element is tuple k with mu = box[m] (plain levels have the
+        one mu ()).  Kept for _build_tables, per level: the aux of each tuple,
+        the k and m of each element, and rows[m][k], the number of element
+        (k, m) or _OUTSIDE, with None at k = -1 (a product that hits a relation)
+        and, at m = -1, a row of CAPPED (a mu that leaves the box)."""
+        A, zero = self.aux_max, (0,) * self.rank
+        fits = [[(c, b, v) for c, (b, v) in enumerate(zip(self.mono_aux, self.mono_weight))
+                 if b <= r] for r in range(A + 1)]  # the codes of aux <= r
+        built = []  # per level, (codes, aux, weight) of each tuple in lex order
+        level = [((), 0, zero)]
+        for _ in range(self.N + 1):
+            level = [(t + (c,), a + b, tuple(map(add, w, v)))
+                     for t, a, w in level for c, b, v in fits[A - a]]
+            built.append(level)
+        self.mu_preserved = True  # bins are made only once it is final
+        box = self._box = [()]
+        if self.equivariant:
+            weighty = {c for c, w in enumerate(self.mono_weight) if any(w)}
+            self.mu_preserved = not any(weighty.intersection(codes) for level in built
+                                        for codes, _, w in level if w == zero)
+            box = self._box = self._mu_box()
         self.levels: list[dict[Multidegree, list]] = []  # bins of level n, in lex order
         self.elements: list[list[tuple]] = []  # level n in bin order
         self.number: list[dict[tuple, int]] = []  # position in elements[n]
-        self.mu_preserved = True
-        built = list(self._tensor_tuples())  # binned only once mu_preserved is final
-        zero = (0,) * self.rank
-        if self.equivariant:
-            built = [[(codes, a) for codes, a, w in level if w == zero] for level in built]
-            weighty = {c for c, w in enumerate(self.mono_weight) if any(w)}
-            self.mu_preserved = not any(weighty.intersection(codes)
-                                        for level in built for codes, _ in level)
-            box = self._mu_box()
+        B = len(box)
+        # every index and number below is taken from one list, so that the
+        # tables share int objects rather than hold a fresh one per entry
+        ints = self._ints = list(range(max(map(len, built)) * B + 1))
+        self._scratch = []
         for n, level in enumerate(built):
-            bins = {}  # (weight, aux) -> elements, each in lex order
-            if not self.equivariant:
-                for codes, a, w in level:
-                    bins.setdefault((w, a), []).append((codes, ()))
-            elif self.mu_preserved:
-                for codes, a in level:
-                    for mu in box:
-                        bins.setdefault((mu, a), []).append((codes, mu))
-            else:
-                for codes, a in level:
-                    bins.setdefault((zero, a), []).extend((codes, mu) for mu in box)
-            self.levels.append({Multidegree(-n, w, a, 0): ls for (w, a), ls in bins.items()})
-            flat = [el for ls in bins.values() for el in ls]
-            self.elements.append(flat)
-            self.number.append({el: e for e, el in enumerate(flat)})
-
-    def _tensor_tuples(self):
-        """Per level n, the (n+1)-tuples of codes of total aux <= aux_max in
-        lex order, as (codes, aux, weight); each level extends the one below."""
-        basis = list(zip(range(len(self.A_basis)), self.mono_aux, self.mono_weight))
-        level = [((), 0, (0,) * self.rank)]
-        for _ in range(self.N + 1):
-            level = [(t + (c,), a + b, tuple(map(add, w, v)))
-                     for t, a, w in level for c, b, v in basis if a + b <= self.aux_max]
-            yield level
+            built[n] = None
+            bins = {}  # (weight, aux) -> the slot k * B + m of each element, in lex order
+            for k, (codes, a, w) in zip(ints, level):
+                if not self.equivariant:
+                    bins.setdefault((w, a), []).append(k)
+                elif w != zero:
+                    continue
+                elif self.mu_preserved:
+                    for m, mu in enumerate(box):
+                        bins.setdefault((mu, a), []).append(k * B + m)
+                else:
+                    bins.setdefault((zero, a), []).extend(range(k * B, k * B + B))
+            self.levels.append({Multidegree(-n, w, a, 0): [(level[x // B][0], box[x % B])
+                                                           for x in xs]
+                                for (w, a), xs in bins.items()})
+            slots = list(chain.from_iterable(bins.values()))
+            ks, ms = [ints[x // B] for x in slots], [x % B for x in slots]
+            rows = [[x] * len(level) + [None] for x in [_OUTSIDE] * B + [CAPPED] * self.equivariant]
+            number = {}
+            for e, el, k, m in zip(ints, chain.from_iterable(self.levels[n].values()), ks, ms):
+                number[el] = rows[m][k] = e
+            self.elements.append(list(number))
+            self.number.append(number)
+            self._scratch.append(([a for _, a, _ in level], ks, ms, rows))
 
     def _bin(self, n, e):
         """The bin of element e of level n, for error messages."""
@@ -163,75 +188,85 @@ class CyclicLevels:
 
     def _build_tables(self):
         """faces[n][i], t[n] and s[n][j]: the number of the image of each
-        element of level n under d_i, t and s_j (j >= 0, levels below N)."""
-        self.faces = [[]]
-        self.t = []
-        self.s = []
-        for n, elems in enumerate(self.elements):
-            if n:
-                self.faces.append([
-                    self._numbered(n, n - 1, self._face(n, i, elems), f"d_{i}")
-                    for i in range(n + 1)
-                ])
-            self.t.append(self._numbered(n, n, self._rotation(n, elems), "t"))
-            if n < self.N:
-                self.s.append([
-                    self._numbered(n, n + 1, self._degeneracy(j, elems), f"s_{j}")
-                    for j in range(n + 1)
-                ])
+        element of level n under d_i, t and s_j (j >= 0, levels below N).
 
-    def _numbered(self, n, level, images, name):
-        """Number in `level` of each image (a (codes, mu) tuple) of the
-        elements of level n; None and CAPPED stay."""
-        number = self.number[level]
-        out = [number.get(im, im) if im.__class__ is tuple else im for im in images]
-        e = next((e for e, im in enumerate(out) if im.__class__ is tuple), None)
-        if e is not None:  # an image that is not numbered
-            raise NotAComplex(self._bin(n, e), f"{name} leaves level {level}")
-        return out
+        Each map is first a lex table: per tuple of level n, the lex rank of its
+        image, -1 where a product hits a relation.  The block of tuple u of level
+        n - 1 is u followed by each code of aux <= A - aux(u).  d_i (i <= n - 2)
+        and s_j (j <= n - 1) keep aux, so their tables put the block of each
+        image one level down in its place.  d_{n-1} multiplies the last two codes
+        inside the blocks of level n - 2; s_n sends k to the start of its block
+        (UNIT is code 0, of aux 0).  t is the inverse of the stable sort of level
+        n by last code, as (c,) + v ranks by c, then by v.  d_n sends
+        (a_0, w, a_n) to (a_n a_0, w), the image of (w, a_n a_0) under t one
+        level down."""
+        A, aux, prod, ints = self.aux_max, self.mono_aux, self.prod, self._ints
+        codes = [[c for c, b in enumerate(aux) if b <= r] for r in range(A + 1)]
+        place = [{c: i for i, c in enumerate(cs)} for cs in codes]
+        # pairs[r][b]: in a block of budget r, the place of b c for each c of the
+        # block that follows b
+        pairs = [{b: [-1 if (p := prod[b][c]) is None else place[r][p] for c in codes[r - aux[b]]]
+                  for b in codes[r]} for r in range(A + 1)]
+        at = {mu: m for m, mu in enumerate(self._box)}
+        moved = [[at.get(tuple(map(add, mu, w)), -1) for w in self.mono_weight]
+                 for mu in self._box]  # m of mu + wt(c), -1 outside the box
+        self.faces, self.t, self.s = [[]], [], []
+        aux1 = aux2 = [0]  # the tuples of levels n - 1 and n - 2; level -1 is ()
+        faces, degens = [], []  # lex d_0..d_{n-2} of level n - 1, s_0..s_{n-2} of n - 2
+        for n in range(self.N + 1):
+            sizes = [len(codes[A - a]) for a in aux1]
+            starts = [0, *map(ints.__getitem__, accumulate(sizes))]  # then the size of level n
+            rng = ints[:starts[-1]]  # the lex indices of level n
+            last = list(chain.from_iterable(codes[A - a] for a in aux1))
+            t = sorted(rng, key=sorted(rng, key=last.__getitem__).__getitem__)
+            _, ks, ms, _ = self._scratch[n]
+            mus = [moved[m][last[k]] for k, m in zip(ks, ms)] if self.equivariant else None
+            keep = iter if n < self.N else _drained  # level n + 1 reads the lex tables
+            if n:
+                pad = rng1 + [-1] * len(codes[A])
+                faces = [_blockwise(d, starts1, sizes, pad) for d in faces]
+                faces.append([-1 if j < 0 else rng1[base + j] for base, a in zip(starts1, aux2)
+                              for j in chain.from_iterable(pairs[A - a].values())])
+                faces.append([-1 if j < 0 else t1[base + j] for c in codes[A]
+                              for base, a in zip(starts1, aux2) if a + aux[c] <= A
+                              for j in pairs[A - a][c]])
+                del pad, rng1, t1  # read for the last time
+                self.faces.append([self._numbered(n, n - 1, d, f"d_{i}", mus if i == n else None)
+                                   for i, d in enumerate(keep(faces))])
+                del faces[n:]  # d_n
+                degens = [_blockwise(s, starts, sizes1, rng) for s in degens] + [starts[:-1]]
+                self.s.append([self._numbered(n - 1, n, s, f"s_{j}")
+                               for j, s in enumerate(keep(degens))])
+                self._scratch[n - 1] = None  # numbered
+            self.t.append(self._numbered(n, n, t, "t", mus))
+            aux1, aux2 = self._scratch[n][0], aux1
+            starts1, sizes1, rng1, t1 = starts, sizes, rng, t
+        del self._box, self._ints, self._scratch
+
+    def _numbered(self, n, level, lex, name, mus=None):
+        """Number in `level` of the image of each element (k, m) of level n:
+        (lex[k], m), or (lex[k], mus[e]) for the e-th element where mu moves
+        (d_n and t, equivariant; -1 where it leaves the box).  None and CAPPED
+        stay; an image outside `level` raises at the first such element."""
+        _, ks, ms, _ = self._scratch[n]
+        rows, ms = self._scratch[level][3], ms if mus is None else mus
+        size = len(rows[0]) - 1
+        if -1 <= min(lex) and max(lex) < size:
+            if not self.equivariant:  # one mu; every tuple is an element
+                row = rows[0]
+                return [row[lex[k]] for k in ks]
+            out = [rows[m][lex[k]] for k, m in zip(ks, ms)]
+            if _OUTSIDE not in out:
+                return out
+        e = next(e for e, (k, m) in enumerate(zip(ks, ms))
+                 if not -1 <= lex[k] < size or rows[m][lex[k]] is _OUTSIDE)
+        raise NotAComplex(self._bin(n, e), f"{name} leaves level {level}")
 
     def _mu_box(self):
         box = [()]
         for _ in range(self.rank):
             box = [b + (k,) for b in box for k in range(-self.mu_cap, self.mu_cap + 1)]
         return box
-
-    # -- structure maps, one level at a time --------------------------------------
-    # Each takes the (codes, mu) pairs of level n and yields their images as
-    # (codes, mu) tuples, None where a product hits a relation, or CAPPED.
-    def _face(self, n, i, elems):
-        """d_i multiplies slots i, i + 1; the last face d_n is twisted:
-        a_n a_0 (x) a_1 ... a_{n-1} (x) w^{mu + wt(a_n)}."""
-        prod = self.prod
-        if i < n:
-            for m, mu in elems:
-                p = prod[m[i]][m[i + 1]]
-                yield None if p is None else (m[:i] + (p,) + m[i + 2:], mu)
-            return
-        for m, mu in elems:
-            p = prod[m[n]][m[0]]
-            if p is None:
-                yield None
-                continue
-            mu = self._shifted(mu, m[n])
-            yield CAPPED if mu is CAPPED else ((p,) + m[1:n], mu)
-
-    def _rotation(self, n, elems):
-        """t moves a_n to the front and its weight into the group monomial."""
-        for m, mu in elems:
-            mu = self._shifted(mu, m[n])
-            yield CAPPED if mu is CAPPED else ((m[n],) + m[:n], mu)
-
-    def _degeneracy(self, j, elems):
-        """s_j inserts the unit after slot j."""
-        return ((m[:j + 1] + (UNIT,) + m[j + 1:], mu) for m, mu in elems)
-
-    def _shifted(self, mu, a):
-        """mu + wt(a) when equivariant, CAPPED outside the box |mu| <= mu_cap."""
-        if not self.equivariant:
-            return mu
-        mu = tuple(map(add, mu, self.mono_weight[a]))
-        return CAPPED if any(abs(x) > self.mu_cap for x in mu) else mu
 
     def is_degenerate(self, el) -> bool:
         return UNIT in el[0][1:]
@@ -337,6 +372,23 @@ class CyclicLevels:
         if bad:
             e, _, msg = min(bad)
             raise NotAComplex(self._bin(n, e), msg)
+
+
+def _blockwise(table, starts, sizes, numbers):
+    """The lex table one level up of a map that acts on all codes but the last:
+    per tuple, numbers[starts[image]:] as many as sizes has for the tuple (an
+    image -1 starts past the level, at the -1s that pad numbers)."""
+    out = []
+    for image, size in zip(table, sizes):
+        first = starts[image]
+        out += numbers[first:first + size]
+    return out
+
+
+def _drained(tables):
+    """Each of `tables` in turn, each dropped from the list once it is read."""
+    while tables:
+        yield tables.pop(0)
 
 
 def _compose(table, row):

@@ -380,9 +380,9 @@ class SemifreeModel:
                 for mdeg, mat in mats.items():
                     src = bins[mdeg]
                     tgt = bins.get(mdeg.shift(cohdeg=cshift, aux=ashift), [])
-                    for (i, j) in mat.entries:
-                        for k in idxs:
-                            s_real = max(s_real, abs(tgt[i][k] - src[j][k]))
+                    for k in idxs:
+                        s_real = max(s_real, max((abs(tgt[i][k] - src[j][k])
+                                                  for i, j in mat.entries), default=0))
             if s_real:
                 for mdeg, labels in bins.items():
                     for mono in labels:

@@ -2,7 +2,9 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from loophh.algebra import Polynomial
 from loophh.grading import Multidegree, md
 from loophh.linalg import NotAComplex
 from loophh.models import (
@@ -14,7 +16,6 @@ from loophh.models import (
 )
 from loophh.cyclic import (
     CAPPED,
-    UNIT,
     CyclicLevels,
     connes_B,
     cyclic_bar,
@@ -252,47 +253,67 @@ def test_bar_laws_catch_a_sign_error_in_connes_b(monkeypatch):
     assert err.value.bin_name == md(-2, (3,), 3)  # the first bin that fails
 
 
-def test_identity_checks_catch_a_wrong_face(monkeypatch):
-    assert cyclic_bar(kx(), N=4, aux_max=3).check_simplicial_identities()
-    face = CyclicLevels._face
-
-    def face_wrong_pair(self, n, i, elems):
-        if n == 3 and i == 1:  # multiplies slots 2, 3 instead of 1, 2
-            return [None if (p := self.prod[m[2]][m[3]]) is None else (m[:2] + (p,), mu)
-                    for m, mu in elems]
-        return face(self, n, i, elems)
-
-    monkeypatch.setattr(CyclicLevels, "_face", face_wrong_pair)
+def test_identity_checks_catch_a_wrong_face():
     L = cyclic_bar(kx(), N=4, aux_max=3)
+    assert L.check_simplicial_identities()
+
+    def face_wrong_pair(el):  # d_1 of level 3 multiplies slots 2, 3 instead of 1, 2
+        (a0, a1, a2, a3), mu = el
+        p = _ref_mul(L, a2, a3)
+        return None if p is None else ((a0, a1, p), mu)
+
+    L.faces[3][1] = _ref_table(L, 3, 2, face_wrong_pair)
     with pytest.raises(NotAComplex, match=r"d_\d d_\d") as err:
         L.check_simplicial_identities()
     assert str(err.value).endswith("d_0 d_1 != d_0 d_0")  # the first identity that fails
     assert err.value.bin_name == md(-3, (1,), 1)
 
 
-def test_identity_checks_catch_a_wrong_cyclic_operator(monkeypatch):
-    rotation = CyclicLevels._rotation
-
-    def t_swapping(self, n, elems):
-        if n == 2:  # swaps the last two slots instead of rotating
-            return [((a0, a2, a1), mu) for (a0, a1, a2), mu in elems]
-        return rotation(self, n, elems)
-
-    monkeypatch.setattr(CyclicLevels, "_rotation", t_swapping)
+def test_identity_checks_catch_a_wrong_cyclic_operator():
     L = cyclic_bar(kx(), N=4, aux_max=3)
+
+    def t_swapping(el):  # t of level 2 swaps the last two slots instead of rotating
+        (a0, a1, a2), mu = el
+        return (a0, a2, a1), mu
+
+    L.t[2] = _ref_table(L, 2, 2, t_swapping)
     with pytest.raises(NotAComplex, match=r"t\^\{n\+1\} != id") as err:
         L.check_simplicial_identities()
     assert err.value.bin_name == md(-2, (1,), 1)
 
 
-def test_tables_reject_an_image_outside_the_level(monkeypatch):
-    def s_inserting_two_units(self, j, elems):
-        return [(m[:j + 1] + (UNIT, UNIT) + m[j + 1:], mu) for m, mu in elems]
+def _s_0_outside(monkeypatch, outside):
+    """Send every image of s_0 on level 0 to outside(lex, elements of level 1)
+    before the guard that numbers the lex tables reads it."""
+    numbered = CyclicLevels._numbered
 
-    monkeypatch.setattr(CyclicLevels, "_degeneracy", s_inserting_two_units)
+    def s_0_outside(self, n, level, lex, name, mus=None):
+        if name == "s_0":
+            lex = outside(lex, len(self.elements[level]))
+        return numbered(self, n, level, lex, name, mus)
+
+    monkeypatch.setattr(CyclicLevels, "_numbered", s_0_outside)
+
+
+def test_tables_reject_an_image_outside_the_level(monkeypatch):
+    _s_0_outside(monkeypatch, lambda lex, size: [size] * len(lex))  # one past the level
     with pytest.raises(NotAComplex, match="s_0 leaves level 1") as err:
         cyclic_bar(kx(), N=2, aux_max=2)
     assert err.value.bin_name == md(0, (0,), 0)  # the first element of level 0
+
+
+@pytest.mark.parametrize("build, outside, bin_name", [
+    (lambda: cyclic_bar(kx(), N=2, aux_max=2), lambda lex, size: [-2] * len(lex), md(0, (0,), 0)),
+    # tuple 1 of level 1 is 1 (x) x, of weight 1: no element of the level
+    (lambda: equivariant_cyclic_bar(kx(), TorusData(1), N=2, aux_max=2, mu_cap=1),
+     lambda lex, size: [1] * len(lex), md(0, (-1,), 0)),
+], ids=["below -1", "a tuple of nonzero weight"])
+def test_tables_reject_an_image_below_the_level_or_of_nonzero_weight(monkeypatch, build,
+                                                                     outside, bin_name):
+    _s_0_outside(monkeypatch, outside)
+    with pytest.raises(NotAComplex, match="s_0 leaves level 1") as err:
+        build()
+    assert err.value.bin_name == bin_name
 
 
 def test_bar_laws_catch_a_corrupt_face_entry():
@@ -307,29 +328,31 @@ def test_bar_laws_catch_a_corrupt_face_entry():
         L.check_bar_laws()
 
 
-def test_bar_laws_catch_a_rotation_in_the_wrong_direction(monkeypatch):
-    def t_backwards(self, n, elems):  # a_0 to the back: t^{-1}, so t^{n+1} = id still
-        return [(m[1:] + m[:1], mu) for m, mu in elems]
-
-    monkeypatch.setattr(CyclicLevels, "_rotation", t_backwards)
+def test_bar_laws_catch_a_rotation_in_the_wrong_direction():
     L = cyclic_bar(kx(), N=4, aux_max=3)
+
+    def t_backwards(el):  # a_0 to the back: t^{-1}, so t^{n+1} = id still
+        monos, mu = el
+        return monos[1:] + monos[:1], mu
+
+    for n in range(L.N + 1):
+        L.t[n] = _ref_table(L, n, n, t_backwards)
     assert L.check_simplicial_identities()
     with pytest.raises(NotAComplex, match=r"d_1 t != t d_0") as err:
         L.check_bar_laws()
     assert err.value.bin_name == md(-2, (1,), 1)  # level 1 has t^{-1} = t
 
 
-def test_bar_laws_catch_a_last_face_without_its_twist(monkeypatch):
-    face = CyclicLevels._face
-
-    def face_untwisted(self, n, i, elems):  # d_n leaves mu as it is
-        if i < n:
-            return face(self, n, i, elems)
-        return [None if (p := self.prod[m[n]][m[0]]) is None else ((p,) + m[1:n], mu)
-                for m, mu in elems]
-
-    monkeypatch.setattr(CyclicLevels, "_face", face_untwisted)
+def test_bar_laws_catch_a_last_face_without_its_twist():
     L = equivariant_cyclic_bar(_opposite_plane(), TorusData(1), N=3, aux_max=2, mu_cap=2)
+
+    def face_untwisted(el):  # d_n leaves mu as it is
+        monos, mu = el
+        p = _ref_mul(L, monos[-1], monos[0])
+        return None if p is None else ((p,) + monos[1:-1], mu)
+
+    for n in range(1, L.N + 1):
+        L.faces[n][n] = _ref_table(L, n, n - 1, face_untwisted)
     assert L.check_simplicial_identities()
     with pytest.raises(NotAComplex, match=r"d_0 t != d_1") as err:
         L.check_bar_laws()
@@ -468,14 +491,36 @@ def _ref_B(L, el):
     return {k: v for k, v in out.items() if v}, capped
 
 
-def _ref_level(L, n):
-    """Every element of level n with its bin, from the exponent tuples."""
-    out = {}
+def _ref_table(L, n, level, image):
+    """The numbers in `level` of the images of the elements of level n under
+    `image`, which acts on (exponent tuples, mu)."""
+    return [_ref_number(L, level, image(_decode(L, el))) for el in L.elements[n]]
+
+
+def _ref_tuples(L, n):
+    """The (n + 1)-tuples of monomials of total aux <= aux_max."""
     tuples = [()]
     for _ in range(n + 1):
         tuples = [t + (m,) for t in tuples for m in L.A_basis
                   if sum(_ref_aux(L, a) for a in t + (m,)) <= L.aux_max]
-    for monos in tuples:
+    return tuples
+
+
+def _ref_mu_preserved(L):
+    """mu grades the levels unless a tuple of total weight 0 holds a monomial
+    of nonzero weight."""
+    for n in range(L.N + 1 if L.equivariant else 0):
+        for monos in _ref_tuples(L, n):
+            weights = [_ref_weight(L, a) for a in monos]
+            if not any(map(sum, zip(*weights))) and any(map(any, weights)):
+                return False
+    return True
+
+
+def _ref_level(L, n):
+    """Every element of level n with its bin, from the exponent tuples."""
+    out = {}
+    for monos in _ref_tuples(L, n):
         aux = sum(_ref_aux(L, a) for a in monos)
         weight = tuple(map(sum, zip(*(_ref_weight(L, a) for a in monos))))
         if not L.equivariant:
@@ -496,8 +541,9 @@ _TABLE_CASES = pytest.mark.parametrize("build, caps", [
     (lambda: equivariant_cyclic_bar(
         AlgebraPresentation([("x", (1,), 1), ("y", (-1,), 1)], rank=1, asserted_smooth=True),
         TorusData(1), N=3, aux_max=2, mu_cap=2), True),
+    (lambda: cyclic_bar(_plane(), N=5, aux_max=4), False),
 ], ids=["plane N4 aux3", "k[x]/(x^2) N6 aux6", "equivariant k[x] N4 aux3 mu4",
-        "x weight 1, y weight -1 mu2"])
+        "x weight 1, y weight -1 mu2", "plane N5 aux4"])
 
 
 @_TABLE_CASES
@@ -521,6 +567,50 @@ def test_tables_equal_the_element_level_definitions(build, caps):
             capped |= cap
     assert capped == caps
     assert L.mu_preserved == (not caps)
+
+
+def _deepest(P, aux_max, most):
+    """The largest N <= 4 whose top level holds at most `most` tuples."""
+    aux = cyclic_bar(P, 0, aux_max).mono_aux
+    ways = [1] + [0] * aux_max  # tuples of each total aux, one level at a time
+    for N in range(5):
+        ways = [sum(ways[a - b] for b in aux if b <= a) for a in range(aux_max + 1)]
+        if sum(ways) > most:
+            return max(N - 1, 0)
+    return 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(gens=st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 2)), min_size=1, max_size=3),
+       relation=st.lists(st.integers(0, 2), max_size=3), aux_max=st.integers(0, 5),
+       N=st.integers(0, 4), mu_cap=st.none() | st.integers(0, 3))
+@example(gens=[(1, 1), (-1, 1)], relation=[], aux_max=3, N=3, mu_cap=1)  # mu collapses, caps
+@example(gens=[(2, 1), (-1, 1), (0, 2)], relation=[0, 2, 1], aux_max=4, N=2, mu_cap=0)
+def test_tables_equal_the_element_level_definitions_on_generated_presentations(
+        gens, relation, aux_max, N, mu_cap):
+    # 1-3 generators of weight -2..2 and aux 1-2, a monomial relation where
+    # `relation` has a nonzero exponent; plain, or equivariant with mu_cap 0-3;
+    # N is cut to the depth whose top level holds at most 120 tuples
+    P = AlgebraPresentation([(f"x{i}", (w,), a) for i, (w, a) in enumerate(gens)],
+                            rank=1, asserted_smooth=True)
+    exps = tuple(relation + [0] * len(gens))[:len(gens)]
+    if any(exps):
+        P.add_relation(Polynomial(P.ambient, {exps: 1}))
+    N = min(N, _deepest(P, aux_max, 120))
+    L = (cyclic_bar(P, N, aux_max) if mu_cap is None
+         else equivariant_cyclic_bar(P, TorusData(1), N, aux_max, mu_cap))
+    assert L.mu_preserved == _ref_mu_preserved(L)
+    for n, elems in enumerate(L.elements):
+        assert elems == [el for ls in L.levels[n].values() for el in ls]
+        assert {_decode(L, el): mdeg for mdeg, ls in L.levels[n].items() for el in ls} == \
+            _ref_level(L, n)
+        for ls in L.levels[n].values():
+            assert [_decode(L, el) for el in ls] == sorted(_decode(L, el) for el in ls)
+        for i in range(n + 1 if n else 0):
+            assert L.faces[n][i] == _ref_table(L, n, n - 1, lambda el: _ref_face(L, el, i))
+        assert L.t[n] == _ref_table(L, n, n, lambda el: _ref_t(L, el))
+        for j in range(n + 1 if n < L.N else 0):
+            assert L.s[n][j] == _ref_table(L, n, n + 1, lambda el: _ref_degeneracy(L, el, j))
 
 
 @_TABLE_CASES

@@ -65,9 +65,12 @@ def _ladder_file(path, entries):
     return str(path)
 
 
+FIVE = [1.0, 1.005, 1.01, 1.015, 1.02]  # five runs: enough to read a time as moved
+
+
 def test_compare_divides_out_the_median_time_ratio(tmp_path):
     ladder = load_ladder()
-    base = [_entry(["hh", f"f{k}.loop"], [1.0, 1.01, 1.02]) for k in range(5)]
+    base = [_entry(["hh", f"f{k}.loop"], FIVE) for k in range(5)]
     a = _ladder_file(tmp_path / "a.json", base)
     # a host 10% slower on every entry: nothing moved
     slower = [_entry(e["argv"], [round(t * 1.1, 4) for t in e["wall_ref_s"]]) for e in base]
@@ -75,14 +78,15 @@ def test_compare_divides_out_the_median_time_ratio(tmp_path):
     assert not changed
     assert lines == ["median peak RSS ratio B/A 1.000",
                      "5 common entries; outcomes all equal; 0 times moved beyond the noise; "
-                     "median time ratio B/A 1.100"]
+                     "0 not resolved (fewer than 5 runs); median time ratio B/A 1.100"]
     # ... except one entry that also doubled, read at the host speed of A
-    slower[2]["wall_ref_s"] = [2.2, 2.222, 2.244]
+    slower[2]["wall_ref_s"] = [2.2, 2.211, 2.222, 2.233, 2.244]
     lines, changed = ladder.compare(a, _ladder_file(tmp_path / "c.json", slower))
     assert not changed
     assert lines[0] == "time moved: hh f2.loop: 1.010 -> 2.020 s (noise 0.030)"
     assert lines[1] == "median peak RSS ratio B/A 1.000"
-    assert lines[2].endswith("1 times moved beyond the noise; median time ratio B/A 1.100")
+    assert lines[2].endswith("1 times moved beyond the noise; 0 not resolved (fewer than 5 runs); "
+                             "median time ratio B/A 1.100")
 
 
 def test_compare_prints_the_median_peak_rss_ratio(tmp_path):
@@ -95,7 +99,7 @@ def test_compare_prints_the_median_peak_rss_ratio(tmp_path):
     assert not changed
     assert lines == ["median peak RSS ratio B/A 0.950",
                      "3 common entries; outcomes all equal; 0 times moved beyond the noise; "
-                     "median time ratio B/A 1.000"]
+                     "3 not resolved (fewer than 5 runs); median time ratio B/A 1.000"]
 
 
 def test_a_forked_run_that_differs_from_the_fresh_one_fails_the_ladder(tmp_path, monkeypatch,
@@ -134,22 +138,22 @@ def test_fresh_runs_do_not_inherit_the_ladders_peak_rss(tmp_path, monkeypatch):
 
 def test_compare_prints_the_median_engine_time_ratio(tmp_path):
     ladder = load_ladder()
-    base = [_entry(["hh", f"f{k}.loop"], [1.0, 1.01, 1.02]) for k in range(3)]
+    base = [_entry(["hh", f"f{k}.loop"], FIVE) for k in range(3)]
     old = _ladder_file(tmp_path / "old.json", base)
     for e in base:
-        e["engine_s"] = [0.01, 0.0101, 0.0102]
+        e["engine_s"] = [0.01, 0.01005, 0.0101, 0.01015, 0.0102]
     a = _ladder_file(tmp_path / "a.json", base)
     # the engine 20% faster on every entry but one, which doubled
     b = [dict(e, engine_s=[round(t * 0.8, 5) for t in e["engine_s"]]) for e in base]
-    b[1]["engine_s"] = [0.02, 0.0202, 0.0204]
+    b[1]["engine_s"] = [0.02, 0.0201, 0.0202, 0.0203, 0.0204]
     lines, changed = ladder.compare(a, _ladder_file(tmp_path / "b.json", b))
     assert not changed
     assert lines == ["median peak RSS ratio B/A 1.000",
                      "engine time moved: hh f1.loop: 0.0101 -> 0.0252 s (noise 0.0003)",
                      "median engine time ratio B/A 0.800 over 3 entries; "
-                     "1 engine times moved beyond the noise",
+                     "1 engine times moved beyond the noise; 0 not resolved",
                      "3 common entries; outcomes all equal; 0 times moved beyond the noise; "
-                     "median time ratio B/A 1.000"]
+                     "0 not resolved (fewer than 5 runs); median time ratio B/A 1.000"]
     # a file written before engine_s was recorded has none to compare
     lines, changed = ladder.compare(old, a)
     assert not changed
@@ -184,6 +188,33 @@ def test_compare_reads_an_entry_only_in_b_as_new(tmp_path):
     assert changed
     assert lines[0] == f"only in {b}: localize heavy.loop"
     assert lines[-1].startswith("3 common entries; outcomes changed;")
+
+
+def test_a_time_with_fewer_than_five_runs_is_not_resolved(tmp_path):
+    # at 3 runs the inclusive interquartile range is half of max - min, too
+    # narrow to bound the noise: a doubled time is counted, not flagged
+    ladder = load_ladder()
+    base = [_entry(["hh", f"f{k}.loop"], [1.0, 1.01, 1.02]) for k in range(3)]
+    base.append(_entry(["hh", "f3.loop"], FIVE))
+    a = _ladder_file(tmp_path / "a.json", base)
+    doubled = [dict(e) for e in base]
+    doubled[1]["wall_ref_s"] = [2.0, 2.02, 2.04]
+    lines, changed = ladder.compare(a, _ladder_file(tmp_path / "b.json", doubled))
+    assert not changed and not any(line.startswith("time moved") for line in lines)
+    assert lines[-1] == ("4 common entries; outcomes all equal; 0 times moved beyond the noise; "
+                         "3 not resolved (fewer than 5 runs); median time ratio B/A 1.000")
+    # the five-run entry is read: doubled, it moved
+    doubled[3]["wall_ref_s"] = [2 * t for t in FIVE]
+    lines, _ = ladder.compare(a, _ladder_file(tmp_path / "c.json", doubled))
+    assert lines[0].startswith("time moved: hh f3.loop: 1.010 -> ")
+
+
+def test_the_default_repeat_gives_enough_runs_to_resolve_a_time(tmp_path, monkeypatch):
+    ladder = load_ladder()
+    monkeypatch.setattr(ladder, "run_ladder", lambda entries, repeat: ([], False))
+    out = tmp_path / "ladder.json"
+    assert ladder.main(["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["repeat"] == ladder.RESOLVED == 5
 
 
 def test_one_slow_repeat_does_not_hide_a_moved_engine_time(tmp_path):

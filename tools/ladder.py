@@ -10,10 +10,10 @@ wider than every strip), plus ``unipotent-check`` and one heavy rung: the
 benchmark's big3 ``localize``, whose engine time is several times the
 start-up, so that ``engine_s`` can resolve an engine change.
 Each entry runs ``python -m loophh`` on this checkout's ``src`` once per
-round, in ``--repeat`` rounds over the whole grid.  Per entry the file
-records the exit code, the sha256 of stdout and of stderr, whether stderr
-holds a traceback, the wall time of each run (interpreter start-up
-included) and the peak RSS.  The peak RSS is the child's ``ru_maxrss``,
+round, in ``--repeat`` rounds (5 by default) over the whole grid.  Per
+entry the file records the exit code, the sha256 of stdout and of stderr,
+whether stderr holds a traceback, the wall time of each run (interpreter
+start-up included) and the peak RSS.  The peak RSS is the child's ``ru_maxrss``,
 read from the rusage that ``os.wait4`` returns for that child alone.  A
 child's ``ru_maxrss`` starts at the RSS of the process that forked it, so
 the fresh runs are forked by a small launcher interpreter, started once.
@@ -36,14 +36,17 @@ in A is a changed outcome; one only in B is new, and is not), and every
 entry whose median scaled wall time moved by more than the noise: the sum
 of the two entries' interquartile ranges (inclusive quartiles of their
 runs: at 5 runs the second-smallest to the second-largest, so one slow run
-does not widen it; entries with one run have no spread and their times are
-not compared).  B's times are first divided by the median ratio B/A of the
-common entries' median times, which it prints, so a host that runs a
-session uniformly faster or slower flags no entry.  It also prints the
-median over the common entries of the ratio B/A of their median peak RSS
-and, unless neither file has one, of their median ``engine_s`` (an older
-file without ``engine_s`` reads as n/a), with each engine time that moved
-beyond the noise in the same way.  It exits 1 when an outcome changed.
+does not widen it).  Only an entry with 5 or more runs on both sides is
+read as moved or not: at 3 runs the inclusive interquartile range is half
+of max - min, too narrow to bound the noise.  The other entries are counted
+as not resolved, and the count is printed.  B's times are first divided by
+the median ratio B/A of the median times of the common entries with 2 or
+more runs on both sides, which it prints, so a host that runs a session
+uniformly faster or slower flags no entry.  It also prints the median over
+the common entries of the ratio B/A of their median peak RSS and, unless
+neither file has one, of their median ``engine_s`` (an older file without
+``engine_s`` reads as n/a), with each engine time that moved beyond the
+noise in the same way.  It exits 1 when an outcome changed.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ WINDOWS = (
     ("--aux-max", "5", "--u-window", "8"),
 )
 OUTCOME = ("code", "traceback", "stdout_sha256", "stderr_sha256")
+RESOLVED = 5  # runs on both sides for --compare to read a time as moved or not
 # the first operation of the benchmark's localize workload
 HEAVY = ["localize", "perfbench/instances/big3.loop", "--aux-max", "8", "--u-window", "8",
          "--tower-levels", "6"]
@@ -238,38 +242,42 @@ def compare(a_path, b_path):
             if a[key][field] != b[key][field]:
                 changed = True
                 lines.append(f"changed {field}: {' '.join(key)}: {a[key][field]} -> {b[key][field]}")
-    ratio, moved = _moved_times(a, b, common, "wall_ref_s", "time moved", lines)
+    ratio, moved, unresolved = _moved_times(a, b, common, "wall_ref_s", "time moved", lines)
     peaks = [[statistics.median(x[key]["peak_rss_mb"]) for x in (a, b)] for key in common]
     rss = statistics.median(pb / pa for pa, pb in peaks) if peaks else 1.0
     lines.append(f"median peak RSS ratio B/A {rss:.3f}")
     engine = [k for k in common if a[k].get("engine_s") and b[k].get("engine_s")]
     if engine:
-        eratio, emoved = _moved_times(a, b, engine, "engine_s", "engine time moved", lines, 4)
+        eratio, emoved, eunresolved = _moved_times(a, b, engine, "engine_s", "engine time moved",
+                                                   lines, 4)
         lines.append(f"median engine time ratio B/A {eratio:.3f} over {len(engine)} entries; "
-                     f"{emoved} engine times moved beyond the noise")
+                     f"{emoved} engine times moved beyond the noise; {eunresolved} not resolved")
     elif any(x[k].get("engine_s") for x in (a, b) for k in common):
         lines.append("median engine time ratio B/A n/a: one file has no engine_s")
     lines.append(f"{len(common)} common entries; outcomes {'changed' if changed else 'all equal'}; "
-                 f"{moved} times moved beyond the noise; median time ratio B/A {ratio:.3f}")
+                 f"{moved} times moved beyond the noise; {unresolved} not resolved (fewer than "
+                 f"{RESOLVED} runs); median time ratio B/A {ratio:.3f}")
     return lines, changed
 
 
 def _moved_times(a, b, keys, field, label, lines, digits=3):
-    """The median ratio B/A of the entries' median `field` times, and how
-    many moved beyond the noise, each named in `lines`."""
+    """The median ratio B/A of the entries' median `field` times, how many
+    moved beyond the noise, each named in `lines`, and how many have too few
+    runs to tell."""
     # entries with a spread on both sides, and their median times
     timed = [(key, a[key][field], b[key][field]) for key in keys]
     timed = [(key, ta, tb, statistics.median(ta), statistics.median(tb))
              for key, ta, tb in timed if min(len(ta), len(tb)) >= 2]
     ratio = statistics.median(mb / ma for *_, ma, mb in timed) if timed else 1.0
+    resolved = [entry for entry in timed if min(map(len, entry[1:3])) >= RESOLVED]
     moved = 0
-    for key, ta, tb, ma, mb in timed:
+    for key, ta, tb, ma, mb in resolved:
         noise = _iqr(ta) + _iqr(tb) / ratio
         if abs(mb / ratio - ma) > noise:
             moved += 1
             lines.append(f"{label}: {' '.join(key)}: {ma:.{digits}f} -> {mb / ratio:.{digits}f} s "
                          f"(noise {noise:.{digits}f})")
-    return ratio, moved
+    return ratio, moved, len(keys) - len(resolved)
 
 
 def _iqr(ts):
@@ -280,7 +288,8 @@ def _iqr(ts):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", metavar="FILE", help="write the ladder to FILE")
-    p.add_argument("--repeat", type=int, default=3, help="runs per entry (default 3)")
+    p.add_argument("--repeat", type=int, default=RESOLVED,
+                   help=f"runs per entry (default {RESOLVED})")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two ladder files")
     args = p.parse_args(argv)
     if args.compare:
