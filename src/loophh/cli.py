@@ -6,7 +6,8 @@ under --cache-dir (the hash covers the comment-stripped instance, the
 effective truncation, the verb, the engine version and the engine's source).
 
 Exit codes: 0 ok/PASS, 1 FAIL or a law violation, 2 parse or homogeneity
-error, 3 backend mismatch, 4 INCONCLUSIVE.
+error, 3 backend mismatch (never from an instance file: the scalar field
+follows the point), 4 INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -74,11 +75,7 @@ def _table_lines(table, tr):
 
 def _weight_zero_mixed(P, T, tr):
     model = loop_model(P, T)
-    mc = model.instantiate(
-        tr.aux_max,
-        laurent_cap=tr.laurent_cap if T.rank else None,
-        weight_filter=(0,) * T.rank,
-    )
+    mc = model.instantiate(tr.aux_max, laurent_cap=tr.laurent_cap, weight_filter=(0,) * T.rank)
     reg = regrade_by_group_exponent(mc, model) if T.rank else None
     return reg if reg is not None else mc
 

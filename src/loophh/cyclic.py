@@ -145,9 +145,9 @@ class CyclicLevels:
             self.mu_preserved = not any(weighty.intersection(codes) for level in built
                                         for codes, _, w in level if w == zero)
             box = self._box = self._mu_box()
-        self.levels: list[dict[Multidegree, list]] = []  # bins of level n, in lex order
-        self.elements: list[list[tuple]] = []  # level n in bin order
-        self.number: list[dict[tuple, int]] = []  # position in elements[n]
+        # bins of level n, in lex order; element e of level n is the e-th
+        # element in bin order
+        self.levels: list[dict[Multidegree, list]] = []
         B = len(box)
         # every index and number below is taken from one list, so that the
         # tables share int objects rather than hold a fresh one per entry
@@ -172,11 +172,8 @@ class CyclicLevels:
             slots = list(chain.from_iterable(bins.values()))
             ks, ms = [ints[x // B] for x in slots], [x % B for x in slots]
             rows = [[x] * len(level) + [None] for x in [_OUTSIDE] * B + [CAPPED] * self.equivariant]
-            number = {}
-            for e, el, k, m in zip(ints, chain.from_iterable(self.levels[n].values()), ks, ms):
-                number[el] = rows[m][k] = e
-            self.elements.append(list(number))
-            self.number.append(number)
+            for e, k, m in zip(ints, ks, ms):
+                rows[m][k] = e
             self._scratch.append(([a for _, a, _ in level], ks, ms, rows))
 
     def _bin(self, n, e):
@@ -329,7 +326,7 @@ class CyclicLevels:
             self._check(n, [("t^{n+1} != id", ks, ident)])
         for n, s in enumerate(self.s):
             d = self.faces[n + 1]
-            ident = list(range(len(self.elements[n])))
+            ident = list(range(len(self.t[n])))
             bad = []
             for j, sj in enumerate(s):
                 for face in (d[j], d[j + 1]):

@@ -37,7 +37,6 @@ from .models import (
     odd_tangent_model,
     reduce_linear_relations,
 )
-from .scalars import CyclotomicField
 from .tables import HilbertTable
 from .towers import Tower, cartan_augmentation_tower, point_completion_tower
 
@@ -89,19 +88,13 @@ class LocalizationInstance:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    def backend(self):
-        m = self.z.conductor()
-        return None if m == 1 else CyclotomicField(m)
-
     @cached_property
     def fixed(self) -> AlgebraPresentation:
         return reduce_linear_relations(fixed_points(self.P, self.z))
 
     def _tower(self, P: AlgebraPresentation) -> Tower:
         tr = self.truncation
-        return point_completion_tower(
-            loop_model(P, self.T), self.z, tr.tower_levels, tr.aux_max, backend=self.backend(),
-        )
+        return point_completion_tower(loop_model(P, self.T), self.z, tr.tower_levels, tr.aux_max)
 
     @cached_property
     def lhs(self) -> Tower:
@@ -282,8 +275,7 @@ def check_derived_fixed_fiber(inst: LocalizationInstance) -> Report:
     the plain odd-tangent oracle of the fixed locus."""
     report = Report("derived-fixed-fiber", PASS)
     tr = inst.truncation
-    backend = inst.backend()
-    fib = derived_fiber_model(inst.P, inst.T, inst.z, backend=backend)
+    fib = derived_fiber_model(inst.P, inst.T, inst.z)
     fib_mc = fib.instantiate(tr.aux_max)
     fib_t = fib_mc.cohomology(known_only=True).forget_weight()
 

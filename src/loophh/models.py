@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .algebra import Derivation, FreeAlgebra, Generator, Polynomial, enumerate_monomials
 from .grading import Multidegree, Window
 from .linalg import SparseMatrix
-from .scalars import BackendMismatch, coerce, exact_div
+from .scalars import CyclotomicField, coerce, exact_div
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +92,19 @@ class TorusPoint(NamedTuple):
                 c = c * theta.denominator // math.gcd(c, theta.denominator)
         return c
 
-    def coordinate_scalar(self, j, backend):
-        """z_j as a scalar in the given backend (None = rational)."""
+    def field(self):
+        """The residue field of the point: None (the rationals) at conductor
+        1, otherwise Q(zeta_m) for the conductor m."""
+        m = self.conductor()
+        return None if m == 1 else CyclotomicField(m)
+
+    def coordinate_scalar(self, j):
+        """z_j as a scalar of `field()`."""
         q, theta = self.coords[j]
+        field = self.field()
         if theta == 0:
-            return coerce(q, backend)
-        if backend is None:
-            raise BackendMismatch(
-                "root-of-unity torus point requires the cyclotomic backend"
-            )
-        m = backend.conductor
-        if (theta * m).denominator != 1:
-            raise BackendMismatch(
-                f"conductor {m} does not realize theta={theta}"
-            )
-        return backend.zeta(int(theta * m)) * backend.from_rational(q)
+            return coerce(q, field)
+        return field.zeta(int(theta * field.conductor)) * field.from_rational(q)
 
 
 def identity_point(rank: int) -> TorusPoint:
@@ -232,29 +230,29 @@ def reduce_linear_relations(P: AlgebraPresentation) -> AlgebraPresentation:
 
 GROUP_COORD = "w:{}"
 LIE_COORD = "xi:{}"
+POINT_COORD = "t:{}"
 
 
 class SemifreeModel:
     """Free graded-commutative dg algebra with differential on generators.
 
-    `eps_images`, when present, is the mixed differential as a derivation.
-    `mixed_weight_zero_only` records that d and eps anticommute only up to
-    the weight operator (torus Cartan models); such mixed structures are
-    used exclusively on weight-0 subcomplexes.  `t_index` is the generator
-    position of the coordinate t of a coefficient ring k[t]/(t^n) (see
-    `at_torus_point_level`), or None.
+    `eps_images`, when present, is the mixed differential as a derivation,
+    and `aux_shift_d` the aux degree of d.  The rest is read off the algebra:
+    `laurent_names` are its Laurent generators (the group coordinates), and
+    `t_index` is the position of the coordinate t:0 of a coefficient ring
+    k[t]/(t^n) (see `at_torus_point_level`), or None.  When the algebra has
+    the Lie coordinates xi:l (torus Cartan models), d and eps anticommute
+    only up to the weight operator, and such mixed structures are used
+    exclusively on weight-0 subcomplexes.
     """
 
-    def __init__(self, alg: FreeAlgebra, d_images, eps_images=None,
-                 aux_shift_d=0, mixed_weight_zero_only=False,
-                 laurent_names=(), t_index=None):
+    def __init__(self, alg: FreeAlgebra, d_images, eps_images=None, aux_shift_d=0):
         self.alg = alg
         self.d = Derivation(alg, d_images)
         self.eps = Derivation(alg, eps_images) if eps_images is not None else None
         self.aux_shift_d = aux_shift_d
-        self.mixed_weight_zero_only = mixed_weight_zero_only
-        self.laurent_names = tuple(laurent_names)
-        self.t_index = t_index
+        self.laurent_names = tuple(g.name for g in alg.gens if g.laurent)
+        self.t_index = alg.index.get(POINT_COORD.format(0))
         for n in self.laurent_names:
             if n in self.d.images or (self.eps and n in self.eps.images):
                 raise ValueError("laurent coordinates must be closed")
@@ -280,6 +278,8 @@ class SemifreeModel:
         return True
 
     def _check_anticommute(self):
+        lie = [LIE_COORD.format(l) for l in range(self.alg.rank)]
+        euler = bool(lie) and all(n in self.alg.index for n in lie)
         # generator order, so the first failure named does not depend on set order
         for gen in self.alg.gens:
             name = gen.name
@@ -287,14 +287,12 @@ class SemifreeModel:
                 continue
             g = self.alg.poly_gen(name)
             comm = self.d.apply(self.eps.apply(g)) + self.eps.apply(self.d.apply(g))
-            if self.mixed_weight_zero_only:
+            if euler:
                 # Euler identity: [d, eps] = <weight, xi> on each generator
                 expected = self.alg.poly()
-                for l in range(self.alg.rank):
-                    wl = gen.weight[l]
+                for xi, wl in zip(lie, gen.weight):
                     if wl:
-                        xi = self.alg.poly_gen(LIE_COORD.format(l))
-                        expected = expected + (xi * g).scaled(wl)
+                        expected = expected + (self.alg.poly_gen(xi) * g).scaled(wl)
                 if not (comm - expected).is_zero():
                     raise ValueError(f"[d,eps] != weight operator on {name}")
             else:
@@ -408,8 +406,9 @@ class SemifreeModel:
         return Window((min(cohs) - 1, max(cohs) + 1), wr, (0, aux_max), (0, 0))
 
     # -- coefficient contexts -------------------------------------------------
-    def at_torus_point_level(self, z: TorusPoint, n: int, backend=None) -> "SemifreeModel":
-        """Base change along k[w^+-] -> k[t]/(t^n), t = w - z.
+    def at_torus_point_level(self, z: TorusPoint, n: int) -> "SemifreeModel":
+        """Base change along k[w^+-] -> k[t]/(t^n), t = w - z, over the
+        residue field `z.field()`.
 
         Valid because the model is a free module over its Laurent coordinate
         ring; this computes the same cohomology as tensoring with the Koszul
@@ -424,7 +423,7 @@ class SemifreeModel:
             raise ValueError("torus point rank mismatch with group coordinates")
         new_alg = FreeAlgebra(
             [
-                Generator(f"t:{lnames.index(g.name)}", 0, (0,) * self.alg.rank, 0,
+                Generator(POINT_COORD.format(lnames.index(g.name)), 0, (0,) * self.alg.rank, 0,
                           exp_range=(0, n - 1))
                 if g.name in lnames else g
                 for g in self.alg.gens
@@ -432,11 +431,12 @@ class SemifreeModel:
             self.alg.rank,
         )
         tpos = [self.alg.index[nm] for nm in lnames]
-        zvals = [z.coordinate_scalar(j, backend) for j in range(z.rank)]
+        field = z.field()
+        zvals = [z.coordinate_scalar(j) for j in range(z.rank)]
 
         def binomial_series(zj, e):
             # c_0 = z^e, c_k = c_{k-1} (e - k + 1) / (k z)
-            c = coerce(1, backend)
+            c = coerce(1, field)
             for _ in range(abs(e)):
                 c = c * zj
             if e < 0:
@@ -450,7 +450,7 @@ class SemifreeModel:
         def subst(poly: Polynomial) -> Polynomial:
             out = {}
             for m, c in poly.terms.items():
-                c = coerce(c, backend)
+                c = coerce(c, field)
                 if not tpos:
                     out[m] = c
                     continue
@@ -468,12 +468,7 @@ class SemifreeModel:
             if self.eps is not None
             else None
         )
-        return SemifreeModel(
-            new_alg, d_images, eps_images,
-            aux_shift_d=self.aux_shift_d,
-            mixed_weight_zero_only=self.mixed_weight_zero_only,
-            laurent_names=(), t_index=tpos[0] if tpos else None,
-        )
+        return SemifreeModel(new_alg, d_images, eps_images, aux_shift_d=self.aux_shift_d)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +505,7 @@ def loop_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
     for j, rel in enumerate(P.relations):
         d_images[f"eta:{j}"] = lift_poly(rel, alg)
 
-    model = SemifreeModel(alg, d_images, laurent_names=wnames)
+    model = SemifreeModel(alg, d_images)
     _attach_de_rham(model, P)
     return model
 
@@ -532,11 +527,10 @@ def _attach_de_rham(model: SemifreeModel, P: AlgebraPresentation):
     })
 
 
-def derived_fiber_model(P: AlgebraPresentation, T: TorusData, z: TorusPoint,
-                        backend=None) -> SemifreeModel:
+def derived_fiber_model(P: AlgebraPresentation, T: TorusData, z: TorusPoint) -> SemifreeModel:
     """Loop model specialized at w = z (tower level 1): the derived z-fiber."""
     model = loop_model(P, T)
-    fiber = model.at_torus_point_level(z, 1, backend=backend)
+    fiber = model.at_torus_point_level(z, 1)
     # re-derive the de Rham support in the specialized context
     _attach_de_rham(fiber, P)
     return fiber
@@ -589,11 +583,7 @@ def cartan_model(P: AlgebraPresentation, T: TorusData) -> SemifreeModel:
                 acc = acc + (alg.poly_gen(xnames[l]) * alg.poly_gen(g.name)).scaled(wl)
         if not acc.is_zero():
             d_images[f"d:{g.name}"] = acc
-    return SemifreeModel(
-        alg, d_images, eps_images,
-        aux_shift_d=1 if T.rank else 0,
-        mixed_weight_zero_only=T.rank > 0,
-    )
+    return SemifreeModel(alg, d_images, eps_images, aux_shift_d=1 if T.rank else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -49,21 +49,15 @@ class Tower:
 # point-ideal route
 # ---------------------------------------------------------------------------
 
-def point_completion_tower(
-    model: SemifreeModel,
-    z: TorusPoint,
-    N: int,
-    aux_max: int,
-    backend=None,
-) -> Tower:
-    """Levels k[t]/(t^n), n = 1..N, of the completion at z, from level N;
-    each level is the weight-0 part.
+def point_completion_tower(model: SemifreeModel, z: TorusPoint, N: int, aux_max: int) -> Tower:
+    """Levels k[t]/(t^n), n = 1..N, of the completion at z, from level N,
+    over the residue field of z; each level is the weight-0 part.
 
     t has degree 0, so every level has the same bins and window; level n
     keeps, in each bin, the level-N labels with t-exponents < n, in order,
     and d and eps restricted to them.
     """
-    top_model = model.at_torus_point_level(z, N, backend=backend)
+    top_model = model.at_torus_point_level(z, N)
     top_model.check_symbolic()
     depths = {}
     top = top_model.instantiate(aux_max, weight_filter=(0,) * z.rank, edge_depths=depths)

@@ -360,9 +360,8 @@ def model_derivations(draw):
     elif kind == "cartan":
         model = cartan_model(P, T)
     elif kind == "point":
-        z, backend = draw(st.sampled_from(((2, None), (-1, None), ((1, Fraction(1, 3)), Q_ZETA3))))
-        model = loop_model(P, T).at_torus_point_level(
-            TorusPoint.make([z]), draw(st.integers(1, 3)), backend=backend)
+        z = draw(st.sampled_from((2, -1, (1, Fraction(1, 3)))))
+        model = loop_model(P, T).at_torus_point_level(TorusPoint.make([z]), draw(st.integers(1, 3)))
     else:
         model = odd_tangent_model(P)
     return draw(st.sampled_from([D for D in (model.d, model.eps) if D is not None]))

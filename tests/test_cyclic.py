@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from fractions import Fraction
 
@@ -22,6 +23,13 @@ from loophh.cyclic import (
     equivariant_cyclic_bar,
 )
 from mixed_fixtures import LOCALIZE_CASES, localization_instance
+
+
+@functools.lru_cache(maxsize=16)
+def _numbers(L, n):
+    """{element: number} of level n, the numbers the tables hold: element e
+    is the e-th of the level's bins in order."""
+    return {el: e for e, el in enumerate(el for ls in L.levels[n].values() for el in ls)}
 
 
 def kx(weight=1):
@@ -216,12 +224,13 @@ def test_unnormalized_vs_normalized_ranks():
     def unnorm_matrix(n, aux):
         src = L.levels[n].get(md(-n, (aux,), aux), [])
         tgt = L.levels[n - 1].get(md(-n + 1, (aux,), aux), [])
+        below = list(_numbers(L, n - 1))
         ent = {}
         for j, el in enumerate(src):
             for i, d in enumerate(L.faces[n]):
-                k = d[L.number[n][el]]
+                k = d[_numbers(L, n)[el]]
                 if k is not None:
-                    key = (tgt.index(L.elements[n - 1][k]), j)
+                    key = (tgt.index(below[k]), j)
                     ent[key] = ent.get(key, 0) + (-1) ** i
         return SparseMatrix(len(tgt), len(src), {k: Fraction(v) for k, v in ent.items() if v})
 
@@ -289,7 +298,7 @@ def _s_0_outside(monkeypatch, outside):
 
     def s_0_outside(self, n, level, lex, name, mus=None):
         if name == "s_0":
-            lex = outside(lex, len(self.elements[level]))
+            lex = outside(lex, len(_numbers(self, level)))
         return numbered(self, n, level, lex, name, mus)
 
     monkeypatch.setattr(CyclicLevels, "_numbered", s_0_outside)
@@ -322,7 +331,7 @@ def test_bar_laws_catch_a_corrupt_face_entry():
     L = cyclic_bar(kx(), N=4, aux_max=4)
     assert L.check_bar_laws()
     x = L.A_basis.index((1,))
-    e = L.number[3][((x, x, x, x), ())]
+    e = _numbers(L, 3)[((x, x, x, x), ())]
     L.faces[3][2][e] = L.faces[3][0][e]
     with pytest.raises(NotAComplex, match=r"d_2 t != t d_1"):
         L.check_bar_laws()
@@ -363,7 +372,7 @@ def test_identity_checks_catch_a_corrupt_last_degeneracy_entry():
     L = cyclic_bar(kx(), N=4, aux_max=3)
     assert L.check_simplicial_identities()
     x = L.A_basis.index((1,))
-    e = L.number[2][((x, x, x), ())]
+    e = _numbers(L, 2)[((x, x, x), ())]
     L.s[2][2][e] = L.s[2][1][e]  # x(x)x(x)1(x)x for x(x)x(x)x(x)1
     with pytest.raises(NotAComplex, match=r"d s_2 != id") as err:
         L.check_simplicial_identities()
@@ -419,7 +428,7 @@ def _decode(L, el):
 def _ref_number(L, level, image):
     if image is None or image is CAPPED:
         return image
-    return L.number[level][(tuple(L.A_basis.index(m) for m in image[0]), image[1])]
+    return _numbers(L, level)[(tuple(L.A_basis.index(m) for m in image[0]), image[1])]
 
 
 def _ref_unit(L):
@@ -494,7 +503,7 @@ def _ref_B(L, el):
 def _ref_table(L, n, level, image):
     """The numbers in `level` of the images of the elements of level n under
     `image`, which acts on (exponent tuples, mu)."""
-    return [_ref_number(L, level, image(_decode(L, el))) for el in L.elements[n]]
+    return [_ref_number(L, level, image(_decode(L, el))) for el in _numbers(L, n)]
 
 
 def _ref_tuples(L, n):
@@ -550,8 +559,8 @@ _TABLE_CASES = pytest.mark.parametrize("build, caps", [
 def test_tables_equal_the_element_level_definitions(build, caps):
     L = build()
     capped = False
-    for n, elems in enumerate(L.elements):
-        elems = [_decode(L, el) for el in elems]
+    for n in range(L.N + 1):
+        elems = [_decode(L, el) for el in _numbers(L, n)]
         for i in range(n + 1 if n else 0):
             assert L.faces[n][i] == [_ref_number(L, n - 1, _ref_face(L, el, i)) for el in elems]
             capped |= CAPPED in L.faces[n][i]
@@ -600,8 +609,8 @@ def test_tables_equal_the_element_level_definitions_on_generated_presentations(
     L = (cyclic_bar(P, N, aux_max) if mu_cap is None
          else equivariant_cyclic_bar(P, TorusData(1), N, aux_max, mu_cap))
     assert L.mu_preserved == _ref_mu_preserved(L)
-    for n, elems in enumerate(L.elements):
-        assert elems == [el for ls in L.levels[n].values() for el in ls]
+    for n in range(L.N + 1):
+        assert len(L.t[n]) == len(_numbers(L, n))  # one table entry per element
         assert {_decode(L, el): mdeg for mdeg, ls in L.levels[n].items() for el in ls} == \
             _ref_level(L, n)
         for ls in L.levels[n].values():
@@ -622,7 +631,7 @@ def test_bins_hold_their_elements_sorted_and_connes_labels_are_the_elements(buil
     V = connes_B(L)
     for n, bins in enumerate(L.levels):
         ref = _ref_level(L, n)
-        assert sorted(_decode(L, el) for el in L.elements[n]) == sorted(ref)
+        assert sorted(_decode(L, el) for el in _numbers(L, n)) == sorted(ref)
         for mdeg, ls in bins.items():
             decoded = [_decode(L, el) for el in ls]
             assert decoded == sorted(decoded)

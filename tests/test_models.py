@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 import loophh
 from loophh import complexes, models
 
-from loophh.algebra import Derivation
+from loophh.algebra import Derivation, FreeAlgebra, Generator, Polynomial
 from loophh.cli import main
 from loophh.grading import md
-from loophh.instancefile import parse_instance
+from loophh.instancefile import parse_coordinate, parse_instance
 from loophh.models import (
     AlgebraPresentation,
+    SemifreeModel,
     TorusData,
     TorusPoint,
     _hermite_normal_form,
@@ -291,18 +292,61 @@ BASE_CHANGE_INSTANCES = sorted((ROOT / "instances").glob("*.loop")) + [
 @pytest.mark.parametrize("path", BASE_CHANGE_INSTANCES, ids=lambda p: p.stem)
 def test_base_change_matches_repeated_multiplication(path):
     P, T, z, _ = parse_instance(path.read_text())
-    backend = None if z.conductor() == 1 else CyclotomicField(z.conductor())
     model = loop_model(P, T)
     (p,) = [model.alg.index[nm] for nm in model.laurent_names]
-    zj, one = z.coordinate_scalar(0, backend), coerce(1, backend)
+    zj, one = z.coordinate_scalar(0), coerce(1, z.field())
     for n in range(1, 5):
-        based = model.at_torus_point_level(z, n, backend=backend)
+        based = model.at_torus_point_level(z, n)
         assert based.t_index == p and based.alg.gens[p].name == "t:0"
         for old, new in ((model.d, based.d), (model.eps, based.eps)):
             assert set(new.images) <= set(old.images)
             for name, poly in old.images.items():
                 got = new.images[name].terms if name in new.images else {}
                 assert got == _reference_image(poly, p, zj, n, one), (name, n)
+
+
+F2, F3, F4, F6 = (CyclotomicField(m) for m in (2, 3, 4, 6))
+
+
+@pytest.mark.parametrize("tokens, field, values", [
+    (["3/2"], None, [Fraction(3, 2)]),
+    (["zeta(2)"], F2, [F2.from_rational(-1)]),
+    (["zeta(3)"], F3, [F3.element([0, 1])]),
+    (["2*zeta(4)^3"], F4, [F4.element([0, -2])]),  # 2 i^3 = -2 i
+    # two conductors: the field of their least common multiple
+    (["zeta(2)", "zeta(3)^2"], F6, [F6.from_rational(-1), F6.zeta(4)]),
+], ids=["rational", "zeta(2)", "zeta(3)", "2*zeta(4)^3", "zeta(2), zeta(3)^2"])
+def test_the_field_and_the_coordinates_follow_the_point(tokens, field, values):
+    z = TorusPoint.make([parse_coordinate(t) for t in tokens])
+    assert z.field() == field
+    got = [z.coordinate_scalar(j) for j in range(z.rank)]
+    assert got == values
+    assert all(isinstance(v, CycElt) == (field is not None) for v in got)
+
+
+def test_the_euler_identity_is_read_off_the_lie_coordinates():
+    # the Cartan model's d and eps anticommute up to the weight operator; with
+    # xi:0 renamed, the same derivations are held to d eps + eps d = 0
+    V = cartan_model(line(), TorusData(1))
+    assert V.check_symbolic()
+    alg = FreeAlgebra([g._replace(name="k:0") if g.name == "xi:0" else g for g in V.alg.gens], 1)
+
+    def moved(images):
+        return {n: Polynomial(alg, p.terms) for n, p in images.items()}
+
+    W = SemifreeModel(alg, moved(V.d.images), moved(V.eps.images), aux_shift_d=1)
+    with pytest.raises(ValueError, match="d eps \\+ eps d != 0 on generator x"):
+        W.check_symbolic()
+
+
+@pytest.mark.parametrize("which", ["d", "eps"])
+def test_a_group_coordinate_must_be_closed(which):
+    alg = FreeAlgebra([Generator("y", 1, (0,), 1), Generator("e", -1, (0,), 1),
+                       Generator("w:0", 0, (0,), 0, laurent=True)], 1)
+    d = {"w:0": alg.poly_gen("y")} if which == "d" else {}
+    eps = {"w:0": alg.poly_gen("e")} if which == "eps" else None
+    with pytest.raises(ValueError, match="laurent coordinates must be closed"):
+        SemifreeModel(alg, d, eps)
 
 
 def _instantiations(path):
@@ -318,9 +362,8 @@ def _instantiations(path):
         ("odd tangent", odd_tangent_model(P).instantiate(tr.aux_max), None),
     ]
     if path.stem in ("01_line_gm_z2", "cyc3"):
-        backend = None if z.conductor() == 1 else CyclotomicField(z.conductor())
         depths = {}
-        mc = loop_model(P, T).at_torus_point_level(z, 3, backend=backend).instantiate(
+        mc = loop_model(P, T).at_torus_point_level(z, 3).instantiate(
             tr.aux_max, weight_filter=wf, edge_depths=depths)
         out.append(("level 3", mc, depths))
     return out

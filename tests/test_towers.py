@@ -58,15 +58,14 @@ def test_point_tower_h0_nondecreasing():
 
 
 def test_point_tower_root_of_unity_needs_cyclotomic():
-    from loophh.scalars import BackendMismatch, CyclotomicField
-
-    V = laurent_line_model()
+    # no field is passed: the tower is over Q(zeta_3), the residue field of z
     z = TorusPoint.make([(1, Fraction(1, 3))])
-    with pytest.raises(BackendMismatch):
-        point_completion_tower(V, z, 2, aux_max=1)
-    F = CyclotomicField(3)
-    tower = point_completion_tower(V, z, 2, aux_max=1, backend=F)
+    tower = assert_tower_matches_per_level_build(laurent_line_model(), z, 2, aux_max=1)
     assert tower.level(2).cohomology().dim(md(0, (0,), 0)) == 2
+    P = AlgebraPresentation([("x", (1,), 1), ("y", (-1,), 1)], rank=1)
+    top = assert_tower_matches_per_level_build(loop_model(P, TorusData(1)), z, 3, 2).level(3)
+    fields = {c.field for mat in top.base.diffs.values() for c in mat.entries.values()}
+    assert fields == {CyclotomicField(3)}
 
 
 def _nonzero_blocks(mats):
@@ -84,17 +83,15 @@ def _label_quotient(src, tgt):
     return ChainMap(src, tgt, blocks)
 
 
-def assert_tower_matches_per_level_build(model, z, N, aux_max, backend=None):
+def assert_tower_matches_per_level_build(model, z, N, aux_max):
     """Every derived level equals the level instantiated on its own, and the
     label quotients between levels are chain maps commuting with eps."""
     wf = (0,) * z.rank
-    tower = point_completion_tower(model, z, N, aux_max, backend=backend)
+    tower = point_completion_tower(model, z, N, aux_max)
     assert len(tower.levels) == N
     for n in range(1, N + 1):
         got = tower.level(n)
-        want = model.at_torus_point_level(z, n, backend=backend).instantiate(
-            aux_max, weight_filter=wf
-        )
+        want = model.at_torus_point_level(z, n).instantiate(aux_max, weight_filter=wf)
         assert got.base.bins == want.base.bins  # bins and label order
         assert _nonzero_blocks(got.base.diffs) == _nonzero_blocks(want.base.diffs)
         assert _nonzero_blocks(got.eps) == _nonzero_blocks(want.eps)
@@ -115,18 +112,15 @@ SHIPPED = sorted((Path(__file__).resolve().parents[1] / "instances").glob("*.loo
 @pytest.mark.parametrize("aux_max", [2, 4])
 def test_point_tower_levels_equal_per_level_build(path, aux_max):
     P, T, z, _ = parse_instance(path.read_text())
-    backend = CyclotomicField(z.conductor()) if z.conductor() > 1 else None
     for side in (P, reduce_linear_relations(fixed_points(P, z))):
-        assert_tower_matches_per_level_build(loop_model(side, T), z, 5, aux_max, backend)
+        assert_tower_matches_per_level_build(loop_model(side, T), z, 5, aux_max)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_point_tower_levels_inherit_the_top_law_record(path):
     P, T, z, tr = parse_instance(path.read_text())
-    backend = CyclotomicField(z.conductor()) if z.conductor() > 1 else None
     for side in (P, reduce_linear_relations(fixed_points(P, z))):
-        tower = point_completion_tower(loop_model(side, T), z, tr.tower_levels, tr.aux_max,
-                                       backend=backend)
+        tower = point_completion_tower(loop_model(side, T), z, tr.tower_levels, tr.aux_max)
         for level in tower.levels[:-1]:
             # every shipped top level has d^2 = 0 and the mixed laws, so each
             # level starts with both records, before any check has run
@@ -165,8 +159,7 @@ def _aux_raising_model(laurent):
         gens.append(Generator("w0", 0, (0,), 0, laurent=True))
     alg = FreeAlgebra(gens, laurent)
     coeff = alg.poly_gen("w0") - alg.poly_scalar(1) if laurent else alg.poly_scalar(1)
-    return SemifreeModel(alg, {"x": coeff * alg.poly_gen("y")}, aux_shift_d=1,
-                         laurent_names=("w0",) if laurent else ())
+    return SemifreeModel(alg, {"x": coeff * alg.poly_gen("y")}, aux_shift_d=1)
 
 
 @pytest.mark.parametrize("zval, level1_edge", [(1, False), (2, True)])
