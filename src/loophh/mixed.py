@@ -82,8 +82,8 @@ class MixedComplex:
                 dims.setdefault((m.weight, m.aux), {})[m.cohdeg] = len(labels)
             for m in self.base.edge:
                 edge.setdefault((m.weight, m.aux), set()).add(m.cohdeg)
-            self._strips = {
-                (w, a): _Strip(self, w, a, dims.get((w, a), {}), edge.get((w, a), frozenset()))
+            self._strips = {  # edge degrees frozen: a fragment key holds them
+                (w, a): _Strip(self, w, a, dims.get((w, a), {}), frozenset(edge.get((w, a), ())))
                 for w, a in sorted(dims.keys() | edge.keys())
             }
         return self._strips
@@ -104,10 +104,12 @@ class USeriesComplex:
     """Windowed (V[[u]]-style, d + u*eps) complex of a declared flavor.
 
     Construction raises NotAComplex unless d^2 = 0 on every bin, edge or not,
-    and the mixed laws hold.  A table walks the strips of the mixed complex
-    (`_Strip.walk`), which yield the shape of each column.  What a shape
-    determines (its reduction, its classes) is kept in records that every
-    strip of equal content shares; the mixed complex keeps its strips.
+    and the mixed laws hold.  A table reads each strip of the mixed complex
+    as a fragment: its value and edge cells in this window.  A fragment is
+    walked once (`_Strip.walk`) and kept in the strip memo, shared by every
+    strip of equal content whose columns test edge alike.  What a column
+    shape determines (its reduction, its classes) is kept there too.  The
+    mixed complex keeps its strips.
     """
 
     def __init__(self, mixed: MixedComplex, flavor: str, p_range: tuple):
@@ -160,25 +162,45 @@ class USeriesComplex:
         cell of their echelon pivot (canonical in all split cases).  With
         `known_only` (see `GradedComplex.cohomology`) an edge column gets no
         value, which `useries_induced_iso` relies on, and a strip of edge
-        bins walks no column (its cell (i, p) makes column i + 2p edge);
-        `_content_key` scanned its blocks' backend."""
+        bins is read from no fragment (its cell (i, p) makes column i + 2p
+        edge), so it builds no content key."""
         vals, edge = {}, set()
         lo, hi = self.p_lo, self.p_hi
         for (w, a), strip in self.mixed.strips().items():
             if known_only and strip.edge.issuperset(strip.dims):
                 edge.update(Multidegree(i, w, a, p) for i in strip.dims for p in range(lo, hi + 1))
                 continue
-            for tau, prv, src, nxt in strip.walk(lo, hi):
+            cells, edge_cells = self._fragment(strip, known_only)
+            it = iter(cells)
+            for i, p, n in zip(it, it, it):
+                vals[Multidegree(i, w, a, p)] = n
+            it = iter(edge_cells)
+            edge.update(Multidegree(i, w, a, p) for i, p in zip(it, it))
+        return HilbertTable(vals, edge, self.mixed.base.window.with_upow(lo, hi))
+
+    def _fragment(self, strip, known_only):
+        """The strip's value cells (i, p, n) and edge cells (i, p) in this
+        table, each as one flat tuple of ints.  The key holds what the walk
+        reads besides the strip's content: the window, the edge degrees and
+        what `certified_zero` reads.  A miss walks the strip."""
+        mixed = self.mixed
+        certify = mixed.zero_certifier
+        key = (self.flavor, (self.p_lo, self.p_hi), known_only, strip.edge, strip.inside,
+               mixed.cohdeg_floor, certify, (strip.w, strip.a) if certify else None)
+        fragments = strip.records()[2]
+        fragment = fragments.get(key)
+        if fragment is None:
+            cells, edge_cells = [], []
+            for tau, prv, src, nxt in strip.walk(self.p_lo, self.p_hi):
                 if self._column_is_edge(strip, tau, src):
-                    edge.update(Multidegree(i, w, a, (tau - i) // 2) for i in strip.cells(src))
+                    for i in strip.cells(src):
+                        edge_cells += (i, (tau - i) // 2)
                     if known_only:
                         continue
-                counts = strip.classes.get((prv, src, nxt))
-                if counts is None:
-                    counts = strip.classes_of(prv, src, nxt)
-                for i, n in counts:
-                    vals[Multidegree(i, w, a, (tau - i) // 2)] = n
-        return HilbertTable(vals, edge, self.mixed.base.window.with_upow(lo, hi))
+                for i, n in strip.classes_of(prv, src, nxt):
+                    cells += (i, (tau - i) // 2, n)
+            fragment = fragments[key] = (tuple(cells), tuple(edge_cells))
+        return fragment
 
     # -- u multiplication ----------------------------------------------------------
     def u_map_bijective(self):
@@ -222,10 +244,12 @@ class _Strip:
     (prv, src, nxt).  A pair's record is the lead sets of its matrix's kernel
     and image; a triple's is its class counts.  Those records depend only on
     the strip's content: its dimensions and its d- and eps-blocks by degree.
-    So all strips of equal content share one `columns` dict (per pair) and
-    one `classes` dict (per triple), taken from `_STRIP_MEMO`."""
+    So all strips of equal content share one `records()` entry of
+    `_STRIP_MEMO`: a dict per pair, per triple and per table fragment.  Each
+    block's backend is checked when the strip is built; the content key is
+    built on the first lookup."""
 
-    __slots__ = ("w", "a", "degrees", "dims", "d", "eps", "edge", "inside", "columns", "classes")
+    __slots__ = ("w", "a", "degrees", "dims", "d", "eps", "edge", "inside", "_records")
 
     def __init__(self, mixed, w, a, dims, edge):
         base, win = mixed.base, mixed.base.window
@@ -238,14 +262,23 @@ class _Strip:
             for i in dims:
                 block = source.get(Multidegree(i, w, a))
                 if block is not None:
+                    block.backend()  # raises BackendMismatch on mixed conductors
                     blocks[i] = block
         self.inside = len(w) == len(win.weight) and win.aux[0] <= a <= win.aux[1] and all(
             lo <= x <= hi for x, (lo, hi) in zip(w, win.weight))
-        content = (tuple(sorted(dims.items())), *(
-            tuple((i, _content_key(block)) for i, block in sorted(blocks.items()))
-            for blocks in (self.d, self.eps)))
-        # (src, nxt) -> column leads, and (prv, src, nxt) -> classes_of
-        self.columns, self.classes = _STRIP_MEMO.setdefault(content, ({}, {}))
+        self._records = None
+
+    def records(self):
+        """The (columns, classes, fragments) dicts of `_STRIP_MEMO` that every
+        strip of this content shares: (src, nxt) -> column leads, (prv, src,
+        nxt) -> classes_of and a fragment key -> `USeriesComplex._fragment`.
+        The first call builds the content key."""
+        if self._records is None:
+            content = (tuple(sorted(self.dims.items())), *(
+                tuple((i, _content_key(block)) for i, block in sorted(blocks.items()))
+                for blocks in (self.d, self.eps)))
+            self._records = _STRIP_MEMO.setdefault(content, ({}, {}, {}))
+        return self._records
 
     def shape(self, tau, p_lo, p_hi):
         par = tau & 1
@@ -307,9 +340,10 @@ class _Strip:
         """The shared (kernel leads, image leads) of `matrix(src, nxt)`, as
         `column_leads` gives them: a miss reduces the matrix, a hit builds
         nothing."""
-        record = self.columns.get((src, nxt))
+        columns = self.records()[0]
+        record = columns.get((src, nxt))
         if record is None:
-            record = self.columns[(src, nxt)] = column_leads(self.matrix(src, nxt))
+            record = columns[(src, nxt)] = column_leads(self.matrix(src, nxt))
         return record
 
     def h_dim(self, prv, src, nxt) -> int:
@@ -318,7 +352,8 @@ class _Strip:
     def classes_of(self, prv, src, nxt):
         """((degree, class count), ...) of shape src in descending degree; a
         class is a lead of ker D not among im Dprev's."""
-        record = self.classes.get((prv, src, nxt))
+        classes = self.records()[1]
+        record = classes.get((prv, src, nxt))
         if record is None:
             image = self.column(prv, src)[1]
             owner = [i for i in self.cells(src) for _ in range(self.dims[i])]
@@ -326,14 +361,14 @@ class _Strip:
             for f in self.column(src, nxt)[0]:
                 if f not in image:
                     counts[owner[f]] = counts.get(owner[f], 0) + 1
-            record = self.classes[(prv, src, nxt)] = tuple(counts.items())
+            record = classes[(prv, src, nxt)] = tuple(counts.items())
         return record
 
 
-# strip content -> the (columns, classes) dicts that every strip of that
-# content shares.  `cli.run_verb` clears it, so one CLI call is one memo
-# lifetime.  In it, each shape pair of a strip content is reduced once.  No
-# column matrix is kept.
+# strip content -> the (columns, classes, fragments) dicts that every strip
+# of that content shares.  `cli.run_verb` clears it, so one CLI call is one
+# memo lifetime.  In it, each shape pair of a strip content is reduced once,
+# and each fragment is walked once.  No column matrix is kept.
 _STRIP_MEMO: dict[tuple, tuple] = {}
 
 

@@ -11,13 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from loophh import cli
 from loophh.cli import build_parser, main, run_verb
 from loophh.complexes import ChainMap, GradedComplex
 from loophh.instancefile import parse_instance
 from loophh.linalg import EchelonReducer, SparseMatrix
 from loophh.mixed import USeriesComplex
 from loophh.models import SemifreeModel
-from loophh.scalars import CycElt
+from loophh.scalars import BackendMismatch, CycElt
 
 LINE_GM = """\
 # the scaling line modulo the rank-1 torus
@@ -257,7 +258,7 @@ def test_zero_denominator_relation_coefficient_rejected(coeff, tmp_path, capsys)
     assert err.startswith("parse error") and repr(coeff) in err and "table" not in out
 
 
-def test_backend_mismatch_exit_3(tmp_path, capsys):
+def test_root_of_unity_point_localizes(tmp_path, capsys):
     f = tmp_path / "zeta.loop"
     f.write_text(
         "[space]\ngenerator x weight=2 aux=1\n[group]\nrank 1\n"
@@ -268,6 +269,22 @@ def test_backend_mismatch_exit_3(tmp_path, capsys):
     # so localize must succeed
     code, out, _ = run_cli(["localize", str(f)], capsys)
     assert code == 0, out
+
+
+def test_backend_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    # no instance file reaches it (the field follows the point), so the
+    # verb is made to raise as the Python API can
+    def mismatch(verb, args, text):
+        raise BackendMismatch("mixed conductors 3 and 4")
+
+    monkeypatch.setattr(cli, "run_verb", mismatch)
+    f = tmp_path / "line.loop"
+    f.write_text(LINE_GM)
+    code, out, err = run_cli(["hh", str(f)], capsys)
+    assert code == cli.EXIT_BACKEND == 3
+    assert out == ""
+    assert err.splitlines() == ["backend mismatch: mixed conductors 3 and 4"]
+    assert "Traceback" not in err
 
 
 def test_window_too_small_inconclusive(tmp_path, capsys):

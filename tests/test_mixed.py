@@ -28,7 +28,7 @@ from loophh.mixed import (
     tate,
 )
 from loophh.models import AlgebraPresentation
-from loophh.scalars import CyclotomicField
+from loophh.scalars import BackendMismatch, CyclotomicField
 from mixed_fixtures import (
     LOCALIZE_CASES,
     SHIPPED,
@@ -397,10 +397,10 @@ def test_strips_sharing_records_have_equal_matrices():
     mixed.clear_column_memo()
     cases = [(V, u) for L, R, _, u in _localize_levels() for V in (L, R)]
     cases += [(V, u) for V in _key_check_complexes() for u in (1, 2)]
-    groups = {}  # id of the shared columns dict -> [(strip, complex index, u-window)]
+    groups = {}  # id of the shared records -> [(strip, complex index, u-window)]
     for n, (V, u) in enumerate(cases):
         for strip in V.strips().values():
-            groups.setdefault(id(strip.columns), []).append((strip, n, u))
+            groups.setdefault(id(strip.records()), []).append((strip, n, u))
     assert len(groups) < sum(map(len, groups.values()))  # shared, so the check has teeth
     assert any(len({n for _, n, _ in group}) > 1 for group in groups.values())
     for group in groups.values():
@@ -697,7 +697,7 @@ def test_clear_column_memo_empties_the_memo():
     assert new.cohomology().values == table.values
     old_strips, new_strips = old.mixed.strips(), new.mixed.strips()
     assert old_strips.keys() == new_strips.keys()
-    assert all(new_strips[k].columns is not old_strips[k].columns for k in old_strips)
+    assert all(new_strips[k].records() is not old_strips[k].records() for k in old_strips)
 
 
 def _record_induced_ranks(monkeypatch):
@@ -928,10 +928,9 @@ def test_known_only_tables_equal_a_walk_of_every_column():
     assert all_edge
 
 
-def test_localize_walks_each_strip_once_per_window(monkeypatch):
-    # the tables walk each strip once per flavor and window, and the
-    # induced-map checks walk nothing: they read the tables they follow
-    # (HH's check builds its HN level 1 tables)
+def _localize_walks(monkeypatch, path, *flags):
+    """The exit code of one `localize` of path, and its walks as
+    (id of strip, p_lo, p_hi) -> count."""
     walks, strips = {}, []
 
     def walk(self, p_lo, p_hi, _fn=mixed._Strip.walk):
@@ -941,12 +940,96 @@ def test_localize_walks_each_strip_once_per_window(monkeypatch):
 
     monkeypatch.setattr(mixed._Strip, "walk", walk)
     mixed.clear_column_memo()
-    path = SHIPPED[4]  # 05
-    _, code = run_verb("localize", build_parser().parse_args(["localize", str(path)]),
+    _, code = run_verb("localize", build_parser().parse_args(["localize", str(path), *flags]),
                        path.read_text())
+    return code, walks
+
+
+def test_localize_walks_each_strip_once_per_window(monkeypatch):
+    # the tables walk each strip once per flavor and window, and the
+    # induced-map checks walk nothing: they read the tables they follow
+    # (HH's check builds its HN level 1 tables)
+    code, walks = _localize_walks(monkeypatch, SHIPPED[4])  # 05
     assert code == 0
     assert any(key[1:] == (0, 0) for key in walks)
     assert max(walks.values()) == 1
+
+
+def test_localize_at_u_window_one_walks_no_strip_window_twice(monkeypatch):
+    # HH's check and hc-variants' HN both build the known-only HN table at
+    # the p-window (0, 0); the second reads the fragments the first walked
+    code, walks = _localize_walks(monkeypatch, SHIPPED[0], "--u-window", "1")  # 01
+    assert code == 4  # INCONCLUSIVE: hp-completion's shear has no usable bin
+    assert any(key[1:] == (0, 0) for key in walks)
+    assert max(walks.values()) == 1
+
+
+def _bar_complexes():
+    """Connes-B complexes of cyclic bars: a cohdeg floor, and a certifier
+    that reads the bin's aux below it.  At N 1, aux 3 the plane has strips
+    of equal content that the certifier tells apart."""
+    nonsmooth = AlgebraPresentation([("x", (1,), 1)], rank=1, asserted_smooth=True)
+    nonsmooth.add_relation(nonsmooth.ambient.poly_gen("x", 2))
+    return [connes_B(cyclic_bar(P, N=N, aux_max=aux)) for P, N, aux in (
+        (_plane(), 3, 2), (_plane(), 4, 4), (_plane(), 1, 3), (nonsmooth, 4, 5))]
+
+
+def _own_records(strip):
+    """`_Strip.records` with nothing shared, not even by strips of one table."""
+    if strip._records is None:
+        strip._records = ({}, {}, {})
+    return strip._records
+
+
+def _fragment_key_parts_that_matter():
+    """Which of the edge degrees and the certifier's (w, a) tell apart two
+    fragments of one strip content in the memo, their other key parts equal."""
+    found = set()
+    for _, _, fragments in mixed._STRIP_MEMO.values():
+        for name, drop in (("edge", lambda k: k[:3] + k[4:]), ("w, a", lambda k: k[:-1])):
+            seen = {}
+            for key, fragment in fragments.items():
+                if seen.setdefault(drop(key), fragment) != fragment:
+                    found.add(name)
+    return found
+
+
+def test_warm_fragments_equal_unshared_tables(monkeypatch):
+    # one memo lifetime over HN, HC and HP, both known-only values, of every
+    # `localize` level (own and smallest window), the bar complexes and the
+    # presets, against each table computed on new strips that share no
+    # record: stricter than after a clear, which leaves the strips of one
+    # table sharing fragments
+    mixed.clear_column_memo()
+    cases = [(V, inst.truncation.u_window) for path, small in LOCALIZE_CASES
+             for inst in [localization_instance(path, small)]
+             for level in (inst.lhs.levels, inst.rhs.levels) for V in level]
+    cases += [(V, u) for V in _bar_complexes() + [bga_polynomial_preset(5), bga_completed_preset(5, 3)]
+              for u in (1, 2, 3)]
+
+    def tables(V, u):
+        return [(t.serialize(), t.edge) for us in _localize_flavors(V, u)
+                for t in (us.cohomology(known_only) for known_only in (False, True))]
+
+    warm = [tables(V, u) for V, u in cases]
+    assert _fragment_key_parts_that_matter() == {"edge", "w, a"}  # so the check has teeth
+    monkeypatch.setattr(mixed._Strip, "records", _own_records)
+    for (V, u), expected in zip(cases, warm):
+        fresh = MixedComplex(V.base, V.eps, laws_ok=True)
+        fresh.cohdeg_floor, fresh.zero_certifier = V.cohdeg_floor, V.zero_certifier
+        assert tables(fresh, u) == expected
+
+
+@pytest.mark.parametrize("other", [CyclotomicField(1).from_rational(2), CyclotomicField(4).zeta()])
+def test_all_edge_strip_is_backend_checked(other):
+    # the known-only table reads no fragment of an all-edge strip, and the
+    # strip builds no content key, but its blocks' backends were scanned
+    # when it was built
+    m0, m1 = md(0, (0,), 0), md(1, (0,), 0)
+    d = SparseMatrix(2, 2, {(0, 0): other, (1, 1): CyclotomicField(3).zeta()})
+    V = MixedComplex(GradedComplex({m0: ["a", "b"], m1: ["c", "d"]}, {m0: d}, WIN, {m0, m1}), {})
+    with pytest.raises(BackendMismatch):
+        tate(V, 2).cohomology(known_only=True)
 
 
 def test_u_series_tables_leave_nothing_on_the_mixed_complex():
