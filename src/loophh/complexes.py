@@ -93,14 +93,15 @@ class GradedComplex:
 
     def cohomology(self, known_only=False) -> HilbertTable:
         """The table of H; edge-adjacent bins are edge.  With `known_only` they
-        get no value: a rank only they need is not taken, and their d-blocks
-        get just the backend scan `rank` would make.  A table that is only
-        compared may be known-only: `compare` compares the bins both sides
-        know and masks a bin only from the side that knows it, `known` reads
-        `edge` and the window, `at_weight` filters bins and `forget_weight`
-        marks every image of an edge bin edge, so no value on an edge bin
-        reaches a report line.  Printing a table reads those values, and so
-        does `shear_aux_into_upow`: a value widens its row's edge."""
+        get no value, and a rank only they need is not taken: each d-block
+        decided its field when it was built, so skipping it skips no check.
+        A table that is only compared may be known-only: `compare` compares
+        the bins both sides know and masks a bin only from the side that
+        knows it, `known` reads `edge` and the window, `at_weight` filters
+        bins and `forget_weight` marks every image of an edge bin edge, so
+        no value on an edge bin reaches a report line.  Printing a table
+        reads those values, and so does `shear_aux_into_upow`: a value widens
+        its row's edge."""
         self.check_complex()
         vals = {}
         edge = set()
@@ -108,7 +109,6 @@ class GradedComplex:
             if self._edge_adjacent(m):
                 edge.add(m)
                 if known_only:
-                    self.diff_from(m).backend()
                     continue
                 h = max(self.h_dim(m), 0)  # cap artifacts can make the formal count negative
             else:

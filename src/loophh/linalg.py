@@ -1,9 +1,11 @@
 """Sparse exact linear algebra: rank, lead sets, induced ranks.
 
 Matrices act on column vectors; an (r x c) matrix maps k^c -> k^r.  Entries
-are scalars from a single backend, and both backends are fields: rationals
-(an int when integral, else a Fraction) or CycElt.  A stored integral
-Fraction becomes an int, and every division goes through `exact_div`.  All
+are rationals (an int when integral, else a Fraction) or CycElts of one
+field.  A matrix decides that field once, when it is built
+(`SparseMatrix.field`), and raises BackendMismatch there on two conductors,
+so no reduction scans its entries again.  A stored integral Fraction becomes
+an int, and every division goes through `exact_div`.  All
 elimination goes through one `EchelonReducer`: each vector is reduced
 against the rows kept so far by its lowest nonzero index, and kept if it
 reaches a new pivot.  Reduction is fraction-free, as in Bareiss's
@@ -34,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import BackendMismatch, common_backend, exact_div, is_zero, primitive, scalar_one
+from .scalars import BackendMismatch, CycElt, exact_div, is_zero, primitive
 
 
 class NotAComplex(Exception):
@@ -45,43 +47,50 @@ class NotAComplex(Exception):
         super().__init__(f"not a complex at bin {bin_name}: {detail}")
 
 
-def _coerce_entry(x):
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
-
-
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix with exact scalar entries."""
+    """Immutable-by-convention sparse matrix with exact scalar entries.
 
-    __slots__ = ("nrows", "ncols", "entries")
+    Its scalar field is decided here, once: `field` is None when every
+    entry is rational, otherwise the one CyclotomicField of its CycElt
+    entries.  Zero entries are dropped and decide nothing.  Two conductors,
+    or an entry that is not an int, a Fraction or a CycElt, raise
+    BackendMismatch."""
+
+    __slots__ = ("nrows", "ncols", "entries", "field")
 
     def __init__(self, nrows, ncols, entries=None):
         self.nrows = nrows
         self.ncols = ncols
         self.entries = {}
+        field = None
         if entries:
             for (i, j), v in entries.items():
-                v = _coerce_entry(v)
-                if is_zero(v):
-                    continue
+                if isinstance(v, CycElt):
+                    if not v.coeffs:
+                        continue
+                    if field is None:
+                        field = v.field
+                    elif v.field != field:
+                        raise BackendMismatch(
+                            f"mixed conductors {field.conductor} and {v.field.conductor}")
+                else:
+                    if type(v) is Fraction and v.denominator == 1:
+                        v = v.numerator
+                    elif not isinstance(v, (int, Fraction)):
+                        raise BackendMismatch(f"unsupported scalar type {type(v)!r}")
+                    if not v:
+                        continue
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
                 self.entries[(i, j)] = v
+        self.field = field
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def from_rows(cls, rows, ncols=None):
         rows = [list(r) for r in rows]
-        nr = len(rows)
         nc = ncols if ncols is not None else (len(rows[0]) if rows else 0)
-        ent = {}
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                v = _coerce_entry(v)
-                if not is_zero(v):
-                    ent[(i, j)] = v
-        return cls(nr, nc, ent)
+        return cls(len(rows), nc, {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)})
 
     @classmethod
     def zero(cls, nrows, ncols):
@@ -92,9 +101,6 @@ class SparseMatrix:
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
     # -- basics ---------------------------------------------------------------
-    def backend(self):
-        return common_backend(self.entries.values())
-
     def is_zero_matrix(self):
         return not self.entries
 
@@ -110,7 +116,6 @@ class SparseMatrix:
                 key = (i, k)
                 cur = out.get(key)
                 out[key] = v * w if cur is None else cur + v * w
-        out = {k: v for k, v in out.items() if not is_zero(v)}
         return SparseMatrix(self.nrows, other.ncols, out)
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -119,11 +124,7 @@ class SparseMatrix:
         out = dict(self.entries)
         for k, v in other.entries.items():
             cur = out.get(k)
-            s = v if cur is None else cur + v
-            if is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = v if cur is None else cur + v
         return SparseMatrix(self.nrows, self.ncols, out)
 
     def __eq__(self, other):
@@ -153,14 +154,6 @@ class SparseMatrix:
 
 
 # -- elimination --------------------------------------------------------------
-
-def _check_backend(vectors):
-    """Raise BackendMismatch unless all entries of `vectors` share one backend."""
-    try:
-        common_backend(v for vec in vectors for v in vec.values())
-    except BackendMismatch as e:
-        raise BackendMismatch(f"matrix entries: {e}") from e
-
 
 def _axpy(row, coef, other):
     """row += coef * other in place, dropping the entries that become zero."""
@@ -239,13 +232,6 @@ class EchelonReducer:
         return pivots, rows
 
 
-def _reduce(vectors):
-    """An EchelonReducer of `vectors`, after the backend check."""
-    vectors = list(vectors)
-    _check_backend(vectors)
-    return EchelonReducer(vectors)
-
-
 def _rows(M: SparseMatrix):
     rows = [dict() for _ in range(M.nrows)]
     for (i, j), v in M.entries.items():
@@ -254,7 +240,7 @@ def _rows(M: SparseMatrix):
 
 
 def rank(M: SparseMatrix) -> int:
-    return len(_reduce(_rows(M)))
+    return len(EchelonReducer(_rows(M)))
 
 
 def rref(M: SparseMatrix):
@@ -263,7 +249,7 @@ def rref(M: SparseMatrix):
     Returns (pivot_cols, rows) with rows the normalized pivot rows as dicts,
     ordered by pivot column.  RREF is canonical, independent of pivoting.
     """
-    return _reduce(_rows(M)).reduced()
+    return EchelonReducer(_rows(M)).reduced()
 
 
 def kernel_basis(M: SparseMatrix):
@@ -279,7 +265,7 @@ def kernel_basis(M: SparseMatrix):
     for f in range(M.ncols):
         if f in pivset:
             continue
-        vec = {f: scalar_one(_sample(M))}
+        vec = {f: 1}
         for pc, row in zip(pivot_cols, rows):
             c = row.get(f)
             if c is not None:
@@ -292,18 +278,12 @@ def kernel_basis(M: SparseMatrix):
     return basis
 
 
-def _sample(M: SparseMatrix):
-    for v in M.entries.values():
-        return v
-    return 1
-
-
 def image_basis(M: SparseMatrix):
     """Echelonized basis of the column space, as dicts row -> value.
 
     These are the rows of RREF(M^T), read off the reduced columns of M.
     """
-    return _reduce(M.columns()).reduced()[1]
+    return EchelonReducer(M.columns()).reduced()[1]
 
 
 def column_leads(M: SparseMatrix):
@@ -312,15 +292,21 @@ def column_leads(M: SparseMatrix):
     The kernel leads are the columns found dependent; there are
     ncols - rank(M) of them."""
     cols = M.columns()
-    _check_backend(cols)
     reducer = EchelonReducer()
     kernel = [f for f in reversed(range(M.ncols)) if reducer.add(cols[f]) is None]
     return tuple(reversed(kernel)), tuple(sorted(reducer.rows))
 
 
+def _matrix_of_rows(vectors, dim) -> SparseMatrix:
+    """The matrix whose rows are `vectors` (dicts index -> value) in k^dim,
+    so their entries share one field."""
+    return SparseMatrix(len(vectors), dim, {
+        (k, i): v for k, vec in enumerate(vectors) for i, v in vec.items()})
+
+
 def rank_of_vectors(vectors, dim) -> int:
     """Rank of a list of sparse vectors (dicts index -> value) in k^dim."""
-    return len(_reduce(vectors))
+    return rank(_matrix_of_rows(list(vectors), dim))
 
 
 def quotient_pivots(vectors, subspace):
@@ -330,14 +316,14 @@ def quotient_pivots(vectors, subspace):
     vector that gets a new pivot adds one class to the quotient, attributed
     to that pivot index.
     """
-    vectors, subspace = list(vectors), list(subspace)
-    _check_backend(vectors + subspace)
     reducer = EchelonReducer(subspace)
     return [p for p in map(reducer.add, vectors) if p is not None]
 
 
 def quotient_rank(vectors, subspace, dim) -> int:
     """Rank of the images of `vectors` in k^dim / span(subspace)."""
+    vectors, subspace = list(vectors), list(subspace)
+    _matrix_of_rows(vectors + subspace, dim)  # raises BackendMismatch on two fields
     return len(quotient_pivots(vectors, subspace))
 
 
@@ -352,6 +338,9 @@ def induced_rank(D: SparseMatrix, F: SparseMatrix, B: SparseMatrix) -> int:
     """
     if F.ncols != D.ncols or F.nrows != B.nrows:
         raise ValueError(f"shape mismatch: D {D!r}, F {F!r}, B {B!r}")
+    field = D.field or F.field or B.field
+    if any(M.field not in (None, field) for M in (D, F, B)):
+        raise BackendMismatch(f"mixed fields {D.field}, {F.field} and {B.field}")
     n = D.nrows
     cols = D.columns()
     for j, col in enumerate(F.columns()):

@@ -245,9 +245,9 @@ class _Strip:
     and image; a triple's is its class counts.  Those records depend only on
     the strip's content: its dimensions and its d- and eps-blocks by degree.
     So all strips of equal content share one `records()` entry of
-    `_STRIP_MEMO`: a dict per pair, per triple and per table fragment.  Each
-    block's backend is checked when the strip is built; the content key is
-    built on the first lookup."""
+    `_STRIP_MEMO`: a dict per pair, per triple and per table fragment.  The
+    content key is built on the first lookup, from each block's `field`,
+    which the block decided when it was built."""
 
     __slots__ = ("w", "a", "degrees", "dims", "d", "eps", "edge", "inside", "_records")
 
@@ -262,7 +262,6 @@ class _Strip:
             for i in dims:
                 block = source.get(Multidegree(i, w, a))
                 if block is not None:
-                    block.backend()  # raises BackendMismatch on mixed conductors
                     blocks[i] = block
         self.inside = len(w) == len(win.weight) and win.aux[0] <= a <= win.aux[1] and all(
             lo <= x <= hi for x, (lo, hi) in zip(w, win.weight))
@@ -377,11 +376,9 @@ def clear_column_memo():
 
 
 def _content_key(M: SparseMatrix) -> tuple:
-    """Backend, shape and entries sorted by (i, j): equal keys, equal matrices."""
-    field = M.backend()
-    backend = ("Q",) if field is None else (type(field).__name__, field.conductor)
+    """Field, shape and entries sorted by (i, j): equal keys, equal matrices."""
     # positions are unique, so sorting never compares two scalars
-    return (backend, M.nrows, M.ncols, tuple(sorted(M.entries.items())))
+    return (M.field, M.nrows, M.ncols, tuple(sorted(M.entries.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ that clears denominators and content, for the fraction-free elimination in
 `linalg`.
 
 The conductor m is fixed per field object; elements of distinct conductors
-never mix (BackendMismatch), mirroring the session-level conductor contract.
+never mix (BackendMismatch).  A matrix decides its field once, when it is
+built (`linalg.SparseMatrix`), so nothing here scans a collection of scalars
+for theirs.
 """
 
 from __future__ import annotations
@@ -272,13 +274,7 @@ class CycElt:
         return " + ".join(terms)
 
 
-# -- backend helpers --------------------------------------------------------
-
-def scalar_one(sample):
-    if isinstance(sample, CycElt):
-        return sample.field.one()
-    return 1
-
+# -- helpers -----------------------------------------------------------------
 
 def is_zero(x) -> bool:
     if isinstance(x, CycElt):
@@ -286,41 +282,13 @@ def is_zero(x) -> bool:
     return x == 0
 
 
-def backend_of(x):
-    """Backend tag of a scalar: None for rational, the field for cyclotomic."""
-    if isinstance(x, CycElt):
-        return x.field
-    if isinstance(x, (int, Fraction)):
-        return None
-    raise BackendMismatch(f"unsupported scalar type {type(x)!r}")
-
-
-def common_backend(scalars):
-    """The unique backend of a collection of scalars.
-
-    Plain rationals are absorbed into a cyclotomic backend if one is present;
-    two distinct cyclotomic fields are a mismatch.
-    """
-    field = None
-    for s in scalars:
-        b = backend_of(s)
-        if b is None:
-            continue
-        if field is None:
-            field = b
-        elif field != b:
-            raise BackendMismatch(
-                f"mixed conductors {field.conductor} and {b.conductor}"
-            )
-    return field
-
-
 def primitive(vec):
     """`vec`, a dict index -> scalar with a nonzero entry, times the positive
     rational that makes its coefficients integers with gcd 1.
 
-    Rational entries are coerced into the field of its cyclotomic entries, if
-    it has any; the coefficients are then those of every entry in zeta.
+    Rational entries are coerced into the field of its first cyclotomic
+    entry, if it has one, and a cyclotomic entry of another conductor raises
+    BackendMismatch; the coefficients are then those of every entry in zeta.
     """
     values = vec.values()
     try:
@@ -329,7 +297,7 @@ def primitive(vec):
         pass
     else:
         return vec if g == 1 else {i: v // g for i, v in vec.items()}
-    field = common_backend(values)
+    field = next((v.field for v in values if isinstance(v, CycElt)), None)
     if field is None:
         coeffs = values
     else:

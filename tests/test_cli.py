@@ -706,7 +706,8 @@ def test_verbs_store_no_float(monkeypatch, name, point):
     text = _shipped(name)
     if point:  # 03 at a primitive cube root of unity: scalars in Q(zeta_3)
         text = text.replace("\nz 3\n", f"\nz {point}\n")
-    seen = Counter()
+    seen, fields = Counter(), Counter()
+    point_field = parse_instance(text)[2].field()
 
     def guard(kind, values):
         values = list(values)
@@ -718,6 +719,9 @@ def test_verbs_store_no_float(monkeypatch, name, point):
     def checked_matrix_init(self, *args, **kwargs):
         matrix_init(self, *args, **kwargs)
         guard("matrix", self.entries.values())
+        # the field follows the point, matrix by matrix
+        assert self.field in (None, point_field), (self.field, point_field)
+        fields[self.field] += 1
 
     def checked_add(self, vec):
         pivot = add(self, vec)
@@ -738,6 +742,7 @@ def test_verbs_store_no_float(monkeypatch, name, point):
         run_verb(verb, args, text)
     assert seen["matrix"] and seen["row"]
     assert bool(seen["cyc"]) == bool(point)
+    assert fields[point_field]
 
 
 def _body(report):

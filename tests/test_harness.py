@@ -249,6 +249,19 @@ def test_window_too_small_is_inconclusive():
     assert H._compare_tables("tiny", a, b, rep) == INCONCLUSIVE
 
 
+@pytest.mark.xfail(strict=True, reason="`HilbertTable.compare` visits only bins that hold a "
+                   "value, so two known tables that vanish on the whole window compare no bin")
+def test_two_known_zero_tables_agree():
+    # every bin of the window is known to both sides and zero on both
+    from loophh import harness as H
+    from loophh.tables import HilbertTable
+
+    win = Window((0, 1), ((0, 1),), (0, 1))
+    rep = H.Report("zero", PASS)
+    verdict = H._compare_tables("zero", HilbertTable({}, set(), win), HilbertTable({}, set(), win), rep)
+    assert verdict == PASS, rep.lines
+
+
 def test_pass_monotone_in_window():
     small = check_hh_localization(line_instance(2, tower_levels=2, aux_max=2))
     big = check_hh_localization(line_instance(2, tower_levels=4, aux_max=5))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophh import linalg, scalars
+from loophh.complexes import Relabelling
+from loophh.grading import Multidegree
 from loophh.linalg import (
     EchelonReducer,
     NotAComplex,
@@ -198,11 +200,12 @@ def test_rank_rref_kernel_agree_with_sympy(rows):
 
 
 def test_every_entry_point_rejects_mixed_conductors():
+    # a matrix decides its field when it is built, so rank, kernel_basis,
+    # image_basis and column_leads never see two conductors; the entry points
+    # that take raw vectors or several matrices check them by the same rule
     a, b = CyclotomicField(3).zeta(), CyclotomicField(4).zeta()
-    M = SparseMatrix(2, 2, {(0, 0): a, (1, 1): b})
-    for f in (rank, kernel_basis, image_basis, column_leads):
-        with pytest.raises(BackendMismatch):
-            f(M)
+    with pytest.raises(BackendMismatch):
+        SparseMatrix(2, 2, {(0, 0): a, (1, 1): b})
     with pytest.raises(BackendMismatch):
         rank_of_vectors([{0: a}, {1: b}], 2)
     with pytest.raises(BackendMismatch):
@@ -307,7 +310,7 @@ def test_lead_set_difference_equals_quotient_pivots(data):
     # I = im N inside K = ker M: N's columns are random combinations of a
     # kernel basis of M
     M = data.draw(_sparse_matrices())
-    backend = "Q" if M.backend() is None else "Q(zeta3)"
+    backend = "Q" if M.field is None else "Q(zeta3)"
     ker = kernel_basis(M)
     K = SparseMatrix(M.ncols, len(ker), {(i, k): v for k, vec in enumerate(ker) for i, v in vec.items()})
     N = K @ data.draw(_sparse_matrices(backend=backend, nrows=len(ker)))
@@ -379,7 +382,7 @@ def test_induced_rank_equals_the_basis_reference(data):
     # F is any matrix, not a chain map; half the time im B also holds part
     # of F(ker D), so the quotient is a real one
     D = data.draw(_sparse_matrices())
-    backend = "Q" if D.backend() is None else "Q(zeta3)"
+    backend = "Q" if D.field is None else "Q(zeta3)"
     F = data.draw(_sparse_matrices(backend=backend, ncols=D.ncols))
     B = data.draw(_sparse_matrices(backend=backend, nrows=F.nrows))
     if data.draw(st.booleans()):
@@ -387,3 +390,65 @@ def test_induced_rank_equals_the_basis_reference(data):
         B = B.hstack(F @ K @ data.draw(_sparse_matrices(backend=backend, nrows=K.ncols)))
     images = [apply_matrix(F, v) for v in kernel_basis(D)]
     assert induced_rank(D, F, B) == quotient_rank(images, image_basis(B), F.nrows)
+
+
+_Q4 = CyclotomicField(4)
+
+
+def _scalars_over(field):
+    """Ints, Fractions and (for a field) its elements a + b*zeta, zeros included."""
+    rationals = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)))
+    if field is None:
+        return rationals
+    return st.one_of(rationals, st.builds(lambda a, b: field.element([a, b]),
+                                          st.integers(-2, 2), st.integers(-2, 2)))
+
+
+@st.composite
+def _entries(draw, scalars, nrows, ncols):
+    cells = [(i, j) for i in range(nrows) for j in range(ncols)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return {c: draw(scalars) for c in chosen}
+
+
+def _carries(R, field):
+    """R's field is `field` when R holds a cyclotomic entry, and None otherwise."""
+    return R.field == (field if any(isinstance(v, CycElt) for v in R.entries.values()) else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_matrix_decides_its_field_when_it_is_built(data):
+    nrows, ncols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    ent = data.draw(_entries(st.one_of(_scalars_over(_Q3), _scalars_over(_Q4)), nrows, ncols))
+    fields = {v.field for v in ent.values() if isinstance(v, CycElt) and v}
+    if len(fields) > 1:
+        with pytest.raises(BackendMismatch):
+            SparseMatrix(nrows, ncols, ent)
+    else:
+        M = SparseMatrix(nrows, ncols, ent)
+        # zeros of any field are dropped and decide nothing
+        assert M.entries == {c: v for c, v in ent.items() if v}
+        assert M.field == (fields.pop() if fields else None)
+    with pytest.raises(BackendMismatch):
+        SparseMatrix(1, 1, {(0, 0): data.draw(st.floats(allow_nan=False))})
+
+    # the results of @, +, hstack and Relabelling.blocks carry their inputs' field
+    field = data.draw(st.sampled_from([None, _Q3, _Q4]))
+    A = SparseMatrix(nrows, ncols, data.draw(_entries(_scalars_over(field), nrows, ncols)))
+    B = SparseMatrix(nrows, ncols, data.draw(_entries(_scalars_over(field), nrows, ncols)))
+    C = SparseMatrix(ncols, 2, data.draw(_entries(_scalars_over(field), ncols, 2)))
+    assert _carries(A, field) and _carries(A @ C, field) and _carries(A + B, field)
+    assert A.hstack(B).field == (A.field or B.field)
+    m0, m1 = Multidegree(0, (0,), 0), Multidegree(1, (0,), 0)
+    dropped = data.draw(st.sets(st.integers(0, 2)))
+    move = Relabelling({m0: list(range(ncols)), m1: list(range(nrows))},
+                       lambda m, lbl: None if lbl in dropped else m)
+    for block in move.blocks({m0: A}, lambda m: m.shift(cohdeg=1)).values():
+        assert _carries(block, field)
+    # across two conductors, hstack raises wherever both sides hold a nonzero entry
+    other = _Q4 if field is _Q3 else _Q3
+    D = SparseMatrix(nrows, ncols, data.draw(_entries(_scalars_over(other), nrows, ncols)))
+    if A.field and D.field:
+        with pytest.raises(BackendMismatch):
+            A.hstack(D)

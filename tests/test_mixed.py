@@ -1023,13 +1023,16 @@ def test_warm_fragments_equal_unshared_tables(monkeypatch):
 @pytest.mark.parametrize("other", [CyclotomicField(1).from_rational(2), CyclotomicField(4).zeta()])
 def test_all_edge_strip_is_backend_checked(other):
     # the known-only table reads no fragment of an all-edge strip, and the
-    # strip builds no content key, but its blocks' backends were scanned
-    # when it was built
-    m0, m1 = md(0, (0,), 0), md(1, (0,), 0)
-    d = SparseMatrix(2, 2, {(0, 0): other, (1, 1): CyclotomicField(3).zeta()})
-    V = MixedComplex(GradedComplex({m0: ["a", "b"], m1: ["c", "d"]}, {m0: d}, WIN, {m0, m1}), {})
+    # strip builds no content key; a d-block of two conductors never reaches
+    # the strip, because it raises when it is built
     with pytest.raises(BackendMismatch):
-        tate(V, 2).cohomology(known_only=True)
+        SparseMatrix(2, 2, {(0, 0): other, (1, 1): CyclotomicField(3).zeta()})
+    m0, m1 = md(0, (0,), 0), md(1, (0,), 0)
+    d = SparseMatrix(2, 2, {(0, 0): other, (1, 1): other})
+    assert d.field == other.field
+    V = MixedComplex(GradedComplex({m0: ["a", "b"], m1: ["c", "d"]}, {m0: d}, WIN, {m0, m1}), {})
+    table = tate(V, 2).cohomology(known_only=True)
+    assert not table.values and md(0, (0,), 0, 0) in table.edge
 
 
 def test_u_series_tables_leave_nothing_on_the_mixed_complex():

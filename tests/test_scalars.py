@@ -6,12 +6,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from loophh.linalg import SparseMatrix
 from loophh.scalars import (
     BackendMismatch,
     CycElt,
     CyclotomicField,
     _inverse_coeffs,
-    common_backend,
     cyclotomic_polynomial,
     exact_div,
     primitive,
@@ -71,8 +71,11 @@ def test_mixed_conductors_rejected():
     b = CyclotomicField(4).zeta()
     with pytest.raises(BackendMismatch):
         _ = a + b
+    # a matrix decides its one field when it is built
     with pytest.raises(BackendMismatch):
-        common_backend([a, b])
+        SparseMatrix(1, 2, {(0, 0): a, (0, 1): b})
+    with pytest.raises(BackendMismatch):
+        primitive({0: a, 1: b})
 
 
 def test_rational_coercion():
